@@ -367,10 +367,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
     except DivergenceDetected as exc:
-        print(
-            f"divergence detected at generation {exc.generation}, field {exc.field}",
-            file=sys.stderr,
-        )
+        print(f"divergence detected: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EvoqueryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

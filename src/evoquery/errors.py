@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class EvoqueryError(Exception):
     """Base class for all package-specific errors."""
@@ -78,13 +80,25 @@ class NonReplayableLedger(EvoqueryError):
 
 
 class DivergenceDetected(EvoqueryError):
-    """Replay produced a record that differs from the persisted one."""
+    """Replay produced a record that differs from the persisted one.
 
-    def __init__(self, generation: int, field: str, message: str = ""):
+    Carries the ledger's (``stored``) and the rerun's (``fresh``) values at
+    ``field`` and shows both in its message.
+    """
+
+    def __init__(self, generation: int, field: str, stored: Any, fresh: Any):
         self.generation = generation
         self.field = field
-        detail = message or f"generation {generation} diverges at {field}"
-        super().__init__(detail)
+        self.stored = stored
+        self.fresh = fresh
+        super().__init__(
+            f"generation {generation} diverges at {field}: "
+            f"stored {_clip(repr(stored))}, fresh {_clip(repr(fresh))}"
+        )
+
+
+def _clip(text: str, limit: int = 200) -> str:
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 class DuplicateJudgment(ParseError):

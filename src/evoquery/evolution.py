@@ -9,6 +9,7 @@ records byte for byte.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
@@ -33,8 +34,10 @@ from .errors import (
 )
 from .fitness import (
     FitnessWeights,
+    HitVectors,
     ReferenceText,
     ScoredResult,
+    UrlCounts,
     aggregate_results,
     merge_into_global,
     population_fitness,
@@ -54,7 +57,7 @@ from .genome import (
 from .ledger import (
     canonical_json,
     file_digest,
-    first_divergent_path,
+    first_divergence,
     parse_record_line,
     read_config_payload,
     read_final_results_text,
@@ -90,6 +93,8 @@ class ProviderSpec:
             raise ConfigInvalid(f"provider kind must be offline or http, got {self.kind!r}")
         if self.kind == "http" and not self.endpoint:
             raise ConfigInvalid("http provider needs an endpoint")
+        if not math.isfinite(self.rate_limit_rps):
+            raise ConfigInvalid(f"rate_limit_rps must be finite, got {self.rate_limit_rps!r}")
         if self.rate_limit_rps <= 0:
             raise ConfigInvalid("rate_limit_rps must be positive")
 
@@ -120,11 +125,18 @@ class ProviderSpec:
         if "full_body_snippets" in kwargs and not isinstance(kwargs["full_body_snippets"], bool):
             raise ConfigInvalid("provider full_body_snippets must be a boolean")
         if "rate_limit_rps" in kwargs:
-            value = kwargs["rate_limit_rps"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigInvalid("provider rate_limit_rps must be a number")
-            kwargs["rate_limit_rps"] = float(value)
+            kwargs["rate_limit_rps"] = _payload_float("rate_limit_rps", kwargs["rate_limit_rps"])
         return cls(**kwargs)
+
+
+def _payload_float(name: str, value: object) -> float:
+    """A JSON number as a float, or ConfigInvalid naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigInvalid(f"{name} must be finite, got an integer beyond float range") from None
 
 
 # config fields: (json key, type, default). Short names g2/g3/f1..f7/m1/e1
@@ -181,6 +193,9 @@ class RunConfig:
     provider: ProviderSpec = dc_field(default_factory=ProviderSpec)
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("g2", "g3", "f1", "f2", "f3", "e1", "keyword_pool_size"):
             if getattr(self, name) < 1:
                 raise ConfigInvalid(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -244,10 +259,7 @@ class RunConfig:
                 kwargs[name] = value
         for name in _FLOAT_FIELDS:
             if name in payload:
-                value = payload[name]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigInvalid(f"{name} must be a number, got {value!r}")
-                kwargs[name] = float(value)
+                kwargs[name] = _payload_float(name, payload[name])
         if "variant" in payload:
             try:
                 kwargs["variant"] = Variant(payload["variant"])
@@ -385,12 +397,12 @@ class _QueryEvaluator:
         provider: SearchProvider,
         weights: FitnessWeights,
         config: RunConfig,
-        normalizer: Normalizer,
+        vectors: HitVectors,
     ):
         self.provider = provider
         self.weights = weights
         self.config = config
-        self.normalizer = normalizer
+        self.vectors = vectors
         self.reference: ReferenceText | None = None
         self._memo: dict[str, _Evaluation] | None = (
             {} if config.freeze_reference else None
@@ -410,9 +422,7 @@ class _QueryEvaluator:
             issued_at=time.time() if self.provider.stamps_time else None,
         )
 
-    def score(
-        self, record: ProviderQueryRecord, population_records: Sequence[ProviderQueryRecord]
-    ) -> _Evaluation:
+    def score(self, record: ProviderQueryRecord, url_counts: UrlCounts) -> _Evaluation:
         assert self.reference is not None, "reference vector not initialized"
         memo = self._memo
         if memo is not None and record.query_string in memo:
@@ -420,11 +430,11 @@ class _QueryEvaluator:
             return _Evaluation(record=record, results=cached.results, fitness=cached.fitness)
         results = score_query_results(
             record,
-            population_records,
+            url_counts,
             self.reference,
             self.weights,
             self.config.a_factor,
-            self.normalizer,
+            self.vectors,
         )
         evaluation = _Evaluation(record=record, results=results, fitness=query_fitness(results))
         if memo is not None:
@@ -434,7 +444,7 @@ class _QueryEvaluator:
     def evaluate_single(self, genome: QueryGenome) -> float:
         """Fitness of one genome scored as a population of itself."""
         record = self.make_record(render_query(genome), "challenger")
-        return self.score(record, [record]).fitness
+        return self.score(record, UrlCounts.of([record])).fitness
 
 
 def select_survivors(
@@ -504,7 +514,8 @@ def run_evolution(
     weights = config.fitness_weights()
     pool = build_keyword_pool(list(seed_material), config.keyword_pool_size, normalizer)
     reference = ReferenceText.from_seed_documents(seed_material, normalizer=normalizer)
-    evaluator = _QueryEvaluator(provider, weights, config, normalizer)
+    vectors = HitVectors(normalizer)
+    evaluator = _QueryEvaluator(provider, weights, config, vectors)
     evaluator.reference = reference
     population = seed_population(
         pool, config.g2, config.g3, config.rng_seed, config.variant
@@ -517,7 +528,8 @@ def run_evolution(
             evaluator.make_record(render_query(genome), f"g{idx}")
             for idx, genome in enumerate(population.genomes)
         ]
-        evaluations = [evaluator.score(record, query_records) for record in query_records]
+        url_counts = UrlCounts.of(query_records)
+        evaluations = [evaluator.score(record, url_counts) for record in query_records]
         fitnesses = [e.fitness for e in evaluations]
         mean_fitness = population_fitness(fitnesses)
 
@@ -526,9 +538,7 @@ def run_evolution(
         )
         global_top = merge_into_global(global_top, population_top, weights.global_cap)
         if not config.freeze_reference:
-            reference = update_reference_text(
-                reference, population_top, generation, normalizer
-            )
+            reference = update_reference_text(reference, population_top, generation, vectors)
             evaluator.reference = reference
 
         outcomes = [
@@ -648,17 +658,26 @@ def replay(ledger_dir: str | Path) -> RunLedger:
         raise DivergenceDetected(
             min(len(stored_lines), len(fresh_lines)),
             "record_count",
-            f"ledger holds {len(stored_lines)} generations, rerun produced {len(fresh_lines)}",
+            len(stored_lines),
+            len(fresh_lines),
         )
     for line_no, (stored, fresh) in enumerate(zip(stored_lines, fresh_lines), start=1):
         if stored != fresh:
-            path = first_divergent_path(
+            found = first_divergence(
                 parse_record_line(stored, line_no), parse_record_line(fresh, line_no)
             )
-            raise DivergenceDetected(line_no - 1, path or "<bytes>")
+            raise DivergenceDetected(line_no - 1, *(found or ("<bytes>", stored, fresh)))
 
     stored_final = read_final_results_text(ledger_dir).strip()
     fresh_final = canonical_json([result_to_payload(r) for r in rerun.final_results])
     if stored_final != fresh_final:
-        raise DivergenceDetected(config.e1, "final_results")
+        try:
+            found = first_divergence(
+                json.loads(stored_final), json.loads(fresh_final), "final_results"
+            )
+        except json.JSONDecodeError:
+            found = None
+        raise DivergenceDetected(
+            config.e1, *(found or ("final_results", stored_final, fresh_final))
+        )
     return rerun

@@ -5,12 +5,24 @@ position, a cross-query score counting how many of the population's result
 lists contain it, a semantic score against an adaptive reference vector,
 and a per-run environment factor. The weighted sum, damped per extra
 result from the same host, is the quantity the genetic loop maximizes.
+Means add left to right with plain float addition, not ``sum()``, which
+compensates rounding from Python 3.12 on and so would make ledger bytes
+depend on the interpreter version.
+
+Work that has the same answer every time is done once: a run memoizes
+each hit's title+snippet lemma vector by (title, snippet) in one
+``HitVectors``, and each generation counts the result lists containing
+each url once, in one ``UrlCounts``, instead of rescanning every list
+for every hit.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 from .corpus import Document, Normalizer, TermVector, DEFAULT_NORMALIZER
@@ -114,25 +126,56 @@ def position_score(position: int, list_length: int) -> float:
     return (list_length - position + 1) / list_length
 
 
-def cross_query_score(doc_url: str, population_records: Sequence[ProviderQueryRecord]) -> float:
+@dataclass(frozen=True)
+class UrlCounts:
+    """How many of one generation's result lists contain each url."""
+
+    counts: Counter[str]
+    lists: int
+
+    @classmethod
+    def of(cls, population_records: Sequence[ProviderQueryRecord]) -> UrlCounts:
+        """Count each url once per record that contains it."""
+        if not population_records:
+            raise ValueError("need at least one query record")
+        counts: Counter[str] = Counter()
+        for record in population_records:
+            counts.update({hit.doc_url for hit in record.hits})
+        return cls(counts, len(population_records))
+
+
+def cross_query_score(doc_url: str, url_counts: UrlCounts) -> float:
     """Fraction of the population's result lists that contain the url."""
-    if not population_records:
-        raise ValueError("need at least one query record")
-    containing = sum(1 for record in population_records if doc_url in record.urls())
-    return containing / len(population_records)
+    return url_counts.counts[doc_url] / url_counts.lists
 
 
 def hit_text_vector(hit: SearchHit, normalizer: Normalizer = DEFAULT_NORMALIZER) -> TermVector:
     return TermVector.from_lemmas(normalizer.normalize(hit.title + " " + hit.snippet))
 
 
-def semantic_score(
-    hit: SearchHit,
-    ref: ReferenceText,
-    normalizer: Normalizer = DEFAULT_NORMALIZER,
-) -> float:
+class HitVectors:
+    """One run's memo of hit lemma vectors, keyed by (title, snippet).
+
+    The vector depends only on the hit's text and the run's normalizer,
+    so each distinct text is normalized once per run. Callers must not
+    mutate the returned vectors.
+    """
+
+    def __init__(self, normalizer: Normalizer = DEFAULT_NORMALIZER):
+        self.normalizer = normalizer
+        self._vectors: dict[tuple[str, str], TermVector] = {}
+
+    def __call__(self, hit: SearchHit) -> TermVector:
+        key = (hit.title, hit.snippet)
+        vector = self._vectors.get(key)
+        if vector is None:
+            vector = self._vectors[key] = hit_text_vector(hit, self.normalizer)
+        return vector
+
+
+def semantic_score(hit: SearchHit, ref: ReferenceText, vectors: HitVectors) -> float:
     """Cosine between the hit's title+snippet vector and the reference."""
-    similarity = hit_text_vector(hit, normalizer).cosine(ref.vector)
+    similarity = vectors(hit).cosine(ref.vector)
     return min(1.0, max(0.0, similarity))
 
 
@@ -183,31 +226,31 @@ def query_fitness(results: Sequence[ScoredResult]) -> float:
     """Mean result fitness of one query; zero when it returned nothing."""
     if not results:
         return 0.0
-    return sum(r.fitness for r in results) / len(results)
+    return reduce(add, (r.fitness for r in results), 0.0) / len(results)
 
 
 def population_fitness(query_fitnesses: Sequence[float]) -> float:
     """Mean query fitness across the population, the GA's objective."""
     if not query_fitnesses:
         raise WrongPopulationSize("population fitness of zero queries")
-    return sum(query_fitnesses) / len(query_fitnesses)
+    return reduce(add, query_fitnesses, 0.0) / len(query_fitnesses)
 
 
 def score_query_results(
     record: ProviderQueryRecord,
-    population_records: Sequence[ProviderQueryRecord],
+    url_counts: UrlCounts,
     ref: ReferenceText,
     weights: FitnessWeights,
     environment_factor: float,
-    normalizer: Normalizer = DEFAULT_NORMALIZER,
+    vectors: HitVectors,
 ) -> list[ScoredResult]:
     """Score one query's hits within its population and damp host runs."""
     length = len(record.hits)
     scored = []
     for hit in record.hits:
         rank = position_score(hit.position, length)
-        crossquery = cross_query_score(hit.doc_url, population_records)
-        semantic = semantic_score(hit, ref, normalizer)
+        crossquery = cross_query_score(hit.doc_url, url_counts)
+        semantic = semantic_score(hit, ref, vectors)
         scored.append(
             ScoredResult(
                 hit=hit,
@@ -259,7 +302,7 @@ def update_reference_text(
     ref: ReferenceText,
     top_results: Sequence[ScoredResult],
     generation: int,
-    normalizer: Normalizer = DEFAULT_NORMALIZER,
+    vectors: HitVectors,
 ) -> ReferenceText:
     """Fold the best current results into the reference vector.
 
@@ -282,7 +325,7 @@ def update_reference_text(
     merged = dict(ref.vector.entries)
     provenance = list(ref.provenance)
     for result in contributors:
-        contribution = hit_text_vector(result.hit, normalizer)
+        contribution = vectors(result.hit)
         for lemma, weight in contribution.entries.items():
             merged[lemma] = merged.get(lemma, 0.0) + multiplier * weight
         provenance.append((generation, result.hit.doc_url))

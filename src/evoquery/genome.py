@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from enum import Enum
 
 from .corpus import KeywordPool
@@ -51,7 +53,8 @@ def _weighted_sample(
     remaining = list(items)
     picked: list[str] = []
     for _ in range(count):
-        total = sum(w for _, w in remaining)
+        # plain left-to-right addition: sum() compensates from Python 3.12 on
+        total = reduce(add, (w for _, w in remaining), 0.0)
         if total <= 0.0:
             idx = rng.randrange(len(remaining))
         else:

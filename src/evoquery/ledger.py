@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import LedgerCorrupt
 
@@ -23,46 +23,58 @@ GENERATIONS_FILE = "generations.jsonl"
 FINAL_RESULTS_FILE = "final_results.json"
 
 
+_escape_string = json.encoder.encode_basestring_ascii
+
+
 def format_float(value: float) -> str:
     """17-significant-digit decimal, always spelled as a float literal."""
+    text = f"{value:.17g}"
+    if "." in text or "e" in text:
+        return text
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"non-finite float {value!r} cannot enter a ledger")
-    text = f"{value:.17g}"
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
+    return text + ".0"
 
 
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, no spaces, escaped non-ASCII."""
     parts: list[str] = []
-    _write_canonical(value, parts)
+    _write_canonical(value, parts.append, {})
     return "".join(parts)
 
 
-def _write_canonical(value: Any, parts: list[str]) -> None:
-    if value is None or isinstance(value, (bool, int, str)):
-        parts.append(json.dumps(value, ensure_ascii=True))
+def _write_canonical(value: Any, emit: Callable[[str], None], labels: dict[str, str]) -> None:
+    """Append ``value``'s canonical text through ``emit``.
+
+    ``labels`` maps each object key already seen in this document to its
+    escaped ``"key":`` text, so repeated keys are escaped once.
+    """
+    if isinstance(value, str):
+        emit(_escape_string(value))
     elif isinstance(value, float):
-        parts.append(format_float(value))
+        emit(format_float(value))
     elif isinstance(value, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"ledger object keys must be strings, got {key!r}")
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(key, ensure_ascii=True))
-            parts.append(":")
-            _write_canonical(value[key], parts)
-        parts.append("}")
+        separator = "{"
+        for key in sorted(value):
+            label = labels.get(key)
+            if label is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"ledger object keys must be strings, got {key!r}")
+                label = labels[key] = _escape_string(key) + ":"
+            emit(separator)
+            emit(label)
+            _write_canonical(value[key], emit, labels)
+            separator = ","
+        emit("}" if separator == "," else "{}")  # "{}" when nothing was written
     elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(value):
-            if i:
-                parts.append(",")
-            _write_canonical(item, parts)
-        parts.append("]")
+        separator = "["
+        for item in value:
+            emit(separator)
+            _write_canonical(item, emit, labels)
+            separator = ","
+        emit("]" if separator == "," else "[]")  # "[]" when nothing was written
+    elif value is None or isinstance(value, (bool, int)):
+        emit(json.dumps(value, ensure_ascii=True))
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} into a ledger")
 
@@ -128,28 +140,49 @@ def parse_record_line(line: str, line_no: int) -> dict:
     return payload
 
 
-def first_divergent_path(expected: Any, actual: Any, path: str = "") -> str | None:
-    """Walk two parsed JSON trees and name the first differing field."""
+class _Absent:
+    """The missing side of a key that only one tree holds."""
+
+    def __repr__(self) -> str:
+        return "<absent>"
+
+
+ABSENT = _Absent()
+
+
+class Divergence(NamedTuple):
+    path: str
+    expected: Any
+    actual: Any
+
+
+def first_divergence(expected: Any, actual: Any, path: str = "") -> Divergence | None:
+    """Walk two parsed JSON trees to the first differing field and its values.
+
+    A list length mismatch is reported at ``<path>.length`` with the two
+    lengths; a key held by one tree only has ``ABSENT`` on the other side.
+    """
     if type(expected) is not type(actual):
-        return path or "<root>"
+        return Divergence(path or "<root>", expected, actual)
     if isinstance(expected, dict):
         for key in sorted(set(expected) | set(actual)):
+            key_path = f"{path}.{key}" if path else key
             if key not in expected or key not in actual:
-                return f"{path}.{key}" if path else key
-            sub = first_divergent_path(expected[key], actual[key], f"{path}.{key}" if path else key)
-            if sub:
-                return sub
+                return Divergence(key_path, expected.get(key, ABSENT), actual.get(key, ABSENT))
+            found = first_divergence(expected[key], actual[key], key_path)
+            if found:
+                return found
         return None
     if isinstance(expected, list):
         if len(expected) != len(actual):
-            return f"{path}.length" if path else "length"
+            return Divergence(f"{path}.length" if path else "length", len(expected), len(actual))
         for i, (e, a) in enumerate(zip(expected, actual)):
-            sub = first_divergent_path(e, a, f"{path}[{i}]")
-            if sub:
-                return sub
+            found = first_divergence(e, a, f"{path}[{i}]")
+            if found:
+                return found
         return None
     if expected != actual:
-        return path or "<root>"
+        return Divergence(path or "<root>", expected, actual)
     return None
 
 

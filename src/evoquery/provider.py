@@ -59,9 +59,6 @@ class ProviderQueryRecord:
     provider_name: str
     issued_at: float | None = None
 
-    def urls(self) -> set[str]:
-        return {h.doc_url for h in self.hits}
-
 
 class SearchProvider(Protocol):
     name: str

@@ -135,6 +135,19 @@ class TestEvolve:
         for name in ("config.json", GENERATIONS_FILE, "final_results.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_non_finite_weight_rejected_before_run(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "nan.json"
+        config.write_text('{"f5": NaN}')
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(config),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(data_dir / "index.json"), "--out", str(out),
+        ])
+        assert code == 1
+        assert "f5 must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_index_and_endpoint_conflict(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             main([
@@ -378,6 +391,7 @@ class TestReplay:
         assert code == 1
         err = capsys.readouterr().err
         assert "divergence" in err and "population_fitness" in err
+        assert f"stored {payload['population_fitness']!r}" in err
 
     def test_missing_ledger(self, tmp_path, capsys):
         assert main(["replay", "--ledger", str(tmp_path)]) == 1

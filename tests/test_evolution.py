@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,23 @@ class TestRunConfig:
     def test_integer_accepted_for_float_field(self):
         config = RunConfig.from_payload({"m1": 1, "a_factor": 1})
         assert config.m1 == 1.0 and config.a_factor == 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["f4", "f5", "f6", "f7", "m1", "a_factor"])
+    def test_non_finite_float_rejected_naming_field(self, name, value):
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be finite"):
+            RunConfig.from_payload({name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rate_limit_rejected(self, value):
+        with pytest.raises(ConfigInvalid, match="^rate_limit_rps must be finite"):
+            RunConfig.from_payload({"provider": {"rate_limit_rps": value}})
+
+    def test_integer_beyond_float_range_rejected_naming_field(self):
+        with pytest.raises(ConfigInvalid, match="^f5 must be finite"):
+            RunConfig.from_payload({"f5": 10**400})
+        with pytest.raises(ConfigInvalid, match="^rate_limit_rps must be finite"):
+            RunConfig.from_payload({"provider": {"rate_limit_rps": 10**400}})
 
     def test_fitness_weights_mapping(self):
         weights = small_config(f4=0.5, f1=5, f2=6, f3=7).fitness_weights()
@@ -475,6 +493,39 @@ class TestLedgerWriteAndReplay:
             replay(ledger_dir)
         assert exc_info.value.generation == 1
         assert exc_info.value.field == "population_fitness"
+
+    def test_divergence_shows_stored_and_fresh_values(
+        self, tmp_path, provider, run_inputs_dir
+    ):
+        ledger_dir, original = self._run_and_write(tmp_path, provider, run_inputs_dir)
+        path = ledger_dir / GENERATIONS_FILE
+        lines = path.read_text().splitlines()
+        payload = parse_record_line(lines[2], 3)
+        result = payload["queries"][1]["results"][0]
+        fresh = result["semantic"]
+        stored = fresh + 2.0**-40
+        result["semantic"] = stored
+        lines[2] = canonical_json(payload)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DivergenceDetected) as exc_info:
+            replay(ledger_dir)
+        error = exc_info.value
+        assert (error.generation, error.field) == (2, "queries[1].results[0].semantic")
+        assert (error.stored, error.fresh) == (stored, fresh)
+        assert repr(stored) in str(error) and repr(fresh) in str(error)
+
+    def test_final_results_divergence_names_field(self, tmp_path, provider, run_inputs_dir):
+        ledger_dir, original = self._run_and_write(tmp_path, provider, run_inputs_dir)
+        path = ledger_dir / "final_results.json"
+        final = json.loads(path.read_text())
+        final[0]["url"] = "https://tampered.example/x"
+        path.write_text(canonical_json(final) + "\n")
+        with pytest.raises(DivergenceDetected) as exc_info:
+            replay(ledger_dir)
+        error = exc_info.value
+        assert error.field == "final_results[0].url"
+        assert error.stored == "https://tampered.example/x"
+        assert error.fresh == original.final_results[0].hit.doc_url
 
     def test_truncated_ledger_reports_count(self, tmp_path, provider, run_inputs_dir):
         ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)

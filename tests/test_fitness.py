@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoquery.corpus import Document, TermVector
+from evoquery.corpus import Document, SuffixNormalizer, TermVector
 from evoquery.errors import (
     ComponentOutOfRange,
     ConfigInvalid,
@@ -13,11 +13,14 @@ from evoquery.errors import (
 )
 from evoquery.fitness import (
     FitnessWeights,
+    HitVectors,
     ReferenceText,
     ScoredResult,
+    UrlCounts,
     aggregate_results,
     apply_host_collocation,
     cross_query_score,
+    hit_text_vector,
     merge_into_global,
     population_fitness,
     position_score,
@@ -108,19 +111,42 @@ class TestCrossQueryScore:
     def test_half_the_lists(self):
         records = [record(f"g{i}", ["https://x.org/hit"]) for i in range(4)]
         records += [record(f"g{i+4}", ["https://y.org/other"]) for i in range(4)]
-        assert cross_query_score("https://x.org/hit", records) == 0.5
+        assert cross_query_score("https://x.org/hit", UrlCounts.of(records)) == 0.5
 
     def test_unanimous(self):
         records = [record(f"g{i}", ["https://x.org/hit"]) for i in range(3)]
-        assert cross_query_score("https://x.org/hit", records) == 1.0
+        assert cross_query_score("https://x.org/hit", UrlCounts.of(records)) == 1.0
 
     def test_absent(self):
         records = [record("g0", ["https://y.org/other"])]
-        assert cross_query_score("https://x.org/hit", records) == 0.0
+        assert cross_query_score("https://x.org/hit", UrlCounts.of(records)) == 0.0
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError):
-            cross_query_score("https://x.org/hit", [])
+            UrlCounts.of([])
+
+    def test_repeated_url_in_one_list_counts_once(self):
+        records = [record("g0", ["https://x.org/hit", "https://x.org/hit"])]
+        records.append(record("g1", ["https://y.org/other"]))
+        assert cross_query_score("https://x.org/hit", UrlCounts.of(records)) == 0.5
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([f"https://h{i}.org/d" for i in range(6)]), max_size=6),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_matches_brute_force_count(self, url_lists):
+        records = [record(f"g{i}", urls) for i, urls in enumerate(url_lists)]
+        counts = UrlCounts.of(records)
+        for rec in records:
+            for h in rec.hits:
+                containing = sum(
+                    1 for other in records if h.doc_url in {x.doc_url for x in other.hits}
+                )
+                assert cross_query_score(h.doc_url, counts) == containing / len(records)
 
 
 class TestSemanticScore:
@@ -129,29 +155,59 @@ class TestSemanticScore:
 
     def test_parallel_vectors(self):
         ref = self.ref_of(wear=0.5, friction=0.5)
-        assert semantic_score(hit(title="wear friction"), ref) == pytest.approx(1.0)
+        assert semantic_score(hit(title="wear friction"), ref, HitVectors()) == pytest.approx(1.0)
 
     def test_disjoint_vocabulary(self):
         ref = self.ref_of(oil=1.0)
-        assert semantic_score(hit(title="wear friction"), ref) == 0.0
+        assert semantic_score(hit(title="wear friction"), ref, HitVectors()) == 0.0
 
     def test_known_cosine(self):
         ref = self.ref_of(wear=1.0)
-        score = semantic_score(hit(title="wear friction"), ref)
+        score = semantic_score(hit(title="wear friction"), ref, HitVectors())
         assert score == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
     def test_empty_hit_text(self):
-        assert semantic_score(hit(title="", snippet=""), self.ref_of(wear=1.0)) == 0.0
+        ref = self.ref_of(wear=1.0)
+        assert semantic_score(hit(title="", snippet=""), ref, HitVectors()) == 0.0
 
     def test_empty_reference(self):
         ref = ReferenceText(vector=TermVector.from_weights({}))
-        assert semantic_score(hit(title="wear"), ref) == 0.0
+        assert semantic_score(hit(title="wear"), ref, HitVectors()) == 0.0
 
     def test_title_and_snippet_both_count(self):
         ref = self.ref_of(wear=0.5, oil=0.5)
-        combined = semantic_score(hit(title="wear", snippet="oil"), ref)
-        title_only = semantic_score(hit(title="wear"), ref)
+        combined = semantic_score(hit(title="wear", snippet="oil"), ref, HitVectors())
+        title_only = semantic_score(hit(title="wear"), ref, HitVectors())
         assert combined > title_only
+
+
+_HIT_TEXT = st.text(alphabet="ab ing.sé", max_size=12)
+
+
+class TestHitVectors:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(_HIT_TEXT, _HIT_TEXT), min_size=1, max_size=12))
+    def test_memoized_vector_equals_fresh(self, texts):
+        normalizer = SuffixNormalizer(stop_words=frozenset({"ab"}))
+        vectors = HitVectors(normalizer)
+        for title, snippet in texts:
+            h = hit(title=title, snippet=snippet)
+            assert vectors(h) == hit_text_vector(h, normalizer)
+
+    def test_each_distinct_text_normalized_once(self):
+        calls = []
+
+        class CountingNormalizer:
+            def normalize(self, raw):
+                calls.append(raw)
+                return raw.split()
+
+        vectors = HitVectors(CountingNormalizer())
+        first = vectors(hit(url="https://a.org/1", title="wear", snippet="oil"))
+        again = vectors(hit(url="https://b.org/2", title="wear", snippet="oil", position=3))
+        vectors(hit(title="wear oil", snippet=""))
+        assert again is first
+        assert calls == ["wear oil", "wear oil "]
 
 
 class TestResultFitness:
@@ -292,6 +348,17 @@ class TestQueryAndPopulationFitness:
         naive = sum(wjs) / len(wjs)
         assert abs(population_fitness(wjs) - naive) <= 1e-12
 
+    def test_means_add_left_to_right_on_every_python(self):
+        # ten plain additions of 0.1 give 0.9999999999999999; the compensated
+        # sum() of Python 3.12+ gives 1.0, which would change ledger bytes
+        total = 0.0
+        for _ in range(10):
+            total += 0.1
+        assert total != 1.0
+        assert population_fitness([0.1] * 10) == total / 10
+        results = [scored(0.1, url=f"https://a.org/{i}") for i in range(10)]
+        assert query_fitness(results) == total / 10
+
 
 class TestAggregation:
     def test_duplicate_url_keeps_max(self):
@@ -347,7 +414,9 @@ class TestScoreQueryResults:
 
     def test_components_populated_and_bounded(self):
         rec, records, ref = self.make_inputs()
-        out = score_query_results(rec, records, ref, PAPER_WEIGHTS, environment_factor=1.0)
+        out = score_query_results(
+            rec, UrlCounts.of(records), ref, PAPER_WEIGHTS, 1.0, HitVectors()
+        )
         assert len(out) == 2
         for result in out:
             for value in (
@@ -361,14 +430,20 @@ class TestScoreQueryResults:
 
     def test_shared_url_gets_higher_crossquery(self):
         rec, records, ref = self.make_inputs()
-        out = {r.hit.doc_url: r for r in score_query_results(rec, records, ref, PAPER_WEIGHTS, 1.0)}
+        out = {
+            r.hit.doc_url: r
+            for r in score_query_results(
+                rec, UrlCounts.of(records), ref, PAPER_WEIGHTS, 1.0, HitVectors()
+            )
+        }
         assert out["https://shared.org/doc"].crossquery_component == 1.0
         assert out["https://a.org/1"].crossquery_component == 0.5
 
     def test_empty_record_scores_empty(self):
         rec = ProviderQueryRecord(query_string="q", genome_id="g", hits=[], provider_name="offline")
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
-        assert score_query_results(rec, [rec], ref, PAPER_WEIGHTS, 1.0) == []
+        out = score_query_results(rec, UrlCounts.of([rec]), ref, PAPER_WEIGHTS, 1.0, HitVectors())
+        assert out == []
 
 
 class TestReferenceText:
@@ -382,14 +457,14 @@ class TestReferenceText:
 
     def test_empty_update_is_identity(self):
         ref = ReferenceText.from_seed_documents([self.seed_doc("wear oil")])
-        updated = update_reference_text(ref, [], generation=1)
+        updated = update_reference_text(ref, [], 1, HitVectors())
         assert updated.vector.entries == ref.vector.entries
         assert updated.rounds == 0
 
     def test_update_folds_in_top_results_with_decay(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         results = [scored(0.9, url="https://x.org/1", title="oil")]
-        updated = update_reference_text(ref, results, generation=1)
+        updated = update_reference_text(ref, results, 1, HitVectors())
         # contribution vector {oil: 1.0} scaled by 0.5 on round 1
         assert updated.vector.entries["oil"] == pytest.approx(0.5)
         assert updated.vector.entries["wear"] == pytest.approx(1.0)
@@ -398,8 +473,12 @@ class TestReferenceText:
 
     def test_second_round_decays_deeper(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
-        ref = update_reference_text(ref, [scored(0.9, url="https://x.org/1", title="oil")], 1)
-        ref = update_reference_text(ref, [scored(0.9, url="https://x.org/2", title="grease")], 2)
+        ref = update_reference_text(
+            ref, [scored(0.9, url="https://x.org/1", title="oil")], 1, HitVectors()
+        )
+        ref = update_reference_text(
+            ref, [scored(0.9, url="https://x.org/2", title="grease")], 2, HitVectors()
+        )
         assert ref.vector.entries["grease"] == pytest.approx(0.25)
 
     def test_at_most_three_contributors(self):
@@ -408,7 +487,7 @@ class TestReferenceText:
             scored(0.9 - i / 100, url=f"https://x.org/{i}", title=f"term{i}")
             for i in range(5)
         ]
-        updated = update_reference_text(ref, results, generation=1)
+        updated = update_reference_text(ref, results, 1, HitVectors())
         assert len(updated.provenance) == 3
 
     def test_contributors_deduped_by_url(self):
@@ -418,7 +497,7 @@ class TestReferenceText:
             scored(0.8, url="https://x.org/1", title="oil"),
             scored(0.7, url="https://x.org/2", title="grease"),
         ]
-        updated = update_reference_text(ref, dup, generation=1)
+        updated = update_reference_text(ref, dup, 1, HitVectors())
         assert updated.provenance == [(1, "https://x.org/1"), (1, "https://x.org/2")]
 
     def test_eviction_drops_lightest_lemma(self):
@@ -427,14 +506,14 @@ class TestReferenceText:
             capacity=3,
         )
         updated = update_reference_text(
-            ref, [scored(0.9, url="https://x.org/1", title="dd dd dd")], generation=1
+            ref, [scored(0.9, url="https://x.org/1", title="dd dd dd")], 1, HitVectors()
         )
         assert set(updated.vector.entries) == {"aa", "bb", "dd"}
 
     def test_digest_tracks_vector_state(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         d1 = ref.digest()
-        updated = update_reference_text(ref, [scored(0.9, title="oil")], 1)
+        updated = update_reference_text(ref, [scored(0.9, title="oil")], 1, HitVectors())
         assert updated.digest() != d1
         assert ref.digest() == d1  # input unchanged
 

@@ -5,17 +5,18 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evoquery.errors import LedgerCorrupt
 from evoquery.ledger import (
+    ABSENT,
     CONFIG_FILE,
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
     canonical_json,
     file_digest,
-    first_divergent_path,
+    first_divergence,
     format_float,
     iter_generation_payloads,
     parse_record_line,
@@ -151,23 +152,101 @@ class TestLedgerDir:
 
 class TestFirstDivergentPath:
     def test_equal_trees(self):
-        assert first_divergent_path({"a": [1, {"b": 2}]}, {"a": [1, {"b": 2}]}) is None
+        assert first_divergence({"a": [1, {"b": 2}]}, {"a": [1, {"b": 2}]}) is None
 
     def test_nested_list_item(self):
         left = {"a": {"b": [1, 2, 3]}}
         right = {"a": {"b": [1, 9, 3]}}
-        assert first_divergent_path(left, right) == "a.b[1]"
+        assert first_divergence(left, right) == ("a.b[1]", 2, 9)
 
     def test_missing_key_named(self):
-        assert first_divergent_path({"a": 1}, {"a": 1, "b": 2}) == "b"
+        assert first_divergence({"a": 1}, {"a": 1, "b": 2}) == ("b", ABSENT, 2)
 
     def test_list_length(self):
-        assert first_divergent_path({"q": [1, 2]}, {"q": [1]}) == "q.length"
+        assert first_divergence({"q": [1, 2]}, {"q": [1]}) == ("q.length", 2, 1)
 
     def test_type_mismatch_at_root(self):
-        assert first_divergent_path([1], {"a": 1}) == "<root>"
+        assert first_divergence([1], {"a": 1}).path == "<root>"
 
     def test_earliest_key_wins(self):
         left = {"a": 1, "z": 1}
         right = {"a": 2, "z": 2}
-        assert first_divergent_path(left, right) == "a"
+        assert first_divergence(left, right).path == "a"
+
+    def test_path_prefix(self):
+        assert first_divergence([{"f": 0.5}], [{"f": 0.25}], "final")[0] == "final[0].f"
+
+
+def _reference_format_float(value):
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError(f"non-finite float {value!r} cannot enter a ledger")
+    text = f"{value:.17g}"
+    if not any(ch in text for ch in ".eE"):
+        text += ".0"
+    return text
+
+
+def reference_canonical_json(value):
+    """The plain recursive writer canonical_json must match byte for byte."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return json.dumps(value, ensure_ascii=True)
+    if isinstance(value, float):
+        return _reference_format_float(value)
+    if isinstance(value, dict):
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"ledger object keys must be strings, got {key!r}")
+            label = json.dumps(key, ensure_ascii=True)
+            items.append(label + ":" + reference_canonical_json(value[key]))
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_canonical_json(item) for item in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__} into a ledger")
+
+
+def _outcome(writer, value):
+    try:
+        return writer(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _payloads(leaves, keys):
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(keys, children, max_size=4),
+        max_leaves=16,
+    )
+
+
+_VALID_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+
+
+class TestCanonicalJsonMatchesReference:
+    @settings(max_examples=300)
+    @given(_payloads(_VALID_LEAVES, st.text()))
+    def test_same_bytes(self, value):
+        assert canonical_json(value) == reference_canonical_json(value)
+
+    @given(st.dictionaries(st.text(max_size=3), st.text(), max_size=3), st.integers(2, 5))
+    def test_repeated_keys_same_bytes(self, record, copies):
+        value = {"rows": [dict(record) for _ in range(copies)], "é": record}
+        assert canonical_json(value) == reference_canonical_json(value)
+
+    @given(
+        _payloads(
+            _VALID_LEAVES | st.floats() | st.frozensets(st.integers(), max_size=2),
+            st.text(max_size=2) | st.integers(),
+        )
+    )
+    def test_same_rejects(self, value):
+        assert _outcome(canonical_json, value) == _outcome(reference_canonical_json, value)
