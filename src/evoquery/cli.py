@@ -20,13 +20,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from .corpus import (
-    DEFAULT_NORMALIZER,
-    SuffixNormalizer,
-    build_keyword_pool,
-    load_corpus,
-    load_stop_words,
-)
+from .corpus import build_keyword_pool, load_corpus, normalizer_for
 from .errors import (
     ConfigInvalid,
     DivergenceDetected,
@@ -94,18 +88,10 @@ def _require_file(path: str | Path, what: str) -> Path:
     return resolved
 
 
-def _normalizer_from(stop_words_path: str | None):
-    if stop_words_path:
-        return SuffixNormalizer(
-            stop_words=load_stop_words(_require_file(stop_words_path, "stop words"))
-        )
-    return DEFAULT_NORMALIZER
-
-
 def cmd_index(args: argparse.Namespace) -> int:
     corpus_path = _require_file(args.corpus, "corpus")
     docs = load_corpus(corpus_path)
-    index = build_index(docs, _normalizer_from(args.stop_words))
+    index = build_index(docs, normalizer_for(args.stop_words))
     save_index(index, args.out)
     print(f"indexed {index.doc_count} documents, vocabulary {index.vocabulary_size}")
     return EXIT_OK
@@ -114,7 +100,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_keywords(args: argparse.Namespace) -> int:
     corpus_path = _require_file(args.corpus, "corpus")
     docs = load_corpus(corpus_path)
-    pool = build_keyword_pool(docs, args.k, _normalizer_from(args.stop_words))
+    pool = build_keyword_pool(docs, args.k, normalizer_for(args.stop_words))
     for lemma, weight in pool.terms:
         print(f"{lemma}\t{weight:.6f}")
     return EXIT_OK

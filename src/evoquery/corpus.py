@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .errors import DuplicateId, EmptyDocument, ParseError
+from .errors import ConfigInvalid, DuplicateId, EmptyDocument, ParseError
 
 _DOC_FIELDS = ("id", "url", "host", "title", "body")
 
@@ -73,16 +73,6 @@ class SuffixNormalizer:
 DEFAULT_NORMALIZER = SuffixNormalizer()
 
 
-def normalize_text(raw: str, stop_words: Iterable[str] = ()) -> list[str]:
-    """Normalize ``raw`` with the default suffix stemmer.
-
-    ``stop_words`` are removed after stemming; the default list is empty.
-    """
-    stops = frozenset(stop_words)
-    normalizer = DEFAULT_NORMALIZER if not stops else SuffixNormalizer(stops)
-    return normalizer.normalize(raw)
-
-
 def load_stop_words(path: str | Path) -> frozenset[str]:
     """Read a stop-word file: one word per line, ``#`` starts a comment."""
     words = set()
@@ -91,6 +81,19 @@ def load_stop_words(path: str | Path) -> frozenset[str]:
         if word and not word.startswith("#"):
             words.add(word.lower())
     return frozenset(words)
+
+
+def normalizer_for(stop_words_path: str | Path | None) -> Normalizer:
+    """The suffix normalizer, removing the words of ``stop_words_path`` if given.
+
+    Raises ConfigInvalid naming the path when the file does not exist.
+    """
+    if not stop_words_path:
+        return DEFAULT_NORMALIZER
+    path = Path(stop_words_path)
+    if not path.is_file():
+        raise ConfigInvalid(f"stop words not found: {path}")
+    return SuffixNormalizer(stop_words=load_stop_words(path))
 
 
 @dataclass
@@ -134,24 +137,12 @@ class KeywordPool:
     """
 
     terms: list[tuple[str, float]]
-    source_doc_ids: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def lemmas(self) -> list[str]:
         return [t for t, _ in self.terms]
-
-
-def term_weights(doc: Document, normalizer: Normalizer = DEFAULT_NORMALIZER) -> TermVector:
-    """Length-normalized term-frequency weights of a document body.
-
-    Raises EmptyDocument when the body normalizes to zero lemmas.
-    """
-    lemmas = normalizer.normalize(doc.body)
-    if not lemmas:
-        raise EmptyDocument(f"document {doc.id!r} normalizes to zero lemmas")
-    return TermVector.from_lemmas(lemmas)
 
 
 def extract_keywords(vec: TermVector, k: int) -> KeywordPool:
@@ -177,9 +168,7 @@ def build_keyword_pool(
         lemmas.extend(normalizer.normalize(doc.body))
     if not lemmas:
         raise EmptyDocument("seed material normalizes to zero lemmas")
-    pool = extract_keywords(TermVector.from_lemmas(lemmas), k)
-    pool.source_doc_ids = [doc.id for doc in docs]
-    return pool
+    return extract_keywords(TermVector.from_lemmas(lemmas), k)
 
 
 def _parse_document(record: object, line_no: int) -> Document:

@@ -4,7 +4,9 @@ Judgments arrive as a tab-separated file graded on a 0..3 scale by any
 number of judges, split into two personas (subject specialist vs novice).
 Metrics operate on consensus grades: the per-persona mean grade of each
 document across judges. Documents without a judgment count as grade 0;
-callers can ask how many such holes a list had and surface that.
+callers can ask how many such holes a list had and surface that. Float
+sums add left to right, not through ``sum()``, which compensates rounding
+from Python 3.12 on and so would make metrics depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -165,7 +169,7 @@ def mean_relevance(ranked: RankedList, grades: GradeMap, persona: Persona) -> fl
     if not values:
         logger.warning("mean_relevance of empty ordering %r", ranked.ordering_name)
         return 0.0
-    return sum(values) / len(values)
+    return reduce(add, values, 0.0) / len(values)
 
 
 def precision(
@@ -182,23 +186,16 @@ def precision(
     return sum(1 for v in values if v >= threshold) / len(values)
 
 
-def _dcg_of_grades(values: Sequence[float], n: int) -> float:
-    if n < 1:
-        raise ValueError("cutoff must be >= 1")
-    total = 0.0
-    for p, grade in enumerate(values[:n]):
-        total += (2.0**grade - 1.0) / math.log2(2 + p)
-    return total
-
-
 def dcg(ranked: RankedList, grades: GradeMap, persona: Persona, n: int) -> float:
     """Graded gain 2^g - 1 with logarithmic position discount, summed to n.
 
     The top document's discount is log2(2) = 1, i.e. positions count from
     zero inside the discount.
     """
-    values, _ = resolve_grades(ranked, grades, persona)
-    return _dcg_of_grades(values, n)
+    if n < 1:
+        raise ValueError("cutoff must be >= 1")
+    series = cumulative_dcg_series(ranked, grades, persona, n)
+    return series[-1] if series else 0.0
 
 
 def ideal_ordering(ranked: RankedList, grades: GradeMap, persona: Persona) -> RankedList:
@@ -225,29 +222,20 @@ def ndcg(ranked: RankedList, grades: GradeMap, persona: Persona, n: int) -> floa
     return dcg(ranked, grades, persona, n) / best
 
 
-def mean_dcg(
-    lists: Sequence[RankedList], grades: GradeMap, persona: Persona, n: int
-) -> float:
-    """Arithmetic mean of per-list DCG over several query result lists."""
-    if not lists:
-        raise ValueError("mean_dcg of zero lists")
-    return sum(dcg(ranked, grades, persona, n) for ranked in lists) / len(lists)
-
-
 def cross_correlation_raw(x1: Sequence[float], x2: Sequence[float]) -> float:
     """Zero-shift raw cross-correlation: the mean elementwise product."""
     if len(x1) != len(x2):
         raise LengthMismatch(f"lengths {len(x1)} vs {len(x2)}")
     if not x1:
         raise LengthMismatch("empty sequences")
-    return sum(a * b for a, b in zip(x1, x2)) / len(x1)
+    return reduce(add, (a * b for a, b in zip(x1, x2)), 0.0) / len(x1)
 
 
 def rho12(x1: Sequence[float], x2: Sequence[float]) -> float:
     """Normalized zero-shift cross-correlation, in [-1, 1]."""
     raw = cross_correlation_raw(x1, x2)
-    energy1 = sum(a * a for a in x1)
-    energy2 = sum(b * b for b in x2)
+    energy1 = reduce(add, (a * a for a in x1), 0.0)
+    energy2 = reduce(add, (b * b for b in x2), 0.0)
     if energy1 == 0.0 or energy2 == 0.0:
         raise ZeroEnergySequence("correlation of an all-zero sequence")
     denom = math.sqrt(energy1 * energy2) / len(x1)

@@ -13,19 +13,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import (
-    DEFAULT_NORMALIZER,
-    Document,
-    Normalizer,
-    SuffixNormalizer,
-    build_keyword_pool,
-    load_corpus,
-    load_stop_words,
-)
+from .corpus import Document, build_keyword_pool, load_corpus, normalizer_for
 from .errors import (
     ConfigInvalid,
     DivergenceDetected,
@@ -46,7 +39,6 @@ from .fitness import (
     update_reference_text,
 )
 from .genome import (
-    Population,
     QueryGenome,
     Variant,
     crossover,
@@ -78,6 +70,60 @@ API_KEY_ENV_VAR = "EVOQUERY_API_KEY"
 FITNESS_CONSISTENCY_TOLERANCE = 1e-9
 
 
+def _parse_int(name: str, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_float(name: str, value: object) -> float:
+    """A JSON number as a float, or ConfigInvalid naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigInvalid(f"{name} must be finite, got an integer beyond float range") from None
+
+
+def _instance_of(kind: type | tuple[type, ...], noun: str):
+    """A parser that passes instances of ``kind`` through as they are."""
+
+    def parse(name: str, value: object):
+        if not isinstance(value, kind):
+            raise ConfigInvalid(f"{name} must be {noun}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _parse_variant(name: str, value: object) -> Variant:
+    try:
+        return Variant(value)
+    except ValueError:
+        raise ConfigInvalid(f"{name} must be lemma or quoted, got {value!r}") from None
+
+
+def _from_payload(cls, payload: object, what: str):
+    """Build the dataclass ``cls`` from a JSON object; absent keys take defaults.
+
+    Each value is parsed by its field's annotation (see ``_FIELD_CODECS``);
+    range checks are left to ``cls.__post_init__``.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigInvalid(f"{what} must be a JSON object")
+    parsers = {f.name: _FIELD_CODECS[f.type][0] for f in fields(cls)}
+    unknown = set(payload) - set(parsers)
+    if unknown:
+        raise ConfigInvalid(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**{name: parsers[name](name, value) for name, value in payload.items()})
+
+
+def _to_payload(obj) -> dict:
+    """The JSON object that ``_from_payload`` reads back to an equal ``obj``."""
+    return {f.name: _FIELD_CODECS[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
+
+
 @dataclass(frozen=True)
 class ProviderSpec:
     """Which engine a run talks to and how."""
@@ -99,67 +145,11 @@ class ProviderSpec:
             raise ConfigInvalid("rate_limit_rps must be positive")
 
     def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "endpoint": self.endpoint,
-            "api_key_header": self.api_key_header,
-            "rate_limit_rps": float(self.rate_limit_rps),
-            "full_body_snippets": self.full_body_snippets,
-        }
+        return _to_payload(self)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> ProviderSpec:
-        if not isinstance(payload, dict):
-            raise ConfigInvalid("provider must be an object")
-        known = {"kind", "endpoint", "api_key_header", "rate_limit_rps", "full_body_snippets"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigInvalid(f"unknown provider keys: {sorted(unknown)}")
-        kwargs = dict(payload)
-        for name in ("kind",):
-            if name in kwargs and not isinstance(kwargs[name], str):
-                raise ConfigInvalid(f"provider {name} must be a string")
-        for name in ("endpoint", "api_key_header"):
-            if name in kwargs and kwargs[name] is not None and not isinstance(kwargs[name], str):
-                raise ConfigInvalid(f"provider {name} must be a string or null")
-        if "full_body_snippets" in kwargs and not isinstance(kwargs["full_body_snippets"], bool):
-            raise ConfigInvalid("provider full_body_snippets must be a boolean")
-        if "rate_limit_rps" in kwargs:
-            kwargs["rate_limit_rps"] = _payload_float("rate_limit_rps", kwargs["rate_limit_rps"])
-        return cls(**kwargs)
-
-
-def _payload_float(name: str, value: object) -> float:
-    """A JSON number as a float, or ConfigInvalid naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigInvalid(f"{name} must be finite, got an integer beyond float range") from None
-
-
-# config fields: (json key, type, default). Short names g2/g3/f1..f7/m1/e1
-# are the run-parameter vocabulary of the config file format.
-_INT_FIELDS = {
-    "g2": 8,
-    "g3": 6,
-    "f1": 20,
-    "f2": 20,
-    "f3": 20,
-    "e1": 10,
-    "keyword_pool_size": 50,
-    "relevance_threshold": 2,
-    "rng_seed": 0,
-}
-_FLOAT_FIELDS = {
-    "f4": 0.75,
-    "f5": 0.33,
-    "f6": 0.33,
-    "f7": 0.34,
-    "m1": 1.0,
-    "a_factor": 1.0,
-}
+    def from_payload(cls, payload: object) -> ProviderSpec:
+        return _from_payload(cls, payload, "provider")
 
 
 @dataclass(frozen=True)
@@ -169,7 +159,10 @@ class RunConfig:
     g2: population size; g3: terms per query; f1/f2/f3: per-query,
     per-population and run-wide result caps; f4: same-host damping;
     f5/f6/f7: rank/crossquery/semantic component weights; m1: mutation
-    probability; e1: generation count.
+    probability; e1: generation count. These short names are the config
+    file's vocabulary. relevance_threshold is only recorded, as every
+    ledger's config.json carries it; ``evaluate --threshold`` sets the grade
+    that precision counts as relevant.
     """
 
     g2: int = 8
@@ -193,7 +186,7 @@ class RunConfig:
     provider: ProviderSpec = dc_field(default_factory=ProviderSpec)
 
     def __post_init__(self) -> None:
-        for name in _FLOAT_FIELDS:
+        for name in ("f4", "f5", "f6", "f7", "m1", "a_factor"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("g2", "g3", "f1", "f2", "f3", "e1", "keyword_pool_size"):
@@ -220,68 +213,31 @@ class RunConfig:
             global_cap=self.f3,
         )
 
-    def normalizer(self) -> Normalizer:
-        if self.stop_words_path:
-            return SuffixNormalizer(stop_words=load_stop_words(self.stop_words_path))
-        return DEFAULT_NORMALIZER
-
     def to_payload(self) -> dict:
-        payload: dict = {}
-        for name in _INT_FIELDS:
-            payload[name] = getattr(self, name)
-        for name in _FLOAT_FIELDS:
-            payload[name] = float(getattr(self, name))
-        payload["variant"] = self.variant.value
-        payload["freeze_reference"] = self.freeze_reference
-        payload["stop_words_path"] = self.stop_words_path
-        payload["provider"] = self.provider.to_payload()
-        return payload
+        return _to_payload(self)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> RunConfig:
+    def from_payload(cls, payload: object) -> RunConfig:
         """Build a config from a plain dict; absent keys take defaults."""
-        if not isinstance(payload, dict):
-            raise ConfigInvalid("config must be a JSON object")
-        known = (
-            set(_INT_FIELDS)
-            | set(_FLOAT_FIELDS)
-            | {"variant", "freeze_reference", "stop_words_path", "provider"}
-        )
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for name, default in _INT_FIELDS.items():
-            if name in payload:
-                value = payload[name]
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
-                kwargs[name] = value
-        for name in _FLOAT_FIELDS:
-            if name in payload:
-                kwargs[name] = _payload_float(name, payload[name])
-        if "variant" in payload:
-            try:
-                kwargs["variant"] = Variant(payload["variant"])
-            except ValueError:
-                raise ConfigInvalid(
-                    f"variant must be lemma or quoted, got {payload['variant']!r}"
-                ) from None
-        if "freeze_reference" in payload:
-            if not isinstance(payload["freeze_reference"], bool):
-                raise ConfigInvalid("freeze_reference must be a boolean")
-            kwargs["freeze_reference"] = payload["freeze_reference"]
-        if "stop_words_path" in payload:
-            value = payload["stop_words_path"]
-            if value is not None and not isinstance(value, str):
-                raise ConfigInvalid("stop_words_path must be a string or null")
-            kwargs["stop_words_path"] = value
-        if "provider" in payload:
-            kwargs["provider"] = ProviderSpec.from_payload(payload["provider"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigInvalid(str(exc)) from exc
+        return _from_payload(cls, payload, "config")
+
+
+def _same(value):
+    return value
+
+
+# Field annotation -> (parse a JSON value naming its key, JSON form of a value).
+# Keys are annotations as written: ``from __future__ import annotations``
+# leaves every dataclass field's type a string.
+_FIELD_CODECS = {
+    "int": (_parse_int, _same),
+    "float": (_parse_float, float),
+    "bool": (_instance_of(bool, "a boolean"), _same),
+    "str": (_instance_of(str, "a string"), _same),
+    "str | None": (_instance_of((str, type(None)), "a string or null"), _same),
+    "Variant": (_parse_variant, attrgetter("value")),
+    "ProviderSpec": (lambda name, value: ProviderSpec.from_payload(value), ProviderSpec.to_payload),
+}
 
 
 def result_to_payload(result: ScoredResult) -> dict:
@@ -297,24 +253,6 @@ def result_to_payload(result: ScoredResult) -> dict:
         "environment": result.environment_factor,
         "fitness": result.fitness,
     }
-
-
-def payload_to_result(payload: dict) -> ScoredResult:
-    hit = SearchHit(
-        doc_url=payload["url"],
-        doc_host=payload["host"],
-        title=payload["title"],
-        snippet=payload["snippet"],
-        position=payload["position"],
-    )
-    return ScoredResult(
-        hit=hit,
-        rank_component=payload["rank"],
-        crossquery_component=payload["crossquery"],
-        semantic_component=payload["semantic"],
-        environment_factor=payload["environment"],
-        fitness=payload["fitness"],
-    )
 
 
 @dataclass
@@ -448,13 +386,13 @@ class _QueryEvaluator:
 
 
 def select_survivors(
-    population: Population,
+    genomes: Sequence[QueryGenome],
     fitnesses: Sequence[float],
     pool,
     config: RunConfig,
     rng,
     evaluate_single: Callable[[QueryGenome], float] | None = None,
-) -> Population:
+) -> list[QueryGenome]:
     """Elitist truncation plus tournament-bred offspring.
 
     The best half (rounded up) survives unchanged, ranked by fitness with
@@ -463,7 +401,6 @@ def select_survivors(
     of one degenerates to hill climbing: a mutated challenger replaces the
     incumbent only on strict improvement.
     """
-    genomes = population.genomes
     size = len(genomes)
     if size != len(fitnesses):
         raise ValueError("one fitness per genome required")
@@ -481,7 +418,7 @@ def select_survivors(
         winner = incumbent
         if challenger != incumbent and evaluate_single(challenger) > fitnesses[0]:
             winner = challenger
-        return Population(genomes=[winner], generation=population.generation + 1)
+        return [winner]
 
     elite_count = math.ceil(size / 2)
     survivors = [genomes[i] for i in order[:elite_count]]
@@ -496,9 +433,7 @@ def select_survivors(
         offspring.append(mutate(child_a, pool, config.m1, rng))
         if len(offspring) < size - elite_count:
             offspring.append(mutate(child_b, pool, config.m1, rng))
-    return Population(
-        genomes=survivors + offspring, generation=population.generation + 1
-    )
+    return survivors + offspring
 
 
 def run_evolution(
@@ -510,7 +445,7 @@ def run_evolution(
     """Run the full generational loop and return the in-memory ledger."""
     if not seed_material:
         raise ConfigInvalid("seed material must contain at least one document")
-    normalizer = config.normalizer()
+    normalizer = normalizer_for(config.stop_words_path)
     weights = config.fitness_weights()
     pool = build_keyword_pool(list(seed_material), config.keyword_pool_size, normalizer)
     reference = ReferenceText.from_seed_documents(seed_material, normalizer=normalizer)
@@ -526,7 +461,7 @@ def run_evolution(
     for generation in range(config.e1):
         query_records = [
             evaluator.make_record(render_query(genome), f"g{idx}")
-            for idx, genome in enumerate(population.genomes)
+            for idx, genome in enumerate(population)
         ]
         url_counts = UrlCounts.of(query_records)
         evaluations = [evaluator.score(record, url_counts) for record in query_records]
@@ -538,7 +473,7 @@ def run_evolution(
         )
         global_top = merge_into_global(global_top, population_top, weights.global_cap)
         if not config.freeze_reference:
-            reference = update_reference_text(reference, population_top, generation, vectors)
+            reference = update_reference_text(reference, population_top, vectors)
             evaluator.reference = reference
 
         outcomes = [
@@ -552,9 +487,7 @@ def run_evolution(
                 query_fitness=evaluation.fitness,
                 results=evaluation.results,
             )
-            for genome, record, evaluation in zip(
-                population.genomes, query_records, evaluations
-            )
+            for genome, record, evaluation in zip(population, query_records, evaluations)
         ]
         records.append(
             GenerationRecord(

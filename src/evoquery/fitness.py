@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -87,7 +87,6 @@ class ReferenceText:
 
     vector: TermVector
     capacity: int = REFERENCE_CAPACITY
-    provenance: list[tuple[int, str]] = field(default_factory=list)
     rounds: int = 0
 
     @classmethod
@@ -207,7 +206,7 @@ def apply_host_collocation(results: list[ScoredResult], host_coeff: float) -> li
 
     Expects the input sorted by fitness descending (host order counts in
     that sort order); returns a fresh list re-sorted by damped fitness,
-    ties by url ascending.
+    ties by url ascending. Undamped results are the input objects themselves.
     """
     seen: dict[str, int] = {}
     adjusted = []
@@ -215,7 +214,7 @@ def apply_host_collocation(results: list[ScoredResult], host_coeff: float) -> li
         k = seen.get(result.hit.doc_host, 0)
         seen[result.hit.doc_host] = k + 1
         if k == 0 or host_coeff == 1.0:
-            adjusted.append(replace(result))
+            adjusted.append(result)
         else:
             adjusted.append(replace(result, fitness=result.fitness * host_coeff**k))
     adjusted.sort(key=lambda r: (-r.fitness, r.hit.doc_url))
@@ -265,18 +264,17 @@ def score_query_results(
     return apply_host_collocation(scored, weights.host_coeff)
 
 
-def _dedupe_max_by_url(results: Iterable[ScoredResult]) -> list[ScoredResult]:
+def _top_distinct(results: Iterable[ScoredResult], cap: int) -> list[ScoredResult]:
+    """The ``cap`` fittest urls, each as its first highest-fitness result.
+
+    Sorted by fitness descending, ties by url ascending.
+    """
     best: dict[str, ScoredResult] = {}
     for result in results:
         url = result.hit.doc_url
         if url not in best or result.fitness > best[url].fitness:
             best[url] = result
-    return list(best.values())
-
-
-def _top_by_fitness(results: Iterable[ScoredResult], cap: int) -> list[ScoredResult]:
-    ranked = sorted(results, key=lambda r: (-r.fitness, r.hit.doc_url))
-    return ranked[:cap]
+    return sorted(best.values(), key=lambda r: (-r.fitness, r.hit.doc_url))[:cap]
 
 
 def aggregate_results(
@@ -284,8 +282,8 @@ def aggregate_results(
     per_population_cap: int,
 ) -> list[ScoredResult]:
     """Population-level top list: url-deduped keeping max fitness, capped."""
-    flat = [r for scored in per_query_scored for r in scored]
-    return _top_by_fitness(_dedupe_max_by_url(flat), per_population_cap)
+    flat = (r for scored in per_query_scored for r in scored)
+    return _top_distinct(flat, per_population_cap)
 
 
 def merge_into_global(
@@ -294,42 +292,31 @@ def merge_into_global(
     global_cap: int,
 ) -> list[ScoredResult]:
     """Fold one population's top list into the run-wide capped list."""
-    merged = _dedupe_max_by_url(list(global_results) + list(population_top))
-    return _top_by_fitness(merged, global_cap)
+    return _top_distinct([*global_results, *population_top], global_cap)
 
 
 def update_reference_text(
     ref: ReferenceText,
     top_results: Sequence[ScoredResult],
-    generation: int,
     vectors: HitVectors,
 ) -> ReferenceText:
     """Fold the best current results into the reference vector.
 
-    The top few distinct-url results contribute their title+snippet lemma
-    vectors, all scaled by decay^round so late generations nudge rather
-    than overwrite the topic representation. Empty input changes nothing,
-    not even the round counter.
+    ``top_results`` is a url-distinct list, best first, as
+    ``aggregate_results`` returns it. Its first few results contribute
+    their title+snippet lemma vectors, all scaled by decay^round so late
+    generations nudge rather than overwrite the topic representation.
+    Empty input changes nothing, not even the round counter.
     """
-    deduped: list[ScoredResult] = []
-    seen: set[str] = set()
-    for result in top_results:
-        if result.hit.doc_url not in seen:
-            seen.add(result.hit.doc_url)
-            deduped.append(result)
-    contributors = deduped[: min(REFERENCE_CONTRIBUTORS, len(deduped))]
+    contributors = top_results[:REFERENCE_CONTRIBUTORS]
     if not contributors:
         return ref
     round_number = ref.rounds + 1
     multiplier = REFERENCE_DECAY**round_number
     merged = dict(ref.vector.entries)
-    provenance = list(ref.provenance)
     for result in contributors:
         contribution = vectors(result.hit)
         for lemma, weight in contribution.entries.items():
             merged[lemma] = merged.get(lemma, 0.0) + multiplier * weight
-        provenance.append((generation, result.hit.doc_url))
     vector = _evict_to_capacity(TermVector.from_weights(merged), ref.capacity)
-    return ReferenceText(
-        vector=vector, capacity=ref.capacity, provenance=provenance, rounds=round_number
-    )
+    return ReferenceText(vector=vector, capacity=ref.capacity, rounds=round_number)

@@ -9,7 +9,7 @@ one, so no repair step exists anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from enum import Enum
@@ -34,12 +34,6 @@ class QueryGenome:
     def __post_init__(self) -> None:
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("genome terms must be distinct")
-
-
-@dataclass
-class Population:
-    genomes: list[QueryGenome]
-    generation: int = 0
 
 
 def _weighted_sample(
@@ -76,7 +70,7 @@ def seed_population(
     g3: int,
     rng_seed: int,
     variant: Variant = Variant.LEMMA,
-) -> Population:
+) -> list[QueryGenome]:
     """Draw g2 genomes of g3 distinct pool terms, weight-proportionally.
 
     Each genome gets its own derived stream so seeding order is immaterial.
@@ -88,7 +82,7 @@ def seed_population(
         rng = derive_rng(rng_seed, f"seed-genome/{i}")
         terms = _weighted_sample(pool.terms, g3, rng)
         genomes.append(QueryGenome(terms=tuple(terms), variant=variant))
-    return Population(genomes=genomes, generation=0)
+    return genomes
 
 
 def crossover(

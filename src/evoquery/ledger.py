@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .errors import LedgerCorrupt
 
@@ -184,8 +184,3 @@ def first_divergence(expected: Any, actual: Any, path: str = "") -> Divergence |
     if expected != actual:
         return Divergence(path or "<root>", expected, actual)
     return None
-
-
-def iter_generation_payloads(ledger_dir: str | Path) -> Iterator[dict]:
-    for line_no, line in enumerate(read_generation_lines(ledger_dir), start=1):
-        yield parse_record_line(line, line_no)

@@ -28,10 +28,6 @@ def format_value(value: float) -> str:
     return f"{value:.6f}"
 
 
-def write_metrics_csv(path: str | Path, rows: Sequence[MetricRow]) -> None:
-    Path(path).write_text(metrics_csv_text(rows), encoding="utf-8")
-
-
 def metrics_csv_text(rows: Sequence[MetricRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -199,6 +199,20 @@ class TestEvolve:
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_missing_stop_word_file_is_usage_failure(self, data_dir, tmp_path, capsys):
+        missing = tmp_path / "absent-stops.txt"
+        config = tmp_path / "stops.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "stop_words_path": str(missing)}))
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(config),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(data_dir / "index.json"), "--out", str(out),
+        ])
+        assert code == 1
+        assert f"stop words not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_material(self, data_dir, tmp_path, capsys):
         code = main([
             "evolve", "--seed-material", str(tmp_path / "absent.jsonl"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evoquery.corpus import (
+    DEFAULT_NORMALIZER,
     Document,
     KeywordPool,
     SuffixNormalizer,
@@ -13,10 +14,11 @@ from evoquery.corpus import (
     extract_keywords,
     load_corpus,
     load_stop_words,
-    normalize_text,
-    term_weights,
+    normalizer_for,
 )
-from evoquery.errors import DuplicateId, EmptyDocument, ParseError
+from evoquery.errors import ConfigInvalid, DuplicateId, EmptyDocument, ParseError
+
+normalize = DEFAULT_NORMALIZER.normalize
 
 
 def make_doc(doc_id="d1", body="some body text", **kw):
@@ -31,41 +33,42 @@ def make_doc(doc_id="d1", body="some body text", **kw):
 
 class TestNormalizeText:
     def test_empty_string(self):
-        assert normalize_text("") == []
+        assert normalize("") == []
 
     def test_suffix_rules(self):
-        assert normalize_text("Running, RUNS!") == ["runn", "run"]
+        assert normalize("Running, RUNS!") == ["runn", "run"]
 
     def test_short_and_digit_tokens_dropped(self):
-        assert normalize_text("a I 42") == []
+        assert normalize("a I 42") == []
 
     def test_only_first_matching_suffix_fires(self):
         # "glassed" ends in both "ed" and (after that) "s"; one rule only
-        assert normalize_text("glassed") == ["glass"]
+        assert normalize("glassed") == ["glass"]
 
     def test_suffix_needs_three_char_remainder(self):
         # stripping would leave fewer than 3 chars, so the token survives
-        assert normalize_text("bed its") == ["bed", "its"]
-        assert normalize_text("king") == ["king"]
+        assert normalize("bed its") == ["bed", "its"]
+        assert normalize("king") == ["king"]
 
     def test_punctuation_and_digits_stripped_inside_tokens(self):
-        assert normalize_text("co2-emission's") == ["coemission"]
+        assert normalize("co2-emission's") == ["coemission"]
 
     def test_case_folding(self):
-        assert normalize_text("Wear WEAR wear") == ["wear", "wear", "wear"]
+        assert normalize("Wear WEAR wear") == ["wear", "wear", "wear"]
 
     def test_stop_words_removed_after_stemming(self):
         # "running" stems to "runn"; stopping "runn" removes it,
         # stopping "running" does not
-        assert normalize_text("running free", stop_words={"runn"}) == ["free"]
-        assert normalize_text("running free", stop_words={"running"}) == ["runn", "free"]
+        assert SuffixNormalizer(frozenset({"runn"})).normalize("running free") == ["free"]
+        kept = SuffixNormalizer(frozenset({"running"})).normalize("running free")
+        assert kept == ["runn", "free"]
 
     def test_unicode_letters_kept(self):
-        assert normalize_text("трение износ") == ["трение", "износ"]
+        assert normalize("трение износ") == ["трение", "износ"]
 
     @given(st.text())
     def test_never_raises_and_tokens_are_clean(self, raw):
-        out = normalize_text(raw)
+        out = normalize(raw)
         for lemma in out:
             assert len(lemma) >= 2
             assert lemma == lemma.lower()
@@ -73,32 +76,33 @@ class TestNormalizeText:
 
     @given(st.lists(st.sampled_from(["wear", "friction", "metal", "oil"]), max_size=30))
     def test_idempotent_when_no_suffix_present(self, lemmas):
-        once = normalize_text(" ".join(lemmas))
-        assert normalize_text(" ".join(once)) == once
+        once = normalize(" ".join(lemmas))
+        assert normalize(" ".join(once)) == once
 
 
 class TestTermWeights:
     def test_hand_counted_fractions(self):
-        vec = term_weights(make_doc(body="wear wear oil"))
+        vec = TermVector.from_lemmas(normalize("wear wear oil"))
         assert vec.entries["wear"] == pytest.approx(2 / 3)
         assert vec.entries["oil"] == pytest.approx(1 / 3)
 
     def test_single_term_document(self):
-        vec = term_weights(make_doc(body="only"))
+        vec = TermVector.from_lemmas(normalize("only"))
         assert vec.entries == {"only": 1.0}
 
     def test_empty_document_rejected(self):
+        assert normalize("! 1 2 ?") == []
         with pytest.raises(EmptyDocument):
-            term_weights(make_doc(body="! 1 2 ?"))
+            build_keyword_pool([make_doc(body="! 1 2 ?")], 10)
 
     def test_title_is_ignored(self):
-        vec = term_weights(make_doc(body="wear", title="friction friction"))
-        assert "friction" not in vec.entries
+        pool = build_keyword_pool([make_doc(body="wear", title="friction friction")], 10)
+        assert pool.lemmas() == ["wear"]
 
     @given(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=200))
     def test_weights_sum_to_one(self, letters):
         body = " ".join(ch + "x" for ch in letters)  # 2-char tokens survive
-        vec = term_weights(make_doc(body=body))
+        vec = TermVector.from_lemmas(normalize(body))
         assert sum(vec.entries.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -164,7 +168,6 @@ class TestKeywordPool:
         docs = [make_doc("s1", body="wear wear"), make_doc("s2", body="oil")]
         pool = build_keyword_pool(docs, 10)
         assert pool.terms == [("wear", 2 / 3), ("oil", 1 / 3)]
-        assert pool.source_doc_ids == ["s1", "s2"]
 
     def test_empty_seed_material_rejected(self):
         with pytest.raises(EmptyDocument):
@@ -252,3 +255,14 @@ class TestStopWordFile:
         path.write_text("the\n", encoding="utf-8")
         norm = SuffixNormalizer(stop_words=load_stop_words(path))
         assert norm.normalize("the wear") == ["wear"]
+
+    def test_normalizer_for_path(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("the\n", encoding="utf-8")
+        assert normalizer_for(str(path)).normalize("the wear") == ["wear"]
+        assert normalizer_for(None) is DEFAULT_NORMALIZER
+
+    def test_normalizer_for_missing_file_names_path(self, tmp_path):
+        missing = tmp_path / "absent.txt"
+        with pytest.raises(ConfigInvalid, match="absent.txt"):
+            normalizer_for(str(missing))

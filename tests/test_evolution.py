@@ -23,14 +23,13 @@ from evoquery.evolution import (
     RunLedger,
     build_provider,
     make_run_inputs,
-    payload_to_result,
     replay,
     result_to_payload,
     run_evolution,
     select_survivors,
     write_run_ledger,
 )
-from evoquery.genome import Population, QueryGenome, Variant, render_query
+from evoquery.genome import QueryGenome, Variant, render_query
 from evoquery.ledger import GENERATIONS_FILE, canonical_json, parse_record_line
 from evoquery.provider import HttpProvider, OfflineProvider, build_index, save_index
 from evoquery.rng import derive_rng
@@ -222,6 +221,83 @@ class TestRunConfig:
         assert (weights.w_position, weights.w_crossquery, weights.w_semantic) == (0.33, 0.33, 0.34)
 
 
+# Any JSON value, including integers beyond float range and non-finite floats.
+ANY_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def mostly(common, rare):
+    """Draws from ``common`` seven times in eight, else from ``rare``."""
+    return st.sampled_from([common] * 7 + [rare]).flatmap(lambda strategy: strategy)
+
+
+def field_values(typed):
+    """Mostly values of the field's own type, sometimes any JSON value."""
+    return mostly(typed, ANY_JSON)
+
+
+def payloads(fields):
+    """Up to six of ``fields``; an occasional payload adds an unknown key."""
+    keys = st.lists(st.sampled_from(sorted(fields)), max_size=6, unique=True)
+    known = keys.flatmap(lambda names: st.fixed_dictionaries({n: fields[n] for n in names}))
+    with_unknown = st.builds(lambda payload, value: {**payload, "retries": value}, known, ANY_JSON)
+    return mostly(known, with_unknown)
+
+
+PROVIDER_FIELDS = {
+    "kind": field_values(st.sampled_from(["offline", "http"])),
+    "endpoint": field_values(st.none() | st.text(max_size=6)),
+    "api_key_header": field_values(st.none() | st.text(max_size=6)),
+    "rate_limit_rps": field_values(st.floats(0.0, 5.0) | st.integers(0, 5)),
+    "full_body_snippets": field_values(st.booleans()),
+}
+COUNTS = st.integers(0, 30)
+UNIT_FLOATS = st.floats(0.0, 1.0) | st.integers(0, 1) | st.sampled_from([math.nan, math.inf])
+CONFIG_FIELDS = {
+    **{name: field_values(COUNTS) for name in ("g2", "g3", "f1", "f2", "f3", "e1")},
+    **{name: field_values(UNIT_FLOATS) for name in ("f4", "f5", "f6", "f7", "m1", "a_factor")},
+    "keyword_pool_size": field_values(COUNTS),
+    "relevance_threshold": field_values(st.integers(-1, 4)),
+    "rng_seed": field_values(st.integers()),
+    "variant": field_values(st.sampled_from(["lemma", "quoted"])),
+    "freeze_reference": field_values(st.booleans()),
+    "stop_words_path": field_values(st.none() | st.text(max_size=6)),
+    "provider": field_values(payloads(PROVIDER_FIELDS)),
+}
+
+
+class TestPayloadBoundary:
+    """A payload is rejected with ConfigInvalid or survives a round trip."""
+
+    @staticmethod
+    def check(cls, payload):
+        try:
+            parsed = cls.from_payload(payload)
+        except ConfigInvalid:
+            return
+        again = cls.from_payload(parsed.to_payload())
+        assert again == parsed
+        assert canonical_json(again.to_payload()) == canonical_json(parsed.to_payload())
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads(CONFIG_FIELDS))
+    def test_run_config(self, payload):
+        self.check(RunConfig, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads(PROVIDER_FIELDS))
+    def test_provider_spec(self, payload):
+        self.check(ProviderSpec, payload)
+
+
 class TestRunEvolution:
     def test_generation_count_and_shape(self, provider):
         config = small_config()
@@ -300,7 +376,8 @@ class TestRunEvolution:
     def test_result_payload_round_trip(self, provider):
         ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)
         for result in ledger.final_results:
-            assert payload_to_result(result_to_payload(result)) == result
+            payload = result_to_payload(result)
+            assert json.loads(canonical_json(payload)) == payload
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -337,16 +414,14 @@ class TestSelectSurvivors:
             lemma_genome("golf", "hotel"),
             lemma_genome("india", "alpha"),
         ]
-        population = Population(genomes=genomes, generation=2)
         fitnesses = [0.9, 0.1, 0.5, 0.7]
         result = select_survivors(
-            population, fitnesses, SELECTION_POOL, small_config(g2=4, g3=2),
+            genomes, fitnesses, SELECTION_POOL, small_config(g2=4, g3=2),
             derive_rng(0, "test-selection"),
         )
-        assert result.generation == 3
-        assert len(result.genomes) == 4
-        assert result.genomes[0] == genomes[0]
-        assert result.genomes[1] == genomes[3]
+        assert len(result) == 4
+        assert result[0] == genomes[0]
+        assert result[1] == genomes[3]
 
     def test_equal_fitness_ties_break_by_rendering(self):
         genomes = [
@@ -355,13 +430,12 @@ class TestSelectSurvivors:
             lemma_genome("mike", "alpha"),
             lemma_genome("bravo", "delta"),
         ]
-        population = Population(genomes=genomes)
         result = select_survivors(
-            population, [0.5] * 4, SELECTION_POOL, small_config(g2=4, g3=2),
+            genomes, [0.5] * 4, SELECTION_POOL, small_config(g2=4, g3=2),
             derive_rng(1, "test-selection"),
         )
-        assert result.genomes[0] == genomes[1]  # "alpha bravo"
-        assert result.genomes[1] == genomes[3]  # "bravo delta"
+        assert result[0] == genomes[1]  # "alpha bravo"
+        assert result[1] == genomes[3]  # "bravo delta"
 
     def test_offspring_are_well_formed(self):
         genomes = [
@@ -370,12 +444,11 @@ class TestSelectSurvivors:
             lemma_genome("hotel", "india", "alpha"),
             lemma_genome("bravo", "echo", "hotel"),
         ]
-        population = Population(genomes=genomes)
         result = select_survivors(
-            population, [0.4, 0.3, 0.2, 0.1], SELECTION_POOL,
+            genomes, [0.4, 0.3, 0.2, 0.1], SELECTION_POOL,
             small_config(g2=4, g3=3), derive_rng(2, "test-selection"),
         )
-        for genome in result.genomes:
+        for genome in result:
             assert len(genome.terms) == 3
             assert len(set(genome.terms)) == 3
             assert genome.variant is Variant.LEMMA
@@ -386,17 +459,16 @@ class TestSelectSurvivors:
             lemma_genome("delta", "echo"),
             lemma_genome("golf", "hotel"),
         ]
-        population = Population(genomes=genomes)
         result = select_survivors(
-            population, [0.1, 0.9, 0.5], SELECTION_POOL, small_config(g2=3, g3=2),
+            genomes, [0.1, 0.9, 0.5], SELECTION_POOL, small_config(g2=3, g3=2),
             derive_rng(3, "test-selection"),
         )
-        assert result.genomes[0] == genomes[1]
-        assert result.genomes[1] == genomes[2]
-        assert len(result.genomes) == 3
+        assert result[0] == genomes[1]
+        assert result[1] == genomes[2]
+        assert len(result) == 3
 
     def test_single_genome_needs_evaluator(self):
-        population = Population(genomes=[lemma_genome("alpha", "bravo")])
+        population = [lemma_genome("alpha", "bravo")]
         with pytest.raises(ValueError):
             select_survivors(
                 population, [0.5], SELECTION_POOL, small_config(g2=1, g3=2),
@@ -404,25 +476,25 @@ class TestSelectSurvivors:
             )
 
     def test_single_genome_keeps_incumbent_on_worse_challenger(self):
-        population = Population(genomes=[lemma_genome("alpha", "bravo")])
+        population = [lemma_genome("alpha", "bravo")]
         result = select_survivors(
             population, [0.5], SELECTION_POOL, small_config(g2=1, g3=2),
             derive_rng(5, "test-selection"), evaluate_single=lambda g: 0.1,
         )
-        assert result.genomes == population.genomes
+        assert result == population
 
     def test_single_genome_adopts_better_challenger(self):
         incumbent = lemma_genome("alpha", "bravo")
-        population = Population(genomes=[incumbent])
+        population = [incumbent]
         result = select_survivors(
             population, [0.5], SELECTION_POOL, small_config(g2=1, g3=2),
             derive_rng(6, "test-selection"), evaluate_single=lambda g: 0.9,
         )
-        assert result.genomes[0] != incumbent
-        assert len(result.genomes) == 1
+        assert result[0] != incumbent
+        assert len(result) == 1
 
     def test_fitness_count_must_match(self):
-        population = Population(genomes=[lemma_genome("alpha", "bravo")])
+        population = [lemma_genome("alpha", "bravo")]
         with pytest.raises(ValueError):
             select_survivors(
                 population, [0.5, 0.6], SELECTION_POOL, small_config(g2=1, g3=2),

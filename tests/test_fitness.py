@@ -259,6 +259,8 @@ class TestHostCollocation:
         out = apply_host_collocation(results, 0.75)
         assert out[0].fitness == 0.8
         assert out[1].fitness == pytest.approx(0.6, abs=1e-12)
+        assert out[0] is results[0]  # undamped results are not copied
+        assert results[1].fitness == 0.8  # the damped one is a new object
 
     def test_third_same_host_result_squared_damping(self):
         results = [
@@ -457,48 +459,52 @@ class TestReferenceText:
 
     def test_empty_update_is_identity(self):
         ref = ReferenceText.from_seed_documents([self.seed_doc("wear oil")])
-        updated = update_reference_text(ref, [], 1, HitVectors())
+        updated = update_reference_text(ref, [], HitVectors())
         assert updated.vector.entries == ref.vector.entries
         assert updated.rounds == 0
 
     def test_update_folds_in_top_results_with_decay(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         results = [scored(0.9, url="https://x.org/1", title="oil")]
-        updated = update_reference_text(ref, results, 1, HitVectors())
+        updated = update_reference_text(ref, results, HitVectors())
         # contribution vector {oil: 1.0} scaled by 0.5 on round 1
-        assert updated.vector.entries["oil"] == pytest.approx(0.5)
-        assert updated.vector.entries["wear"] == pytest.approx(1.0)
+        assert updated.vector.entries == pytest.approx({"wear": 1.0, "oil": 0.5})
         assert updated.rounds == 1
-        assert updated.provenance == [(1, "https://x.org/1")]
 
     def test_second_round_decays_deeper(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         ref = update_reference_text(
-            ref, [scored(0.9, url="https://x.org/1", title="oil")], 1, HitVectors()
+            ref, [scored(0.9, url="https://x.org/1", title="oil")], HitVectors()
         )
         ref = update_reference_text(
-            ref, [scored(0.9, url="https://x.org/2", title="grease")], 2, HitVectors()
+            ref, [scored(0.9, url="https://x.org/2", title="grease")], HitVectors()
         )
         assert ref.vector.entries["grease"] == pytest.approx(0.25)
 
     def test_at_most_three_contributors(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
+        titles = ["oil", "grease", "film", "slag", "soot"]
         results = [
-            scored(0.9 - i / 100, url=f"https://x.org/{i}", title=f"term{i}")
-            for i in range(5)
+            scored(0.9 - i / 100, url=f"https://x.org/{i}", title=title)
+            for i, title in enumerate(titles)
         ]
-        updated = update_reference_text(ref, results, 1, HitVectors())
-        assert len(updated.provenance) == 3
+        updated = update_reference_text(ref, results, HitVectors())
+        # the best three fold in at 0.5 each on round 1; the rest do not
+        assert updated.vector.entries == pytest.approx(
+            {"wear": 1.0, "oil": 0.5, "grease": 0.5, "film": 0.5}
+        )
 
     def test_contributors_deduped_by_url(self):
+        # the loop passes aggregate_results' url-distinct list
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         dup = [
             scored(0.9, url="https://x.org/1", title="oil"),
             scored(0.8, url="https://x.org/1", title="oil"),
             scored(0.7, url="https://x.org/2", title="grease"),
         ]
-        updated = update_reference_text(ref, dup, 1, HitVectors())
-        assert updated.provenance == [(1, "https://x.org/1"), (1, "https://x.org/2")]
+        top = aggregate_results([dup], per_population_cap=20)
+        updated = update_reference_text(ref, top, HitVectors())
+        assert updated.vector.entries == pytest.approx({"wear": 1.0, "oil": 0.5, "grease": 0.5})
 
     def test_eviction_drops_lightest_lemma(self):
         ref = ReferenceText(
@@ -506,14 +512,14 @@ class TestReferenceText:
             capacity=3,
         )
         updated = update_reference_text(
-            ref, [scored(0.9, url="https://x.org/1", title="dd dd dd")], 1, HitVectors()
+            ref, [scored(0.9, url="https://x.org/1", title="dd dd dd")], HitVectors()
         )
         assert set(updated.vector.entries) == {"aa", "bb", "dd"}
 
     def test_digest_tracks_vector_state(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         d1 = ref.digest()
-        updated = update_reference_text(ref, [scored(0.9, title="oil")], 1, HitVectors())
+        updated = update_reference_text(ref, [scored(0.9, title="oil")], HitVectors())
         assert updated.digest() != d1
         assert ref.digest() == d1  # input unchanged
 

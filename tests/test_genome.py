@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from evoquery.corpus import KeywordPool
 from evoquery.errors import PoolTooSmall, VariantMismatch
 from evoquery.genome import (
-    Population,
     QueryGenome,
     Variant,
     crossover,
@@ -29,9 +28,8 @@ def genome_of(*terms, variant=Variant.LEMMA):
 class TestSeedPopulation:
     def test_paper_shape(self):
         pop = seed_population(make_pool(50), g2=8, g3=6, rng_seed=1)
-        assert len(pop.genomes) == 8
-        assert pop.generation == 0
-        for g in pop.genomes:
+        assert len(pop) == 8
+        for g in pop:
             assert len(g.terms) == 6
             assert len(set(g.terms)) == 6
 
@@ -39,7 +37,7 @@ class TestSeedPopulation:
         pool = make_pool(6)
         pop = seed_population(pool, g2=3, g3=6, rng_seed=7)
         expected = set(pool.lemmas())
-        for g in pop.genomes:
+        for g in pop:
             assert set(g.terms) == expected
 
     def test_pool_below_g3_rejected(self):
@@ -49,18 +47,18 @@ class TestSeedPopulation:
     def test_deterministic_for_fixed_seed(self):
         a = seed_population(make_pool(30), g2=4, g3=5, rng_seed=42)
         b = seed_population(make_pool(30), g2=4, g3=5, rng_seed=42)
-        assert a.genomes == b.genomes
+        assert a == b
 
     def test_seed_changes_population(self):
         a = seed_population(make_pool(30), g2=4, g3=5, rng_seed=1)
         b = seed_population(make_pool(30), g2=4, g3=5, rng_seed=2)
-        assert a.genomes != b.genomes
+        assert a != b
 
     def test_terms_come_from_pool(self):
         pool = make_pool(20)
         pop = seed_population(pool, g2=8, g3=6, rng_seed=3)
         lemmas = set(pool.lemmas())
-        for g in pop.genomes:
+        for g in pop:
             assert set(g.terms) <= lemmas
 
     def test_heavier_terms_sampled_more_often(self):
@@ -69,12 +67,12 @@ class TestSeedPopulation:
         hits = 0
         for seed in range(50):
             pop = seed_population(pool, g2=1, g3=3, rng_seed=seed)
-            hits += "heavy" in pop.genomes[0].terms
+            hits += "heavy" in pop[0].terms
         assert hits >= 45
 
     def test_variant_applied(self):
         pop = seed_population(make_pool(10), 2, 3, 0, variant=Variant.QUOTED)
-        assert all(g.variant is Variant.QUOTED for g in pop.genomes)
+        assert all(g.variant is Variant.QUOTED for g in pop)
 
 
 class TestCrossover:
@@ -184,7 +182,3 @@ class TestInvariants:
     def test_duplicate_terms_rejected_at_construction(self):
         with pytest.raises(ValueError):
             QueryGenome(terms=("dup", "dup"), variant=Variant.LEMMA)
-
-    def test_population_holds_generation(self):
-        pop = Population(genomes=[genome_of("t1")], generation=4)
-        assert pop.generation == 4

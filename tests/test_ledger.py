@@ -18,7 +18,6 @@ from evoquery.ledger import (
     file_digest,
     first_divergence,
     format_float,
-    iter_generation_payloads,
     parse_record_line,
     read_config_payload,
     read_final_results_text,
@@ -114,7 +113,6 @@ class TestLedgerDir:
         lines = read_generation_lines(tmp_path)
         assert [parse_record_line(l, i) for i, l in enumerate(lines, 1)] == generations
         assert json.loads(read_final_results_text(tmp_path)) == final
-        assert list(iter_generation_payloads(tmp_path)) == generations
 
     def test_files_end_with_newline(self, tmp_path):
         self._write(tmp_path)
