@@ -25,6 +25,7 @@ from .errors import (
     ConfigInvalid,
     DivergenceDetected,
     EvoqueryError,
+    LedgerCorrupt,
     ProtocolError,
     ProviderUnavailable,
     ZeroEnergySequence,
@@ -55,7 +56,7 @@ from .evolution import (
     run_evolution,
     write_run_ledger,
 )
-from .ledger import read_final_results_text
+from .ledger import FINAL_RESULTS_FILE, read_final_results_text
 from .provider import build_index, save_index
 from .report import metrics_csv_text, read_metrics_csv, write_report
 
@@ -147,7 +148,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _ledger_ordering(ledger_dir: Path) -> RankedList:
-    payload = json.loads(read_final_results_text(ledger_dir))
+    try:
+        payload = json.loads(read_final_results_text(ledger_dir))
+    except json.JSONDecodeError as exc:
+        raise LedgerCorrupt(f"{FINAL_RESULTS_FILE} is not valid JSON: {exc.msg}") from exc
     if not isinstance(payload, list):
         raise ConfigInvalid(f"final results in {ledger_dir} must be an array")
     urls = []
@@ -269,7 +273,7 @@ def _append_rho12(
 def cmd_report(args: argparse.Namespace) -> int:
     runs: dict[str, list[MetricRow]] = {}
     for path_text in args.metrics:
-        path = _require_file(path_text, "metrics CSV")
+        path = Path(path_text)
         if path.stem in runs:
             raise ConfigInvalid(f"duplicate run name {path.stem!r}; rename an input file")
         runs[path.stem] = read_metrics_csv(path)

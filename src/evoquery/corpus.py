@@ -153,12 +153,10 @@ def extract_keywords(vec: TermVector, k: int) -> KeywordPool:
     return KeywordPool(terms=ranked[:k])
 
 
-def build_keyword_pool(
-    docs: Sequence[Document],
-    k: int,
-    normalizer: Normalizer = DEFAULT_NORMALIZER,
-) -> KeywordPool:
-    """Keyword pool over the concatenated bodies of all seed documents.
+def seed_vector(
+    docs: Sequence[Document], normalizer: Normalizer = DEFAULT_NORMALIZER
+) -> TermVector:
+    """Term vector of the concatenated bodies of all seed documents.
 
     Multi-document seed material is treated as one text: the per-document
     lemma streams are chained before weighting.
@@ -168,7 +166,16 @@ def build_keyword_pool(
         lemmas.extend(normalizer.normalize(doc.body))
     if not lemmas:
         raise EmptyDocument("seed material normalizes to zero lemmas")
-    return extract_keywords(TermVector.from_lemmas(lemmas), k)
+    return TermVector.from_lemmas(lemmas)
+
+
+def build_keyword_pool(
+    docs: Sequence[Document],
+    k: int,
+    normalizer: Normalizer = DEFAULT_NORMALIZER,
+) -> KeywordPool:
+    """Keyword pool over the seed material's ``seed_vector``."""
+    return extract_keywords(seed_vector(docs, normalizer), k)
 
 
 def _parse_document(record: object, line_no: int) -> Document:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
+from urllib.parse import urlsplit
 
 from .corpus import Document, build_keyword_pool, load_corpus, normalizer_for
 from .errors import (
@@ -124,6 +125,14 @@ def _to_payload(obj) -> dict:
     return {f.name: _FIELD_CODECS[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
 
 
+def _is_http_url(text: str) -> bool:
+    try:
+        parts = urlsplit(text)
+    except ValueError:  # e.g. an unclosed "[" in the host
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 @dataclass(frozen=True)
 class ProviderSpec:
     """Which engine a run talks to and how."""
@@ -139,6 +148,10 @@ class ProviderSpec:
             raise ConfigInvalid(f"provider kind must be offline or http, got {self.kind!r}")
         if self.kind == "http" and not self.endpoint:
             raise ConfigInvalid("http provider needs an endpoint")
+        if self.kind == "http" and not _is_http_url(self.endpoint):
+            raise ConfigInvalid(
+                f"endpoint must be an http or https URL with a host, got {self.endpoint!r}"
+            )
         if not math.isfinite(self.rate_limit_rps):
             raise ConfigInvalid(f"rate_limit_rps must be finite, got {self.rate_limit_rps!r}")
         if self.rate_limit_rps <= 0:

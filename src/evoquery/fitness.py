@@ -25,11 +25,10 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
 
-from .corpus import Document, Normalizer, TermVector, DEFAULT_NORMALIZER
+from .corpus import Document, Normalizer, TermVector, DEFAULT_NORMALIZER, seed_vector
 from .errors import (
     ComponentOutOfRange,
     ConfigInvalid,
-    EmptyDocument,
     PositionOutOfRange,
     WrongPopulationSize,
 )
@@ -96,13 +95,7 @@ class ReferenceText:
         capacity: int = REFERENCE_CAPACITY,
         normalizer: Normalizer = DEFAULT_NORMALIZER,
     ) -> ReferenceText:
-        lemmas: list[str] = []
-        for doc in docs:
-            lemmas.extend(normalizer.normalize(doc.body))
-        if not lemmas:
-            raise EmptyDocument("seed material normalizes to zero lemmas")
-        vector = TermVector.from_lemmas(lemmas)
-        vector = _evict_to_capacity(vector, capacity)
+        vector = _evict_to_capacity(seed_vector(docs, normalizer), capacity)
         return cls(vector=vector, capacity=capacity)
 
     def digest(self) -> str:

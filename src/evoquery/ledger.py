@@ -102,12 +102,16 @@ def write_ledger_dir(
     )
 
 
-def read_config_payload(ledger_dir: str | Path) -> dict:
-    path = Path(ledger_dir) / CONFIG_FILE
+def _read_ledger_file(ledger_dir: str | Path, name: str) -> str:
+    path = Path(ledger_dir) / name
     if not path.is_file():
-        raise LedgerCorrupt(f"missing {CONFIG_FILE} in {ledger_dir}")
+        raise LedgerCorrupt(f"missing {name} in {ledger_dir}")
+    return path.read_text(encoding="utf-8")
+
+
+def read_config_payload(ledger_dir: str | Path) -> dict:
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(_read_ledger_file(ledger_dir, CONFIG_FILE))
     except json.JSONDecodeError as exc:
         raise LedgerCorrupt(f"{CONFIG_FILE} is not valid JSON: {exc.msg}") from exc
     if not isinstance(payload, dict):
@@ -116,18 +120,12 @@ def read_config_payload(ledger_dir: str | Path) -> dict:
 
 
 def read_generation_lines(ledger_dir: str | Path) -> list[str]:
-    path = Path(ledger_dir) / GENERATIONS_FILE
-    if not path.is_file():
-        raise LedgerCorrupt(f"missing {GENERATIONS_FILE} in {ledger_dir}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_ledger_file(ledger_dir, GENERATIONS_FILE).splitlines()
     return [line for line in lines if line.strip()]
 
 
 def read_final_results_text(ledger_dir: str | Path) -> str:
-    path = Path(ledger_dir) / FINAL_RESULTS_FILE
-    if not path.is_file():
-        raise LedgerCorrupt(f"missing {FINAL_RESULTS_FILE} in {ledger_dir}")
-    return path.read_text(encoding="utf-8")
+    return _read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
 
 
 def parse_record_line(line: str, line_no: int) -> dict:

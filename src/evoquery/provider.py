@@ -9,17 +9,18 @@ HttpProvider.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
-from urllib.parse import urlsplit
-
-import requests
+from urllib.parse import quote, urlencode, urlsplit, urlunsplit
 
 from .corpus import Document, Normalizer, DEFAULT_NORMALIZER
 from .errors import (
@@ -38,6 +39,9 @@ INDEX_FORMAT = "evoquery-index"
 INDEX_VERSION = 1
 
 _QUOTED_TERM = re.compile(r'"([^"]*)"')
+# Kept as they are in an endpoint's path and query: the RFC 3986 delimiters
+# and "%", so that what is already escaped is not escaped twice.
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 @dataclass(frozen=True)
@@ -295,35 +299,34 @@ class HttpProvider:
                 time.sleep(wait)
             self._last_request = time.monotonic()
 
-    def _request(self, query_string: str, limit: int) -> requests.Response:
-        headers = {}
+    def _request(self, query_string: str, limit: int) -> bytes:
+        parts = urlsplit(self.endpoint)
+        params = urlencode({"q": query_string, "count": limit})
+        query = quote(f"{parts.query}&{params}" if parts.query else params, _URL_SAFE)
+        url = urlunsplit(parts._replace(path=quote(parts.path, _URL_SAFE), query=query))
+        request = urllib.request.Request(url)
         if self.api_key_header and self.api_key:
-            headers[self.api_key_header] = self.api_key
+            request.add_header(self.api_key_header, self.api_key)
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             self._throttle()
             try:
-                response = requests.get(
-                    self.endpoint,
-                    params={"q": query_string, "count": limit},
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    status, body = response.status, response.read()
+            except urllib.error.HTTPError as exc:  # any non-2xx status; an OSError subclass
+                exc.close()
+                status = exc.code
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status_code >= 500:
-                last_error = ProviderUnavailable(
-                    f"server error {response.status_code}"
-                )
+            if status >= 500:
+                last_error = ProviderUnavailable(f"server error {status}")
                 continue
-            if response.status_code != 200:
-                raise ProviderUnavailable(
-                    f"unexpected status {response.status_code} from {self.endpoint}"
-                )
-            return response
+            if status != 200:
+                raise ProviderUnavailable(f"unexpected status {status} from {self.endpoint}")
+            return body
         raise ProviderUnavailable(f"transport failure after retries: {last_error}")
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
@@ -331,9 +334,9 @@ class HttpProvider:
             raise ValueError("limit must be >= 1")
         if not query_string.strip():
             raise EmptyQuery("empty query string")
-        response = self._request(query_string, limit)
+        body = self._request(query_string, limit)
         try:
-            payload = response.json()
+            payload = json.loads(body)
         except ValueError as exc:
             raise ProtocolError(f"response is not JSON: {exc}") from exc
         if not isinstance(payload, dict) or not isinstance(payload.get("results"), list):

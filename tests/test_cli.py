@@ -1,12 +1,22 @@
 """Exit codes, output contracts and format plumbing of the command line."""
 
 import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import evoquery
 from evoquery.cli import main
 from evoquery.corpus import Document, dump_corpus
-from evoquery.ledger import GENERATIONS_FILE, canonical_json, parse_record_line
+from evoquery.ledger import (
+    FINAL_RESULTS_FILE,
+    GENERATIONS_FILE,
+    canonical_json,
+    parse_record_line,
+)
 from evoquery.report import CSV_HEADER
 from evoquery.synthetic import build_dataset, qrels_lines
 
@@ -230,6 +240,16 @@ class TestEvolve:
         assert code == 2
         assert "provider error" in capsys.readouterr().err
 
+    def test_non_http_endpoint_rejected_before_any_request(self, data_dir, tmp_path, capsys):
+        code = main([
+            "evolve", "--seed-material", str(data_dir / "seed.jsonl"),
+            "--endpoint", "file:///etc/hostname",
+            "--out", str(tmp_path / "ledger"),
+        ])
+        assert code == 1
+        assert "endpoint must be an http or https URL" in capsys.readouterr().err
+        assert not (tmp_path / "ledger").exists()
+
 
 class TestEvaluate:
     def test_metric_families_both_personas(self, metrics_csv):
@@ -278,6 +298,17 @@ class TestEvaluate:
         # 10 shared of 15 distinct urls
         overlap_row = [l for l in text.splitlines() if l.startswith("overlap_percent")][0]
         assert float(overlap_row.split(",")[4]) == pytest.approx(100 * 5 / 15, abs=1e-4)
+
+    def test_truncated_final_results_is_ledger_corrupt(self, data_dir, run_dir, tmp_path, capsys):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        final = ledger / FINAL_RESULTS_FILE
+        final.write_bytes(final.read_bytes()[:100])
+        code = main([
+            "evaluate", "--ledger", str(ledger), "--qrels", str(data_dir / "qrels.tsv"),
+        ])
+        assert code == 1
+        assert f"error: {FINAL_RESULTS_FILE} is not valid JSON" in capsys.readouterr().err
 
     def test_needs_some_ordering(self, data_dir):
         code = main(["evaluate", "--qrels", str(data_dir / "qrels.tsv")])
@@ -371,6 +402,13 @@ class TestReport:
         bad.write_text("")
         assert main(["report", "--metrics", str(bad), "--out", str(tmp_path / "r")]) == 1
 
+    def test_missing_metrics_file_named(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        code = main(["report", "--metrics", str(missing), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert f"no such metrics file: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_duplicate_run_names(self, metrics_csv, tmp_path):
         other_dir = tmp_path / "other"
         other_dir.mkdir()
@@ -409,6 +447,17 @@ class TestReplay:
 
     def test_missing_ledger(self, tmp_path, capsys):
         assert main(["replay", "--ledger", str(tmp_path)]) == 1
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    # a fresh interpreter, so modules other tests imported do not count
+    package_root = str(Path(evoquery.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {package_root!r}); import evoquery.cli; " \
+        "print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestParser:

@@ -15,6 +15,7 @@ from evoquery.corpus import (
     load_corpus,
     load_stop_words,
     normalizer_for,
+    seed_vector,
 )
 from evoquery.errors import ConfigInvalid, DuplicateId, EmptyDocument, ParseError
 
@@ -104,6 +105,20 @@ class TestTermWeights:
         body = " ".join(ch + "x" for ch in letters)  # 2-char tokens survive
         vec = TermVector.from_lemmas(normalize(body))
         assert sum(vec.entries.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSeedVector:
+    def test_chains_bodies_of_all_documents(self):
+        docs = [make_doc("s1", body="wear oil"), make_doc("s2", body="wear")]
+        assert seed_vector(docs) == TermVector.from_lemmas(["wear", "oil", "wear"])
+
+    def test_keyword_pool_ranks_the_seed_vector(self):
+        docs = [make_doc("s1", body="wear oil"), make_doc("s2", body="wear friction")]
+        assert build_keyword_pool(docs, 2) == extract_keywords(seed_vector(docs), 2)
+
+    def test_empty_seed_material_rejected(self):
+        with pytest.raises(EmptyDocument, match="zero lemmas"):
+            seed_vector([make_doc(body="! 1 2 ?")])
 
 
 class TestTermVector:

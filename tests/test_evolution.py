@@ -111,6 +111,15 @@ class TestProviderSpec:
         with pytest.raises(ConfigInvalid):
             ProviderSpec(kind="http")
 
+    @pytest.mark.parametrize(
+        "endpoint", ["file:///etc/hostname", "ftp://x/y", "api.example/search", "//["]
+    )
+    def test_http_endpoint_needs_http_scheme_and_host(self, endpoint):
+        with pytest.raises(ConfigInvalid, match="endpoint"):
+            ProviderSpec(kind="http", endpoint=endpoint)
+        with pytest.raises(ConfigInvalid, match="endpoint"):
+            ProviderSpec.from_payload({"kind": "http", "endpoint": endpoint})
+
     def test_rate_limit_positive(self):
         with pytest.raises(ConfigInvalid):
             ProviderSpec(rate_limit_rps=0.0)

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoquery.corpus import Document, SuffixNormalizer, TermVector
+from evoquery.corpus import Document, SuffixNormalizer, TermVector, seed_vector
 from evoquery.errors import (
     ComponentOutOfRange,
     ConfigInvalid,
+    EmptyDocument,
     PositionOutOfRange,
     WrongPopulationSize,
 )
@@ -456,6 +457,15 @@ class TestReferenceText:
         ref = ReferenceText.from_seed_documents([self.seed_doc("wear wear oil")])
         assert ref.vector.entries["wear"] == pytest.approx(2 / 3)
         assert ref.rounds == 0
+
+    def test_vector_is_the_seed_vector(self):
+        docs = [self.seed_doc("wear wear oil"), self.seed_doc("friction")]
+        ref = ReferenceText.from_seed_documents(docs)
+        assert ref.vector == seed_vector(docs)
+
+    def test_empty_seed_material_rejected(self):
+        with pytest.raises(EmptyDocument, match="zero lemmas"):
+            ReferenceText.from_seed_documents([self.seed_doc("! 1 2 ?")])
 
     def test_empty_update_is_identity(self):
         ref = ReferenceText.from_seed_documents([self.seed_doc("wear oil")])

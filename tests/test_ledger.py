@@ -126,11 +126,11 @@ class TestLedgerDir:
         assert len(read_generation_lines(tmp_path)) == 1
 
     def test_missing_files_reported(self, tmp_path):
-        with pytest.raises(LedgerCorrupt):
+        with pytest.raises(LedgerCorrupt, match=f"missing {CONFIG_FILE}"):
             read_config_payload(tmp_path)
-        with pytest.raises(LedgerCorrupt):
+        with pytest.raises(LedgerCorrupt, match=f"missing {GENERATIONS_FILE}"):
             read_generation_lines(tmp_path)
-        with pytest.raises(LedgerCorrupt):
+        with pytest.raises(LedgerCorrupt, match=f"missing {FINAL_RESULTS_FILE}"):
             read_final_results_text(tmp_path)
 
     def test_bad_json_reported(self, tmp_path):

@@ -2,7 +2,7 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -233,17 +233,24 @@ class TestParseQuery:
 
 
 class _ProtocolHandler(BaseHTTPRequestHandler):
-    """Configurable stub engine for wire-protocol tests."""
+    """Configurable stub engine for wire-protocol tests.
+
+    ``delay`` holds each response back that many seconds; ``missing_bytes``
+    declares a Content-Length that many bytes longer than the body sent.
+    """
 
     responses: list = []
     requests_seen: list = []
     fail_times = 0
+    delay = 0.0
+    missing_bytes = 0
 
     def do_GET(self):
         cls = type(self)
         parsed = urlsplit(self.path)
         cls.requests_seen.append(
             {
+                "path": self.path,
                 "query": parse_qs(parsed.query),
                 "headers": dict(self.headers),
                 "at": time.monotonic(),
@@ -258,11 +265,15 @@ class _ProtocolHandler(BaseHTTPRequestHandler):
         payload = body if isinstance(body, (bytes, str)) else json.dumps(body)
         if isinstance(payload, str):
             payload = payload.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        time.sleep(cls.delay)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload) + cls.missing_bytes))
+            self.end_headers()
+            self.wfile.write(payload)
+        except OSError:
+            pass  # the client gave up waiting
 
     def log_message(self, *args):
         pass
@@ -270,14 +281,19 @@ class _ProtocolHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def stub_engine():
-    server = HTTPServer(("127.0.0.1", 0), _ProtocolHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ProtocolHandler)
     _ProtocolHandler.responses = [({"results": []}, 200)]
     _ProtocolHandler.requests_seen = []
     _ProtocolHandler.fail_times = 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    _ProtocolHandler.delay = 0.0
+    _ProtocolHandler.missing_bytes = 0
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/search", _ProtocolHandler
     server.shutdown()
+    server.server_close()
 
 
 def fast_provider(endpoint, **kw):
@@ -375,3 +391,44 @@ class TestHttpProvider:
         times = [r["at"] for r in handler.requests_seen]
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(gap >= 0.015 for gap in gaps)  # 50 rps → ≥20ms nominal
+
+
+class TestHttpFaultPaths:
+    def test_client_error_raises_after_one_request(self, stub_engine):
+        endpoint, handler = stub_engine
+        handler.responses = [({"error": "not found"}, 404)]
+        with pytest.raises(ProviderUnavailable, match="unexpected status 404"):
+            fast_provider(endpoint).execute("q", 1)
+        assert len(handler.requests_seen) == 1
+
+    def test_no_content_is_unexpected_status(self, stub_engine):
+        endpoint, handler = stub_engine
+        handler.responses = [(b"", 204)]
+        with pytest.raises(ProviderUnavailable, match="unexpected status 204"):
+            fast_provider(endpoint).execute("q", 1)
+        assert len(handler.requests_seen) == 1
+
+    def test_truncated_body_retried_then_unavailable(self, stub_engine):
+        endpoint, handler = stub_engine
+        handler.responses = [({"results": [result_item(0)]}, 200)]
+        handler.missing_bytes = 10
+        with pytest.raises(ProviderUnavailable, match="transport failure"):
+            fast_provider(endpoint).execute("q", 1)
+        assert len(handler.requests_seen) == 3
+
+    def test_slow_response_retried_then_unavailable(self, stub_engine):
+        endpoint, handler = stub_engine
+        handler.delay = 0.5
+        with pytest.raises(ProviderUnavailable, match="transport failure"):
+            fast_provider(endpoint, timeout=0.1).execute("q", 1)
+        assert len(handler.requests_seen) == 3
+
+    def test_endpoint_query_string_joined_with_ampersand(self, stub_engine):
+        endpoint, handler = stub_engine
+        fast_provider(endpoint + "?key=abc").execute("wear & tear", 3)
+        assert handler.requests_seen[0]["path"] == "/search?key=abc&q=wear+%26+tear&count=3"
+
+    def test_endpoint_path_percent_encoded(self, stub_engine):
+        endpoint, handler = stub_engine
+        fast_provider(endpoint + "/wear tear/\u00e9?k=a b").execute("q", 1)
+        assert handler.requests_seen[0]["path"] == "/search/wear%20tear/%C3%A9?k=a%20b&q=q&count=1"
