@@ -43,10 +43,6 @@ class EmptyCorpus(EvoqueryError):
     """An index build was attempted over zero documents."""
 
 
-class UnknownDocument(EvoqueryError):
-    """A document id is absent from the index."""
-
-
 class ProviderUnavailable(EvoqueryError):
     """The search provider could not be reached."""
 

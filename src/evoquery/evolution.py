@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
-from .corpus import Document, build_keyword_pool, load_corpus, normalizer_for
+from .corpus import Document, extract_keywords, load_corpus, normalizer_for, seed_vector
 from .errors import (
     ConfigInvalid,
     DivergenceDetected,
@@ -69,6 +69,18 @@ from .rng import derive_rng
 
 API_KEY_ENV_VAR = "EVOQUERY_API_KEY"
 FITNESS_CONSISTENCY_TOLERANCE = 1e-9
+# Largest accepted value of each RunConfig count. Every bound is far above a
+# useful run, and low enough that a slipped digit is rejected at load instead
+# of starting a run that cannot finish.
+COUNT_LIMITS = {
+    "g2": 1_000,
+    "g3": 100,
+    "f1": 1_000,
+    "f2": 10_000,
+    "f3": 10_000,
+    "e1": 1_000,
+    "keyword_pool_size": 10_000,
+}
 
 
 def _parse_int(name: str, value: object) -> int:
@@ -173,9 +185,10 @@ class RunConfig:
     per-population and run-wide result caps; f4: same-host damping;
     f5/f6/f7: rank/crossquery/semantic component weights; m1: mutation
     probability; e1: generation count. These short names are the config
-    file's vocabulary. relevance_threshold is only recorded, as every
-    ledger's config.json carries it; ``evaluate --threshold`` sets the grade
-    that precision counts as relevant.
+    file's vocabulary; each count is bounded by ``COUNT_LIMITS``.
+    relevance_threshold is only recorded, as every ledger's config.json
+    carries it; ``evaluate --threshold`` sets the grade that precision counts
+    as relevant.
     """
 
     g2: int = 8
@@ -202,9 +215,12 @@ class RunConfig:
         for name in ("f4", "f5", "f6", "f7", "m1", "a_factor"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("g2", "g3", "f1", "f2", "f3", "e1", "keyword_pool_size"):
-            if getattr(self, name) < 1:
-                raise ConfigInvalid(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, limit in COUNT_LIMITS.items():
+            value = getattr(self, name)
+            if not 1 <= value <= limit:
+                # str() refuses integers of more than 4300 digits
+                shown = value if value.bit_length() <= 64 else f"a {value.bit_length()}-bit integer"
+                raise ConfigInvalid(f"{name} must be in 1..{limit}, got {shown}")
         if not (0.0 <= self.m1 <= 1.0):
             raise ConfigInvalid(f"m1 must be a probability, got {self.m1!r}")
         if not (0.0 <= self.a_factor <= 1.0):
@@ -460,8 +476,9 @@ def run_evolution(
         raise ConfigInvalid("seed material must contain at least one document")
     normalizer = normalizer_for(config.stop_words_path)
     weights = config.fitness_weights()
-    pool = build_keyword_pool(list(seed_material), config.keyword_pool_size, normalizer)
-    reference = ReferenceText.from_seed_documents(seed_material, normalizer=normalizer)
+    seed = seed_vector(seed_material, normalizer)
+    pool = extract_keywords(seed, config.keyword_pool_size)
+    reference = ReferenceText.from_seed_vector(seed)
     vectors = HitVectors(normalizer)
     evaluator = _QueryEvaluator(provider, weights, config, vectors)
     evaluator.reference = reference

@@ -25,7 +25,7 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
 
-from .corpus import Document, Normalizer, TermVector, DEFAULT_NORMALIZER, seed_vector
+from .corpus import Normalizer, TermVector, DEFAULT_NORMALIZER
 from .errors import (
     ComponentOutOfRange,
     ConfigInvalid,
@@ -89,14 +89,11 @@ class ReferenceText:
     rounds: int = 0
 
     @classmethod
-    def from_seed_documents(
-        cls,
-        docs: Sequence[Document],
-        capacity: int = REFERENCE_CAPACITY,
-        normalizer: Normalizer = DEFAULT_NORMALIZER,
+    def from_seed_vector(
+        cls, seed: TermVector, capacity: int = REFERENCE_CAPACITY
     ) -> ReferenceText:
-        vector = _evict_to_capacity(seed_vector(docs, normalizer), capacity)
-        return cls(vector=vector, capacity=capacity)
+        """Start from the seed material's ``corpus.seed_vector``."""
+        return cls(vector=_evict_to_capacity(seed, capacity), capacity=capacity)
 
     def digest(self) -> str:
         """Stable fingerprint of the vector state, for ledger records."""

@@ -9,6 +9,7 @@ HttpProvider.
 
 from __future__ import annotations
 
+import heapq
 import http.client
 import json
 import math
@@ -29,7 +30,6 @@ from .errors import (
     ParseError,
     ProtocolError,
     ProviderUnavailable,
-    UnknownDocument,
 )
 
 BM25_K1 = 1.2
@@ -174,25 +174,6 @@ def load_index(path: str | Path) -> InvertedIndex:
     return InvertedIndex(postings=postings, docs=docs, avg_doc_len=payload["avg_doc_len"])
 
 
-def score_bm25(index: InvertedIndex, query_lemmas: list[str], doc_id: str) -> float:
-    """Classic BM25 with k1=1.2, b=0.75; absent terms contribute zero."""
-    if doc_id not in index.docs:
-        raise UnknownDocument(doc_id)
-    n_docs = index.doc_count
-    dl = index.docs[doc_id].length
-    norm_len = dl / index.avg_doc_len if index.avg_doc_len > 0 else 0.0
-    score = 0.0
-    for lemma in query_lemmas:
-        plist = index.postings.get(lemma)
-        if not plist or doc_id not in plist:
-            continue
-        tf = plist[doc_id]
-        n_t = len(plist)
-        idf = math.log(1.0 + (n_docs - n_t + 0.5) / (n_t + 0.5))
-        score += idf * (tf * (BM25_K1 + 1.0)) / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * norm_len))
-    return score
-
-
 def parse_query(query_string: str) -> tuple[list[str], bool]:
     """Split a rendered query into lemmas and detect the quoted form.
 
@@ -211,7 +192,13 @@ def parse_query(query_string: str) -> tuple[list[str], bool]:
 
 @dataclass
 class OfflineProvider:
-    """BM25 over an in-process inverted index; ties break by doc id.
+    """BM25 (k1=1.2, b=0.75) over an in-process inverted index; ties break by doc id.
+
+    Queries are evaluated term at a time: each lemma's idf and each
+    document's length norm are computed once, when the provider is built,
+    and every query term, duplicates included, adds its contribution to
+    the documents in its posting list in query order. The top ``limit``
+    documents are then taken by (-score, doc id) with a heap.
 
     full_body_snippets exposes each hit's entire stored text instead of a
     fixed-size fragment, for runs that want semantic scoring over whole
@@ -222,6 +209,21 @@ class OfflineProvider:
     full_body_snippets: bool = False
     name: str = "offline"
     stamps_time: bool = False
+    _idf: dict[str, float] = field(init=False, repr=False, compare=False)
+    _norm: dict[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n_docs = self.index.doc_count
+        avg = self.index.avg_doc_len
+        self._idf = {
+            lemma: math.log(1.0 + (n_docs - len(plist) + 0.5) / (len(plist) + 0.5))
+            for lemma, plist in self.index.postings.items()
+        }
+        # BM25's tf saturation term K1 * (1 - b + b * |d| / avgdl) per document
+        self._norm = {}
+        for doc_id, doc in self.index.docs.items():
+            norm_len = doc.length / avg if avg > 0 else 0.0
+            self._norm[doc_id] = BM25_K1 * (1.0 - BM25_B + BM25_B * norm_len)
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
         if limit < 1:
@@ -229,25 +231,31 @@ class OfflineProvider:
         terms, conjunctive = parse_query(query_string)
         if not terms:
             raise EmptyQuery(f"query {query_string!r} contains no terms")
+        postings = self.index.postings
+        norm = self._norm
         candidates: set[str] | None = None
         if conjunctive:
-            for term in terms:
-                plist = self.index.postings.get(term, {})
-                ids = set(plist)
-                candidates = ids if candidates is None else candidates & ids
+            shortest, *others = sorted((postings.get(term, {}) for term in terms), key=len)
+            candidates = set(shortest)
+            for plist in others:
                 if not candidates:
-                    return []
-        else:
-            candidates = set()
-            for term in terms:
-                candidates |= set(self.index.postings.get(term, {}))
-        assert candidates is not None
-        ranked = sorted(
-            candidates,
-            key=lambda doc_id: (-score_bm25(self.index, terms, doc_id), doc_id),
-        )
+                    break
+                candidates &= plist.keys()
+            if not candidates:
+                return []
+        k1_plus_1 = BM25_K1 + 1.0
+        scores: dict[str, float] = {}
+        for term in terms:
+            plist = postings.get(term)
+            if not plist:
+                continue
+            idf = self._idf[term]
+            matches = plist.items() if candidates is None else ((d, plist[d]) for d in candidates)
+            for doc_id, tf in matches:
+                scores[doc_id] = scores.get(doc_id, 0.0) + idf * (tf * k1_plus_1) / (tf + norm[doc_id])
+        top = heapq.nsmallest(limit, ((-score, doc_id) for doc_id, score in scores.items()))
         hits = []
-        for pos, doc_id in enumerate(ranked[:limit], start=1):
+        for pos, (_, doc_id) in enumerate(top, start=1):
             doc = self.index.docs[doc_id]
             snippet = doc.text if self.full_body_snippets else doc.text[:SNIPPET_CHARS]
             hits.append(

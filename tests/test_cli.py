@@ -158,6 +158,19 @@ class TestEvolve:
         assert "f5 must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_count_over_bound_rejected_before_run(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"e1": 10**12}))
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(config),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(data_dir / "index.json"), "--out", str(out),
+        ])
+        assert code == 1
+        assert "e1 must be in 1..1000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_index_and_endpoint_conflict(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             main([

@@ -3,12 +3,20 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoquery.corpus import Document, KeywordPool, build_keyword_pool, dump_corpus
+from evoquery.corpus import (
+    Document,
+    KeywordPool,
+    SuffixNormalizer,
+    build_keyword_pool,
+    dump_corpus,
+    load_corpus,
+)
 from evoquery.errors import (
     ConfigInvalid,
     DivergenceDetected,
@@ -16,6 +24,7 @@ from evoquery.errors import (
     NonReplayableLedger,
 )
 from evoquery.evolution import (
+    COUNT_LIMITS,
     GenerationRecord,
     ProviderSpec,
     QueryOutcome,
@@ -175,6 +184,19 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid):
             RunConfig(relevance_threshold=7)
 
+    @pytest.mark.parametrize("name", sorted(COUNT_LIMITS))
+    def test_counts_bounded_above(self, name):
+        limit = COUNT_LIMITS[name]
+        assert getattr(RunConfig.from_payload({name: limit}), name) == limit
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be in 1..{limit}"):
+            RunConfig.from_payload({name: limit + 1})
+
+    def test_absurd_counts_rejected(self):
+        with pytest.raises(ConfigInvalid, match="g2"):
+            RunConfig.from_payload({"g2": 10**400, "e1": 10**12})
+        with pytest.raises(ConfigInvalid, match="^e1 must be in 1..1000, got a 16610-bit integer"):
+            RunConfig.from_payload({"e1": 10**5000})
+
     def test_payload_round_trip(self):
         config = small_config(variant=Variant.QUOTED, freeze_reference=True)
         assert RunConfig.from_payload(config.to_payload()) == config
@@ -321,6 +343,28 @@ class TestRunEvolution:
                 assert outcome.issued_at is None
                 assert len(outcome.results) <= config.f1
         assert 0 < len(ledger.final_results) <= config.f3
+
+    def test_seed_material_normalized_once(self, monkeypatch):
+        class FirstQuery(Exception):
+            pass
+
+        class StopAtFirstQuery:
+            name = "stop"
+            stamps_time = False
+
+            def execute(self, query_string, limit):
+                raise FirstQuery
+
+        seed = load_corpus(Path(__file__).resolve().parents[1] / "data" / "seed_material.jsonl")
+        normalize = SuffixNormalizer.normalize
+        calls = []
+        monkeypatch.setattr(
+            SuffixNormalizer, "normalize", lambda self, text: calls.append(text) or normalize(self, text)
+        )
+        with pytest.raises(FirstQuery):
+            run_evolution(RunConfig(), StopAtFirstQuery(), seed)
+        # keyword pool and reference text share one pass over the seed docs
+        assert calls == [doc.body for doc in seed]
 
     def test_single_generation_boundary(self, provider):
         ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)

@@ -454,21 +454,21 @@ class TestReferenceText:
         return Document(id="s1", url="https://s.org/1", host="s.org", title="t", body=body)
 
     def test_seeded_from_material(self):
-        ref = ReferenceText.from_seed_documents([self.seed_doc("wear wear oil")])
+        ref = ReferenceText.from_seed_vector(seed_vector([self.seed_doc("wear wear oil")]))
         assert ref.vector.entries["wear"] == pytest.approx(2 / 3)
         assert ref.rounds == 0
 
     def test_vector_is_the_seed_vector(self):
         docs = [self.seed_doc("wear wear oil"), self.seed_doc("friction")]
-        ref = ReferenceText.from_seed_documents(docs)
+        ref = ReferenceText.from_seed_vector(seed_vector(docs))
         assert ref.vector == seed_vector(docs)
 
     def test_empty_seed_material_rejected(self):
         with pytest.raises(EmptyDocument, match="zero lemmas"):
-            ReferenceText.from_seed_documents([self.seed_doc("! 1 2 ?")])
+            ReferenceText.from_seed_vector(seed_vector([self.seed_doc("! 1 2 ?")]))
 
     def test_empty_update_is_identity(self):
-        ref = ReferenceText.from_seed_documents([self.seed_doc("wear oil")])
+        ref = ReferenceText.from_seed_vector(seed_vector([self.seed_doc("wear oil")]))
         updated = update_reference_text(ref, [], HitVectors())
         assert updated.vector.entries == ref.vector.entries
         assert updated.rounds == 0
@@ -535,5 +535,5 @@ class TestReferenceText:
 
     def test_seed_at_capacity_is_trimmed(self):
         words = [chr(97 + i // 26) + chr(97 + i % 26) + "x" for i in range(300)]
-        ref = ReferenceText.from_seed_documents([self.seed_doc(" ".join(words))], capacity=256)
+        ref = ReferenceText.from_seed_vector(seed_vector([self.seed_doc(" ".join(words))]), capacity=256)
         assert len(ref.vector.entries) == 256

@@ -2,8 +2,8 @@
 
 An optimization of scoring, selection or ledger writing must leave every
 ledger byte as it was. These digests pin the bundled data's ledgers for
-the reference config and for a wider lemma run; a change that moves one
-is a format change and must say so.
+the reference config, a wider lemma run and a quoted (conjunctive) run; a
+change that moves one is a format change and must say so.
 """
 
 import hashlib
@@ -35,6 +35,11 @@ GOLDEN = {
         {"g2": 32, "e1": 20, "variant": "lemma"},
         "a05e81c2eaa9b3ab462d2650122a1340656d9700deb15d5148e1f0371b2bf770",
         "c40b5dee7ead8b9191daf363efe0e277959a13a35e13950dfec00a349a3b241a",
+    ),
+    "quoted": (
+        {"variant": "quoted", "g3": 2, "g2": 16, "e1": 10},
+        "3cc91bbae50b86b12036e242a9dfa9dc8122bdd9c4e07b606862e6380be28bc3",
+        "adf739e3413d3864000b9417e31b86d199e22adda23643d682dd5d3f13cc8656",
     ),
 }
 

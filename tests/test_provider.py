@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -15,18 +16,18 @@ from evoquery.errors import (
     ParseError,
     ProtocolError,
     ProviderUnavailable,
-    UnknownDocument,
 )
 from evoquery.provider import (
     BM25_B,
     BM25_K1,
+    SNIPPET_CHARS,
     HttpProvider,
     OfflineProvider,
+    SearchHit,
     build_index,
     load_index,
     parse_query,
     save_index,
-    score_bm25,
 )
 
 
@@ -40,21 +41,53 @@ def doc(doc_id, body, title="t", host="example.org"):
     )
 
 
-def naive_bm25(index, terms, doc_id):
-    # independent restatement of the scoring formula, for oracle checks
-    total = 0.0
-    n_docs = len(index.docs)
+def reference_bm25(index, query_lemmas, doc_id):
+    # oracle: one document scored at a time, with the float operations of
+    # OfflineProvider's sums in the same order, so scores match bit for bit
+    n_docs = index.doc_count
     dl = index.docs[doc_id].length
-    for term in terms:
-        plist = index.postings.get(term, {})
-        tf = plist.get(doc_id, 0)
-        if tf == 0:
+    norm_len = dl / index.avg_doc_len if index.avg_doc_len > 0 else 0.0
+    score = 0.0
+    for lemma in query_lemmas:
+        plist = index.postings.get(lemma)
+        if not plist or doc_id not in plist:
             continue
+        tf = plist[doc_id]
         n_t = len(plist)
-        idf = math.log(1 + (n_docs - n_t + 0.5) / (n_t + 0.5))
-        denom = tf + BM25_K1 * (1 - BM25_B + BM25_B * dl / index.avg_doc_len)
-        total += idf * tf * (BM25_K1 + 1) / denom
-    return total
+        idf = math.log(1.0 + (n_docs - n_t + 0.5) / (n_t + 0.5))
+        score += idf * (tf * (BM25_K1 + 1.0)) / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * norm_len))
+    return score
+
+
+def reference_execute(index, query_string, limit):
+    # every candidate scored on its own, then a full sort by (-score, doc id)
+    terms, conjunctive = parse_query(query_string)
+    candidates = None
+    if conjunctive:
+        for term in terms:
+            ids = set(index.postings.get(term, {}))
+            candidates = ids if candidates is None else candidates & ids
+            if not candidates:
+                return []
+    else:
+        candidates = set()
+        for term in terms:
+            candidates |= set(index.postings.get(term, {}))
+    ranked = sorted(candidates, key=lambda d: (-reference_bm25(index, terms, d), d))
+    return [
+        SearchHit(
+            doc_url=index.docs[d].url,
+            doc_host=index.docs[d].host,
+            title=index.docs[d].title,
+            snippet=index.docs[d].text[:SNIPPET_CHARS],
+            position=pos,
+        )
+        for pos, d in enumerate(ranked[:limit], start=1)
+    ]
+
+
+def ranked_ids(hits):
+    return [h.doc_url.rsplit("/", 1)[1] for h in hits]
 
 
 class TestBuildIndex:
@@ -113,35 +146,57 @@ class TestBuildIndex:
 
 
 class TestScoreBm25:
+    """BM25 as execute ranks by it; hand values pin the reference scorer."""
+
     def test_absent_term_contributes_zero(self):
-        index = build_index([doc("d1", "aa bb"), doc("d2", "cc dd")])
-        assert score_bm25(index, ["zz"], "d1") == 0.0
+        provider = OfflineProvider(index=build_index([doc("d1", "aa bb"), doc("d2", "cc dd")]))
+        assert provider.execute("zz", 10) == []
+        assert provider.execute('"aa" "zz"', 10) == []
+        assert provider.execute("aa zz", 10) == provider.execute("aa", 10)
 
     def test_single_doc_idf(self):
         index = build_index([doc("d1", "aa")])
         # N=1, n_t=1: idf = ln(1 + 0.5/1.5); tf=1 at avg length → factor 1.0
-        assert score_bm25(index, ["aa"], "d1") == pytest.approx(
+        assert reference_bm25(index, ["aa"], "d1") == pytest.approx(
             math.log(1 + 0.5 / 1.5), abs=1e-12
         )
+        assert ranked_ids(OfflineProvider(index=index).execute("aa", 10)) == ["d1"]
 
     def test_average_length_tf1_equals_idf(self):
-        # both docs have length 2 = avg, "aa" appears once in d1
-        index = build_index([doc("d1", "aa bb"), doc("d2", "cc dd")])
-        n_t, n = 1, 2
-        idf = math.log(1 + (n - n_t + 0.5) / (n_t + 0.5))
-        assert score_bm25(index, ["aa"], "d1") == pytest.approx(idf, abs=1e-12)
-
-    def test_unknown_document_rejected(self):
-        index = build_index([doc("d1", "aa")])
-        with pytest.raises(UnknownDocument):
-            score_bm25(index, ["aa"], "ghost")
+        # every doc has length 2 = avg; "aa" is in one doc, "bb" in two
+        index = build_index([doc("d1", "bb xx"), doc("d2", "bb yy"), doc("d3", "aa zz")])
+        idf = lambda n_t: math.log(1 + (3 - n_t + 0.5) / (n_t + 0.5))
+        assert reference_bm25(index, ["aa"], "d3") == pytest.approx(idf(1), abs=1e-12)
+        assert reference_bm25(index, ["bb"], "d1") == pytest.approx(idf(2), abs=1e-12)
+        # the rarer term's idf ranks its doc first, against doc id order;
+        # equal tf, df and length tie, broken by doc id
+        assert ranked_ids(OfflineProvider(index=index).execute("aa bb", 10)) == ["d3", "d1", "d2"]
 
     def test_monotone_in_tf(self):
         docs = [doc(f"d{i}", " ".join(["aa"] * i + ["bb"] * (6 - i))) for i in range(1, 6)]
+        hits = OfflineProvider(index=build_index(docs)).execute("aa", 10)
+        # more occurrences rank higher, against doc id order, so no two tie
+        assert ranked_ids(hits) == ["d5", "d4", "d3", "d2", "d1"]
+
+    @given(
+        bodies=st.lists(
+            st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), min_size=1, max_size=10),
+            min_size=1,
+            max_size=8,
+        ),
+        terms=st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "zz"]), min_size=1, max_size=6),
+        quoted=st.booleans(),
+        limit=st.integers(min_value=1, max_value=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_document_scorer(self, bodies, terms, quoted, limit):
+        # ids run against insertion order so tie-breaking is exercised
+        docs = [doc(f"d{len(bodies) - i}", " ".join(b)) for i, b in enumerate(bodies)]
         index = build_index(docs)
-        scores = [score_bm25(index, ["aa"], f"d{i}") for i in range(1, 6)]
-        assert scores == sorted(scores)
-        assert len(set(scores)) == len(scores)
+        query = " ".join(f'"{t}"' for t in terms) if quoted else " ".join(terms)
+        assert OfflineProvider(index=index).execute(query, limit) == reference_execute(
+            index, query, limit
+        )
 
 
 class TestOfflineProvider:
@@ -202,9 +257,9 @@ class TestOfflineProvider:
         hits = provider.execute("aa bb", 20)
         matching = [d.id for d in docs if {"aa", "bb"} & set(d.body.split())]
         expected = sorted(
-            matching, key=lambda i_: (-naive_bm25(index, ["aa", "bb"], i_), i_)
+            matching, key=lambda i_: (-reference_bm25(index, ["aa", "bb"], i_), i_)
         )
-        assert [h.doc_url.rsplit("/", 1)[1] for h in hits] == expected
+        assert ranked_ids(hits) == expected
 
     def test_tie_broken_by_doc_id(self):
         index = build_index([doc("d2", "aa"), doc("d1", "aa")])
@@ -253,7 +308,6 @@ class _ProtocolHandler(BaseHTTPRequestHandler):
                 "path": self.path,
                 "query": parse_qs(parsed.query),
                 "headers": dict(self.headers),
-                "at": time.monotonic(),
             }
         )
         if cls.fail_times > 0:
@@ -382,15 +436,26 @@ class TestHttpProvider:
             fast_provider(endpoint).execute("  ", 1)
         assert handler.requests_seen == []
 
-    def test_rate_limit_spaces_requests(self, stub_engine):
+    def test_rate_limit_spaces_requests(self, stub_engine, monkeypatch):
+        # the sends are timed in the client's own thread, as it opens each
+        # request; arrivals in the server thread also carry its scheduling
         endpoint, handler = stub_engine
         handler.responses = [({"results": []}, 200)]
+        urlopen = urllib.request.urlopen
+        sent = []
+
+        def timed_urlopen(*args, **kwargs):
+            sent.append(time.monotonic())
+            return urlopen(*args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", timed_urlopen)
         provider = fast_provider(endpoint, rate_limit_rps=50.0)
         for _ in range(3):
             provider.execute("q", 1)
-        times = [r["at"] for r in handler.requests_seen]
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert all(gap >= 0.015 for gap in gaps)  # 50 rps → ≥20ms nominal
+        gaps = [b - a for a, b in zip(sent, sent[1:])]
+        resolution = time.get_clock_info("monotonic").resolution
+        assert len(gaps) == 2
+        assert all(gap >= 0.020 - resolution for gap in gaps)  # 50 rps → 20 ms apart
 
 
 class TestHttpFaultPaths:
