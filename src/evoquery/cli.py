@@ -113,8 +113,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         config_path = _require_file(args.config, "config")
         try:
             payload = json.loads(config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"config is not valid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+            raise ConfigInvalid(f"config {config_path} is not valid JSON: {exc}") from exc
     config = RunConfig.from_payload(payload)
     seed_path = _require_file(args.seed_material, "seed material")
     seed_docs = load_corpus(seed_path)

@@ -9,10 +9,11 @@ anything smarter (a dictionary lemmatizer, say) can be plugged in through the
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -38,6 +39,16 @@ class Normalizer(Protocol):
 
     def normalize(self, raw: str) -> list[str]: ...
 
+    def fingerprint(self) -> dict[str, str]:
+        """What an index records so that a run can check it normalizes alike."""
+        ...
+
+
+# Most raw tokens an instance memoizes; past this, lemmas are computed
+# uncached, so a Zipfian vocabulary cannot grow the memo without limit.
+LEMMA_MEMO_LIMIT = 1 << 16
+_UNSEEN = object()
+
 
 @dataclass(frozen=True)
 class SuffixNormalizer:
@@ -48,26 +59,49 @@ class SuffixNormalizer:
     Exactly one suffix rule may then fire, tried in order: strip a trailing
     "ing", else "ed", else "s", each only when the remainder keeps at least
     three characters. Stop words are removed after stemming.
+
+    A token's lemma depends only on the token and the stop words, so each
+    instance memoizes it per raw token (``None`` for a dropped token), up
+    to ``LEMMA_MEMO_LIMIT`` tokens.
     """
 
     stop_words: frozenset[str] = frozenset()
+    _lemmas: dict[str, str | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _lemma(self, token: str) -> str | None:
+        word = "".join(ch for ch in token.lower() if ch.isalpha())
+        if len(word) < 2:
+            return None
+        if word.endswith("ing") and len(word) - 3 >= 3:
+            word = word[:-3]
+        elif word.endswith("ed") and len(word) - 2 >= 3:
+            word = word[:-2]
+        elif word.endswith("s") and len(word) - 1 >= 3:
+            word = word[:-1]
+        return None if word in self.stop_words else word
 
     def normalize(self, raw: str) -> list[str]:
+        memo = self._lemmas
         lemmas = []
         for token in raw.split():
-            word = "".join(ch for ch in token.lower() if ch.isalpha())
-            if len(word) < 2:
-                continue
-            if word.endswith("ing") and len(word) - 3 >= 3:
-                word = word[:-3]
-            elif word.endswith("ed") and len(word) - 2 >= 3:
-                word = word[:-2]
-            elif word.endswith("s") and len(word) - 1 >= 3:
-                word = word[:-1]
-            if word in self.stop_words:
-                continue
-            lemmas.append(word)
+            lemma = memo.get(token, _UNSEEN)
+            if lemma is _UNSEEN:
+                lemma = self._lemma(token)
+                if len(memo) < LEMMA_MEMO_LIMIT:
+                    memo[token] = lemma
+            if lemma is not None:
+                lemmas.append(lemma)
         return lemmas
+
+    def fingerprint(self) -> dict[str, str]:
+        """The class name and the sha256 of the sorted stop words, one per line."""
+        words = "\n".join(sorted(self.stop_words)).encode("utf-8")
+        return {
+            "class": type(self).__name__,
+            "stop_words_sha256": hashlib.sha256(words).hexdigest(),
+        }
 
 
 DEFAULT_NORMALIZER = SuffixNormalizer()

@@ -25,6 +25,7 @@ from .errors import (
     DivergenceDetected,
     LedgerCorrupt,
     NonReplayableLedger,
+    PoolTooSmall,
 )
 from .fitness import (
     FitnessWeights,
@@ -221,6 +222,11 @@ class RunConfig:
                 # str() refuses integers of more than 4300 digits
                 shown = value if value.bit_length() <= 64 else f"a {value.bit_length()}-bit integer"
                 raise ConfigInvalid(f"{name} must be in 1..{limit}, got {shown}")
+        if self.keyword_pool_size < self.min_pool_size:
+            raise ConfigInvalid(
+                f"keyword_pool_size must be at least {self.min_pool_size} for "
+                f"g3={self.g3} and e1={self.e1}, got {self.keyword_pool_size}"
+            )
         if not (0.0 <= self.m1 <= 1.0):
             raise ConfigInvalid(f"m1 must be a probability, got {self.m1!r}")
         if not (0.0 <= self.a_factor <= 1.0):
@@ -230,6 +236,12 @@ class RunConfig:
                 f"relevance_threshold must be a 0..3 grade, got {self.relevance_threshold!r}"
             )
         self.fitness_weights()  # validates f4..f7 and the caps
+
+    @property
+    def min_pool_size(self) -> int:
+        """Keywords a run needs: g3 distinct terms per genome, plus one outside
+        each genome to mutate it with when there is a second generation."""
+        return self.g3 + (1 if self.e1 > 1 else 0)
 
     def fitness_weights(self) -> FitnessWeights:
         return FitnessWeights(
@@ -475,9 +487,20 @@ def run_evolution(
     if not seed_material:
         raise ConfigInvalid("seed material must contain at least one document")
     normalizer = normalizer_for(config.stop_words_path)
+    # an offline index holds only the lemmas of the normalizer that built it
+    fingerprint = normalizer.fingerprint()
+    if isinstance(provider, OfflineProvider) and provider.index.normalizer != fingerprint:
+        raise ConfigInvalid(
+            f"index was built with normalizer {provider.index.normalizer}, but this run "
+            f"normalizes with {fingerprint}; rebuild the index with the run's stop words"
+        )
     weights = config.fitness_weights()
     seed = seed_vector(seed_material, normalizer)
     pool = extract_keywords(seed, config.keyword_pool_size)
+    if len(pool) < config.min_pool_size:
+        raise PoolTooSmall(
+            f"seed material yields {len(pool)} keywords, the run needs {config.min_pool_size}"
+        )
     reference = ReferenceText.from_seed_vector(seed)
     vectors = HitVectors(normalizer)
     evaluator = _QueryEvaluator(provider, weights, config, vectors)

@@ -112,8 +112,9 @@ def _read_ledger_file(ledger_dir: str | Path, name: str) -> str:
 def read_config_payload(ledger_dir: str | Path) -> dict:
     try:
         payload = json.loads(_read_ledger_file(ledger_dir, CONFIG_FILE))
-    except json.JSONDecodeError as exc:
-        raise LedgerCorrupt(f"{CONFIG_FILE} is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        path = Path(ledger_dir) / CONFIG_FILE
+        raise LedgerCorrupt(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise LedgerCorrupt(f"{CONFIG_FILE} must hold an object")
     return payload

@@ -10,14 +10,12 @@ HttpProvider.
 from __future__ import annotations
 
 import heapq
-import http.client
 import json
 import math
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -36,7 +34,7 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 SNIPPET_CHARS = 240
 INDEX_FORMAT = "evoquery-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 _QUOTED_TERM = re.compile(r'"([^"]*)"')
 # Kept as they are in an endpoint's path and query: the RFC 3986 delimiters
@@ -85,6 +83,7 @@ class InvertedIndex:
     postings: dict[str, dict[str, int]]
     docs: dict[str, _StoredDoc]
     avg_doc_len: float
+    normalizer: dict[str, str]  # the fingerprint of the normalizer that built it
 
     @property
     def doc_count(self) -> int:
@@ -102,6 +101,7 @@ def build_index(
 
     The whole whitespace-collapsed body is stored per document; whether a
     hit exposes all of it or a fixed-size snippet is the provider's call.
+    Each posting list holds its doc ids in corpus order.
     """
     if not docs:
         raise EmptyCorpus("cannot index an empty corpus")
@@ -118,18 +118,22 @@ def build_index(
             text=" ".join(doc.body.split()),
             length=len(lemmas),
         )
-        for lemma in lemmas:
-            postings.setdefault(lemma, {})
-            postings[lemma][doc.id] = postings[lemma].get(doc.id, 0) + 1
+        for lemma, tf in Counter(lemmas).items():
+            postings.setdefault(lemma, {})[doc.id] = tf
     return InvertedIndex(
-        postings=postings, docs=stored, avg_doc_len=total_len / len(docs)
+        postings=postings,
+        docs=stored,
+        avg_doc_len=total_len / len(docs),
+        normalizer=normalizer.fingerprint(),
     )
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
+    """Write the index as one compact JSON object with sorted keys."""
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
+        "normalizer": index.normalizer,
         "avg_doc_len": index.avg_doc_len,
         "docs": {
             doc_id: {
@@ -144,7 +148,8 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "postings": index.postings,
     }
     Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True), encoding="utf-8"
+        json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")),
+        encoding="utf-8",
     )
 
 
@@ -157,6 +162,11 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise ParseError("not an index file")
     if payload.get("version") != INDEX_VERSION:
         raise ParseError(f"unsupported index version {payload.get('version')!r}")
+    normalizer = payload.get("normalizer")
+    if not isinstance(normalizer, dict) or not all(
+        isinstance(v, str) for v in normalizer.values()
+    ):
+        raise ParseError("index does not record its normalizer")
     docs = {
         doc_id: _StoredDoc(
             url=d["url"],
@@ -171,7 +181,12 @@ def load_index(path: str | Path) -> InvertedIndex:
         lemma: {doc_id: int(tf) for doc_id, tf in plist.items()}
         for lemma, plist in payload["postings"].items()
     }
-    return InvertedIndex(postings=postings, docs=docs, avg_doc_len=payload["avg_doc_len"])
+    return InvertedIndex(
+        postings=postings,
+        docs=docs,
+        avg_doc_len=payload["avg_doc_len"],
+        normalizer=normalizer,
+    )
 
 
 def parse_query(query_string: str) -> tuple[list[str], bool]:
@@ -308,6 +323,12 @@ class HttpProvider:
             self._last_request = time.monotonic()
 
     def _request(self, query_string: str, limit: int) -> bytes:
+        # Imported here, not at module load: urllib.request pulls in
+        # http.client, email and ssl, which offline stages never use.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         parts = urlsplit(self.endpoint)
         params = urlencode({"q": query_string, "count": limit})
         query = quote(f"{parts.query}&{params}" if parts.query else params, _URL_SAFE)

@@ -13,7 +13,6 @@ import csv
 import io
 from pathlib import Path
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 from .errors import ParseError
 from .evaluation import MetricRow
@@ -22,6 +21,15 @@ CSV_HEADER = ["metric", "ordering", "persona", "n", "value"]
 METRIC_FAMILIES = ("mean_relevance", "precision", "dcg", "ndcg", "rho12", "overlap_percent")
 
 _PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2", "#edc948")
+
+
+def escape(text: str) -> str:
+    """XML character data: ``&``, ``<`` and ``>`` as entities.
+
+    The same replacements as ``xml.sax.saxutils.escape``, which is not used
+    because importing it loads ``urllib.request`` and so the HTTP stack.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def format_value(value: float) -> str:

@@ -1,6 +1,7 @@
 """Exit codes, output contracts and format plumbing of the command line."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,13 +11,21 @@ import pytest
 
 import evoquery
 from evoquery.cli import main
-from evoquery.corpus import Document, dump_corpus
+from evoquery.corpus import (
+    Document,
+    SuffixNormalizer,
+    build_keyword_pool,
+    dump_corpus,
+    load_corpus,
+    load_stop_words,
+)
 from evoquery.ledger import (
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
     canonical_json,
     parse_record_line,
 )
+from evoquery.provider import OfflineProvider
 from evoquery.report import CSV_HEADER
 from evoquery.synthetic import build_dataset, qrels_lines
 
@@ -221,6 +230,40 @@ class TestEvolve:
         ])
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_config_integer_over_digit_limit_names_file(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "huge.json"
+        config.write_text('{"g2": ' + "9" * 5000 + "}")
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(config),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(data_dir / "index.json"), "--out", str(out),
+        ])
+        assert code == 1
+        assert f"error: config {config} is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_index_stop_words_must_match_the_run(self, data_dir, tmp_path, capsys, monkeypatch):
+        stops = write_top_keywords(data_dir, tmp_path / "stops.txt")
+        index = tmp_path / "stopped-index.json"
+        assert main(["index", "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--out", str(index), "--stop-words", str(stops)]) == 0
+        capsys.readouterr()
+        sent = []
+        monkeypatch.setattr(OfflineProvider, "execute", lambda self, q, limit: sent.append(q))
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(data_dir / "config.json"),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(index), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        for normalizer in (SuffixNormalizer(load_stop_words(stops)), SuffixNormalizer()):
+            assert normalizer.fingerprint()["stop_words_sha256"] in err
+        assert sent == []
+        assert not out.exists()
 
     def test_missing_stop_word_file_is_usage_failure(self, data_dir, tmp_path, capsys):
         missing = tmp_path / "absent-stops.txt"
@@ -461,16 +504,57 @@ class TestReplay:
     def test_missing_ledger(self, tmp_path, capsys):
         assert main(["replay", "--ledger", str(tmp_path)]) == 1
 
+    def test_config_integer_over_digit_limit_names_file(self, run_dir, tmp_path, capsys):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        config = ledger / "config.json"
+        text, count = re.subn(r'"g2":\d+', '"g2":' + "9" * 5000, config.read_text())
+        assert count == 1
+        config.write_text(text)
+        assert main(["replay", "--ledger", str(ledger)]) == 1
+        assert f"error: {config} is not valid JSON" in capsys.readouterr().err
+
+    def test_changed_stop_words_rejected(self, data_dir, tmp_path, capsys):
+        stops = write_top_keywords(data_dir, tmp_path / "stops.txt")
+        index = tmp_path / "stopped-index.json"
+        assert main(["index", "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--out", str(index), "--stop-words", str(stops)]) == 0
+        config = tmp_path / "stops.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "stop_words_path": str(stops)}))
+        out = tmp_path / "ledger"
+        assert main([
+            "evolve", "--config", str(config),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(index), "--out", str(out),
+        ]) == 0
+        assert main(["replay", "--ledger", str(out)]) == 0
+        recorded = SuffixNormalizer(load_stop_words(stops)).fingerprint()
+        stops.write_text("unrelated\n")
+        capsys.readouterr()
+        assert main(["replay", "--ledger", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert recorded["stop_words_sha256"] in err
+        assert SuffixNormalizer(frozenset({"unrelated"})).fingerprint()["stop_words_sha256"] in err
+
 
 def test_cli_import_loads_no_third_party_http_client():
-    # a fresh interpreter, so modules other tests imported do not count
+    # a fresh interpreter, so modules other tests imported do not count;
+    # only HttpProvider needs the standard library's HTTP stack, and loads it itself
     package_root = str(Path(evoquery.__file__).resolve().parents[1])
+    unwanted = ["requests", "urllib.request", "http.client", "email", "ssl"]
     code = f"import sys; sys.path.insert(0, {package_root!r}); import evoquery.cli; " \
-        "print('requests' in sys.modules)"
+        f"print([name for name in {unwanted!r} if name in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def write_top_keywords(data_dir, path, k=6):
+    """A stop-word file of the seed material's top ``k`` keywords."""
+    pool = build_keyword_pool(load_corpus(data_dir / "seed.jsonl"), k)
+    path.write_text("\n".join(pool.lemmas()) + "\n", encoding="utf-8")
+    return path
 
 
 class TestParser:

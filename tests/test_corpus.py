@@ -1,10 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evoquery.corpus import (
     DEFAULT_NORMALIZER,
+    LEMMA_MEMO_LIMIT,
     Document,
     KeywordPool,
     SuffixNormalizer,
@@ -79,6 +80,97 @@ class TestNormalizeText:
     def test_idempotent_when_no_suffix_present(self, lemmas):
         once = normalize(" ".join(lemmas))
         assert normalize(" ".join(once)) == once
+
+
+def reference_normalize(raw, stop_words=frozenset()):
+    # oracle: SuffixNormalizer.normalize as it was before it memoized lemmas
+    lemmas = []
+    for token in raw.split():
+        word = "".join(ch for ch in token.lower() if ch.isalpha())
+        if len(word) < 2:
+            continue
+        if word.endswith("ing") and len(word) - 3 >= 3:
+            word = word[:-3]
+        elif word.endswith("ed") and len(word) - 2 >= 3:
+            word = word[:-2]
+        elif word.endswith("s") and len(word) - 1 >= 3:
+            word = word[:-1]
+        if word in stop_words:
+            continue
+        lemmas.append(word)
+    return lemmas
+
+
+# Tokens: a stem of letters, digits, punctuation and non-ASCII letters (İ
+# lowercases to two characters, ß and the Greek final sigma do not change),
+# then up to two suffixes, so each rule meets its three-character boundary
+# and suffixes stack ("abceding", "abING").
+STEM_PIECES = st.sampled_from(
+    ["a", "ab", "abc", "Abcd", "7", "42", "-", "'", ".", "é", "ß", "İ", "ς", "Жа", "日本",
+     "\u0301"]
+)
+SUFFIXES = st.sampled_from(["ing", "ed", "s", "S", "ING", "eD", "in", "e"])
+TOKENS = st.tuples(
+    st.lists(STEM_PIECES, min_size=1, max_size=3), st.lists(SUFFIXES, max_size=2)
+).map(lambda parts: "".join(parts[0] + parts[1]))
+GAPS = st.sampled_from([" ", "\t", "\n", "\u3000"])
+TEXTS = st.lists(st.tuples(TOKENS, GAPS), max_size=25).map(
+    lambda pairs: "".join(token + gap for token, gap in pairs)
+)
+
+
+class TestLemmaMemo:
+    """The per-instance memo never changes what normalize returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TEXTS, min_size=1, max_size=4), st.data())
+    def test_matches_reference(self, texts, data):
+        words = sorted({w for text in texts for w in reference_normalize(text)})
+        stop_words = frozenset(data.draw(st.lists(st.sampled_from(words), max_size=3))
+                               if words else ())
+        norm = SuffixNormalizer(stop_words)
+        for text in texts + texts:  # the second round reads lemmas from the memo
+            assert norm.normalize(text) == reference_normalize(text, stop_words)
+
+    @settings(max_examples=25, deadline=None)
+    @given(TEXTS)
+    def test_full_memo_still_matches_reference(self, text):
+        norm = SuffixNormalizer(frozenset({"abc"}))
+        # keys with a space: raw.split() never yields such a token
+        norm._lemmas.update((f" {i}", None) for i in range(LEMMA_MEMO_LIMIT))
+        for _ in range(2):
+            assert norm.normalize(text) == reference_normalize(text, frozenset({"abc"}))
+        assert len(norm._lemmas) == LEMMA_MEMO_LIMIT
+
+    def test_memo_never_exceeds_its_bound(self):
+        letters = str.maketrans("0123456789", "abcdefghij")
+        text = " ".join("x" + str(i).translate(letters) for i in range(LEMMA_MEMO_LIMIT + 500))
+        norm = SuffixNormalizer()
+        assert norm.normalize(text) == reference_normalize(text)
+        assert len(norm._lemmas) == LEMMA_MEMO_LIMIT
+        assert norm.normalize(text) == reference_normalize(text)
+        assert len(norm._lemmas) == LEMMA_MEMO_LIMIT
+
+    def test_memo_is_not_part_of_the_value(self):
+        used = SuffixNormalizer(frozenset({"the"}))
+        used.normalize("the worn gears")
+        fresh = SuffixNormalizer(frozenset({"the"}))
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "SuffixNormalizer(stop_words=frozenset({'the'}))"
+
+    def test_fingerprint_names_class_and_stop_words(self):
+        empty = SuffixNormalizer().fingerprint()
+        assert empty == {
+            "class": "SuffixNormalizer",
+            "stop_words_sha256": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }
+        # the sorted stop words, one per line: sha256(b"and\nat\nin\nis\nof\non\nthe\nto")
+        stop_words = frozenset(["the", "and", "of", "to", "in", "is", "on", "at"])
+        assert SuffixNormalizer(stop_words).fingerprint() == {
+            "class": "SuffixNormalizer",
+            "stop_words_sha256": "d266315b44bc6eeaec389a9bafad7cc480a64ce3d4361965ea6561b8f11f1346",
+        }
 
 
 class TestTermWeights:

@@ -3,10 +3,11 @@
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from evoquery.corpus import (
@@ -22,6 +23,7 @@ from evoquery.errors import (
     DivergenceDetected,
     LedgerCorrupt,
     NonReplayableLedger,
+    PoolTooSmall,
 )
 from evoquery.evolution import (
     COUNT_LIMITS,
@@ -133,6 +135,14 @@ class TestProviderSpec:
         with pytest.raises(ConfigInvalid):
             ProviderSpec(rate_limit_rps=0.0)
 
+    def test_pool_must_outnumber_genome_terms_when_mutating(self):
+        assert RunConfig(g3=4, e1=1, keyword_pool_size=4).min_pool_size == 4
+        assert RunConfig(g3=4, e1=2, keyword_pool_size=5).min_pool_size == 5
+        with pytest.raises(ConfigInvalid, match="^keyword_pool_size must be at least 5"):
+            RunConfig(g3=4, e1=2, keyword_pool_size=4)
+        with pytest.raises(ConfigInvalid, match="^keyword_pool_size must be at least 4"):
+            RunConfig(g3=4, e1=1, keyword_pool_size=3)
+
     def test_payload_round_trip(self):
         spec = ProviderSpec(
             kind="http", endpoint="https://api.example/search",
@@ -187,7 +197,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("name", sorted(COUNT_LIMITS))
     def test_counts_bounded_above(self, name):
         limit = COUNT_LIMITS[name]
-        assert getattr(RunConfig.from_payload({name: limit}), name) == limit
+        # a pool large enough for g3 at its bound
+        roomy = {"keyword_pool_size": COUNT_LIMITS["keyword_pool_size"]}
+        assert getattr(RunConfig.from_payload({**roomy, name: limit}), name) == limit
         with pytest.raises(ConfigInvalid, match=f"^{name} must be in 1..{limit}"):
             RunConfig.from_payload({name: limit + 1})
 
@@ -329,6 +341,58 @@ class TestPayloadBoundary:
         self.check(ProviderSpec, payload)
 
 
+SMALL_RUN_FIELDS = {
+    "g2": st.integers(1, 4),
+    "g3": st.integers(1, 4),
+    "e1": st.integers(1, 3),
+    **{name: st.integers(1, 5) for name in ("f1", "f2", "f3")},
+    "f4": st.floats(0.01, 1.0),
+    "m1": st.floats(0.0, 1.0),
+    "a_factor": st.floats(0.0, 1.0),
+    "keyword_pool_size": st.integers(1, 12),
+    "relevance_threshold": st.integers(0, 3),
+    "rng_seed": st.integers(0, 2**64),
+    "variant": st.sampled_from(["lemma", "quoted"]),
+    "freeze_reference": st.booleans(),
+    "provider": st.fixed_dictionaries({}, optional={"full_body_snippets": st.booleans()}),
+}
+# (f5, f6, f7): each sums to 1 within the tolerance FitnessWeights allows
+WEIGHTS = st.sampled_from([(0.33, 0.33, 0.34), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.2, 0.7, 0.1)])
+
+
+@pytest.fixture(scope="module")
+def bundled_inputs(tmp_path_factory):
+    data = Path(__file__).resolve().parents[1] / "data"
+    index_path = tmp_path_factory.mktemp("bundled") / "index.json"
+    save_index(build_index(load_corpus(data / "corpus.jsonl")), index_path)
+    return index_path, data / "seed_material.jsonl"
+
+
+class TestAcceptedConfigsReplay:
+    """Every payload RunConfig accepts runs to a ledger that replay verifies."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=SMALL_RUN_FIELDS), WEIGHTS, st.booleans())
+    def test_small_runs_replay(self, bundled_inputs, payload, weights, with_weights):
+        if with_weights:
+            payload = {**payload, **dict(zip(("f5", "f6", "f7"), weights))}
+        try:
+            config = RunConfig.from_payload(payload)
+        except ConfigInvalid:
+            reject()
+        index_path, seed_path = bundled_inputs
+        ledger = run_evolution(
+            config,
+            build_provider(config.provider, index_path),
+            load_corpus(seed_path),
+            inputs=make_run_inputs(index_path, seed_path),
+        )
+        with tempfile.TemporaryDirectory() as ledger_dir:
+            write_run_ledger(ledger_dir, ledger)
+            rerun = replay(ledger_dir)
+        assert len(rerun.generations) == config.e1
+
+
 class TestRunEvolution:
     def test_generation_count_and_shape(self, provider):
         config = small_config()
@@ -365,6 +429,18 @@ class TestRunEvolution:
             run_evolution(RunConfig(), StopAtFirstQuery(), seed)
         # keyword pool and reference text share one pass over the seed docs
         assert calls == [doc.body for doc in seed]
+
+    def test_too_few_seed_keywords_rejected_before_any_query(self):
+        class NoQueries:
+            name = "none"
+            stamps_time = False
+
+            def execute(self, query_string, limit):
+                raise AssertionError("no query may be sent")
+
+        # SEED_DOCS hold 10 distinct lemmas; mutation needs an 11th beside 10 terms
+        with pytest.raises(PoolTooSmall, match="yields 10 keywords, the run needs 11"):
+            run_evolution(small_config(g3=10, e1=2, keyword_pool_size=50), NoQueries(), SEED_DOCS)
 
     def test_single_generation_boundary(self, provider):
         ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)

@@ -9,7 +9,7 @@ from urllib.parse import parse_qs, urlsplit
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoquery.corpus import Document
+from evoquery.corpus import Document, SuffixNormalizer
 from evoquery.errors import (
     EmptyCorpus,
     EmptyQuery,
@@ -20,6 +20,7 @@ from evoquery.errors import (
 from evoquery.provider import (
     BM25_B,
     BM25_K1,
+    INDEX_FORMAT,
     SNIPPET_CHARS,
     HttpProvider,
     OfflineProvider,
@@ -142,6 +143,72 @@ class TestBuildIndex:
         path = tmp_path / "junk.json"
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_index(path)
+
+
+def reference_build_index(docs, normalizer):
+    # oracle: build_index's loop as it was before it counted terms per document
+    postings, stored, total_len = {}, {}, 0
+    for d in docs:
+        lemmas = normalizer.normalize(d.body)
+        total_len += len(lemmas)
+        stored[d.id] = (d.url, d.host, d.title, " ".join(d.body.split()), len(lemmas))
+        for lemma in lemmas:
+            postings.setdefault(lemma, {})
+            postings[lemma][d.id] = postings[lemma].get(d.id, 0) + 1
+    return postings, stored, total_len / len(docs)
+
+
+class TestIndexFile:
+    @given(
+        bodies=st.lists(
+            st.lists(st.sampled_from(["aa", "Bb", "bbs", "cc.", "ccing", "7", "dd", "é"]),
+                     max_size=10),
+            min_size=1,
+            max_size=8,
+        ),
+        stop_words=st.sets(st.sampled_from(["aa", "bb", "cc"]), max_size=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_build_matches_reference(self, bodies, stop_words):
+        # ids run against insertion order, so corpus order is not id order
+        docs = [doc(f"d{len(bodies) - i}", " ".join(b)) for i, b in enumerate(bodies)]
+        normalizer = SuffixNormalizer(frozenset(stop_words))
+        postings, stored, avg_doc_len = reference_build_index(docs, normalizer)
+        index = build_index(docs, normalizer)
+        # equal including order: lemmas by first use, each list's ids in corpus order
+        assert [(t, list(p.items())) for t, p in index.postings.items()] == [
+            (t, list(p.items())) for t, p in postings.items()
+        ]
+        assert {
+            doc_id: (d.url, d.host, d.title, d.text, d.length) for doc_id, d in index.docs.items()
+        } == stored
+        assert index.avg_doc_len == avg_doc_len
+        assert index.normalizer == normalizer.fingerprint()
+
+    def test_compact_sorted_format_2(self, tmp_path):
+        normalizer = SuffixNormalizer(frozenset({"cc"}))
+        path = tmp_path / "index.json"
+        save_index(build_index([doc("d1", "bb aa cc"), doc("d2", "aa")], normalizer), path)
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert text == json.dumps(
+            payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")
+        )
+        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 2)
+        assert payload["normalizer"] == normalizer.fingerprint()
+        assert load_index(path).normalizer == normalizer.fingerprint()
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index([doc("d1", "aa")]), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["normalizer"]
+        path.write_text(json.dumps({**payload, "version": 1}), encoding="utf-8")
+        with pytest.raises(ParseError, match="unsupported index version 1"):
+            load_index(path)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match="does not record its normalizer"):
             load_index(path)
 
 
