@@ -25,7 +25,6 @@ from .errors import (
     ConfigInvalid,
     DivergenceDetected,
     EvoqueryError,
-    LedgerCorrupt,
     ProtocolError,
     ProviderUnavailable,
     ZeroEnergySequence,
@@ -56,7 +55,7 @@ from .evolution import (
     run_evolution,
     write_run_ledger,
 )
-from .ledger import FINAL_RESULTS_FILE, read_final_results_text
+from .ledger import FINAL_RESULTS_FILE, parse_ledger_json, read_final_results_text
 from .provider import build_index, save_index
 from .report import metrics_csv_text, read_metrics_csv, write_report
 
@@ -124,7 +123,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         spec = ProviderSpec(
             kind="offline", full_body_snippets=config.provider.full_body_snippets
         )
-        inputs = make_run_inputs(index_path, seed_path)
+        inputs = make_run_inputs(args.out, index_path, seed_path)
     else:
         index_path = None
         spec = ProviderSpec(
@@ -148,10 +147,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _ledger_ordering(ledger_dir: Path) -> RankedList:
-    try:
-        payload = json.loads(read_final_results_text(ledger_dir))
-    except json.JSONDecodeError as exc:
-        raise LedgerCorrupt(f"{FINAL_RESULTS_FILE} is not valid JSON: {exc.msg}") from exc
+    payload = parse_ledger_json(read_final_results_text(ledger_dir), FINAL_RESULTS_FILE)
     if not isinstance(payload, list):
         raise ConfigInvalid(f"final results in {ledger_dir} must be an array")
     urls = []

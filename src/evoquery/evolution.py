@@ -49,9 +49,11 @@ from .genome import (
     seed_population,
 )
 from .ledger import (
+    FINAL_RESULTS_FILE,
     canonical_json,
     file_digest,
     first_divergence,
+    parse_ledger_json,
     parse_record_line,
     read_config_payload,
     read_final_results_text,
@@ -187,9 +189,6 @@ class RunConfig:
     f5/f6/f7: rank/crossquery/semantic component weights; m1: mutation
     probability; e1: generation count. These short names are the config
     file's vocabulary; each count is bounded by ``COUNT_LIMITS``.
-    relevance_threshold is only recorded, as every ledger's config.json
-    carries it; ``evaluate --threshold`` sets the grade that precision counts
-    as relevant.
     """
 
     g2: int = 8
@@ -207,7 +206,6 @@ class RunConfig:
     rng_seed: int = 0
     variant: Variant = Variant.LEMMA
     keyword_pool_size: int = 50
-    relevance_threshold: int = 2
     freeze_reference: bool = False
     stop_words_path: str | None = None
     provider: ProviderSpec = dc_field(default_factory=ProviderSpec)
@@ -231,10 +229,6 @@ class RunConfig:
             raise ConfigInvalid(f"m1 must be a probability, got {self.m1!r}")
         if not (0.0 <= self.a_factor <= 1.0):
             raise ConfigInvalid(f"a_factor must be in [0, 1], got {self.a_factor!r}")
-        if self.relevance_threshold not in (0, 1, 2, 3):
-            raise ConfigInvalid(
-                f"relevance_threshold must be a 0..3 grade, got {self.relevance_threshold!r}"
-            )
         self.fitness_weights()  # validates f4..f7 and the caps
 
     @property
@@ -578,12 +572,20 @@ def build_provider(spec: ProviderSpec, index_path: str | Path | None = None) -> 
     )
 
 
-def make_run_inputs(index_path: str | Path, seed_material_path: str | Path) -> dict:
-    """Input fingerprints stored beside the config for later replay."""
+def make_run_inputs(
+    ledger_dir: str | Path, index_path: str | Path, seed_material_path: str | Path
+) -> dict:
+    """Input fingerprints stored beside the config for later replay.
+
+    Paths are recorded relative to the ledger directory, so replay finds the
+    inputs from any working directory and the ledger's bytes do not depend
+    on where the directories live, only on where they lie to each other.
+    """
+    base = Path(ledger_dir).resolve()
     return {
-        "index_path": str(index_path),
+        "index_path": os.path.relpath(Path(index_path).resolve(), base),
         "index_sha256": file_digest(index_path),
-        "seed_material_path": str(seed_material_path),
+        "seed_material_path": os.path.relpath(Path(seed_material_path).resolve(), base),
         "seed_material_sha256": file_digest(seed_material_path),
     }
 
@@ -600,14 +602,13 @@ def write_run_ledger(ledger_dir: str | Path, ledger: RunLedger) -> None:
     )
 
 
-def _verify_input_file(path_text: str, recorded_digest: str, label: str) -> None:
-    path = Path(path_text)
+def _verify_input_file(path: Path, recorded_digest: str, label: str) -> None:
     if not path.is_file():
-        raise LedgerCorrupt(f"recorded {label} {path_text!r} no longer exists")
+        raise LedgerCorrupt(f"recorded {label} {str(path)!r} no longer exists")
     actual = file_digest(path)
     if actual != recorded_digest:
         raise LedgerCorrupt(
-            f"recorded {label} {path_text!r} changed since the run "
+            f"recorded {label} {str(path)!r} changed since the run "
             f"(sha256 {actual} != {recorded_digest})"
         )
 
@@ -627,15 +628,16 @@ def replay(ledger_dir: str | Path) -> RunLedger:
     if not isinstance(inputs, dict):
         raise LedgerCorrupt("ledger records no input files; cannot replay")
     for key in ("index_path", "index_sha256", "seed_material_path", "seed_material_sha256"):
-        if key not in inputs:
-            raise LedgerCorrupt(f"ledger inputs lack {key}")
-    _verify_input_file(inputs["index_path"], inputs["index_sha256"], "index")
-    _verify_input_file(
-        inputs["seed_material_path"], inputs["seed_material_sha256"], "seed material"
-    )
+        if not isinstance(inputs.get(key), str):
+            raise LedgerCorrupt(f"ledger inputs lack a string {key}")
+    # recorded paths are relative to the ledger directory
+    index_path = Path(ledger_dir, inputs["index_path"])
+    seed_material_path = Path(ledger_dir, inputs["seed_material_path"])
+    _verify_input_file(index_path, inputs["index_sha256"], "index")
+    _verify_input_file(seed_material_path, inputs["seed_material_sha256"], "seed material")
 
-    provider = build_provider(config.provider, inputs["index_path"])
-    seed_material = load_corpus(inputs["seed_material_path"])
+    provider = build_provider(config.provider, index_path)
+    seed_material = load_corpus(seed_material_path)
     rerun = run_evolution(config, provider, seed_material, inputs=inputs)
 
     stored_lines = read_generation_lines(ledger_dir)
@@ -657,12 +659,11 @@ def replay(ledger_dir: str | Path) -> RunLedger:
     stored_final = read_final_results_text(ledger_dir).strip()
     fresh_final = canonical_json([result_to_payload(r) for r in rerun.final_results])
     if stored_final != fresh_final:
-        try:
-            found = first_divergence(
-                json.loads(stored_final), json.loads(fresh_final), "final_results"
-            )
-        except json.JSONDecodeError:
-            found = None
+        found = first_divergence(
+            parse_ledger_json(stored_final, FINAL_RESULTS_FILE),
+            json.loads(fresh_final),
+            "final_results",
+        )
         raise DivergenceDetected(
             config.e1, *(found or ("final_results", stored_final, fresh_final))
         )

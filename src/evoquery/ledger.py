@@ -1,82 +1,39 @@
 """Run-ledger persistence with a canonical JSON form.
 
-A ledger is a directory: config.json (run parameters and input file
-fingerprints), generations.jsonl (one record per generation), and
-final_results.json (the run-wide capped result list). Every value is
-serialized through one canonical dumper (sorted keys, compact separators,
-ASCII escapes, floats at 17 significant digits) so equal runs produce
-byte-equal files and replay can compare lines directly.
+A ledger is a directory: config.json (the ledger format, run parameters
+and input file fingerprints), generations.jsonl (one record per
+generation), and final_results.json (the run-wide capped result list).
+Every value is serialized through one canonical dumper (sorted keys,
+compact separators, ASCII escapes, floats as the shortest decimal that
+reads back to the same value) so equal runs produce byte-equal files and
+replay can compare lines directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import LedgerCorrupt
 
 CONFIG_FILE = "config.json"
 GENERATIONS_FILE = "generations.jsonl"
 FINAL_RESULTS_FILE = "final_results.json"
-
-
-_escape_string = json.encoder.encode_basestring_ascii
-
-
-def format_float(value: float) -> str:
-    """17-significant-digit decimal, always spelled as a float literal."""
-    text = f"{value:.17g}"
-    if "." in text or "e" in text:
-        return text
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError(f"non-finite float {value!r} cannot enter a ledger")
-    return text + ".0"
+# Version of the files' layout and spelling, recorded in config.json.
+# Format 1 (no recorded version) spelled floats at 17 significant digits.
+LEDGER_FORMAT = 2
 
 
 def canonical_json(value: Any) -> str:
-    """Deterministic JSON: sorted keys, no spaces, escaped non-ASCII."""
-    parts: list[str] = []
-    _write_canonical(value, parts.append, {})
-    return "".join(parts)
+    """Deterministic JSON: sorted keys, no spaces, escaped non-ASCII.
 
-
-def _write_canonical(value: Any, emit: Callable[[str], None], labels: dict[str, str]) -> None:
-    """Append ``value``'s canonical text through ``emit``.
-
-    ``labels`` maps each object key already seen in this document to its
-    escaped ``"key":`` text, so repeated keys are escaped once.
+    Floats are spelled by ``repr``; NaN and infinities raise ValueError.
     """
-    if isinstance(value, str):
-        emit(_escape_string(value))
-    elif isinstance(value, float):
-        emit(format_float(value))
-    elif isinstance(value, dict):
-        separator = "{"
-        for key in sorted(value):
-            label = labels.get(key)
-            if label is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"ledger object keys must be strings, got {key!r}")
-                label = labels[key] = _escape_string(key) + ":"
-            emit(separator)
-            emit(label)
-            _write_canonical(value[key], emit, labels)
-            separator = ","
-        emit("}" if separator == "," else "{}")  # "{}" when nothing was written
-    elif isinstance(value, (list, tuple)):
-        separator = "["
-        for item in value:
-            emit(separator)
-            _write_canonical(item, emit, labels)
-            separator = ","
-        emit("]" if separator == "," else "[]")  # "[]" when nothing was written
-    elif value is None or isinstance(value, (bool, int)):
-        emit(json.dumps(value, ensure_ascii=True))
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} into a ledger")
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
+    )
 
 
 def file_digest(path: str | Path) -> str:
@@ -92,7 +49,8 @@ def write_ledger_dir(
     directory = Path(ledger_dir)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / CONFIG_FILE).write_text(
-        canonical_json(config_payload) + "\n", encoding="utf-8"
+        canonical_json({**config_payload, "ledger_format": LEDGER_FORMAT}) + "\n",
+        encoding="utf-8",
     )
     with open(directory / GENERATIONS_FILE, "w", encoding="utf-8") as fh:
         for payload in generation_payloads:
@@ -109,14 +67,26 @@ def _read_ledger_file(ledger_dir: str | Path, name: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def read_config_payload(ledger_dir: str | Path) -> dict:
+def parse_ledger_json(text: str, where: str) -> Any:
+    """Parse one ledger document; ``where`` names it in the LedgerCorrupt raised."""
     try:
-        payload = json.loads(_read_ledger_file(ledger_dir, CONFIG_FILE))
+        return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        path = Path(ledger_dir) / CONFIG_FILE
-        raise LedgerCorrupt(f"{path} is not valid JSON: {exc}") from exc
+        raise LedgerCorrupt(f"{where} is not valid JSON: {exc}") from exc
+
+
+def read_config_payload(ledger_dir: str | Path) -> dict:
+    """config.json's object without its ``ledger_format``, which must be ours."""
+    path = Path(ledger_dir) / CONFIG_FILE
+    payload = parse_ledger_json(_read_ledger_file(ledger_dir, CONFIG_FILE), str(path))
     if not isinstance(payload, dict):
         raise LedgerCorrupt(f"{CONFIG_FILE} must hold an object")
+    found = payload.pop("ledger_format", 1)  # format 1 recorded no version
+    if found != LEDGER_FORMAT:
+        raise LedgerCorrupt(
+            f"{path} holds ledger format {found!r}, but only format {LEDGER_FORMAT} "
+            "is supported; run evolve again to write a new ledger"
+        )
     return payload
 
 
@@ -130,12 +100,10 @@ def read_final_results_text(ledger_dir: str | Path) -> str:
 
 
 def parse_record_line(line: str, line_no: int) -> dict:
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise LedgerCorrupt(f"generation line {line_no} is not valid JSON: {exc.msg}") from exc
+    where = f"{GENERATIONS_FILE} line {line_no}"
+    payload = parse_ledger_json(line, where)
     if not isinstance(payload, dict):
-        raise LedgerCorrupt(f"generation line {line_no} must hold an object")
+        raise LedgerCorrupt(f"{where} must hold an object")
     return payload
 
 

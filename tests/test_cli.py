@@ -366,6 +366,19 @@ class TestEvaluate:
         assert code == 1
         assert f"error: {FINAL_RESULTS_FILE} is not valid JSON" in capsys.readouterr().err
 
+    def test_final_results_integer_over_digit_limit_names_file(
+        self, data_dir, run_dir, tmp_path, capsys
+    ):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        final = ledger / FINAL_RESULTS_FILE
+        final.write_text('[{"position":' + "9" * 5000 + ',"url":"https://a.example/x"}]\n')
+        code = main([
+            "evaluate", "--ledger", str(ledger), "--qrels", str(data_dir / "qrels.tsv"),
+        ])
+        assert code == 1
+        assert f"error: {FINAL_RESULTS_FILE} is not valid JSON" in capsys.readouterr().err
+
     def test_needs_some_ordering(self, data_dir):
         code = main(["evaluate", "--qrels", str(data_dir / "qrels.tsv")])
         assert code == 1
@@ -503,6 +516,47 @@ class TestReplay:
 
     def test_missing_ledger(self, tmp_path, capsys):
         assert main(["replay", "--ledger", str(tmp_path)]) == 1
+
+    def test_replays_from_another_working_directory(self, data_dir, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in ("config.json", "seed.jsonl", "index.json"):
+            shutil.copy(data_dir / name, work / name)
+        monkeypatch.chdir(work)
+        assert main([
+            "evolve", "--config", "config.json", "--seed-material", "seed.jsonl",
+            "--index", "index.json", "--out", "ledger",
+        ]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert main(["replay", "--ledger", "../work/ledger"]) == 0
+        assert "replay verified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("recorded", [None, 1, 3, "2"])
+    def test_other_ledger_format_refused(self, run_dir, tmp_path, capsys, recorded):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        config = ledger / "config.json"
+        payload = json.loads(config.read_text())
+        del payload["ledger_format"]
+        if recorded is not None:
+            payload["ledger_format"] = recorded
+        config.write_text(canonical_json(payload) + "\n")
+        assert main(["replay", "--ledger", str(ledger)]) == 1
+        found = 1 if recorded is None else recorded
+        assert f"holds ledger format {found!r}, but only format 2" in capsys.readouterr().err
+
+    def test_final_results_integer_over_digit_limit_names_file(self, run_dir, tmp_path, capsys):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        final = ledger / FINAL_RESULTS_FILE
+        text, count = re.subn(r'"position":\d+', '"position":' + "9" * 5000, final.read_text(), 1)
+        assert count == 1
+        final.write_text(text)
+        assert main(["replay", "--ledger", str(ledger)]) == 1
+        assert f"error: {FINAL_RESULTS_FILE} is not valid JSON" in capsys.readouterr().err
 
     def test_config_integer_over_digit_limit_names_file(self, run_dir, tmp_path, capsys):
         ledger = tmp_path / "ledger"

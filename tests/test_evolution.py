@@ -175,7 +175,6 @@ class TestRunConfig:
         assert config.a_factor == 1.0
         assert config.variant is Variant.LEMMA
         assert config.keyword_pool_size == 50
-        assert config.relevance_threshold == 2
         assert not config.freeze_reference
 
     def test_component_weights_must_sum_to_one(self):
@@ -191,8 +190,11 @@ class TestRunConfig:
             RunConfig(a_factor=-0.1)
         with pytest.raises(ConfigInvalid):
             RunConfig(f4=0.0)
-        with pytest.raises(ConfigInvalid):
-            RunConfig(relevance_threshold=7)
+
+    def test_relevance_threshold_is_an_unknown_key(self):
+        # evaluate --threshold is the one relevance threshold
+        with pytest.raises(ConfigInvalid, match=r"unknown config keys: \['relevance_threshold'\]"):
+            RunConfig.from_payload({"relevance_threshold": 2})
 
     @pytest.mark.parametrize("name", sorted(COUNT_LIMITS))
     def test_counts_bounded_above(self, name):
@@ -308,7 +310,6 @@ CONFIG_FIELDS = {
     **{name: field_values(COUNTS) for name in ("g2", "g3", "f1", "f2", "f3", "e1")},
     **{name: field_values(UNIT_FLOATS) for name in ("f4", "f5", "f6", "f7", "m1", "a_factor")},
     "keyword_pool_size": field_values(COUNTS),
-    "relevance_threshold": field_values(st.integers(-1, 4)),
     "rng_seed": field_values(st.integers()),
     "variant": field_values(st.sampled_from(["lemma", "quoted"])),
     "freeze_reference": field_values(st.booleans()),
@@ -350,7 +351,6 @@ SMALL_RUN_FIELDS = {
     "m1": st.floats(0.0, 1.0),
     "a_factor": st.floats(0.0, 1.0),
     "keyword_pool_size": st.integers(1, 12),
-    "relevance_threshold": st.integers(0, 3),
     "rng_seed": st.integers(0, 2**64),
     "variant": st.sampled_from(["lemma", "quoted"]),
     "freeze_reference": st.booleans(),
@@ -381,13 +381,13 @@ class TestAcceptedConfigsReplay:
         except ConfigInvalid:
             reject()
         index_path, seed_path = bundled_inputs
-        ledger = run_evolution(
-            config,
-            build_provider(config.provider, index_path),
-            load_corpus(seed_path),
-            inputs=make_run_inputs(index_path, seed_path),
-        )
         with tempfile.TemporaryDirectory() as ledger_dir:
+            ledger = run_evolution(
+                config,
+                build_provider(config.provider, index_path),
+                load_corpus(seed_path),
+                inputs=make_run_inputs(ledger_dir, index_path, seed_path),
+            )
             write_run_ledger(ledger_dir, ledger)
             rerun = replay(ledger_dir)
         assert len(rerun.generations) == config.e1
@@ -658,15 +658,17 @@ class TestBuildProvider:
 class TestLedgerWriteAndReplay:
     def _run_and_write(self, tmp_path, provider, run_inputs_dir, **overrides):
         index_path, seed_path = run_inputs_dir
-        inputs = make_run_inputs(index_path, seed_path)
-        ledger = run_evolution(small_config(**overrides), provider, SEED_DOCS, inputs=inputs)
         ledger_dir = tmp_path / "ledger"
+        inputs = make_run_inputs(ledger_dir, index_path, seed_path)
+        ledger = run_evolution(small_config(**overrides), provider, SEED_DOCS, inputs=inputs)
         write_run_ledger(ledger_dir, ledger)
         return ledger_dir, ledger
 
     def test_inputs_fingerprints(self, run_inputs_dir):
         index_path, seed_path = run_inputs_dir
-        inputs = make_run_inputs(index_path, seed_path)
+        inputs = make_run_inputs(index_path.parent / "ledger", index_path, seed_path)
+        assert inputs["index_path"] == "../index.json"
+        assert inputs["seed_material_path"] == "../seed.jsonl"
         assert inputs["index_sha256"] == hashlib.sha256(index_path.read_bytes()).hexdigest()
         assert inputs["seed_material_sha256"] == hashlib.sha256(
             seed_path.read_bytes()
@@ -755,13 +757,22 @@ class TestLedgerWriteAndReplay:
         with pytest.raises(LedgerCorrupt):
             replay(tmp_path)
 
+    def test_non_string_input_path_refused(self, tmp_path, provider, run_inputs_dir):
+        ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)
+        path = ledger_dir / "config.json"
+        payload = json.loads(path.read_text())
+        payload["inputs"]["index_path"] = 5
+        path.write_text(canonical_json(payload) + "\n")
+        with pytest.raises(LedgerCorrupt, match="lack a string index_path"):
+            replay(ledger_dir)
+
     def test_changed_input_file_refused(self, tmp_path, provider, run_inputs_dir):
         index_path, seed_path = run_inputs_dir
         local_seed = tmp_path / "seed.jsonl"
         local_seed.write_bytes(seed_path.read_bytes())
-        inputs = make_run_inputs(index_path, local_seed)
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS, inputs=inputs)
         ledger_dir = tmp_path / "ledger"
+        inputs = make_run_inputs(ledger_dir, index_path, local_seed)
+        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS, inputs=inputs)
         write_run_ledger(ledger_dir, ledger)
         local_seed.write_bytes(local_seed.read_bytes() + b"\n")
         with pytest.raises(LedgerCorrupt):
@@ -771,9 +782,9 @@ class TestLedgerWriteAndReplay:
         index_path, seed_path = run_inputs_dir
         local_seed = tmp_path / "seed.jsonl"
         local_seed.write_bytes(seed_path.read_bytes())
-        inputs = make_run_inputs(index_path, local_seed)
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS, inputs=inputs)
         ledger_dir = tmp_path / "ledger"
+        inputs = make_run_inputs(ledger_dir, index_path, local_seed)
+        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS, inputs=inputs)
         write_run_ledger(ledger_dir, ledger)
         local_seed.unlink()
         with pytest.raises(LedgerCorrupt):
@@ -798,7 +809,8 @@ class TestLedgerWriteAndReplay:
     def test_config_written_with_inputs_section(self, tmp_path, provider, run_inputs_dir):
         ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)
         payload = json.loads((ledger_dir / "config.json").read_text())
-        assert set(payload) == {"config", "inputs"}
+        assert set(payload) == {"config", "inputs", "ledger_format"}
+        assert payload["ledger_format"] == 2
         assert set(payload["inputs"]) == {
             "index_path", "index_sha256", "seed_material_path", "seed_material_sha256",
         }

@@ -4,6 +4,10 @@ An optimization of scoring, selection or ledger writing must leave every
 ledger byte as it was. These digests pin the bundled data's ledgers for
 the reference config, a wider lemma run and a quoted (conjunctive) run; a
 change that moves one is a format change and must say so.
+
+``GOLDEN`` holds the format-1 digests. Each format-2 file, read back and
+written through the format-1 reference writer, must still match them, so
+the values have not moved since format 1; ``GOLDEN_V2`` pins the bytes.
 """
 
 import hashlib
@@ -22,6 +26,7 @@ from evoquery.evolution import (
 )
 from evoquery.ledger import FINAL_RESULTS_FILE, GENERATIONS_FILE
 from evoquery.provider import build_index, save_index
+from reference_ledger import reference_canonical_json
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -43,6 +48,21 @@ GOLDEN = {
     ),
 }
 
+GOLDEN_V2 = {
+    "reference": (
+        "f0eaf3167d18183f06b5caabb59c874374ad1632e18d1a75171fd69075b5d948",
+        "cb2b29f5bfe4eeec8390bba1d825cd1d7a1a431322af72fac6e858f90dc3a438",
+    ),
+    "wide-lemma": (
+        "3b0c834b1df078376815f3c4c80f9cc6a83ad59e4aca69bae18a1cd9fa69af0b",
+        "42c4df6a6f237889ebef8b9de8a27412ad30b05e8199734c4eb148ae2dc332f2",
+    ),
+    "quoted": (
+        "5c966a6bb43ac38a75770920876e771ffe26a3da267d79de4d12d71b208f55d0",
+        "05191d589ec6788d58ebe3fddbde71d93060ca83c55c1930b7dce6b5eb31d26a",
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def index_path(tmp_path_factory):
@@ -55,6 +75,13 @@ def sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def format_1_sha256_of(path: Path) -> str:
+    """sha256 of ``path`` with each line rewritten by the format-1 writer."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    text = "".join(reference_canonical_json(json.loads(line)) + "\n" for line in lines)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_ledger_digests(name, index_path, tmp_path):
     overrides, generations_sha, final_sha = GOLDEN[name]
@@ -65,8 +92,11 @@ def test_ledger_digests(name, index_path, tmp_path):
         config,
         build_provider(config.provider, index_path),
         load_corpus(seed_path),
-        inputs=make_run_inputs(index_path, seed_path),
+        inputs=make_run_inputs(tmp_path, index_path, seed_path),
     )
     write_run_ledger(tmp_path, ledger)
-    assert sha256_of(tmp_path / GENERATIONS_FILE) == generations_sha
-    assert sha256_of(tmp_path / FINAL_RESULTS_FILE) == final_sha
+    assert format_1_sha256_of(tmp_path / GENERATIONS_FILE) == generations_sha
+    assert format_1_sha256_of(tmp_path / FINAL_RESULTS_FILE) == final_sha
+    v2_generations_sha, v2_final_sha = GOLDEN_V2[name]
+    assert sha256_of(tmp_path / GENERATIONS_FILE) == v2_generations_sha
+    assert sha256_of(tmp_path / FINAL_RESULTS_FILE) == v2_final_sha

@@ -14,43 +14,17 @@ from evoquery.ledger import (
     CONFIG_FILE,
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
+    LEDGER_FORMAT,
     canonical_json,
     file_digest,
     first_divergence,
-    format_float,
     parse_record_line,
     read_config_payload,
     read_final_results_text,
     read_generation_lines,
     write_ledger_dir,
 )
-
-
-class TestFormatFloat:
-    def test_plain_fraction(self):
-        assert format_float(0.5) == "0.5"
-
-    def test_integral_value_keeps_float_spelling(self):
-        assert format_float(1.0) == "1.0"
-        assert format_float(123456789.0) == "123456789.0"
-
-    def test_seventeen_digit_expansion(self):
-        assert format_float(0.1) == "0.10000000000000001"
-
-    def test_exponent_form_untouched(self):
-        assert format_float(2.2250738585072014e-308) == "2.2250738585072014e-308"
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            format_float(math.nan)
-        with pytest.raises(ValueError):
-            format_float(math.inf)
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_round_trip_exact(self, value):
-        assert float(format_float(value)) == value or (
-            value == 0.0 and math.copysign(1.0, float(format_float(value))) == math.copysign(1.0, value)
-        )
+from reference_ledger import reference_canonical_json
 
 
 class TestCanonicalJson:
@@ -72,9 +46,29 @@ class TestCanonicalJson:
     def test_tuple_serialized_as_array(self):
         assert canonical_json((1, 2)) == "[1,2]"
 
+    def test_float_shortest_round_trip_spelling(self):
+        assert canonical_json(0.1) == "0.1"
+        assert canonical_json(0.5) == "0.5"
+        assert canonical_json(123456789.0) == "123456789.0"
+        assert canonical_json(1e16) == "1e+16"
+        assert canonical_json(2.2250738585072014e-308) == "2.2250738585072014e-308"
+
+    def test_non_finite_float_rejected(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                canonical_json({"a": [value]})
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_round_trip_exact(self, value):
+        parsed = float(canonical_json(value))
+        assert parsed == value
+        assert math.copysign(1.0, parsed) == math.copysign(1.0, value)
+
     def test_non_string_key_rejected(self):
+        # json.dumps spells int, float, bool and None keys as strings; every
+        # ledger payload key is a str literal or a dataclass field name
         with pytest.raises(TypeError):
-            canonical_json({1: "x"})
+            canonical_json({(1, 2): "x"})
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
@@ -142,6 +136,16 @@ class TestLedgerDir:
         with pytest.raises(LedgerCorrupt):
             parse_record_line("[1]", 1)  # record must be an object
 
+    def test_integer_over_digit_limit_names_file_and_line(self):
+        with pytest.raises(LedgerCorrupt, match=f"{GENERATIONS_FILE} line 4 is not valid JSON"):
+            parse_record_line('{"generation":' + "9" * 5000 + "}", 4)
+
+    def test_config_records_ledger_format(self, tmp_path):
+        config, _, _ = self._write(tmp_path)
+        written = json.loads((tmp_path / CONFIG_FILE).read_text())
+        assert written == {**config, "ledger_format": LEDGER_FORMAT}
+        assert read_config_payload(tmp_path) == config
+
     def test_file_digest_matches_hashlib(self, tmp_path):
         path = tmp_path / "blob.bin"
         path.write_bytes(b"fixed bytes")
@@ -175,34 +179,6 @@ class TestFirstDivergentPath:
         assert first_divergence([{"f": 0.5}], [{"f": 0.25}], "final")[0] == "final[0].f"
 
 
-def _reference_format_float(value):
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError(f"non-finite float {value!r} cannot enter a ledger")
-    text = f"{value:.17g}"
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
-
-
-def reference_canonical_json(value):
-    """The plain recursive writer canonical_json must match byte for byte."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return json.dumps(value, ensure_ascii=True)
-    if isinstance(value, float):
-        return _reference_format_float(value)
-    if isinstance(value, dict):
-        items = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"ledger object keys must be strings, got {key!r}")
-            label = json.dumps(key, ensure_ascii=True)
-            items.append(label + ":" + reference_canonical_json(value[key]))
-        return "{" + ",".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(reference_canonical_json(item) for item in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__} into a ledger")
-
-
 def _outcome(writer, value):
     try:
         return writer(value)
@@ -229,22 +205,30 @@ _VALID_LEAVES = (
 )
 
 
+def _as_format_1(value):
+    """The format-1 bytes of ``value``, read back from its canonical text."""
+    return reference_canonical_json(json.loads(canonical_json(value)))
+
+
 class TestCanonicalJsonMatchesReference:
+    """Format 2 holds every value format 1 did: only float spelling moved."""
+
     @settings(max_examples=300)
     @given(_payloads(_VALID_LEAVES, st.text()))
     def test_same_bytes(self, value):
-        assert canonical_json(value) == reference_canonical_json(value)
+        assert _as_format_1(value) == reference_canonical_json(value)
 
     @given(st.dictionaries(st.text(max_size=3), st.text(), max_size=3), st.integers(2, 5))
     def test_repeated_keys_same_bytes(self, record, copies):
         value = {"rows": [dict(record) for _ in range(copies)], "é": record}
-        assert canonical_json(value) == reference_canonical_json(value)
+        assert _as_format_1(value) == reference_canonical_json(value)
 
     @given(
         _payloads(
             _VALID_LEAVES | st.floats() | st.frozensets(st.integers(), max_size=2),
-            st.text(max_size=2) | st.integers(),
+            st.text(max_size=2),
         )
     )
     def test_same_rejects(self, value):
-        assert _outcome(canonical_json, value) == _outcome(reference_canonical_json, value)
+        # str keys only: json.dumps spells int keys as strings, format 1 refused them
+        assert _outcome(_as_format_1, value) == _outcome(reference_canonical_json, value)
