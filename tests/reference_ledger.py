@@ -10,7 +10,8 @@ import json
 import math
 
 
-def _reference_format_float(value):
+def reference_format_float(value):
+    """The format-1 spelling of a float: 17 significant digits, always with a "." or exponent."""
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"non-finite float {value!r} cannot enter a ledger")
     text = f"{value:.17g}"
@@ -24,7 +25,7 @@ def reference_canonical_json(value):
     if value is None or isinstance(value, (bool, int, str)):
         return json.dumps(value, ensure_ascii=True)
     if isinstance(value, float):
-        return _reference_format_float(value)
+        return reference_format_float(value)
     if isinstance(value, dict):
         items = []
         for key in sorted(value):

@@ -24,7 +24,24 @@ from evoquery.ledger import (
     read_generation_lines,
     write_ledger_dir,
 )
-from reference_ledger import reference_canonical_json
+from reference_ledger import reference_canonical_json, reference_format_float
+
+
+class TestFormatFloat:
+    """The format-1 float spelling that the golden digests are still checked in."""
+
+    def test_plain_fraction(self):
+        assert reference_format_float(0.5) == "0.5"
+
+    def test_integral_value_keeps_float_spelling(self):
+        assert reference_format_float(1.0) == "1.0"
+        assert reference_format_float(123456789.0) == "123456789.0"
+
+    def test_seventeen_digit_expansion(self):
+        assert reference_format_float(0.1) == "0.10000000000000001"
+
+    def test_exponent_form_untouched(self):
+        assert reference_format_float(2.2250738585072014e-308) == "2.2250738585072014e-308"
 
 
 class TestCanonicalJson:
