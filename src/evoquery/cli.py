@@ -114,6 +114,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             payload = json.loads(config_path.read_text(encoding="utf-8"))
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise ConfigInvalid(f"config {config_path} is not valid JSON: {exc}") from exc
+    provider_payload = payload.get("provider") if isinstance(payload, dict) else None
+    for key in ("kind", "endpoint"):
+        if isinstance(provider_payload, dict) and key in provider_payload:
+            raise ConfigInvalid(
+                f"config key provider.{key} is not accepted; --index or --endpoint "
+                "chooses the provider"
+            )
     config = RunConfig.from_payload(payload)
     seed_path = _require_file(args.seed_material, "seed material")
     seed_docs = load_corpus(seed_path)
@@ -136,8 +143,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config, provider=spec)
 
     provider = build_provider(spec, index_path)
-    ledger = run_evolution(config, provider, seed_docs, inputs=inputs)
-    write_run_ledger(args.out, ledger)
+    ledger = run_evolution(config, provider, seed_docs)
+    write_run_ledger(args.out, ledger, inputs)
     print(f"ledger written to {args.out}")
     print(f"final population fitness: {ledger.generations[-1].population_fitness:.6f}")
     print(f"top {len(ledger.final_results)} results:")

@@ -245,8 +245,8 @@ def load_corpus(path: str | Path) -> list[Document]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+            except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+                raise ParseError(f"invalid JSON ({exc})", line_no) from exc
             doc = _parse_document(record, line_no)
             if doc.id in seen:
                 raise DuplicateId(f"duplicate document id {doc.id!r}", line_no)

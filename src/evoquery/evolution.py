@@ -229,7 +229,7 @@ class RunConfig:
             raise ConfigInvalid(f"m1 must be a probability, got {self.m1!r}")
         if not (0.0 <= self.a_factor <= 1.0):
             raise ConfigInvalid(f"a_factor must be in [0, 1], got {self.a_factor!r}")
-        self.fitness_weights()  # validates f4..f7 and the caps
+        self.fitness_weights()  # validates f4..f7
 
     @property
     def min_pool_size(self) -> int:
@@ -243,9 +243,6 @@ class RunConfig:
             w_crossquery=self.f6,
             w_semantic=self.f7,
             host_coeff=self.f4,
-            per_query_cap=self.f1,
-            per_population_cap=self.f2,
-            global_cap=self.f3,
         )
 
     def to_payload(self) -> dict:
@@ -345,7 +342,6 @@ class RunLedger:
     config: RunConfig
     generations: list[GenerationRecord]
     final_results: list[ScoredResult]
-    inputs: dict | None = None
 
 
 @dataclass
@@ -475,7 +471,6 @@ def run_evolution(
     config: RunConfig,
     provider: SearchProvider,
     seed_material: Sequence[Document],
-    inputs: dict | None = None,
 ) -> RunLedger:
     """Run the full generational loop and return the in-memory ledger."""
     if not seed_material:
@@ -488,7 +483,6 @@ def run_evolution(
             f"index was built with normalizer {provider.index.normalizer}, but this run "
             f"normalizes with {fingerprint}; rebuild the index with the run's stop words"
         )
-    weights = config.fitness_weights()
     seed = seed_vector(seed_material, normalizer)
     pool = extract_keywords(seed, config.keyword_pool_size)
     if len(pool) < config.min_pool_size:
@@ -497,7 +491,7 @@ def run_evolution(
         )
     reference = ReferenceText.from_seed_vector(seed)
     vectors = HitVectors(normalizer)
-    evaluator = _QueryEvaluator(provider, weights, config, vectors)
+    evaluator = _QueryEvaluator(provider, config.fitness_weights(), config, vectors)
     evaluator.reference = reference
     population = seed_population(
         pool, config.g2, config.g3, config.rng_seed, config.variant
@@ -515,10 +509,8 @@ def run_evolution(
         fitnesses = [e.fitness for e in evaluations]
         mean_fitness = population_fitness(fitnesses)
 
-        population_top = aggregate_results(
-            [e.results for e in evaluations], weights.per_population_cap
-        )
-        global_top = merge_into_global(global_top, population_top, weights.global_cap)
+        population_top = aggregate_results([e.results for e in evaluations], config.f2)
+        global_top = merge_into_global(global_top, population_top, config.f3)
         if not config.freeze_reference:
             reference = update_reference_text(reference, population_top, vectors)
             evaluator.reference = reference
@@ -551,9 +543,7 @@ def run_evolution(
                 population, fitnesses, pool, config, rng, evaluator.evaluate_single
             )
 
-    return RunLedger(
-        config=config, generations=records, final_results=global_top, inputs=inputs
-    )
+    return RunLedger(config=config, generations=records, final_results=global_top)
 
 
 def build_provider(spec: ProviderSpec, index_path: str | Path | None = None) -> SearchProvider:
@@ -590,10 +580,13 @@ def make_run_inputs(
     }
 
 
-def write_run_ledger(ledger_dir: str | Path, ledger: RunLedger) -> None:
+def write_run_ledger(
+    ledger_dir: str | Path, ledger: RunLedger, inputs: dict | None = None
+) -> None:
+    """Write the ledger with the run's input fingerprints (``make_run_inputs``), if any."""
     for record in ledger.generations:
         record.check_consistency()
-    config_payload = {"config": ledger.config.to_payload(), "inputs": ledger.inputs}
+    config_payload = {"config": ledger.config.to_payload(), "inputs": inputs}
     write_ledger_dir(
         ledger_dir,
         config_payload,
@@ -638,7 +631,7 @@ def replay(ledger_dir: str | Path) -> RunLedger:
 
     provider = build_provider(config.provider, index_path)
     seed_material = load_corpus(seed_material_path)
-    rerun = run_evolution(config, provider, seed_material, inputs=inputs)
+    rerun = run_evolution(config, provider, seed_material)
 
     stored_lines = read_generation_lines(ledger_dir)
     fresh_lines = [canonical_json(r.to_payload()) for r in rerun.generations]

@@ -42,15 +42,12 @@ REFERENCE_CONTRIBUTORS = 3
 
 @dataclass(frozen=True)
 class FitnessWeights:
-    """Component weights, host damping and the three result-list caps."""
+    """Component weights and host damping; the result-list caps are RunConfig's f1-f3."""
 
     w_position: float = 0.33
     w_crossquery: float = 0.33
     w_semantic: float = 0.34
     host_coeff: float = 0.75
-    per_query_cap: int = 20
-    per_population_cap: int = 20
-    global_cap: int = 20
 
     def __post_init__(self) -> None:
         total = self.w_position + self.w_crossquery + self.w_semantic
@@ -60,9 +57,6 @@ class FitnessWeights:
             raise ConfigInvalid("component weights must be non-negative")
         if not (0.0 < self.host_coeff <= 1.0):
             raise ConfigInvalid(f"host coefficient must be in (0, 1], got {self.host_coeff!r}")
-        for cap in (self.per_query_cap, self.per_population_cap, self.global_cap):
-            if cap < 1:
-                raise ConfigInvalid("result caps must be positive")
 
 
 @dataclass

@@ -70,18 +70,17 @@ class SearchProvider(Protocol):
 
 
 @dataclass
-class _StoredDoc:
-    url: str
-    host: str
-    title: str
-    text: str  # whitespace-collapsed body; snippets are sliced from it
-    length: int
-
-
-@dataclass
 class InvertedIndex:
+    """An index as its file holds it, so loading uses what ``json.loads`` returns.
+
+    ``postings`` maps each lemma to {doc id: term count}; ``docs`` maps each
+    doc id to {"url", "host", "title", "text", "length"}, where ``text`` is
+    the whitespace-collapsed body that snippets are sliced from and
+    ``length`` its lemma count.
+    """
+
     postings: dict[str, dict[str, int]]
-    docs: dict[str, _StoredDoc]
+    docs: dict[str, dict]
     avg_doc_len: float
     normalizer: dict[str, str]  # the fingerprint of the normalizer that built it
 
@@ -106,18 +105,18 @@ def build_index(
     if not docs:
         raise EmptyCorpus("cannot index an empty corpus")
     postings: dict[str, dict[str, int]] = {}
-    stored: dict[str, _StoredDoc] = {}
+    stored: dict[str, dict] = {}
     total_len = 0
     for doc in docs:
         lemmas = normalizer.normalize(doc.body)
         total_len += len(lemmas)
-        stored[doc.id] = _StoredDoc(
-            url=doc.url,
-            host=doc.host,
-            title=doc.title,
-            text=" ".join(doc.body.split()),
-            length=len(lemmas),
-        )
+        stored[doc.id] = {
+            "url": doc.url,
+            "host": doc.host,
+            "title": doc.title,
+            "text": " ".join(doc.body.split()),
+            "length": len(lemmas),
+        }
         for lemma, tf in Counter(lemmas).items():
             postings.setdefault(lemma, {})[doc.id] = tf
     return InvertedIndex(
@@ -135,16 +134,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "version": INDEX_VERSION,
         "normalizer": index.normalizer,
         "avg_doc_len": index.avg_doc_len,
-        "docs": {
-            doc_id: {
-                "url": d.url,
-                "host": d.host,
-                "title": d.title,
-                "text": d.text,
-                "length": d.length,
-            }
-            for doc_id, d in index.docs.items()
-        },
+        "docs": index.docs,
         "postings": index.postings,
     }
     Path(path).write_text(
@@ -154,12 +144,13 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read an index file, checking it once; ParseError names the bad part."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"index file is not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an integer over the digit limit
+        raise ParseError(f"index {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
-        raise ParseError("not an index file")
+        raise ParseError(f"{path} is not an index file")
     if payload.get("version") != INDEX_VERSION:
         raise ParseError(f"unsupported index version {payload.get('version')!r}")
     normalizer = payload.get("normalizer")
@@ -167,26 +158,33 @@ def load_index(path: str | Path) -> InvertedIndex:
         isinstance(v, str) for v in normalizer.values()
     ):
         raise ParseError("index does not record its normalizer")
-    docs = {
-        doc_id: _StoredDoc(
-            url=d["url"],
-            host=d["host"],
-            title=d["title"],
-            text=d["text"],
-            length=d["length"],
-        )
-        for doc_id, d in payload["docs"].items()
-    }
-    postings = {
-        lemma: {doc_id: int(tf) for doc_id, tf in plist.items()}
-        for lemma, plist in payload["postings"].items()
-    }
-    return InvertedIndex(
-        postings=postings,
-        docs=docs,
-        avg_doc_len=payload["avg_doc_len"],
-        normalizer=normalizer,
-    )
+    docs, postings, avg = payload.get("docs"), payload.get("postings"), payload.get("avg_doc_len")
+    if type(avg) not in (int, float) or not 0 <= avg < math.inf:
+        raise ParseError(f"index avg_doc_len must be a finite number >= 0, got {avg!r}")
+    for part, value in (("docs", docs), ("postings", postings)):
+        if not isinstance(value, dict):
+            raise ParseError(f"index {part} must be an object")
+    for doc_id, doc in docs.items():
+        if not isinstance(doc, dict):
+            raise ParseError(f"index doc {doc_id!r} must be an object")
+        for key in ("url", "host", "title", "text"):
+            if not isinstance(doc.get(key), str):
+                raise ParseError(f"index doc {doc_id!r} lacks a string {key}")
+        if type(doc.get("length")) is not int or doc["length"] < 0:
+            raise ParseError(f"index doc {doc_id!r} lacks an integer length >= 0")
+    for lemma, plist in postings.items():
+        if not isinstance(plist, dict):
+            raise ParseError(f"index postings of {lemma!r} must be an object")
+        for doc_id, tf in plist.items():
+            if type(tf) is not int or tf < 1:
+                raise ParseError(
+                    f"index postings of {lemma!r}: term count of {doc_id!r} must be "
+                    f"an integer >= 1, got {tf!r}"
+                )
+        if not plist.keys() <= docs.keys():
+            unknown = min(plist.keys() - docs.keys())
+            raise ParseError(f"index postings of {lemma!r} name unknown doc {unknown!r}")
+    return InvertedIndex(postings=postings, docs=docs, avg_doc_len=avg, normalizer=normalizer)
 
 
 def parse_query(query_string: str) -> tuple[list[str], bool]:
@@ -237,7 +235,7 @@ class OfflineProvider:
         # BM25's tf saturation term K1 * (1 - b + b * |d| / avgdl) per document
         self._norm = {}
         for doc_id, doc in self.index.docs.items():
-            norm_len = doc.length / avg if avg > 0 else 0.0
+            norm_len = doc["length"] / avg if avg > 0 else 0.0
             self._norm[doc_id] = BM25_K1 * (1.0 - BM25_B + BM25_B * norm_len)
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
@@ -272,12 +270,13 @@ class OfflineProvider:
         hits = []
         for pos, (_, doc_id) in enumerate(top, start=1):
             doc = self.index.docs[doc_id]
-            snippet = doc.text if self.full_body_snippets else doc.text[:SNIPPET_CHARS]
+            text = doc["text"]
+            snippet = text if self.full_body_snippets else text[:SNIPPET_CHARS]
             hits.append(
                 SearchHit(
-                    doc_url=doc.url,
-                    doc_host=doc.host,
-                    title=doc.title,
+                    doc_url=doc["url"],
+                    doc_host=doc["host"],
+                    title=doc["title"],
                     snippet=snippet,
                     position=pos,
                 )

@@ -32,6 +32,37 @@ from evoquery.synthetic import build_dataset, qrels_lines
 SMALL_CONFIG = {"g2": 4, "g3": 3, "e1": 2, "f1": 8, "f2": 8, "f3": 10}
 
 
+# (corrupt an index payload of build_dataset(0) in place, the error it must raise)
+MALFORMED_INDEXES = [
+    pytest.param(
+        lambda p: p["docs"]["c000"].pop("url"), "index doc 'c000' lacks a string url",
+        id="doc-without-url",
+    ),
+    pytest.param(
+        lambda p: p.pop("postings"), "index postings must be an object", id="no-postings"
+    ),
+    pytest.param(
+        lambda p: p["postings"]["mavevo"].update(c000="2"),
+        "index postings of 'mavevo': term count of 'c000' must be an integer >= 1, got '2'",
+        id="string-term-count",
+    ),
+    pytest.param(
+        lambda p: p.update(avg_doc_len="39.5"),
+        "index avg_doc_len must be a finite number >= 0, got '39.5'",
+        id="string-avg-doc-len",
+    ),
+    pytest.param(
+        lambda p: p.update(docs=list(p["docs"].values())), "index docs must be an object",
+        id="docs-as-list",
+    ),
+    pytest.param(
+        lambda p: p["postings"]["mavevo"].update(nosuch=1),
+        "index postings of 'mavevo' name unknown doc 'nosuch'",
+        id="unknown-doc-id",
+    ),
+]
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-data")
@@ -242,6 +273,45 @@ class TestEvolve:
         ])
         assert code == 1
         assert f"error: config {config} is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt, named", MALFORMED_INDEXES)
+    def test_malformed_index_refused_before_run(
+        self, data_dir, tmp_path, capsys, corrupt, named
+    ):
+        payload = json.loads((data_dir / "index.json").read_text(encoding="utf-8"))
+        corrupt(payload)
+        index = tmp_path / "index.json"
+        index.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(data_dir / "config.json"),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(index), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("provider, key", [
+        ({"kind": "http", "endpoint": "http://127.0.0.1:9/search"}, "kind"),
+        ({"endpoint": "http://127.0.0.1:9/search"}, "endpoint"),
+    ])
+    def test_provider_kind_and_endpoint_rejected(self, data_dir, tmp_path, capsys, provider, key):
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "provider": provider}))
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(config),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(data_dir / "index.json"), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config key provider.{key} is not accepted" in err
+        assert "--index or --endpoint chooses the provider" in err
         assert not out.exists()
 
     def test_index_stop_words_must_match_the_run(self, data_dir, tmp_path, capsys, monkeypatch):

@@ -320,6 +320,12 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="line 2"):
             load_corpus(path)
 
+    def test_integer_over_digit_limit_reports_line(self, tmp_path):
+        huge = '{"id": ' + "9" * 5000 + "}"
+        path = self.write_lines(tmp_path, [self.record("d1"), huge])
+        with pytest.raises(ParseError, match="^line 2: invalid JSON"):
+            load_corpus(path)
+
     def test_missing_field_rejected(self, tmp_path):
         rec = json.dumps({"id": "d1", "url": "", "host": "", "title": "t"})
         path = self.write_lines(tmp_path, [rec])

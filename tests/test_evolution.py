@@ -202,8 +202,9 @@ class TestRunConfig:
         # a pool large enough for g3 at its bound
         roomy = {"keyword_pool_size": COUNT_LIMITS["keyword_pool_size"]}
         assert getattr(RunConfig.from_payload({**roomy, name: limit}), name) == limit
-        with pytest.raises(ConfigInvalid, match=f"^{name} must be in 1..{limit}"):
-            RunConfig.from_payload({name: limit + 1})
+        for value in (0, limit + 1):
+            with pytest.raises(ConfigInvalid, match=f"^{name} must be in 1..{limit}"):
+                RunConfig.from_payload({name: value})
 
     def test_absurd_counts_rejected(self):
         with pytest.raises(ConfigInvalid, match="g2"):
@@ -260,9 +261,8 @@ class TestRunConfig:
             RunConfig.from_payload({"provider": {"rate_limit_rps": 10**400}})
 
     def test_fitness_weights_mapping(self):
-        weights = small_config(f4=0.5, f1=5, f2=6, f3=7).fitness_weights()
+        weights = small_config(f4=0.5).fitness_weights()
         assert weights.host_coeff == 0.5
-        assert (weights.per_query_cap, weights.per_population_cap, weights.global_cap) == (5, 6, 7)
         assert (weights.w_position, weights.w_crossquery, weights.w_semantic) == (0.33, 0.33, 0.34)
 
 
@@ -383,12 +383,10 @@ class TestAcceptedConfigsReplay:
         index_path, seed_path = bundled_inputs
         with tempfile.TemporaryDirectory() as ledger_dir:
             ledger = run_evolution(
-                config,
-                build_provider(config.provider, index_path),
-                load_corpus(seed_path),
-                inputs=make_run_inputs(ledger_dir, index_path, seed_path),
+                config, build_provider(config.provider, index_path), load_corpus(seed_path)
             )
-            write_run_ledger(ledger_dir, ledger)
+            inputs = make_run_inputs(ledger_dir, index_path, seed_path)
+            write_run_ledger(ledger_dir, ledger, inputs)
             rerun = replay(ledger_dir)
         assert len(rerun.generations) == config.e1
 
@@ -660,8 +658,8 @@ class TestLedgerWriteAndReplay:
         index_path, seed_path = run_inputs_dir
         ledger_dir = tmp_path / "ledger"
         inputs = make_run_inputs(ledger_dir, index_path, seed_path)
-        ledger = run_evolution(small_config(**overrides), provider, SEED_DOCS, inputs=inputs)
-        write_run_ledger(ledger_dir, ledger)
+        ledger = run_evolution(small_config(**overrides), provider, SEED_DOCS)
+        write_run_ledger(ledger_dir, ledger, inputs)
         return ledger_dir, ledger
 
     def test_inputs_fingerprints(self, run_inputs_dir):
@@ -772,8 +770,8 @@ class TestLedgerWriteAndReplay:
         local_seed.write_bytes(seed_path.read_bytes())
         ledger_dir = tmp_path / "ledger"
         inputs = make_run_inputs(ledger_dir, index_path, local_seed)
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS, inputs=inputs)
-        write_run_ledger(ledger_dir, ledger)
+        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)
+        write_run_ledger(ledger_dir, ledger, inputs)
         local_seed.write_bytes(local_seed.read_bytes() + b"\n")
         with pytest.raises(LedgerCorrupt):
             replay(ledger_dir)
@@ -784,8 +782,8 @@ class TestLedgerWriteAndReplay:
         local_seed.write_bytes(seed_path.read_bytes())
         ledger_dir = tmp_path / "ledger"
         inputs = make_run_inputs(ledger_dir, index_path, local_seed)
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS, inputs=inputs)
-        write_run_ledger(ledger_dir, ledger)
+        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)
+        write_run_ledger(ledger_dir, ledger, inputs)
         local_seed.unlink()
         with pytest.raises(LedgerCorrupt):
             replay(ledger_dir)

@@ -80,10 +80,6 @@ class TestFitnessWeights:
         with pytest.raises(ConfigInvalid):
             FitnessWeights(host_coeff=1.5)
 
-    def test_caps_positive(self):
-        with pytest.raises(ConfigInvalid):
-            FitnessWeights(per_query_cap=0)
-
 
 class TestPositionScore:
     def test_top_of_list(self):

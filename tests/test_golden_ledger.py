@@ -8,6 +8,7 @@ change that moves one is a format change and must say so.
 ``GOLDEN`` holds the format-1 digests. Each format-2 file, read back and
 written through the format-1 reference writer, must still match them, so
 the values have not moved since format 1; ``GOLDEN_V2`` pins the bytes.
+``INDEX_SHA256`` pins the bundled corpus's index file, the ledgers' input.
 """
 
 import hashlib
@@ -63,6 +64,8 @@ GOLDEN_V2 = {
     ),
 }
 
+INDEX_SHA256 = "29df09e64d474c70ab123f83c6ff902f4ee889568ca84c22eda74832f0f82a5e"
+
 
 @pytest.fixture(scope="module")
 def index_path(tmp_path_factory):
@@ -82,6 +85,10 @@ def format_1_sha256_of(path: Path) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def test_index_digest(index_path):
+    assert sha256_of(index_path) == INDEX_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_ledger_digests(name, index_path, tmp_path):
     overrides, generations_sha, final_sha = GOLDEN[name]
@@ -89,12 +96,9 @@ def test_ledger_digests(name, index_path, tmp_path):
     config = RunConfig.from_payload({**payload, **overrides})
     seed_path = DATA_DIR / "seed_material.jsonl"
     ledger = run_evolution(
-        config,
-        build_provider(config.provider, index_path),
-        load_corpus(seed_path),
-        inputs=make_run_inputs(tmp_path, index_path, seed_path),
+        config, build_provider(config.provider, index_path), load_corpus(seed_path)
     )
-    write_run_ledger(tmp_path, ledger)
+    write_run_ledger(tmp_path, ledger, make_run_inputs(tmp_path, index_path, seed_path))
     assert format_1_sha256_of(tmp_path / GENERATIONS_FILE) == generations_sha
     assert format_1_sha256_of(tmp_path / FINAL_RESULTS_FILE) == final_sha
     v2_generations_sha, v2_final_sha = GOLDEN_V2[name]

@@ -46,7 +46,7 @@ def reference_bm25(index, query_lemmas, doc_id):
     # oracle: one document scored at a time, with the float operations of
     # OfflineProvider's sums in the same order, so scores match bit for bit
     n_docs = index.doc_count
-    dl = index.docs[doc_id].length
+    dl = index.docs[doc_id]["length"]
     norm_len = dl / index.avg_doc_len if index.avg_doc_len > 0 else 0.0
     score = 0.0
     for lemma in query_lemmas:
@@ -77,10 +77,10 @@ def reference_execute(index, query_string, limit):
     ranked = sorted(candidates, key=lambda d: (-reference_bm25(index, terms, d), d))
     return [
         SearchHit(
-            doc_url=index.docs[d].url,
-            doc_host=index.docs[d].host,
-            title=index.docs[d].title,
-            snippet=index.docs[d].text[:SNIPPET_CHARS],
+            doc_url=index.docs[d]["url"],
+            doc_host=index.docs[d]["host"],
+            title=index.docs[d]["title"],
+            snippet=index.docs[d]["text"][:SNIPPET_CHARS],
             position=pos,
         )
         for pos, d in enumerate(ranked[:limit], start=1)
@@ -108,7 +108,7 @@ class TestBuildIndex:
 
     def test_stored_text_whitespace_collapsed(self):
         index = build_index([doc("d1", "word  \n word\tword")])
-        assert index.docs["d1"].text == "word word word"
+        assert index.docs["d1"]["text"] == "word word word"
 
     def test_snippet_truncated_at_query_time(self):
         body = "word " * 100
@@ -145,6 +145,13 @@ class TestBuildIndex:
         with pytest.raises(ParseError):
             load_index(path)
 
+    def test_integer_over_digit_limit_names_file(self, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index([doc("d1", "aa bb")]), path)
+        path.write_text(path.read_text().replace('"d1":1', '"d1":' + "9" * 5000, 1))
+        with pytest.raises(ParseError, match=f"^index {path} is not valid JSON"):
+            load_index(path)
+
 
 def reference_build_index(docs, normalizer):
     # oracle: build_index's loop as it was before it counted terms per document
@@ -152,7 +159,13 @@ def reference_build_index(docs, normalizer):
     for d in docs:
         lemmas = normalizer.normalize(d.body)
         total_len += len(lemmas)
-        stored[d.id] = (d.url, d.host, d.title, " ".join(d.body.split()), len(lemmas))
+        stored[d.id] = {
+            "url": d.url,
+            "host": d.host,
+            "title": d.title,
+            "text": " ".join(d.body.split()),
+            "length": len(lemmas),
+        }
         for lemma in lemmas:
             postings.setdefault(lemma, {})
             postings[lemma][d.id] = postings[lemma].get(d.id, 0) + 1
@@ -180,9 +193,7 @@ class TestIndexFile:
         assert [(t, list(p.items())) for t, p in index.postings.items()] == [
             (t, list(p.items())) for t, p in postings.items()
         ]
-        assert {
-            doc_id: (d.url, d.host, d.title, d.text, d.length) for doc_id, d in index.docs.items()
-        } == stored
+        assert index.docs == stored
         assert index.avg_doc_len == avg_doc_len
         assert index.normalizer == normalizer.fingerprint()
 
