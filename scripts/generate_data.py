@@ -14,7 +14,7 @@ from pathlib import Path
 from evoquery.cli import main as cli_main
 from evoquery.corpus import build_keyword_pool, dump_corpus
 from evoquery.genome import render_query
-from evoquery.provider import OfflineProvider, ProviderQueryRecord, build_index
+from evoquery.provider import OfflineProvider, build_index
 from evoquery.rng import derive_rng
 from evoquery.synthetic import baseline_queries, build_dataset, pooled_top_urls, qrels_lines
 
@@ -51,18 +51,8 @@ def baseline_list(dataset, seed: int) -> list[str]:
         lemmas, RUN_CONFIG["g2"], RUN_CONFIG["g3"], derive_rng(seed, "baseline")
     )
     provider = OfflineProvider(build_index(dataset.corpus))
-    records = []
-    for i, genome in enumerate(genomes):
-        query = render_query(genome)
-        records.append(
-            ProviderQueryRecord(
-                query_string=query,
-                genome_id=f"b{i}",
-                hits=provider.execute(query, RUN_CONFIG["f1"]),
-                provider_name=provider.name,
-            )
-        )
-    return pooled_top_urls(records, 20)
+    hit_lists = [provider.execute(render_query(g), RUN_CONFIG["f1"]) for g in genomes]
+    return pooled_top_urls(hit_lists, 20)
 
 
 def write_data(out_dir: Path, seed: int) -> None:

@@ -7,7 +7,8 @@ metrics CSV), report (merge metrics CSVs and draw charts), replay
 (re-derive a ledger and verify it byte for byte).
 
 Exit codes: 0 success, 1 usage or validation failure, 2 provider or
-environment failure.
+environment failure. A reader that closes stdout early (``| head``) is not
+a failure: the command exits 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -355,7 +357,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone; point stdout at devnull so the flush at exit
+        # does not fail on what is still buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ProviderUnavailable, ProtocolError) as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT

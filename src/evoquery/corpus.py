@@ -15,10 +15,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ConfigInvalid, DuplicateId, EmptyDocument, ParseError
+from .errors import ConfigInvalid, DuplicateId, EmptyDocument, ParseError, not_utf8
 
 _DOC_FIELDS = ("id", "url", "host", "title", "body")
 
@@ -107,10 +107,24 @@ class SuffixNormalizer:
 DEFAULT_NORMALIZER = SuffixNormalizer()
 
 
+def text_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a ParseError
+    naming the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+
+
 def load_stop_words(path: str | Path) -> frozenset[str]:
     """Read a stop-word file: one word per line, ``#`` starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         word = line.strip()
         if word and not word.startswith("#"):
             words.add(word.lower())
@@ -239,19 +253,18 @@ def load_corpus(path: str | Path) -> list[Document]:
     """Load a newline-delimited corpus file, rejecting duplicate ids."""
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-                raise ParseError(f"invalid JSON ({exc})", line_no) from exc
-            doc = _parse_document(record, line_no)
-            if doc.id in seen:
-                raise DuplicateId(f"duplicate document id {doc.id!r}", line_no)
-            seen.add(doc.id)
-            docs.append(doc)
+    for line_no, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+            raise ParseError(f"invalid JSON ({exc})", line_no) from exc
+        doc = _parse_document(record, line_no)
+        if doc.id in seen:
+            raise DuplicateId(f"duplicate document id {doc.id!r}", line_no)
+        seen.add(doc.id)
+        docs.append(doc)
     return docs
 
 

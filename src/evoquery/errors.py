@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any
 
 
@@ -17,6 +18,22 @@ class ParseError(EvoqueryError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def not_utf8(path: str | Path) -> ParseError:
+    """A ParseError naming ``path`` and the line of its first byte that is not UTF-8.
+
+    For a text-mode read of ``path`` that failed to decode: its error gives
+    an offset within one buffered chunk, so the file is read again to find
+    the line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"byte 0x{data[exc.start]:02x} of {path} is not UTF-8 ({exc.reason})"
+        return ParseError(message, data.count(b"\n", 0, exc.start) + 1)
+    return ParseError(f"{path} changed while it was read")
 
 
 class DuplicateId(ParseError):

@@ -21,6 +21,7 @@ from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import text_lines
 from .errors import (
     DuplicateJudgment,
     GradeOutOfRange,
@@ -92,39 +93,38 @@ def load_qrels(path: str | Path) -> list[Judgment]:
     """Parse judgment lines: url, judge id, persona code, grade, tab-separated."""
     judgments: list[Judgment] = []
     seen: set[tuple[str, str, Persona]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 4:
-                raise ParseError(
-                    f"expected 4 tab-separated fields, got {len(parts)}", line_no
-                )
-            doc_url, expert_id, persona_code, grade_text = (p.strip() for p in parts)
-            if not doc_url or not expert_id:
-                raise ParseError("empty url or judge id", line_no)
-            try:
-                persona = Persona.from_code(persona_code)
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise ParseError(f"grade {grade_text!r} is not an integer", line_no) from None
-            if grade not in GRADE_SCALE:
-                raise GradeOutOfRange(f"grade {grade} outside 0..3", line_no)
-            key = (doc_url, expert_id, persona)
-            if key in seen:
-                raise DuplicateJudgment(
-                    f"repeated judgment for {doc_url} / {expert_id} / {persona.value}",
-                    line_no,
-                )
-            seen.add(key)
-            judgments.append(
-                Judgment(doc_url=doc_url, expert_id=expert_id, persona=persona, grade=grade)
+    for line_no, line in enumerate(text_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 4:
+            raise ParseError(
+                f"expected 4 tab-separated fields, got {len(parts)}", line_no
             )
+        doc_url, expert_id, persona_code, grade_text = (p.strip() for p in parts)
+        if not doc_url or not expert_id:
+            raise ParseError("empty url or judge id", line_no)
+        try:
+            persona = Persona.from_code(persona_code)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise ParseError(f"grade {grade_text!r} is not an integer", line_no) from None
+        if grade not in GRADE_SCALE:
+            raise GradeOutOfRange(f"grade {grade} outside 0..3", line_no)
+        key = (doc_url, expert_id, persona)
+        if key in seen:
+            raise DuplicateJudgment(
+                f"repeated judgment for {doc_url} / {expert_id} / {persona.value}",
+                line_no,
+            )
+        seen.add(key)
+        judgments.append(
+            Judgment(doc_url=doc_url, expert_id=expert_id, persona=persona, grade=grade)
+        )
     return judgments
 
 

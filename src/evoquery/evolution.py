@@ -63,7 +63,6 @@ from .ledger import (
 from .provider import (
     OfflineProvider,
     HttpProvider,
-    ProviderQueryRecord,
     SearchHit,
     SearchProvider,
     load_index,
@@ -289,7 +288,12 @@ def result_to_payload(result: ScoredResult) -> dict:
 
 @dataclass
 class QueryOutcome:
-    """One genome's full turn: rendered query, hits, scores, fitness."""
+    """One genome's query from provider to ledger.
+
+    Created when the query is sent, holding the provider's ``hits``, which
+    the ledger does not record; ``results`` and ``query_fitness`` are set
+    when its generation is scored.
+    """
 
     genome_id: str
     terms: tuple[str, ...]
@@ -297,8 +301,9 @@ class QueryOutcome:
     query_string: str
     provider_name: str
     issued_at: float | None
-    query_fitness: float
-    results: list[ScoredResult]
+    hits: list[SearchHit]
+    query_fitness: float = 0.0
+    results: list[ScoredResult] = dc_field(default_factory=list)
 
     def to_payload(self) -> dict:
         return {
@@ -342,78 +347,6 @@ class RunLedger:
     config: RunConfig
     generations: list[GenerationRecord]
     final_results: list[ScoredResult]
-
-
-@dataclass
-class _Evaluation:
-    record: ProviderQueryRecord
-    results: list[ScoredResult]
-    fitness: float
-
-
-class _QueryEvaluator:
-    """Executes and scores queries, with an optional freeze-mode memo.
-
-    In freeze mode every query string is evaluated once and the outcome
-    reused verbatim on re-evaluation, so a surviving genome keeps its
-    exact fitness no matter how the rest of the population shifts. In
-    adaptive mode everything is recomputed against the current reference
-    each generation.
-    """
-
-    def __init__(
-        self,
-        provider: SearchProvider,
-        weights: FitnessWeights,
-        config: RunConfig,
-        vectors: HitVectors,
-    ):
-        self.provider = provider
-        self.weights = weights
-        self.config = config
-        self.vectors = vectors
-        self.reference: ReferenceText | None = None
-        self._memo: dict[str, _Evaluation] | None = (
-            {} if config.freeze_reference else None
-        )
-
-    def fetch_hits(self, query_string: str) -> list[SearchHit]:
-        if self._memo is not None and query_string in self._memo:
-            return self._memo[query_string].record.hits
-        return self.provider.execute(query_string, self.config.f1)
-
-    def make_record(self, query_string: str, genome_id: str) -> ProviderQueryRecord:
-        return ProviderQueryRecord(
-            query_string=query_string,
-            genome_id=genome_id,
-            hits=self.fetch_hits(query_string),
-            provider_name=self.provider.name,
-            issued_at=time.time() if self.provider.stamps_time else None,
-        )
-
-    def score(self, record: ProviderQueryRecord, url_counts: UrlCounts) -> _Evaluation:
-        assert self.reference is not None, "reference vector not initialized"
-        memo = self._memo
-        if memo is not None and record.query_string in memo:
-            cached = memo[record.query_string]
-            return _Evaluation(record=record, results=cached.results, fitness=cached.fitness)
-        results = score_query_results(
-            record,
-            url_counts,
-            self.reference,
-            self.weights,
-            self.config.a_factor,
-            self.vectors,
-        )
-        evaluation = _Evaluation(record=record, results=results, fitness=query_fitness(results))
-        if memo is not None:
-            memo[record.query_string] = evaluation
-        return evaluation
-
-    def evaluate_single(self, genome: QueryGenome) -> float:
-        """Fitness of one genome scored as a population of itself."""
-        record = self.make_record(render_query(genome), "challenger")
-        return self.score(record, UrlCounts.of([record])).fitness
 
 
 def select_survivors(
@@ -491,8 +424,46 @@ def run_evolution(
         )
     reference = ReferenceText.from_seed_vector(seed)
     vectors = HitVectors(normalizer)
-    evaluator = _QueryEvaluator(provider, config.fitness_weights(), config, vectors)
-    evaluator.reference = reference
+    weights = config.fitness_weights()
+    # Freeze mode scores each query string once: a later genome sending it
+    # reuses its first outcome's hits, results and fitness, so a survivor
+    # keeps its exact fitness however the rest of the population shifts.
+    # Adaptive runs rescore every query and leave this empty.
+    first_outcomes: dict[str, QueryOutcome] = {}
+
+    def send(genome: QueryGenome, genome_id: str) -> QueryOutcome:
+        query_string = render_query(genome)
+        first = first_outcomes.get(query_string)
+        return QueryOutcome(
+            genome_id=genome_id,
+            terms=genome.terms,
+            variant=genome.variant,
+            query_string=query_string,
+            provider_name=provider.name,
+            issued_at=time.time() if provider.stamps_time else None,
+            hits=first.hits if first is not None else provider.execute(query_string, config.f1),
+        )
+
+    def score(outcomes: list[QueryOutcome]) -> None:
+        url_counts = UrlCounts.of([outcome.hits for outcome in outcomes])
+        for outcome in outcomes:
+            first = first_outcomes.get(outcome.query_string)
+            if first is not None:
+                outcome.results, outcome.query_fitness = first.results, first.query_fitness
+                continue
+            outcome.results = score_query_results(
+                outcome.hits, url_counts, reference, weights, config.a_factor, vectors
+            )
+            outcome.query_fitness = query_fitness(outcome.results)
+            if config.freeze_reference:
+                first_outcomes[outcome.query_string] = outcome
+
+    def evaluate_single(genome: QueryGenome) -> float:
+        """Fitness of one genome scored as a population of itself."""
+        challenger = send(genome, "challenger")
+        score([challenger])
+        return challenger.query_fitness
+
     population = seed_population(
         pool, config.g2, config.g3, config.rng_seed, config.variant
     )
@@ -500,39 +471,19 @@ def run_evolution(
     records: list[GenerationRecord] = []
     global_top: list[ScoredResult] = []
     for generation in range(config.e1):
-        query_records = [
-            evaluator.make_record(render_query(genome), f"g{idx}")
-            for idx, genome in enumerate(population)
-        ]
-        url_counts = UrlCounts.of(query_records)
-        evaluations = [evaluator.score(record, url_counts) for record in query_records]
-        fitnesses = [e.fitness for e in evaluations]
-        mean_fitness = population_fitness(fitnesses)
+        outcomes = [send(genome, f"g{idx}") for idx, genome in enumerate(population)]
+        score(outcomes)
+        fitnesses = [outcome.query_fitness for outcome in outcomes]
 
-        population_top = aggregate_results([e.results for e in evaluations], config.f2)
+        population_top = aggregate_results([o.results for o in outcomes], config.f2)
         global_top = merge_into_global(global_top, population_top, config.f3)
         if not config.freeze_reference:
             reference = update_reference_text(reference, population_top, vectors)
-            evaluator.reference = reference
-
-        outcomes = [
-            QueryOutcome(
-                genome_id=record.genome_id,
-                terms=genome.terms,
-                variant=genome.variant,
-                query_string=record.query_string,
-                provider_name=record.provider_name,
-                issued_at=record.issued_at,
-                query_fitness=evaluation.fitness,
-                results=evaluation.results,
-            )
-            for genome, record, evaluation in zip(population, query_records, evaluations)
-        ]
         records.append(
             GenerationRecord(
                 generation=generation,
                 queries=outcomes,
-                population_fitness=mean_fitness,
+                population_fitness=population_fitness(fitnesses),
                 reference_digest=reference.digest(),
             )
         )
@@ -540,7 +491,7 @@ def run_evolution(
         if generation < config.e1 - 1:
             rng = derive_rng(config.rng_seed, f"selection/{generation}")
             population = select_survivors(
-                population, fitnesses, pool, config, rng, evaluator.evaluate_single
+                population, fitnesses, pool, config, rng, evaluate_single
             )
 
     return RunLedger(config=config, generations=records, final_results=global_top)

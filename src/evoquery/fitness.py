@@ -32,7 +32,7 @@ from .errors import (
     PositionOutOfRange,
     WrongPopulationSize,
 )
-from .provider import ProviderQueryRecord, SearchHit
+from .provider import SearchHit
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 REFERENCE_CAPACITY = 256
@@ -117,14 +117,14 @@ class UrlCounts:
     lists: int
 
     @classmethod
-    def of(cls, population_records: Sequence[ProviderQueryRecord]) -> UrlCounts:
-        """Count each url once per record that contains it."""
-        if not population_records:
-            raise ValueError("need at least one query record")
+    def of(cls, hit_lists: Sequence[Sequence[SearchHit]]) -> UrlCounts:
+        """Count each url once per hit list that contains it."""
+        if not hit_lists:
+            raise ValueError("need at least one hit list")
         counts: Counter[str] = Counter()
-        for record in population_records:
-            counts.update({hit.doc_url for hit in record.hits})
-        return cls(counts, len(population_records))
+        for hits in hit_lists:
+            counts.update({hit.doc_url for hit in hits})
+        return cls(counts, len(hit_lists))
 
 
 def cross_query_score(doc_url: str, url_counts: UrlCounts) -> float:
@@ -220,7 +220,7 @@ def population_fitness(query_fitnesses: Sequence[float]) -> float:
 
 
 def score_query_results(
-    record: ProviderQueryRecord,
+    hits: Sequence[SearchHit],
     url_counts: UrlCounts,
     ref: ReferenceText,
     weights: FitnessWeights,
@@ -228,9 +228,9 @@ def score_query_results(
     vectors: HitVectors,
 ) -> list[ScoredResult]:
     """Score one query's hits within its population and damp host runs."""
-    length = len(record.hits)
+    length = len(hits)
     scored = []
-    for hit in record.hits:
+    for hit in hits:
         rank = position_score(hit.position, length)
         crossquery = cross_query_score(hit.doc_url, url_counts)
         semantic = semantic_score(hit, ref, vectors)

@@ -64,7 +64,10 @@ def _read_ledger_file(ledger_dir: str | Path, name: str) -> str:
     path = Path(ledger_dir) / name
     if not path.is_file():
         raise LedgerCorrupt(f"missing {name} in {ledger_dir}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LedgerCorrupt(f"{path} is not UTF-8: {exc}") from None
 
 
 def parse_ledger_json(text: str, where: str) -> Any:

@@ -51,17 +51,6 @@ class SearchHit:
     position: int  # 1-based rank in the provider's list
 
 
-@dataclass
-class ProviderQueryRecord:
-    """One executed query with its capped hit list, as persisted to ledgers."""
-
-    query_string: str
-    genome_id: str
-    hits: list[SearchHit]
-    provider_name: str
-    issued_at: float | None = None
-
-
 class SearchProvider(Protocol):
     name: str
     stamps_time: bool

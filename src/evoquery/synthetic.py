@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .corpus import Document
 from .genome import QueryGenome, Variant
-from .provider import ProviderQueryRecord
+from .provider import SearchHit
 from .rng import derive_rng
 
 CONSONANTS = "bdfgklmnprtvz"
@@ -182,11 +182,11 @@ def baseline_queries(
     ]
 
 
-def pooled_top_urls(records: Sequence[ProviderQueryRecord], limit: int) -> list[str]:
+def pooled_top_urls(hit_lists: Sequence[Sequence[SearchHit]], limit: int) -> list[str]:
     """Rank-fuse result lists: best position anywhere wins, ties by url."""
     best_position: dict[str, int] = {}
-    for record in records:
-        for hit in record.hits:
+    for hits in hit_lists:
+        for hit in hits:
             url = hit.doc_url
             if url not in best_position or hit.position < best_position[url]:
                 best_position[url] = hit.position

@@ -35,7 +35,7 @@ from evoquery.fitness import (
 )
 from evoquery.genome import render_query
 from evoquery.ledger import GENERATIONS_FILE
-from evoquery.provider import ProviderQueryRecord, SearchHit
+from evoquery.provider import SearchHit
 from evoquery.rng import derive_rng
 from evoquery.synthetic import baseline_queries, pooled_top_urls
 
@@ -180,15 +180,8 @@ def test_criterion_5_planted_cluster_gap(offline_setup):
         )
 
         genomes = baseline_queries(lemmas, config.g2, config.g3, derive_rng(seed, "baseline"))
-        records = [
-            ProviderQueryRecord(
-                query_string=render_query(g), genome_id=f"b{i}",
-                hits=provider.execute(render_query(g), config.f1),
-                provider_name=provider.name,
-            )
-            for i, g in enumerate(genomes)
-        ]
-        random_urls = pooled_top_urls(records, 20)
+        hit_lists = [provider.execute(render_query(g), config.f1) for g in genomes]
+        random_urls = pooled_top_urls(hit_lists, 20)
         random_scores.append(
             precision(RankedList("random", random_urls), grades, S, threshold=2)
         )

@@ -1,6 +1,7 @@
 """Exit codes, output contracts and format plumbing of the command line."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -672,6 +673,82 @@ def test_cli_import_loads_no_third_party_http_client():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_0(data_dir, unbuffered):
+    # the pipe's read end is closed before the command writes, as when the
+    # reader of `evoquery ... | head` has already exited
+    package_root = str(Path(evoquery.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = package_root
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "evoquery.cli", "keywords",
+             "--corpus", str(data_dir / "seed.jsonl")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def _non_utf8_copy(source, target, line_no):
+    """``source`` with a 0xE9 byte at the start of line ``line_no``."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = b"\xe9" + lines[line_no - 1]
+    target.write_bytes(b"".join(lines))
+    return target
+
+
+def _corpus_case(data_dir, tmp_path):
+    bad = _non_utf8_copy(data_dir / "corpus.jsonl", tmp_path / "corpus.jsonl", 300)
+    return ["index", "--corpus", str(bad), "--out", str(tmp_path / "index.json")], bad, 300
+
+
+def _stop_words_case(data_dir, tmp_path):
+    bad = tmp_path / "stops.txt"
+    bad.write_bytes(b"the\nand\xe9\n")
+    argv = ["index", "--corpus", str(data_dir / "corpus.jsonl"), "--stop-words", str(bad),
+            "--out", str(tmp_path / "index.json")]
+    return argv, bad, None
+
+
+def _qrels_case(data_dir, tmp_path):
+    bad = _non_utf8_copy(data_dir / "qrels.tsv", tmp_path / "qrels.tsv", 50)
+    ordering = tmp_path / "list.txt"
+    ordering.write_text("https://site-00.example/c000\n", encoding="utf-8")
+    return ["evaluate", "--list", str(ordering), "--qrels", str(bad)], bad, 50
+
+
+def _generations_case(data_dir, tmp_path):
+    ledger = tmp_path / "ledger"
+    assert main([
+        "evolve", "--config", str(data_dir / "config.json"),
+        "--seed-material", str(data_dir / "seed.jsonl"),
+        "--index", str(data_dir / "index.json"), "--out", str(ledger),
+    ]) == 0
+    bad = ledger / GENERATIONS_FILE
+    _non_utf8_copy(bad, bad, 2)
+    return ["replay", "--ledger", str(ledger)], bad, None
+
+
+@pytest.mark.parametrize(
+    "case", [_corpus_case, _stop_words_case, _qrels_case, _generations_case],
+    ids=["corpus", "stop-words", "qrels", "generations"],
+)
+def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
+    argv, bad, line_no = case(data_dir, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
+    if line_no is not None:
+        assert f"line {line_no}:" in err
 
 
 def write_top_keywords(data_dir, path, k=6):

@@ -31,7 +31,7 @@ from evoquery.fitness import (
     semantic_score,
     update_reference_text,
 )
-from evoquery.provider import ProviderQueryRecord, SearchHit
+from evoquery.provider import SearchHit
 
 PAPER_WEIGHTS = FitnessWeights()
 
@@ -57,11 +57,8 @@ def scored(w, url="https://a.org/1", host=None, **kw):
     )
 
 
-def record(genome_id, urls):
-    hits = [hit(url=u, position=i + 1) for i, u in enumerate(urls)]
-    return ProviderQueryRecord(
-        query_string="q", genome_id=genome_id, hits=hits, provider_name="offline"
-    )
+def hit_list(urls):
+    return [hit(url=u, position=i + 1) for i, u in enumerate(urls)]
 
 
 class TestFitnessWeights:
@@ -106,26 +103,26 @@ class TestPositionScore:
 
 class TestCrossQueryScore:
     def test_half_the_lists(self):
-        records = [record(f"g{i}", ["https://x.org/hit"]) for i in range(4)]
-        records += [record(f"g{i+4}", ["https://y.org/other"]) for i in range(4)]
-        assert cross_query_score("https://x.org/hit", UrlCounts.of(records)) == 0.5
+        lists = [hit_list(["https://x.org/hit"]) for _ in range(4)]
+        lists += [hit_list(["https://y.org/other"]) for _ in range(4)]
+        assert cross_query_score("https://x.org/hit", UrlCounts.of(lists)) == 0.5
 
     def test_unanimous(self):
-        records = [record(f"g{i}", ["https://x.org/hit"]) for i in range(3)]
-        assert cross_query_score("https://x.org/hit", UrlCounts.of(records)) == 1.0
+        lists = [hit_list(["https://x.org/hit"]) for _ in range(3)]
+        assert cross_query_score("https://x.org/hit", UrlCounts.of(lists)) == 1.0
 
     def test_absent(self):
-        records = [record("g0", ["https://y.org/other"])]
-        assert cross_query_score("https://x.org/hit", UrlCounts.of(records)) == 0.0
+        lists = [hit_list(["https://y.org/other"])]
+        assert cross_query_score("https://x.org/hit", UrlCounts.of(lists)) == 0.0
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError):
             UrlCounts.of([])
 
     def test_repeated_url_in_one_list_counts_once(self):
-        records = [record("g0", ["https://x.org/hit", "https://x.org/hit"])]
-        records.append(record("g1", ["https://y.org/other"]))
-        assert cross_query_score("https://x.org/hit", UrlCounts.of(records)) == 0.5
+        lists = [hit_list(["https://x.org/hit", "https://x.org/hit"])]
+        lists.append(hit_list(["https://y.org/other"]))
+        assert cross_query_score("https://x.org/hit", UrlCounts.of(lists)) == 0.5
 
     @settings(max_examples=200)
     @given(
@@ -136,14 +133,14 @@ class TestCrossQueryScore:
         )
     )
     def test_matches_brute_force_count(self, url_lists):
-        records = [record(f"g{i}", urls) for i, urls in enumerate(url_lists)]
-        counts = UrlCounts.of(records)
-        for rec in records:
-            for h in rec.hits:
+        lists = [hit_list(urls) for urls in url_lists]
+        counts = UrlCounts.of(lists)
+        for hits in lists:
+            for h in hits:
                 containing = sum(
-                    1 for other in records if h.doc_url in {x.doc_url for x in other.hits}
+                    1 for other in lists if h.doc_url in {x.doc_url for x in other}
                 )
-                assert cross_query_score(h.doc_url, counts) == containing / len(records)
+                assert cross_query_score(h.doc_url, counts) == containing / len(lists)
 
 
 class TestSemanticScore:
@@ -406,15 +403,15 @@ class TestAggregation:
 class TestScoreQueryResults:
     def make_inputs(self):
         shared = "https://shared.org/doc"
-        rec_a = record("g0", [shared, "https://a.org/1"])
-        rec_b = record("g1", [shared])
+        hits_a = hit_list([shared, "https://a.org/1"])
+        hits_b = hit_list([shared])
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
-        return rec_a, [rec_a, rec_b], ref
+        return hits_a, [hits_a, hits_b], ref
 
     def test_components_populated_and_bounded(self):
-        rec, records, ref = self.make_inputs()
+        hits, lists, ref = self.make_inputs()
         out = score_query_results(
-            rec, UrlCounts.of(records), ref, PAPER_WEIGHTS, 1.0, HitVectors()
+            hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors()
         )
         assert len(out) == 2
         for result in out:
@@ -428,20 +425,19 @@ class TestScoreQueryResults:
                 assert 0.0 <= value <= 1.0
 
     def test_shared_url_gets_higher_crossquery(self):
-        rec, records, ref = self.make_inputs()
+        hits, lists, ref = self.make_inputs()
         out = {
             r.hit.doc_url: r
             for r in score_query_results(
-                rec, UrlCounts.of(records), ref, PAPER_WEIGHTS, 1.0, HitVectors()
+                hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors()
             )
         }
         assert out["https://shared.org/doc"].crossquery_component == 1.0
         assert out["https://a.org/1"].crossquery_component == 0.5
 
     def test_empty_record_scores_empty(self):
-        rec = ProviderQueryRecord(query_string="q", genome_id="g", hits=[], provider_name="offline")
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
-        out = score_query_results(rec, UrlCounts.of([rec]), ref, PAPER_WEIGHTS, 1.0, HitVectors())
+        out = score_query_results([], UrlCounts.of([[]]), ref, PAPER_WEIGHTS, 1.0, HitVectors())
         assert out == []
 
 

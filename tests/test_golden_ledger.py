@@ -2,13 +2,16 @@
 
 An optimization of scoring, selection or ledger writing must leave every
 ledger byte as it was. These digests pin the bundled data's ledgers for
-the reference config, a wider lemma run and a quoted (conjunctive) run; a
+the reference config, a wider lemma run, a quoted (conjunctive) run, a
+frozen-reference run, a one-genome hill climb and the two together; a
 change that moves one is a format change and must say so.
 
 ``GOLDEN`` holds the format-1 digests. Each format-2 file, read back and
 written through the format-1 reference writer, must still match them, so
 the values have not moved since format 1; ``GOLDEN_V2`` pins the bytes.
 ``INDEX_SHA256`` pins the bundled corpus's index file, the ledgers' input.
+``EXECUTE_CALLS`` pins how many queries each run sends: freeze mode sends
+each distinct query string once, and the hill climb sends each challenger.
 """
 
 import hashlib
@@ -47,6 +50,21 @@ GOLDEN = {
         "3cc91bbae50b86b12036e242a9dfa9dc8122bdd9c4e07b606862e6380be28bc3",
         "adf739e3413d3864000b9417e31b86d199e22adda23643d682dd5d3f13cc8656",
     ),
+    "frozen": (
+        {"freeze_reference": True},
+        "483eee14b4bc68f6b188024a667bde1a5551ca0e3c970f3b9e2434ef6fbd6cb1",
+        "4dbde5bb7bfa948c49b662dd0945b6e79ca7fa46ad620fe6da089da11b51afd9",
+    ),
+    "hill-climb": (
+        {"g2": 1, "e1": 20},
+        "133e885263d92ae4d594a1d38b81102908a7f58600950fd01e7753a9caf124c8",
+        "854182621024852f3587f1dda25f094ff4193b4fbff685cf71e418abe2941916",
+    ),
+    "frozen-hill-climb": (
+        {"freeze_reference": True, "g2": 1, "e1": 20},
+        "23e4707301fa6c8649f0306e6cee155ebc27737df7af95e3d98d5e3f10bf4838",
+        "31a775f1761f50acf76b388122c39c645a8400de637e7dc0d6dfc872e64813a9",
+    ),
 }
 
 GOLDEN_V2 = {
@@ -62,6 +80,27 @@ GOLDEN_V2 = {
         "5c966a6bb43ac38a75770920876e771ffe26a3da267d79de4d12d71b208f55d0",
         "05191d589ec6788d58ebe3fddbde71d93060ca83c55c1930b7dce6b5eb31d26a",
     ),
+    "frozen": (
+        "9f2bd4a6fcfb1ea8136de5cc2e618c7f160882ed4b56b4fa81f0de38edd598ad",
+        "3319e43ce18fd9269628645250ec3a2fd2f5f029a45b2de4cab4d8295d5eaf3e",
+    ),
+    "hill-climb": (
+        "9921f4ec7451a76b31d5b5b44a8ce7fc8fae75952d27c38d159565cf9b88389f",
+        "2e69083a3e0a5ffd73c6e6e783602b559dd3d0f3194f8a32ee693e9fe5c5b3f2",
+    ),
+    "frozen-hill-climb": (
+        "dde58484d8eb87e070fc5dbf29ffefd2674cfac40a080f88b1b79bc5a4ec2e88",
+        "420890aa2c089d6f76a62fd1196c576983f2040ce8698ce10576045eab7ffef4",
+    ),
+}
+
+EXECUTE_CALLS = {
+    "reference": 80,
+    "wide-lemma": 640,
+    "quoted": 160,
+    "frozen": 44,
+    "hill-climb": 39,
+    "frozen-hill-climb": 18,
 }
 
 INDEX_SHA256 = "29df09e64d474c70ab123f83c6ff902f4ee889568ca84c22eda74832f0f82a5e"
@@ -95,9 +134,17 @@ def test_ledger_digests(name, index_path, tmp_path):
     payload = json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
     config = RunConfig.from_payload({**payload, **overrides})
     seed_path = DATA_DIR / "seed_material.jsonl"
-    ledger = run_evolution(
-        config, build_provider(config.provider, index_path), load_corpus(seed_path)
-    )
+    provider = build_provider(config.provider, index_path)
+    sent = []
+    execute = provider.execute
+
+    def counted_execute(query_string, limit):
+        sent.append(query_string)
+        return execute(query_string, limit)
+
+    provider.execute = counted_execute
+    ledger = run_evolution(config, provider, load_corpus(seed_path))
+    assert len(sent) == EXECUTE_CALLS[name]
     write_run_ledger(tmp_path, ledger, make_run_inputs(tmp_path, index_path, seed_path))
     assert format_1_sha256_of(tmp_path / GENERATIONS_FILE) == generations_sha
     assert format_1_sha256_of(tmp_path / FINAL_RESULTS_FILE) == final_sha

@@ -1,11 +1,18 @@
 """Planted-cluster benchmark generator."""
 
+import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import evoquery
 from evoquery.corpus import DEFAULT_NORMALIZER, build_keyword_pool
 from evoquery.evaluation import Persona, consensus_map, load_qrels
 from evoquery.genome import Variant
-from evoquery.provider import ProviderQueryRecord, SearchHit
+from evoquery.provider import SearchHit
 from evoquery.rng import derive_rng
 from evoquery.synthetic import (
     CLUSTER_HOSTS,
@@ -149,23 +156,20 @@ class TestBaseline:
         assert first == second
 
 
-def record_with(urls, genome_id="b0"):
-    hits = [
+def hit_list(urls):
+    return [
         SearchHit(doc_url=url, doc_host="h.example", title="", snippet="", position=i)
         for i, url in enumerate(urls)
     ]
-    return ProviderQueryRecord(
-        query_string="q", genome_id=genome_id, hits=hits, provider_name="offline"
-    )
 
 
 class TestPooling:
     def test_min_position_fusion(self):
-        records = [
-            record_with(["https://a/1", "https://a/2", "https://a/3"]),
-            record_with(["https://a/3", "https://a/4"], genome_id="b1"),
+        lists = [
+            hit_list(["https://a/1", "https://a/2", "https://a/3"]),
+            hit_list(["https://a/3", "https://a/4"]),
         ]
-        assert pooled_top_urls(records, 10) == [
+        assert pooled_top_urls(lists, 10) == [
             "https://a/1",  # position 0, url tie broken ascending
             "https://a/3",  # best position 0 in second record
             "https://a/2",
@@ -173,8 +177,26 @@ class TestPooling:
         ]
 
     def test_limit_respected(self):
-        records = [record_with([f"https://a/{i}" for i in range(30)])]
-        assert len(pooled_top_urls(records, 20)) == 20
+        lists = [hit_list([f"https://a/{i}" for i in range(30)])]
+        assert len(pooled_top_urls(lists, 20)) == 20
 
     def test_empty_records(self):
         assert pooled_top_urls([], 5) == []
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+DATA_FILES = ("corpus.jsonl", "seed_material.jsonl", "qrels.tsv", "config.json", "baseline_list.txt")
+
+
+def test_generate_data_script_reproduces_bundled_files(tmp_path):
+    package_root = str(Path(evoquery.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "generate_data.py"),
+         "--out", str(tmp_path / "data"), "--golden", str(tmp_path / "metrics.csv")],
+        env={**os.environ, "PYTHONPATH": package_root}, capture_output=True, check=True,
+        timeout=120,
+    )
+    for name in DATA_FILES:
+        assert filecmp.cmp(tmp_path / "data" / name, REPO_ROOT / "data" / name, shallow=False), name
+    golden = REPO_ROOT / "tests" / "golden" / "metrics.csv"
+    assert filecmp.cmp(tmp_path / "metrics.csv", golden, shallow=False)
