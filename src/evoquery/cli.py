@@ -30,6 +30,7 @@ from .errors import (
     ProtocolError,
     ProviderUnavailable,
     ZeroEnergySequence,
+    not_utf8,
 )
 from .evaluation import (
     MetricRow,
@@ -168,8 +169,12 @@ def _ledger_ordering(ledger_dir: Path) -> RankedList:
 
 
 def _list_ordering(path: Path) -> RankedList:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     urls = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             urls.append(stripped)

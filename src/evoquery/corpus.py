@@ -226,17 +226,17 @@ def build_keyword_pool(
     return extract_keywords(seed_vector(docs, normalizer), k)
 
 
-def _parse_document(record: object, line_no: int) -> Document:
+def _parse_document(record: object, line_no: int, path: str | Path) -> Document:
     if not isinstance(record, dict):
-        raise ParseError("record is not an object", line_no)
+        raise ParseError("record is not an object", line_no, path)
     for name in _DOC_FIELDS:
         if name not in record:
-            raise ParseError(f"missing field {name!r}", line_no)
+            raise ParseError(f"missing field {name!r}", line_no, path)
         if not isinstance(record[name], str):
-            raise ParseError(f"field {name!r} is not a string", line_no)
+            raise ParseError(f"field {name!r} is not a string", line_no, path)
     doc_id = record["id"]
     if not doc_id:
-        raise ParseError("empty document id", line_no)
+        raise ParseError("empty document id", line_no, path)
     url, host = record["url"], record["host"]
     if url:
         derived = urlsplit(url).netloc
@@ -244,7 +244,7 @@ def _parse_document(record: object, line_no: int) -> Document:
             host = derived
         elif host != derived:
             raise ParseError(
-                f"host {host!r} does not match url authority {derived!r}", line_no
+                f"host {host!r} does not match url authority {derived!r}", line_no, path
             )
     return Document(id=doc_id, url=url, host=host, title=record["title"], body=record["body"])
 
@@ -259,10 +259,10 @@ def load_corpus(path: str | Path) -> list[Document]:
         try:
             record = json.loads(line)
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-            raise ParseError(f"invalid JSON ({exc})", line_no) from exc
-        doc = _parse_document(record, line_no)
+            raise ParseError(f"invalid JSON ({exc})", line_no, path) from exc
+        doc = _parse_document(record, line_no, path)
         if doc.id in seen:
-            raise DuplicateId(f"duplicate document id {doc.id!r}", line_no)
+            raise DuplicateId(f"duplicate document id {doc.id!r}", line_no, path)
         seen.add(doc.id)
         docs.append(doc)
     return docs

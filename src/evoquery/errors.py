@@ -11,12 +11,14 @@ class EvoqueryError(Exception):
 
 
 class ParseError(EvoqueryError):
-    """A data file could not be parsed. Carries the 1-based line number."""
+    """A data file could not be parsed; the message names the file and 1-based line if given."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: str | Path | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 
@@ -31,8 +33,8 @@ def not_utf8(path: str | Path) -> ParseError:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        message = f"byte 0x{data[exc.start]:02x} of {path} is not UTF-8 ({exc.reason})"
-        return ParseError(message, data.count(b"\n", 0, exc.start) + 1)
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        return ParseError(message, data.count(b"\n", 0, exc.start) + 1, path)
     return ParseError(f"{path} changed while it was read")
 
 

@@ -99,27 +99,26 @@ def load_qrels(path: str | Path) -> list[Judgment]:
             continue
         parts = stripped.split("\t")
         if len(parts) != 4:
-            raise ParseError(
-                f"expected 4 tab-separated fields, got {len(parts)}", line_no
-            )
+            raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_no, path)
         doc_url, expert_id, persona_code, grade_text = (p.strip() for p in parts)
         if not doc_url or not expert_id:
-            raise ParseError("empty url or judge id", line_no)
+            raise ParseError("empty url or judge id", line_no, path)
         try:
             persona = Persona.from_code(persona_code)
         except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
+            raise ParseError(str(exc), line_no, path) from None
         try:
             grade = int(grade_text)
         except ValueError:
-            raise ParseError(f"grade {grade_text!r} is not an integer", line_no) from None
+            raise ParseError(f"grade {grade_text!r} is not an integer", line_no, path) from None
         if grade not in GRADE_SCALE:
-            raise GradeOutOfRange(f"grade {grade} outside 0..3", line_no)
+            raise GradeOutOfRange(f"grade {grade} outside 0..3", line_no, path)
         key = (doc_url, expert_id, persona)
         if key in seen:
             raise DuplicateJudgment(
                 f"repeated judgment for {doc_url} / {expert_id} / {persona.value}",
                 line_no,
+                path,
             )
         seen.add(key)
         judgments.append(

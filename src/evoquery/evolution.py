@@ -446,13 +446,14 @@ def run_evolution(
 
     def score(outcomes: list[QueryOutcome]) -> None:
         url_counts = UrlCounts.of([outcome.hits for outcome in outcomes])
+        semantics: dict[tuple[str, str], float] = {}  # this call's reference only
         for outcome in outcomes:
             first = first_outcomes.get(outcome.query_string)
             if first is not None:
                 outcome.results, outcome.query_fitness = first.results, first.query_fitness
                 continue
             outcome.results = score_query_results(
-                outcome.hits, url_counts, reference, weights, config.a_factor, vectors
+                outcome.hits, url_counts, reference, weights, config.a_factor, vectors, semantics
             )
             outcome.query_fitness = query_fitness(outcome.results)
             if config.freeze_reference:

@@ -13,14 +13,16 @@ Work that has the same answer every time is done once: a run memoizes
 each hit's title+snippet lemma vector by (title, snippet) in one
 ``HitVectors``, and each generation counts the result lists containing
 each url once, in one ``UrlCounts``, instead of rescanning every list
-for every hit.
+for every hit. One scoring step against one reference vector fills one
+semantic table, one cosine per distinct (title, snippet), and builds each
+``ScoredResult`` once, after its host damping is known.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -185,26 +187,6 @@ def result_fitness(
     )
 
 
-def apply_host_collocation(results: list[ScoredResult], host_coeff: float) -> list[ScoredResult]:
-    """Damp repeated hosts: the k-th result from one host keeps coeff^(k-1).
-
-    Expects the input sorted by fitness descending (host order counts in
-    that sort order); returns a fresh list re-sorted by damped fitness,
-    ties by url ascending. Undamped results are the input objects themselves.
-    """
-    seen: dict[str, int] = {}
-    adjusted = []
-    for result in results:
-        k = seen.get(result.hit.doc_host, 0)
-        seen[result.hit.doc_host] = k + 1
-        if k == 0 or host_coeff == 1.0:
-            adjusted.append(result)
-        else:
-            adjusted.append(replace(result, fitness=result.fitness * host_coeff**k))
-    adjusted.sort(key=lambda r: (-r.fitness, r.hit.doc_url))
-    return adjusted
-
-
 def query_fitness(results: Sequence[ScoredResult]) -> float:
     """Mean result fitness of one query; zero when it returned nothing."""
     if not results:
@@ -226,26 +208,36 @@ def score_query_results(
     weights: FitnessWeights,
     environment_factor: float,
     vectors: HitVectors,
+    semantics: dict[tuple[str, str], float],
 ) -> list[ScoredResult]:
-    """Score one query's hits within its population and damp host runs."""
+    """Score one query's hits within its population and damp host runs.
+
+    ``semantics`` is ``ref``'s semantic table, filled by (title, snippet).
+    In order of fitness descending, ties by url ascending, the k-th hit from
+    one host keeps coeff^(k-1) of its fitness; results come in that order
+    of damped fitness.
+    """
     length = len(hits)
-    scored = []
+    ranked = []
     for hit in hits:
         rank = position_score(hit.position, length)
         crossquery = cross_query_score(hit.doc_url, url_counts)
-        semantic = semantic_score(hit, ref, vectors)
-        scored.append(
-            ScoredResult(
-                hit=hit,
-                rank_component=rank,
-                crossquery_component=crossquery,
-                semantic_component=semantic,
-                environment_factor=environment_factor,
-                fitness=result_fitness(rank, crossquery, semantic, environment_factor, weights),
-            )
-        )
-    scored.sort(key=lambda r: (-r.fitness, r.hit.doc_url))
-    return apply_host_collocation(scored, weights.host_coeff)
+        key = (hit.title, hit.snippet)
+        semantic = semantics.get(key)
+        if semantic is None:
+            semantic = semantics[key] = semantic_score(hit, ref, vectors)
+        fitness = result_fitness(rank, crossquery, semantic, environment_factor, weights)
+        ranked.append((fitness, hit, rank, crossquery, semantic))
+    ranked.sort(key=lambda row: (-row[0], row[1].doc_url))
+    seen: dict[str, int] = {}
+    results = []
+    for fitness, hit, rank, crossquery, semantic in ranked:
+        k = seen.get(hit.doc_host, 0)
+        seen[hit.doc_host] = k + 1
+        damped = fitness * weights.host_coeff**k  # exactly fitness when k == 0 or coeff == 1
+        results.append(ScoredResult(hit, rank, crossquery, semantic, environment_factor, damped))
+    results.sort(key=lambda r: (-r.fitness, r.hit.doc_url))
+    return results
 
 
 def _top_distinct(results: Iterable[ScoredResult], cap: int) -> list[ScoredResult]:

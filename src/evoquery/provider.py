@@ -35,6 +35,9 @@ BM25_B = 0.75
 SNIPPET_CHARS = 240
 INDEX_FORMAT = "evoquery-index"
 INDEX_VERSION = 2
+# Most hits an OfflineProvider keeps in its answer memo; past this, new
+# answers are ranked but not kept, so a long run cannot grow it without limit.
+ANSWER_MEMO_LIMIT = 1 << 16
 
 _QUOTED_TERM = re.compile(r'"([^"]*)"')
 # Kept as they are in an endpoint's path and query: the RFC 3986 delimiters
@@ -205,6 +208,11 @@ class OfflineProvider:
     full_body_snippets exposes each hit's entire stored text instead of a
     fixed-size fragment, for runs that want semantic scoring over whole
     documents.
+
+    The index never changes, so neither does an answer: each (query string,
+    limit) is ranked once and its hits kept, up to ``ANSWER_MEMO_LIMIT`` hits
+    in all (an empty answer counts as one); a repeat gets a new list of the
+    kept hits.
     """
 
     index: InvertedIndex
@@ -213,6 +221,8 @@ class OfflineProvider:
     stamps_time: bool = False
     _idf: dict[str, float] = field(init=False, repr=False, compare=False)
     _norm: dict[str, float] = field(init=False, repr=False, compare=False)
+    _answers: dict[tuple[str, int], list[SearchHit]] = field(init=False, repr=False, compare=False)
+    _answer_hits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n_docs = self.index.doc_count
@@ -226,10 +236,21 @@ class OfflineProvider:
         for doc_id, doc in self.index.docs.items():
             norm_len = doc["length"] / avg if avg > 0 else 0.0
             self._norm[doc_id] = BM25_K1 * (1.0 - BM25_B + BM25_B * norm_len)
+        self._answers, self._answer_hits = {}, 0
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
         if limit < 1:
             raise ValueError("limit must be >= 1")
+        hits = self._answers.get((query_string, limit))
+        if hits is None:
+            hits = self._rank(query_string, limit)
+            size = max(len(hits), 1)  # an empty answer still takes an entry
+            if self._answer_hits + size <= ANSWER_MEMO_LIMIT:
+                self._answers[query_string, limit] = hits
+                self._answer_hits += size
+        return list(hits)
+
+    def _rank(self, query_string: str, limit: int) -> list[SearchHit]:
         terms, conjunctive = parse_query(query_string)
         if not terms:
             raise EmptyQuery(f"query {query_string!r} contains no terms")
@@ -259,17 +280,8 @@ class OfflineProvider:
         hits = []
         for pos, (_, doc_id) in enumerate(top, start=1):
             doc = self.index.docs[doc_id]
-            text = doc["text"]
-            snippet = text if self.full_body_snippets else text[:SNIPPET_CHARS]
-            hits.append(
-                SearchHit(
-                    doc_url=doc["url"],
-                    doc_host=doc["host"],
-                    title=doc["title"],
-                    snippet=snippet,
-                    position=pos,
-                )
-            )
+            snippet = doc["text"] if self.full_body_snippets else doc["text"][:SNIPPET_CHARS]
+            hits.append(SearchHit(doc["url"], doc["host"], doc["title"], snippet, pos))
         return hits
 
 

@@ -14,7 +14,7 @@ import io
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, not_utf8
 from .evaluation import MetricRow
 
 CSV_HEADER = ["metric", "ordering", "persona", "n", "value"]
@@ -49,32 +49,35 @@ def read_metrics_csv(path: str | Path) -> list[MetricRow]:
     source = Path(path)
     if not source.is_file():
         raise ParseError(f"no such metrics file: {source}")
-    with open(source, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        text = source.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(source) from None
+    reader = csv.reader(io.StringIO(text, newline=""))  # splits lines as open(newline="") does
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{source}: empty file, expected header") from None
+    if header != CSV_HEADER:
+        raise ParseError(f"{source}: header must be {','.join(CSV_HEADER)}")
+    rows = []
+    for line_no, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(CSV_HEADER):
+            raise ParseError(f"expected {len(CSV_HEADER)} columns", line_no, source)
+        metric, ordering, persona, n_text, value_text = record
+        if not metric:
+            raise ParseError("empty metric name", line_no, source)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{source}: empty file, expected header") from None
-        if header != CSV_HEADER:
-            raise ParseError(f"{source}: header must be {','.join(CSV_HEADER)}")
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(CSV_HEADER):
-                raise ParseError(f"expected {len(CSV_HEADER)} columns", line_no)
-            metric, ordering, persona, n_text, value_text = record
-            if not metric:
-                raise ParseError("empty metric name", line_no)
-            try:
-                n = int(n_text)
-            except ValueError:
-                raise ParseError(f"n must be an integer, got {n_text!r}", line_no) from None
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise ParseError(f"value must be a number, got {value_text!r}", line_no) from None
-            rows.append(MetricRow(metric=metric, ordering=ordering, persona=persona, n=n, value=value))
+            n = int(n_text)
+        except ValueError:
+            raise ParseError(f"n must be an integer, got {n_text!r}", line_no, source) from None
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise ParseError(f"value must be a number, got {value_text!r}", line_no, source) from None
+        rows.append(MetricRow(metric=metric, ordering=ordering, persona=persona, n=n, value=value))
     return rows
 
 

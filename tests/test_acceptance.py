@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from evoquery.cli import main as cli_main
-from evoquery.corpus import build_keyword_pool, load_corpus
+from evoquery.corpus import TermVector, build_keyword_pool, load_corpus
 from evoquery.evaluation import (
     Persona,
     RankedList,
@@ -27,11 +27,14 @@ from evoquery.evaluation import (
 from evoquery.evolution import RunConfig, build_provider, run_evolution
 from evoquery.fitness import (
     FitnessWeights,
+    HitVectors,
+    ReferenceText,
     ScoredResult,
-    apply_host_collocation,
+    UrlCounts,
     population_fitness,
     query_fitness,
     result_fitness,
+    score_query_results,
 )
 from evoquery.genome import render_query
 from evoquery.ledger import GENERATIONS_FILE
@@ -222,11 +225,19 @@ def test_criterion_7_fitness_bounds_and_host_penalty():
         if not 0.0 <= w <= 1.0:
             out_of_range += 1
 
+    # three hits of fitness 1.0 from one host: only the semantic component
+    # counts, and each hit's semantic score is set to 1.0 in its table
     same_host = [
-        _dummy_result(1.0, url=f"https://h.example/{i}", host="h.example")
+        SearchHit(doc_url=f"https://h.example/{i}", doc_host="h.example", title=f"t{i}",
+                  snippet="s", position=i + 1)
         for i in range(3)
     ]
-    damped = apply_host_collocation(same_host, 0.75)
+    semantic_only = FitnessWeights(w_position=0.0, w_crossquery=0.0, w_semantic=1.0,
+                                   host_coeff=0.75)
+    damped = score_query_results(
+        same_host, UrlCounts.of([same_host]), ReferenceText(vector=TermVector.from_weights({})),
+        semantic_only, 1.0, HitVectors(), {(h.title, h.snippet): 1.0 for h in same_host},
+    )
     fitnesses = sorted((r.fitness for r in damped), reverse=True)
     penalty_ok = (
         abs(fitnesses[0] - 1.0) <= 1e-12

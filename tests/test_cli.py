@@ -718,11 +718,15 @@ def _stop_words_case(data_dir, tmp_path):
     return argv, bad, None
 
 
-def _qrels_case(data_dir, tmp_path):
-    bad = _non_utf8_copy(data_dir / "qrels.tsv", tmp_path / "qrels.tsv", 50)
+def _ordering(tmp_path):
     ordering = tmp_path / "list.txt"
     ordering.write_text("https://site-00.example/c000\n", encoding="utf-8")
-    return ["evaluate", "--list", str(ordering), "--qrels", str(bad)], bad, 50
+    return ordering
+
+
+def _qrels_case(data_dir, tmp_path):
+    bad = _non_utf8_copy(data_dir / "qrels.tsv", tmp_path / "qrels.tsv", 50)
+    return ["evaluate", "--list", str(_ordering(tmp_path)), "--qrels", str(bad)], bad, 50
 
 
 def _generations_case(data_dir, tmp_path):
@@ -737,9 +741,24 @@ def _generations_case(data_dir, tmp_path):
     return ["replay", "--ledger", str(ledger)], bad, None
 
 
+def _list_case(data_dir, tmp_path):
+    bad = tmp_path / "list.txt"
+    bad.write_bytes(b"https://site-00.example/c000\n\xe9https://site-00.example/c001\n")
+    return ["evaluate", "--list", str(bad), "--qrels", str(data_dir / "qrels.tsv")], bad, 2
+
+
+def _metrics_case(data_dir, tmp_path):
+    metrics = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--list", str(_ordering(tmp_path)),
+                 "--qrels", str(data_dir / "qrels.tsv"), "--out", str(metrics)]) == 0
+    bad = _non_utf8_copy(metrics, metrics, 3)
+    return ["report", "--metrics", str(bad), "--out", str(tmp_path / "report")], bad, 3
+
+
 @pytest.mark.parametrize(
-    "case", [_corpus_case, _stop_words_case, _qrels_case, _generations_case],
-    ids=["corpus", "stop-words", "qrels", "generations"],
+    "case",
+    [_corpus_case, _stop_words_case, _qrels_case, _generations_case, _list_case, _metrics_case],
+    ids=["corpus", "stop-words", "qrels", "generations", "list", "metrics"],
 )
 def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
     argv, bad, line_no = case(data_dir, tmp_path)
@@ -748,7 +767,26 @@ def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert str(bad) in err and "UTF-8" in err
     if line_no is not None:
-        assert f"line {line_no}:" in err
+        assert f"{bad}: line {line_no}:" in err
+
+
+@pytest.mark.parametrize(
+    "kind, text, argv_of",
+    [
+        ("corpus", '{"id": 1\n', lambda bad, out: ["keywords", "--corpus", str(bad)]),
+        ("qrels", "https://site-00.example/c000\tj1\tS\tthree\n",
+         lambda bad, out: ["evaluate", "--list", str(_ordering(out)), "--qrels", str(bad)]),
+        ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,twenty,0.5\n",
+         lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
+    ],
+    ids=["corpus", "qrels", "metrics"],
+)
+def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_text(text, encoding="utf-8")
+    assert main(argv_of(bad, tmp_path)) == 1
+    line_no = text.count("\n")
+    assert f"error: {bad}: line {line_no}: " in capsys.readouterr().err
 
 
 def write_top_keywords(data_dir, path, k=6):

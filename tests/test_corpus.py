@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,7 +324,7 @@ class TestLoadCorpus:
     def test_integer_over_digit_limit_reports_line(self, tmp_path):
         huge = '{"id": ' + "9" * 5000 + "}"
         path = self.write_lines(tmp_path, [self.record("d1"), huge])
-        with pytest.raises(ParseError, match="^line 2: invalid JSON"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
             load_corpus(path)
 
     def test_missing_field_rejected(self, tmp_path):

@@ -1,8 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import evoquery.fitness
+import reference_scoring
 
 from evoquery.corpus import Document, SuffixNormalizer, TermVector, seed_vector
 from evoquery.errors import (
@@ -19,7 +23,6 @@ from evoquery.fitness import (
     ScoredResult,
     UrlCounts,
     aggregate_results,
-    apply_host_collocation,
     cross_query_score,
     hit_text_vector,
     merge_into_global,
@@ -59,6 +62,33 @@ def scored(w, url="https://a.org/1", host=None, **kw):
 
 def hit_list(urls):
     return [hit(url=u, position=i + 1) for i, u in enumerate(urls)]
+
+
+def semantic_only_inputs(results):
+    """Hits and a semantic table under which ``results``' fitnesses are the
+    undamped fitnesses: each hit's title is its url, so each has its own
+    table entry, and that entry is its result's fitness."""
+    hits = [replace(r.hit, title=r.hit.doc_url, position=i) for i, r in enumerate(results, 1)]
+    semantics = {(h.title, h.snippet): r.fitness for h, r in zip(hits, results)}
+    return hits, semantics
+
+
+def semantic_only_scores(hits, semantics, host_coeff):
+    """score_query_results weighting only the semantic component."""
+    weights = FitnessWeights(
+        w_position=0.0, w_crossquery=0.0, w_semantic=1.0, host_coeff=host_coeff
+    )
+    ref = ReferenceText(vector=TermVector.from_weights({}))
+    return score_query_results(
+        hits, UrlCounts.of([hits]), ref, weights, 1.0, HitVectors(), semantics
+    )
+
+
+def damp(results, host_coeff):
+    """``results`` as score_query_results damps them: the semantic table is
+    filled in advance, so each hit's undamped fitness is exactly its
+    result's fitness and no cosine is computed."""
+    return semantic_only_scores(*semantic_only_inputs(results), host_coeff)
 
 
 class TestFitnessWeights:
@@ -242,7 +272,7 @@ class TestResultFitness:
 class TestHostCollocation:
     def test_distinct_hosts_unchanged(self):
         results = [scored(0.8, url="https://a.org/1"), scored(0.6, url="https://b.org/2")]
-        out = apply_host_collocation(results, 0.75)
+        out = damp(results, 0.75)
         assert [r.fitness for r in out] == [0.8, 0.6]
 
     def test_second_same_host_result_damped(self):
@@ -250,11 +280,12 @@ class TestHostCollocation:
             scored(0.8, url="https://a.org/1", host="a.org"),
             scored(0.8, url="https://a.org/2", host="a.org"),
         ]
-        out = apply_host_collocation(results, 0.75)
+        out = damp(results, 0.75)
         assert out[0].fitness == 0.8
         assert out[1].fitness == pytest.approx(0.6, abs=1e-12)
-        assert out[0] is results[0]  # undamped results are not copied
-        assert results[1].fitness == 0.8  # the damped one is a new object
+        # damping moves only the fitness: both keep their components
+        assert [r.semantic_component for r in out] == [0.8, 0.8]
+        assert [r.hit.doc_url for r in out] == ["https://a.org/1", "https://a.org/2"]
 
     def test_third_same_host_result_squared_damping(self):
         results = [
@@ -262,7 +293,7 @@ class TestHostCollocation:
             scored(0.85, url="https://a.org/2", host="a.org"),
             scored(0.8, url="https://a.org/3", host="a.org"),
         ]
-        out = apply_host_collocation(results, 0.75)
+        out = damp(results, 0.75)
         by_url = {r.hit.doc_url: r.fitness for r in out}
         assert by_url["https://a.org/3"] == pytest.approx(0.8 * 0.75**2, abs=1e-12)
         assert by_url["https://a.org/3"] == pytest.approx(0.45, abs=1e-12)
@@ -272,7 +303,7 @@ class TestHostCollocation:
             scored(0.8, url="https://a.org/1", host="a.org"),
             scored(0.7, url="https://a.org/2", host="a.org"),
         ]
-        out = apply_host_collocation(results, 1.0)
+        out = damp(results, 1.0)
         assert [r.fitness for r in out] == [0.8, 0.7]
 
     def test_never_increases_fitness(self):
@@ -286,7 +317,7 @@ class TestHostCollocation:
             key=lambda r: -r.fitness,
         )
         before = {r.hit.doc_url: r.fitness for r in results}
-        out = apply_host_collocation(results, 0.75)
+        out = damp(results, 0.75)
         assert all(r.fitness <= before[r.hit.doc_url] + 1e-15 for r in out)
 
     def test_resorted_after_damping(self):
@@ -295,7 +326,7 @@ class TestHostCollocation:
             scored(0.89, url="https://a.org/2", host="a.org"),
             scored(0.7, url="https://b.org/3", host="b.org"),
         ]
-        out = apply_host_collocation(results, 0.75)
+        out = damp(results, 0.75)
         ws = [r.fitness for r in out]
         assert ws == sorted(ws, reverse=True)
         # damped second a.org result (0.6675) now ranks below b.org's 0.7
@@ -306,8 +337,12 @@ class TestHostCollocation:
             scored(0.8, url="https://a.org/1", host="a.org"),
             scored(0.8, url="https://a.org/2", host="a.org"),
         ]
-        apply_host_collocation(results, 0.5)
-        assert results[1].fitness == 0.8
+        hits, semantics = semantic_only_inputs(results)
+        before = (list(hits), dict(semantics))
+        out = semantic_only_scores(hits, semantics, 0.5)
+        assert [r.fitness for r in out] == [0.8, 0.4]
+        # the damped fitness is not written back into the hits or the table
+        assert (hits, semantics) == before
 
 
 class TestQueryAndPopulationFitness:
@@ -411,7 +446,7 @@ class TestScoreQueryResults:
     def test_components_populated_and_bounded(self):
         hits, lists, ref = self.make_inputs()
         out = score_query_results(
-            hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors()
+            hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors(), {}
         )
         assert len(out) == 2
         for result in out:
@@ -429,7 +464,7 @@ class TestScoreQueryResults:
         out = {
             r.hit.doc_url: r
             for r in score_query_results(
-                hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors()
+                hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors(), {}
             )
         }
         assert out["https://shared.org/doc"].crossquery_component == 1.0
@@ -437,8 +472,83 @@ class TestScoreQueryResults:
 
     def test_empty_record_scores_empty(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
-        out = score_query_results([], UrlCounts.of([[]]), ref, PAPER_WEIGHTS, 1.0, HitVectors())
+        out = score_query_results(
+            [], UrlCounts.of([[]]), ref, PAPER_WEIGHTS, 1.0, HitVectors(), {}
+        )
         assert out == []
+
+    def test_one_cosine_per_distinct_text(self, monkeypatch):
+        calls = []
+        semantic_score_ = evoquery.fitness.semantic_score
+
+        def counted(hit, ref, vectors):
+            calls.append((hit.title, hit.snippet))
+            return semantic_score_(hit, ref, vectors)
+
+        monkeypatch.setattr(evoquery.fitness, "semantic_score", counted)
+        ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
+        lists = [
+            [hit(url="https://a.org/1", title="wear", position=1),
+             hit(url="https://b.org/2", title="wear", position=2)],
+            [hit(url="https://c.org/3", title="wear", position=1),
+             hit(url="https://a.org/1", title="oil", position=2)],
+        ]
+        semantics = {}
+        for hits in lists:
+            score_query_results(
+                hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors(), semantics
+            )
+        assert calls == [("wear", ""), ("oil", "")]
+        assert semantics == {("wear", ""): 1.0, ("oil", ""): 0.0}
+
+
+# Texts overlap so that hits under different urls share a (title, snippet).
+ORACLE_TITLES = ["wear", "oil film", "wear friction", ""]
+ORACLE_SNIPPETS = ["", "oil", "wear wear"]
+ORACLE_WEIGHTS = [(0.33, 0.33, 0.34), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
+
+
+@given(
+    population=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),  # host: three hosts, so hosts repeat
+                st.integers(0, 5),
+                st.sampled_from(ORACLE_TITLES),
+                st.sampled_from(ORACLE_SNIPPETS),
+            ),
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    weights=st.sampled_from(ORACLE_WEIGHTS),
+    host_coeff=st.sampled_from([1.0, 0.75, 0.5]),
+    environment=st.sampled_from([1.0, 0.5, 0.0]),  # 0.0 ties every fitness
+)
+@settings(max_examples=300, deadline=None)
+def test_scorer_matches_reference(population, weights, host_coeff, environment):
+    """Equal results in the same order as the scorer that copied each damped
+    result, with one semantic table shared by a population's lists."""
+    lists = [
+        [
+            hit(url=f"https://h{host}.org/{doc}", title=title, snippet=snippet, position=i)
+            for i, (host, doc, title, snippet) in enumerate(spec, 1)
+        ]
+        for spec in population
+    ]
+    fitness_weights = FitnessWeights(*weights, host_coeff=host_coeff)
+    ref = ReferenceText(vector=TermVector.from_weights({"wear": 0.6, "oil": 0.3, "film": 0.1}))
+    url_counts = UrlCounts.of(lists)
+    vectors = HitVectors()
+    semantics = {}
+    for hits in lists:
+        expected = reference_scoring.score_query_results(
+            hits, url_counts, ref, fitness_weights, environment, HitVectors()
+        )
+        assert score_query_results(
+            hits, url_counts, ref, fitness_weights, environment, vectors, semantics
+        ) == expected
 
 
 class TestReferenceText:

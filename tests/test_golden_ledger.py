@@ -3,8 +3,10 @@
 An optimization of scoring, selection or ledger writing must leave every
 ledger byte as it was. These digests pin the bundled data's ledgers for
 the reference config, a wider lemma run, a quoted (conjunctive) run, a
-frozen-reference run, a one-genome hill climb and the two together; a
-change that moves one is a format change and must say so.
+frozen-reference run, a one-genome hill climb and the two together, a run
+whose hits carry whole bodies (so semantic scoring reads whole documents)
+and one without host damping (``f4`` = 1); a change that moves one is a
+format change and must say so.
 
 ``GOLDEN`` holds the format-1 digests. Each format-2 file, read back and
 written through the format-1 reference writer, must still match them, so
@@ -65,6 +67,16 @@ GOLDEN = {
         "23e4707301fa6c8649f0306e6cee155ebc27737df7af95e3d98d5e3f10bf4838",
         "31a775f1761f50acf76b388122c39c645a8400de637e7dc0d6dfc872e64813a9",
     ),
+    "full-body": (
+        {"provider": {"full_body_snippets": True}},
+        "9ff3d66004e2d2073ab7214adf19802cf63e3b7d035e4e59428882291441335a",
+        "0795d2dd36a2fe381309b29d8b99e898dabc26f555742713f1eb2e5c44b497ca",
+    ),
+    "no-damping": (
+        {"f4": 1.0},
+        "2976f457a4a21f7c0cdae824ee878dd2d338744061af995c2ce5709949370a62",
+        "55171d63ad407a23097603fe358e99396a2c7191f44ce7a8611c47378936e787",
+    ),
 }
 
 GOLDEN_V2 = {
@@ -92,6 +104,14 @@ GOLDEN_V2 = {
         "dde58484d8eb87e070fc5dbf29ffefd2674cfac40a080f88b1b79bc5a4ec2e88",
         "420890aa2c089d6f76a62fd1196c576983f2040ce8698ce10576045eab7ffef4",
     ),
+    "full-body": (
+        "1ee0d2bc74a9f89b5abde099fbdf3bfb00f68c5800e245fb240074722643b673",
+        "cb2b29f5bfe4eeec8390bba1d825cd1d7a1a431322af72fac6e858f90dc3a438",
+    ),
+    "no-damping": (
+        "c0beea17ccda81098fd5d5a7c5099c6e3be40066fb37348ba5725b67e3d6b8db",
+        "0bddbb224c93ff8b5b4ff84b24959a3e3dad289ab959b35650e24bc56e6c06a1",
+    ),
 }
 
 EXECUTE_CALLS = {
@@ -101,6 +121,8 @@ EXECUTE_CALLS = {
     "frozen": 44,
     "hill-climb": 39,
     "frozen-hill-climb": 18,
+    "full-body": 80,
+    "no-damping": 80,
 }
 
 INDEX_SHA256 = "29df09e64d474c70ab123f83c6ff902f4ee889568ca84c22eda74832f0f82a5e"

@@ -9,6 +9,7 @@ from urllib.parse import parse_qs, urlsplit
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evoquery.provider
 from evoquery.corpus import Document, SuffixNormalizer
 from evoquery.errors import (
     EmptyCorpus,
@@ -352,6 +353,63 @@ class TestOfflineProvider:
     def test_limit_respected(self, limit):
         hits = self.make_provider().execute("wear oil lubricant metal", limit)
         assert len(hits) <= limit
+
+
+class TestAnswerMemo:
+    """Repeated (query string, limit) pairs are ranked once."""
+
+    make_provider = TestOfflineProvider.make_provider
+
+    def counting_provider(self):
+        provider = self.make_provider()
+        ranked = []
+        rank = provider._rank
+
+        def counted(query_string, limit):
+            ranked.append((query_string, limit))
+            return rank(query_string, limit)
+
+        provider._rank = counted
+        return provider, ranked
+
+    def test_interleaved_repeats_match_fresh_provider(self):
+        provider, ranked = self.counting_provider()
+        queries = ["wear oil", '"wear" "friction"', "zzz", '"wear" "oil"', "wear oil",
+                   "zzz", '"wear" "friction"', "oil", '"wear" "oil"', "wear oil"]
+        for query in queries:
+            assert provider.execute(query, 10) == self.make_provider().execute(query, 10)
+        assert ranked == [(q, 10) for q in dict.fromkeys(queries)]
+
+    def test_other_limit_is_its_own_entry(self):
+        provider, ranked = self.counting_provider()
+        for limit in (3, 1, 3, 2, 1):
+            assert provider.execute("wear oil", limit) == self.make_provider().execute(
+                "wear oil", limit
+            )
+        assert [limit for _, limit in ranked] == [3, 1, 2]
+
+    def test_caller_cannot_change_a_kept_answer(self):
+        provider = self.make_provider()
+        provider.execute("wear oil", 10).clear()
+        assert provider.execute("wear oil", 10) == self.make_provider().execute("wear oil", 10)
+
+    def test_memo_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(evoquery.provider, "ANSWER_MEMO_LIMIT", 4)
+        provider, ranked = self.counting_provider()
+        # 3 hits kept; 2 more would pass the bound; 1 more reaches it; then full.
+        # An empty answer counts as one hit.
+        queries = ("wear oil", "wear", "oil", "zzz", "wear oil", "wear", "oil", "zzz")
+        for query in queries:
+            assert provider.execute(query, 10) == self.make_provider().execute(query, 10)
+        assert ranked == [(q, 10) for q in ("wear oil", "wear", "oil", "zzz", "wear", "zzz")]
+        assert list(provider._answers) == [("wear oil", 10), ("oil", 10)]
+
+    def test_empty_answers_count_toward_the_bound(self, monkeypatch):
+        monkeypatch.setattr(evoquery.provider, "ANSWER_MEMO_LIMIT", 2)
+        provider = self.make_provider()
+        for query in ("zzz", "yyy", "xxx"):
+            assert provider.execute(query, 10) == []
+        assert list(provider._answers) == [("zzz", 10), ("yyy", 10)]
 
 
 class TestParseQuery:
