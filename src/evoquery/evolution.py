@@ -70,7 +70,6 @@ from .provider import (
 from .rng import derive_rng
 
 API_KEY_ENV_VAR = "EVOQUERY_API_KEY"
-FITNESS_CONSISTENCY_TOLERANCE = 1e-9
 # Largest accepted value of each RunConfig count. Every bound is far above a
 # useful run, and low enough that a slipped digit is rejected at load instead
 # of starting a run that cannot finish.
@@ -333,14 +332,6 @@ class GenerationRecord:
             "reference_digest": self.reference_digest,
         }
 
-    def check_consistency(self) -> None:
-        mean = sum(q.query_fitness for q in self.queries) / len(self.queries)
-        if abs(mean - self.population_fitness) > FITNESS_CONSISTENCY_TOLERANCE:
-            raise LedgerCorrupt(
-                f"generation {self.generation}: population fitness "
-                f"{self.population_fitness!r} does not match query mean {mean!r}"
-            )
-
 
 @dataclass
 class RunLedger:
@@ -536,8 +527,6 @@ def write_run_ledger(
     ledger_dir: str | Path, ledger: RunLedger, inputs: dict | None = None
 ) -> None:
     """Write the ledger with the run's input fingerprints (``make_run_inputs``), if any."""
-    for record in ledger.generations:
-        record.check_consistency()
     config_payload = {"config": ledger.config.to_payload(), "inputs": inputs}
     write_ledger_dir(
         ledger_dir,

@@ -17,6 +17,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import lt
 from pathlib import Path
 from typing import Protocol
 from urllib.parse import quote, urlencode, urlsplit, urlunsplit
@@ -34,7 +35,9 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 SNIPPET_CHARS = 240
 INDEX_FORMAT = "evoquery-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
+# An index's per-document columns, in this order in InvertedIndex.docs
+DOC_COLUMNS = ("id", "url", "host", "title", "text", "length")
 # Most hits an OfflineProvider keeps in its answer memo; past this, new
 # answers are ranked but not kept, so a long run cannot grow it without limit.
 ANSWER_MEMO_LIMIT = 1 << 16
@@ -65,20 +68,24 @@ class SearchProvider(Protocol):
 class InvertedIndex:
     """An index as its file holds it, so loading uses what ``json.loads`` returns.
 
-    ``postings`` maps each lemma to {doc id: term count}; ``docs`` maps each
-    doc id to {"url", "host", "title", "text", "length"}, where ``text`` is
-    the whitespace-collapsed body that snippets are sliced from and
-    ``length`` its lemma count.
+    ``docs`` maps each of ``DOC_COLUMNS`` to a list with one entry per
+    document, in doc id order: the doc's ``id``, ``url``, ``host``,
+    ``title``, ``text`` (the whitespace-collapsed body that snippets are
+    sliced from) and ``length`` (its lemma count). A doc's index in these
+    lists is its position. ``postings`` maps each lemma to the strictly
+    ascending positions of the docs holding it, and ``term_counts`` to how
+    often each of those docs holds it, in the same order.
     """
 
-    postings: dict[str, dict[str, int]]
-    docs: dict[str, dict]
+    docs: dict[str, list]
+    postings: dict[str, list[int]]
+    term_counts: dict[str, list[int]]
     avg_doc_len: float
     normalizer: dict[str, str]  # the fingerprint of the normalizer that built it
 
     @property
     def doc_count(self) -> int:
-        return len(self.docs)
+        return len(self.docs["id"])
 
     @property
     def vocabulary_size(self) -> int:
@@ -88,35 +95,26 @@ class InvertedIndex:
 def build_index(
     docs: list[Document], normalizer: Normalizer = DEFAULT_NORMALIZER
 ) -> InvertedIndex:
-    """Postings with raw term counts, plus per-document metadata for hits.
+    """Doc columns and postings with raw term counts, docs ordered by their unique ids.
 
     The whole whitespace-collapsed body is stored per document; whether a
     hit exposes all of it or a fixed-size snippet is the provider's call.
-    Each posting list holds its doc ids in corpus order.
     """
     if not docs:
         raise EmptyCorpus("cannot index an empty corpus")
-    postings: dict[str, dict[str, int]] = {}
-    stored: dict[str, dict] = {}
-    total_len = 0
-    for doc in docs:
+    columns: dict[str, list] = {name: [] for name in DOC_COLUMNS}
+    postings: dict[str, list[int]] = {}
+    term_counts: dict[str, list[int]] = {}
+    for position, doc in enumerate(sorted(docs, key=lambda d: d.id)):
         lemmas = normalizer.normalize(doc.body)
-        total_len += len(lemmas)
-        stored[doc.id] = {
-            "url": doc.url,
-            "host": doc.host,
-            "title": doc.title,
-            "text": " ".join(doc.body.split()),
-            "length": len(lemmas),
-        }
+        values = (doc.id, doc.url, doc.host, doc.title, " ".join(doc.body.split()), len(lemmas))
+        for name, value in zip(DOC_COLUMNS, values):
+            columns[name].append(value)
         for lemma, tf in Counter(lemmas).items():
-            postings.setdefault(lemma, {})[doc.id] = tf
-    return InvertedIndex(
-        postings=postings,
-        docs=stored,
-        avg_doc_len=total_len / len(docs),
-        normalizer=normalizer.fingerprint(),
-    )
+            postings.setdefault(lemma, []).append(position)
+            term_counts.setdefault(lemma, []).append(tf)
+    avg_doc_len = sum(columns["length"]) / len(docs)
+    return InvertedIndex(columns, postings, term_counts, avg_doc_len, normalizer.fingerprint())
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
@@ -128,6 +126,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "avg_doc_len": index.avg_doc_len,
         "docs": index.docs,
         "postings": index.postings,
+        "term_counts": index.term_counts,
     }
     Path(path).write_text(
         json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")),
@@ -135,48 +134,67 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     )
 
 
+def _list_of(value, kind: type, least: int | None = None) -> bool:
+    """Whether ``value`` is a list of exactly ``kind`` (so no bool for int), each >= ``least``.
+
+    Built-ins do the work in C, so a long list costs no Python loop.
+    """
+    return (isinstance(value, list) and set(map(type, value)) <= {kind}
+            and (least is None or min(value, default=least) >= least))
+
+
+def _ascending(values: list) -> bool:
+    """Whether each value is less than the next: sorted, with no repeats."""
+    return all(map(lt, values, values[1:]))
+
+
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index file, checking it once; ParseError names the bad part."""
+    """Read an index file, checking it once; each ParseError names the file and the bad part."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an integer over the digit limit
         raise ParseError(f"index {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise ParseError(f"{path} is not an index file")
+
+    def bad(message: str) -> ParseError:
+        return ParseError(f"index {message}", path=path)
+
     if payload.get("version") != INDEX_VERSION:
-        raise ParseError(f"unsupported index version {payload.get('version')!r}")
+        raise ParseError(f"unsupported index version {payload.get('version')!r} (version "
+                         f"{INDEX_VERSION} is read); rebuild it with `evoquery index`", path=path)
     normalizer = payload.get("normalizer")
-    if not isinstance(normalizer, dict) or not all(
-        isinstance(v, str) for v in normalizer.values()
-    ):
-        raise ParseError("index does not record its normalizer")
-    docs, postings, avg = payload.get("docs"), payload.get("postings"), payload.get("avg_doc_len")
+    if not isinstance(normalizer, dict) or not _list_of(list(normalizer.values()), str):
+        raise bad("does not record its normalizer")
+    avg = payload.get("avg_doc_len")
     if type(avg) not in (int, float) or not 0 <= avg < math.inf:
-        raise ParseError(f"index avg_doc_len must be a finite number >= 0, got {avg!r}")
-    for part, value in (("docs", docs), ("postings", postings)):
+        raise bad(f"avg_doc_len must be a finite number >= 0, got {avg!r}")
+    docs, postings, term_counts = (payload.get(k) for k in ("docs", "postings", "term_counts"))
+    for part, value in (("docs", docs), ("postings", postings), ("term_counts", term_counts)):
         if not isinstance(value, dict):
-            raise ParseError(f"index {part} must be an object")
-    for doc_id, doc in docs.items():
-        if not isinstance(doc, dict):
-            raise ParseError(f"index doc {doc_id!r} must be an object")
-        for key in ("url", "host", "title", "text"):
-            if not isinstance(doc.get(key), str):
-                raise ParseError(f"index doc {doc_id!r} lacks a string {key}")
-        if type(doc.get("length")) is not int or doc["length"] < 0:
-            raise ParseError(f"index doc {doc_id!r} lacks an integer length >= 0")
+            raise bad(f"{part} must be an object")
+    for name in DOC_COLUMNS:
+        kind, least, what = (
+            (int, 0, "integers >= 0") if name == "length" else (str, None, "strings"))
+        if not _list_of(docs.get(name), kind, least):
+            raise bad(f"docs column {name!r} must be a list of {what}")
+        if len(docs[name]) != len(docs["id"]):
+            raise bad(f"docs column {name!r} has {len(docs[name])} entries, not {len(docs['id'])}")
+    if not _ascending(docs["id"]):
+        raise bad("docs column 'id' must hold unique ids in sorted order")
+    if postings.keys() != term_counts.keys():
+        lemma = min(postings.keys() ^ term_counts.keys())
+        raise bad(f"lemma {lemma!r} must be in both postings and term_counts")
     for lemma, plist in postings.items():
-        if not isinstance(plist, dict):
-            raise ParseError(f"index postings of {lemma!r} must be an object")
-        for doc_id, tf in plist.items():
-            if type(tf) is not int or tf < 1:
-                raise ParseError(
-                    f"index postings of {lemma!r}: term count of {doc_id!r} must be "
-                    f"an integer >= 1, got {tf!r}"
-                )
-        if not plist.keys() <= docs.keys():
-            unknown = min(plist.keys() - docs.keys())
-            raise ParseError(f"index postings of {lemma!r} name unknown doc {unknown!r}")
-    return InvertedIndex(postings=postings, docs=docs, avg_doc_len=avg, normalizer=normalizer)
+        if not _list_of(plist, int) or not _ascending(plist):
+            raise bad(f"postings of {lemma!r} must be a strictly ascending list of doc positions")
+        if plist and (plist[0] < 0 or plist[-1] >= len(docs["id"])):
+            raise bad(f"postings of {lemma!r} hold a doc position outside 0..{len(docs['id']) - 1}")
+        if not _list_of(term_counts[lemma], int, 1):
+            raise bad(f"term_counts of {lemma!r} must be a list of integers >= 1")
+        if len(term_counts[lemma]) != len(plist):
+            raise bad(f"postings and term_counts of {lemma!r} differ in length")
+    return InvertedIndex(docs, postings, term_counts, avg, normalizer)
 
 
 def parse_query(query_string: str) -> tuple[list[str], bool]:
@@ -203,7 +221,8 @@ class OfflineProvider:
     document's length norm are computed once, when the provider is built,
     and every query term, duplicates included, adds its contribution to
     the documents in its posting list in query order. The top ``limit``
-    documents are then taken by (-score, doc id) with a heap.
+    documents are then taken by (-score, doc position) with a heap; the
+    index orders positions by doc id, so ties break by doc id.
 
     full_body_snippets exposes each hit's entire stored text instead of a
     fixed-size fragment, for runs that want semantic scoring over whole
@@ -220,7 +239,7 @@ class OfflineProvider:
     name: str = "offline"
     stamps_time: bool = False
     _idf: dict[str, float] = field(init=False, repr=False, compare=False)
-    _norm: dict[str, float] = field(init=False, repr=False, compare=False)
+    _norm: list[float] = field(init=False, repr=False, compare=False)  # by doc position
     _answers: dict[tuple[str, int], list[SearchHit]] = field(init=False, repr=False, compare=False)
     _answer_hits: int = field(init=False, repr=False, compare=False)
 
@@ -232,10 +251,10 @@ class OfflineProvider:
             for lemma, plist in self.index.postings.items()
         }
         # BM25's tf saturation term K1 * (1 - b + b * |d| / avgdl) per document
-        self._norm = {}
-        for doc_id, doc in self.index.docs.items():
-            norm_len = doc["length"] / avg if avg > 0 else 0.0
-            self._norm[doc_id] = BM25_K1 * (1.0 - BM25_B + BM25_B * norm_len)
+        self._norm = [
+            BM25_K1 * (1.0 - BM25_B + BM25_B * (length / avg if avg > 0 else 0.0))
+            for length in self.index.docs["length"]
+        ]
         self._answers, self._answer_hits = {}, 0
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
@@ -254,34 +273,37 @@ class OfflineProvider:
         terms, conjunctive = parse_query(query_string)
         if not terms:
             raise EmptyQuery(f"query {query_string!r} contains no terms")
-        postings = self.index.postings
+        postings, term_counts = self.index.postings, self.index.term_counts
         norm = self._norm
-        candidates: set[str] | None = None
+        candidates: set[int] | None = None
         if conjunctive:
-            shortest, *others = sorted((postings.get(term, {}) for term in terms), key=len)
+            shortest, *others = sorted((postings.get(term, ()) for term in terms), key=len)
             candidates = set(shortest)
             for plist in others:
                 if not candidates:
                     break
-                candidates &= plist.keys()
+                candidates.intersection_update(plist)
             if not candidates:
                 return []
         k1_plus_1 = BM25_K1 + 1.0
-        scores: dict[str, float] = {}
+        scores: dict[int, float] = {}
         for term in terms:
             plist = postings.get(term)
             if not plist:
                 continue
-            idf = self._idf[term]
-            matches = plist.items() if candidates is None else ((d, plist[d]) for d in candidates)
-            for doc_id, tf in matches:
-                scores[doc_id] = scores.get(doc_id, 0.0) + idf * (tf * k1_plus_1) / (tf + norm[doc_id])
-        top = heapq.nsmallest(limit, ((-score, doc_id) for doc_id, score in scores.items()))
+            idf, tfs = self._idf[term], term_counts[term]
+            matches = zip(plist, tfs)
+            if candidates is not None:
+                matches = ((d, tf) for d, tf in matches if d in candidates)
+            for d, tf in matches:
+                scores[d] = scores.get(d, 0.0) + idf * (tf * k1_plus_1) / (tf + norm[d])
+        top = heapq.nsmallest(limit, ((-score, d) for d, score in scores.items()))
+        docs = self.index.docs
         hits = []
-        for pos, (_, doc_id) in enumerate(top, start=1):
-            doc = self.index.docs[doc_id]
-            snippet = doc["text"] if self.full_body_snippets else doc["text"][:SNIPPET_CHARS]
-            hits.append(SearchHit(doc["url"], doc["host"], doc["title"], snippet, pos))
+        for rank, (_, d) in enumerate(top, start=1):
+            text = docs["text"][d]
+            snippet = text if self.full_body_snippets else text[:SNIPPET_CHARS]
+            hits.append(SearchHit(docs["url"][d], docs["host"][d], docs["title"][d], snippet, rank))
         return hits
 
 

@@ -33,19 +33,52 @@ from evoquery.synthetic import build_dataset, qrels_lines
 SMALL_CONFIG = {"g2": 4, "g3": 3, "e1": 2, "f1": 8, "f2": 8, "f3": 10}
 
 
-# (corrupt an index payload of build_dataset(0) in place, the error it must raise)
+def _set(column, at, value):
+    column[at] = value
+
+
+# (corrupt an index payload of build_dataset(0), 500 docs, in place; the part it must name)
 MALFORMED_INDEXES = [
     pytest.param(
-        lambda p: p["docs"]["c000"].pop("url"), "index doc 'c000' lacks a string url",
-        id="doc-without-url",
+        lambda p: _set(p["docs"]["url"], 0, None),
+        "index docs column 'url' must be a list of strings", id="doc-without-url",
+    ),
+    pytest.param(
+        lambda p: p["docs"]["title"].pop(), "index docs column 'title' has 499 entries, not 500",
+        id="unequal-columns",
+    ),
+    pytest.param(
+        lambda p: p["docs"]["id"].reverse(),
+        "index docs column 'id' must hold unique ids in sorted order", id="unsorted-ids",
     ),
     pytest.param(
         lambda p: p.pop("postings"), "index postings must be an object", id="no-postings"
     ),
     pytest.param(
-        lambda p: p["postings"]["mavevo"].update(c000="2"),
-        "index postings of 'mavevo': term count of 'c000' must be an integer >= 1, got '2'",
-        id="string-term-count",
+        lambda p: _set(p["term_counts"]["mavevo"], 0, "2"),
+        "index term_counts of 'mavevo' must be a list of integers >= 1", id="string-term-count",
+    ),
+    pytest.param(
+        lambda p: _set(p["term_counts"]["mavevo"], 0, 2.0),
+        "index term_counts of 'mavevo' must be a list of integers >= 1", id="float-term-count",
+    ),
+    pytest.param(
+        lambda p: _set(p["term_counts"]["mavevo"], 0, True),
+        "index term_counts of 'mavevo' must be a list of integers >= 1", id="bool-term-count",
+    ),
+    pytest.param(
+        lambda p: p["term_counts"]["mavevo"].pop(),
+        "index postings and term_counts of 'mavevo' differ in length", id="unequal-posting-lists",
+    ),
+    pytest.param(
+        lambda p: p["term_counts"].pop("mavevo"),
+        "index lemma 'mavevo' must be in both postings and term_counts",
+        id="lemma-only-in-postings",
+    ),
+    pytest.param(
+        lambda p: p["postings"].pop("mavevo"),
+        "index lemma 'mavevo' must be in both postings and term_counts",
+        id="lemma-only-in-term-counts",
     ),
     pytest.param(
         lambda p: p.update(avg_doc_len="39.5"),
@@ -57,9 +90,27 @@ MALFORMED_INDEXES = [
         id="docs-as-list",
     ),
     pytest.param(
-        lambda p: p["postings"]["mavevo"].update(nosuch=1),
-        "index postings of 'mavevo' name unknown doc 'nosuch'",
-        id="unknown-doc-id",
+        lambda p: (p["postings"]["mavevo"].append(500), p["term_counts"]["mavevo"].append(1)),
+        "index postings of 'mavevo' hold a doc position outside 0..499", id="unknown-doc-id",
+    ),
+    pytest.param(
+        lambda p: _set(p["postings"]["mavevo"], 0, -1),
+        "index postings of 'mavevo' hold a doc position outside 0..499", id="negative-position",
+    ),
+    pytest.param(
+        lambda p: _set(p["postings"]["mavevo"], 1, p["postings"]["mavevo"][0]),
+        "index postings of 'mavevo' must be a strictly ascending list of doc positions",
+        id="repeated-position",
+    ),
+    pytest.param(
+        lambda p: p["postings"]["mavevo"].reverse(),
+        "index postings of 'mavevo' must be a strictly ascending list of doc positions",
+        id="unordered-positions",
+    ),
+    pytest.param(
+        lambda p: p.update(version=2),
+        "unsupported index version 2 (version 3 is read); rebuild it with `evoquery index`",
+        id="format-2",
     ),
 ]
 
@@ -292,7 +343,7 @@ class TestEvolve:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"error: {named}" in err
+        assert f"error: {index}: {named}" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -125,7 +125,7 @@ EXECUTE_CALLS = {
     "no-damping": 80,
 }
 
-INDEX_SHA256 = "29df09e64d474c70ab123f83c6ff902f4ee889568ca84c22eda74832f0f82a5e"
+INDEX_SHA256 = "ca19865f5c02178952f9f2f272a60dcc6976a10a8405612ce6c8c46b960967b7"
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,19 @@
 import json
 import math
+import random
 import threading
 import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from types import SimpleNamespace
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import evoquery.provider
-from evoquery.corpus import Document, SuffixNormalizer
+from evoquery.corpus import DEFAULT_NORMALIZER, Document, SuffixNormalizer, load_corpus
 from evoquery.errors import (
     EmptyCorpus,
     EmptyQuery,
@@ -21,6 +24,7 @@ from evoquery.errors import (
 from evoquery.provider import (
     BM25_B,
     BM25_K1,
+    DOC_COLUMNS,
     INDEX_FORMAT,
     SNIPPET_CHARS,
     HttpProvider,
@@ -43,9 +47,18 @@ def doc(doc_id, body, title="t", host="example.org"):
     )
 
 
+def reference_index(docs, normalizer=DEFAULT_NORMALIZER):
+    # the format-2 shape: postings of {doc id: term count}, docs by id
+    postings, stored, avg_doc_len = reference_build_index(docs, normalizer)
+    return SimpleNamespace(
+        postings=postings, docs=stored, avg_doc_len=avg_doc_len, doc_count=len(stored)
+    )
+
+
 def reference_bm25(index, query_lemmas, doc_id):
-    # oracle: one document scored at a time, with the float operations of
-    # OfflineProvider's sums in the same order, so scores match bit for bit
+    # oracle over reference_index's dicts: one document scored at a time, with
+    # the float operations of OfflineProvider's sums in the same order, so
+    # scores match bit for bit
     n_docs = index.doc_count
     dl = index.docs[doc_id]["length"]
     norm_len = dl / index.avg_doc_len if index.avg_doc_len > 0 else 0.0
@@ -95,13 +108,13 @@ def ranked_ids(hits):
 class TestBuildIndex:
     def test_hand_counted_postings(self):
         index = build_index([doc("d1", "aa aa bb")])
-        assert index.postings["aa"] == {"d1": 2}
-        assert index.postings["bb"] == {"d1": 1}
+        assert (index.postings["aa"], index.term_counts["aa"]) == ([0], [2])
+        assert (index.postings["bb"], index.term_counts["bb"]) == ([0], [1])
         assert index.avg_doc_len == 3.0
 
     def test_identical_documents_get_identical_postings(self):
         index = build_index([doc("d1", "aa bb"), doc("d2", "aa bb")])
-        assert index.postings["aa"] == {"d1": 1, "d2": 1}
+        assert (index.postings["aa"], index.term_counts["aa"]) == ([0, 1], [1, 1])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
@@ -109,7 +122,7 @@ class TestBuildIndex:
 
     def test_stored_text_whitespace_collapsed(self):
         index = build_index([doc("d1", "word  \n word\tword")])
-        assert index.docs["d1"]["text"] == "word word word"
+        assert index.docs["text"] == ["word word word"]
 
     def test_snippet_truncated_at_query_time(self):
         body = "word " * 100
@@ -130,9 +143,11 @@ class TestBuildIndex:
         path = tmp_path / "index.json"
         save_index(index, path)
         loaded = load_index(path)
-        assert loaded.postings == index.postings
-        assert loaded.avg_doc_len == index.avg_doc_len
         assert loaded.docs == index.docs
+        assert loaded.postings == index.postings
+        assert loaded.term_counts == index.term_counts
+        assert loaded.avg_doc_len == index.avg_doc_len
+        assert loaded.normalizer == index.normalizer
 
     def test_load_rejects_non_index_file(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -149,7 +164,7 @@ class TestBuildIndex:
     def test_integer_over_digit_limit_names_file(self, tmp_path):
         path = tmp_path / "index.json"
         save_index(build_index([doc("d1", "aa bb")]), path)
-        path.write_text(path.read_text().replace('"d1":1', '"d1":' + "9" * 5000, 1))
+        path.write_text(path.read_text().replace('"length":[2]', '"length":[' + "9" * 5000 + "]"))
         with pytest.raises(ParseError, match=f"^index {path} is not valid JSON"):
             load_index(path)
 
@@ -190,15 +205,20 @@ class TestIndexFile:
         normalizer = SuffixNormalizer(frozenset(stop_words))
         postings, stored, avg_doc_len = reference_build_index(docs, normalizer)
         index = build_index(docs, normalizer)
-        # equal including order: lemmas by first use, each list's ids in corpus order
-        assert [(t, list(p.items())) for t, p in index.postings.items()] == [
-            (t, list(p.items())) for t, p in postings.items()
-        ]
-        assert index.docs == stored
+        ids = index.docs["id"]
+        assert ids == sorted(stored)
+        rows = zip(*(index.docs[name] for name in DOC_COLUMNS[1:]))
+        assert [dict(zip(DOC_COLUMNS[1:], row)) for row in rows] == [stored[i] for i in ids]
+        assert index.term_counts.keys() == index.postings.keys()
+        assert all(p == sorted(set(p)) for p in index.postings.values())
+        assert {
+            t: dict(zip([ids[d] for d in p], index.term_counts[t]))
+            for t, p in index.postings.items()
+        } == postings
         assert index.avg_doc_len == avg_doc_len
         assert index.normalizer == normalizer.fingerprint()
 
-    def test_compact_sorted_format_2(self, tmp_path):
+    def test_compact_sorted_format_3(self, tmp_path):
         normalizer = SuffixNormalizer(frozenset({"cc"}))
         path = tmp_path / "index.json"
         save_index(build_index([doc("d1", "bb aa cc"), doc("d2", "aa")], normalizer), path)
@@ -207,8 +227,12 @@ class TestIndexFile:
         assert text == json.dumps(
             payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")
         )
-        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 2)
+        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 3)
         assert payload["normalizer"] == normalizer.fingerprint()
+        assert payload["docs"]["id"] == ["d1", "d2"]
+        assert payload["docs"]["length"] == [2, 1]
+        assert payload["postings"] == {"aa": [0, 1], "bb": [0]}
+        assert payload["term_counts"] == {"aa": [1, 1], "bb": [1]}
         assert load_index(path).normalizer == normalizer.fingerprint()
 
     def test_version_1_rejected(self, tmp_path):
@@ -234,22 +258,24 @@ class TestScoreBm25:
         assert provider.execute("aa zz", 10) == provider.execute("aa", 10)
 
     def test_single_doc_idf(self):
-        index = build_index([doc("d1", "aa")])
+        docs = [doc("d1", "aa")]
         # N=1, n_t=1: idf = ln(1 + 0.5/1.5); tf=1 at avg length → factor 1.0
-        assert reference_bm25(index, ["aa"], "d1") == pytest.approx(
+        assert reference_bm25(reference_index(docs), ["aa"], "d1") == pytest.approx(
             math.log(1 + 0.5 / 1.5), abs=1e-12
         )
-        assert ranked_ids(OfflineProvider(index=index).execute("aa", 10)) == ["d1"]
+        assert ranked_ids(OfflineProvider(index=build_index(docs)).execute("aa", 10)) == ["d1"]
 
     def test_average_length_tf1_equals_idf(self):
         # every doc has length 2 = avg; "aa" is in one doc, "bb" in two
-        index = build_index([doc("d1", "bb xx"), doc("d2", "bb yy"), doc("d3", "aa zz")])
+        docs = [doc("d1", "bb xx"), doc("d2", "bb yy"), doc("d3", "aa zz")]
+        ref = reference_index(docs)
         idf = lambda n_t: math.log(1 + (3 - n_t + 0.5) / (n_t + 0.5))
-        assert reference_bm25(index, ["aa"], "d3") == pytest.approx(idf(1), abs=1e-12)
-        assert reference_bm25(index, ["bb"], "d1") == pytest.approx(idf(2), abs=1e-12)
+        assert reference_bm25(ref, ["aa"], "d3") == pytest.approx(idf(1), abs=1e-12)
+        assert reference_bm25(ref, ["bb"], "d1") == pytest.approx(idf(2), abs=1e-12)
         # the rarer term's idf ranks its doc first, against doc id order;
         # equal tf, df and length tie, broken by doc id
-        assert ranked_ids(OfflineProvider(index=index).execute("aa bb", 10)) == ["d3", "d1", "d2"]
+        hits = OfflineProvider(index=build_index(docs)).execute("aa bb", 10)
+        assert ranked_ids(hits) == ["d3", "d1", "d2"]
 
     def test_monotone_in_tf(self):
         docs = [doc(f"d{i}", " ".join(["aa"] * i + ["bb"] * (6 - i))) for i in range(1, 6)]
@@ -271,11 +297,46 @@ class TestScoreBm25:
     def test_matches_per_document_scorer(self, bodies, terms, quoted, limit):
         # ids run against insertion order so tie-breaking is exercised
         docs = [doc(f"d{len(bodies) - i}", " ".join(b)) for i, b in enumerate(bodies)]
-        index = build_index(docs)
         query = " ".join(f'"{t}"' for t in terms) if quoted else " ".join(terms)
-        assert OfflineProvider(index=index).execute(query, limit) == reference_execute(
-            index, query, limit
+        assert OfflineProvider(index=build_index(docs)).execute(query, limit) == reference_execute(
+            reference_index(docs), query, limit
         )
+
+
+def tied_corpus():
+    # ids run against corpus order ("d10" < "d2") and bodies repeat, so many docs tie
+    bodies = ["aa bb cc", "aa aa dd", "bb cc", "ee aa bb", "cc", "dd dd ee aa"]
+    return [doc(f"d{i}", bodies[i % len(bodies)]) for i in range(1, 41)]
+
+
+class TestHitListsMatchFormat2Oracle:
+    """Seeded queries: format-3 hits equal the reference scorer over format-2 dicts."""
+
+    @pytest.mark.parametrize("corpus", ["bundled", "tied"])
+    def test_hit_lists_match(self, corpus, tmp_path):
+        docs = (
+            load_corpus(Path(__file__).parents[1] / "data" / "corpus.jsonl")
+            if corpus == "bundled" else tied_corpus()
+        )
+        path = tmp_path / "index.json"
+        save_index(build_index(docs), path)
+        provider = OfflineProvider(index=load_index(path))
+        ref = reference_index(docs)
+        vocabulary = sorted(ref.postings)
+        rng = random.Random(f"format-3/{corpus}")
+        for _ in range(1500):
+            pool = vocabulary
+            if rng.random() < 0.5:  # one document's lemmas, so a quoted query can match
+                chosen = rng.choice(docs).id
+                pool = [t for t in vocabulary if chosen in ref.postings[t]]
+            terms = [
+                rng.choice(["zzz", "qqq"]) if rng.random() < 0.1 else rng.choice(pool)
+                for _ in range(rng.randint(1, 4))
+            ]
+            quoted = rng.random() < 0.5
+            query = " ".join(f'"{t}"' for t in terms) if quoted else " ".join(terms)
+            limit = rng.randint(1, 100)
+            assert provider.execute(query, limit) == reference_execute(ref, query, limit), query
 
 
 class TestOfflineProvider:
@@ -331,12 +392,12 @@ class TestOfflineProvider:
             doc(f"d{i}", " ".join(["aa"] * (i % 4) + ["bb"] * (i % 3) + ["cc"]))
             for i in range(1, 12)
         ]
-        index = build_index(docs)
-        provider = OfflineProvider(index=index)
+        ref = reference_index(docs)
+        provider = OfflineProvider(index=build_index(docs))
         hits = provider.execute("aa bb", 20)
         matching = [d.id for d in docs if {"aa", "bb"} & set(d.body.split())]
         expected = sorted(
-            matching, key=lambda i_: (-reference_bm25(index, ["aa", "bb"], i_), i_)
+            matching, key=lambda i_: (-reference_bm25(ref, ["aa", "bb"], i_), i_)
         )
         assert ranked_ids(hits) == expected
 
