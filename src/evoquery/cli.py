@@ -133,7 +133,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         spec = ProviderSpec(
             kind="offline", full_body_snippets=config.provider.full_body_snippets
         )
-        inputs = make_run_inputs(args.out, index_path, seed_path)
+        inputs = make_run_inputs(args.out, index_path, seed_path, config.stop_words_path)
     else:
         index_path = None
         spec = ProviderSpec(

@@ -195,8 +195,6 @@ class KeywordPool:
 
 def extract_keywords(vec: TermVector, k: int) -> KeywordPool:
     """Top-``k`` entries by weight descending, ties broken by lemma ascending."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     ranked = sorted(vec.entries.items(), key=lambda kv: (-kv[1], kv[0]))
     return KeywordPool(terms=ranked[:k])
 
@@ -239,7 +237,10 @@ def _parse_document(record: object, line_no: int, path: str | Path) -> Document:
         raise ParseError("empty document id", line_no, path)
     url, host = record["url"], record["host"]
     if url:
-        derived = urlsplit(url).netloc
+        try:
+            derived = urlsplit(url).netloc
+        except ValueError as exc:  # e.g. an unclosed "[" in the host
+            raise ParseError(f"url {url!r} is not a valid URL ({exc})", line_no, path) from None
         if not host:
             host = derived
         elif host != derived:

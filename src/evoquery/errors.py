@@ -14,7 +14,6 @@ class ParseError(EvoqueryError):
     """A data file could not be parsed; the message names the file and 1-based line if given."""
 
     def __init__(self, message: str, line: int | None = None, path: str | Path | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         if path is not None:
@@ -50,14 +49,6 @@ class PoolTooSmall(EvoqueryError):
     """The keyword pool cannot supply enough distinct terms."""
 
 
-class VariantMismatch(EvoqueryError):
-    """Two genomes with incompatible formulation variants were combined."""
-
-
-class EmptyQuery(EvoqueryError):
-    """A query string contained no searchable terms."""
-
-
 class EmptyCorpus(EvoqueryError):
     """An index build was attempted over zero documents."""
 
@@ -68,18 +59,6 @@ class ProviderUnavailable(EvoqueryError):
 
 class ProtocolError(EvoqueryError):
     """The search provider returned a malformed response."""
-
-
-class PositionOutOfRange(EvoqueryError):
-    """A result position fell outside 1..list_length."""
-
-
-class ComponentOutOfRange(EvoqueryError):
-    """A fitness component fell outside [0, 1]."""
-
-
-class WrongPopulationSize(EvoqueryError):
-    """A population-level computation received the wrong number of entries."""
 
 
 class ConfigInvalid(EvoqueryError):
@@ -124,13 +103,5 @@ class GradeOutOfRange(ParseError):
     """A relevance grade fell outside the 0..3 scale."""
 
 
-class NoJudgments(EvoqueryError):
-    """A consensus grade was requested for an unjudged document."""
-
-
-class LengthMismatch(EvoqueryError):
-    """Two sequences that must align have different lengths."""
-
-
 class ZeroEnergySequence(EvoqueryError):
-    """A correlation was requested for an all-zero sequence."""
+    """A correlation was requested for an empty or all-zero sequence."""

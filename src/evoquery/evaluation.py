@@ -22,14 +22,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import text_lines
-from .errors import (
-    DuplicateJudgment,
-    GradeOutOfRange,
-    LengthMismatch,
-    NoJudgments,
-    ParseError,
-    ZeroEnergySequence,
-)
+from .errors import DuplicateJudgment, GradeOutOfRange, ParseError, ZeroEnergySequence
 
 logger = logging.getLogger(__name__)
 
@@ -128,9 +121,7 @@ def load_qrels(path: str | Path) -> list[Judgment]:
 
 
 def consensus_grade(judgments: Sequence[Judgment]) -> float:
-    """Mean grade over the judges of one (url, persona) group."""
-    if not judgments:
-        raise NoJudgments("consensus of zero judgments")
+    """Mean grade over the judges of one (url, persona) group, which has at least one."""
     return sum(j.grade for j in judgments) / len(judgments)
 
 
@@ -186,13 +177,11 @@ def precision(
 
 
 def dcg(ranked: RankedList, grades: GradeMap, persona: Persona, n: int) -> float:
-    """Graded gain 2^g - 1 with logarithmic position discount, summed to n.
+    """Graded gain 2^g - 1 with logarithmic position discount, summed to n >= 1.
 
     The top document's discount is log2(2) = 1, i.e. positions count from
     zero inside the discount.
     """
-    if n < 1:
-        raise ValueError("cutoff must be >= 1")
     series = cumulative_dcg_series(ranked, grades, persona, n)
     return series[-1] if series else 0.0
 
@@ -222,21 +211,18 @@ def ndcg(ranked: RankedList, grades: GradeMap, persona: Persona, n: int) -> floa
 
 
 def cross_correlation_raw(x1: Sequence[float], x2: Sequence[float]) -> float:
-    """Zero-shift raw cross-correlation: the mean elementwise product."""
-    if len(x1) != len(x2):
-        raise LengthMismatch(f"lengths {len(x1)} vs {len(x2)}")
-    if not x1:
-        raise LengthMismatch("empty sequences")
+    """Zero-shift raw cross-correlation of equal-length, non-empty sequences: the mean product."""
     return reduce(add, (a * b for a, b in zip(x1, x2)), 0.0) / len(x1)
 
 
 def rho12(x1: Sequence[float], x2: Sequence[float]) -> float:
-    """Normalized zero-shift cross-correlation, in [-1, 1]."""
-    raw = cross_correlation_raw(x1, x2)
+    """Normalized zero-shift cross-correlation of equal-length sequences, in [-1, 1];
+    ZeroEnergySequence when one is empty or all zero."""
     energy1 = reduce(add, (a * a for a in x1), 0.0)
     energy2 = reduce(add, (b * b for b in x2), 0.0)
     if energy1 == 0.0 or energy2 == 0.0:
-        raise ZeroEnergySequence("correlation of an all-zero sequence")
+        raise ZeroEnergySequence("correlation of an empty or all-zero sequence")
+    raw = cross_correlation_raw(x1, x2)
     denom = math.sqrt(energy1 * energy2) / len(x1)
     value = raw / denom
     return min(1.0, max(-1.0, value))

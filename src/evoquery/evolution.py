@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -350,15 +350,14 @@ def select_survivors(
 ) -> list[QueryGenome]:
     """Elitist truncation plus tournament-bred offspring.
 
-    The best half (rounded up) survives unchanged, ranked by fitness with
-    rendered-query text breaking ties. Remaining slots are filled by
-    crossover of pairwise-tournament winners, then mutation. A population
-    of one degenerates to hill climbing: a mutated challenger replaces the
-    incumbent only on strict improvement.
+    ``fitnesses`` holds one value per genome. The best half (rounded up)
+    survives unchanged, ranked by fitness with rendered-query text breaking
+    ties. Remaining slots are filled by crossover of pairwise-tournament
+    winners, then mutation. A population of one degenerates to hill
+    climbing: a mutated challenger, scored by ``evaluate_single``, replaces
+    the incumbent only on strict improvement.
     """
     size = len(genomes)
-    if size != len(fitnesses):
-        raise ValueError("one fitness per genome required")
 
     def rank_key(i: int) -> tuple[float, str]:
         return (-fitnesses[i], render_query(genomes[i]))
@@ -366,8 +365,6 @@ def select_survivors(
     order = sorted(range(size), key=rank_key)
 
     if size == 1:
-        if evaluate_single is None:
-            raise ValueError("single-genome selection needs an evaluation callback")
         incumbent = genomes[0]
         challenger = mutate(incumbent, pool, config.m1, rng)
         winner = incumbent
@@ -505,22 +502,32 @@ def build_provider(spec: ProviderSpec, index_path: str | Path | None = None) -> 
     )
 
 
+def _stop_words_sha256(path: str | Path) -> str:
+    return normalizer_for(path).fingerprint()["stop_words_sha256"]
+
+
 def make_run_inputs(
-    ledger_dir: str | Path, index_path: str | Path, seed_material_path: str | Path
+    ledger_dir: str | Path, index_path: str | Path, seed_material_path: str | Path,
+    stop_words_path: str | Path | None = None,
 ) -> dict:
     """Input fingerprints stored beside the config for later replay.
 
     Paths are recorded relative to the ledger directory, so replay finds the
     inputs from any working directory and the ledger's bytes do not depend
     on where the directories live, only on where they lie to each other.
+    A stop-word file is recorded with the sha256 of its sorted words, as the index records it.
     """
     base = Path(ledger_dir).resolve()
-    return {
+    inputs = {
         "index_path": os.path.relpath(Path(index_path).resolve(), base),
         "index_sha256": file_digest(index_path),
         "seed_material_path": os.path.relpath(Path(seed_material_path).resolve(), base),
         "seed_material_sha256": file_digest(seed_material_path),
     }
+    if stop_words_path:
+        inputs["stop_words_path"] = os.path.relpath(Path(stop_words_path).resolve(), base)
+        inputs["stop_words_sha256"] = _stop_words_sha256(stop_words_path)
+    return inputs
 
 
 def write_run_ledger(
@@ -536,10 +543,12 @@ def write_run_ledger(
     )
 
 
-def _verify_input_file(path: Path, recorded_digest: str, label: str) -> None:
+def _verify_input_file(
+    path: Path, recorded_digest: str, label: str, digest: Callable[[Path], str]
+) -> None:
     if not path.is_file():
         raise LedgerCorrupt(f"recorded {label} {str(path)!r} no longer exists")
-    actual = file_digest(path)
+    actual = digest(path)
     if actual != recorded_digest:
         raise LedgerCorrupt(
             f"recorded {label} {str(path)!r} changed since the run "
@@ -561,17 +570,21 @@ def replay(ledger_dir: str | Path) -> RunLedger:
     inputs = payload.get("inputs")
     if not isinstance(inputs, dict):
         raise LedgerCorrupt("ledger records no input files; cannot replay")
-    for key in ("index_path", "index_sha256", "seed_material_path", "seed_material_sha256"):
+    digests = {"index": file_digest, "seed_material": file_digest}
+    if config.stop_words_path:
+        digests["stop_words"] = _stop_words_sha256
+    for key in (f"{name}_{part}" for name in digests for part in ("path", "sha256")):
         if not isinstance(inputs.get(key), str):
             raise LedgerCorrupt(f"ledger inputs lack a string {key}")
     # recorded paths are relative to the ledger directory
-    index_path = Path(ledger_dir, inputs["index_path"])
-    seed_material_path = Path(ledger_dir, inputs["seed_material_path"])
-    _verify_input_file(index_path, inputs["index_sha256"], "index")
-    _verify_input_file(seed_material_path, inputs["seed_material_sha256"], "seed material")
+    paths = {name: Path(ledger_dir, inputs[f"{name}_path"]) for name in digests}
+    for name, digest in digests.items():
+        _verify_input_file(paths[name], inputs[f"{name}_sha256"], name.replace("_", " "), digest)
+    if config.stop_words_path:
+        config = replace(config, stop_words_path=str(paths["stop_words"]))
 
-    provider = build_provider(config.provider, index_path)
-    seed_material = load_corpus(seed_material_path)
+    provider = build_provider(config.provider, paths["index"])
+    seed_material = load_corpus(paths["seed_material"])
     rerun = run_evolution(config, provider, seed_material)
 
     stored_lines = read_generation_lines(ledger_dir)

@@ -28,12 +28,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .corpus import Normalizer, TermVector, DEFAULT_NORMALIZER
-from .errors import (
-    ComponentOutOfRange,
-    ConfigInvalid,
-    PositionOutOfRange,
-    WrongPopulationSize,
-)
+from .errors import ConfigInvalid
 from .provider import SearchHit
 
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -105,9 +100,7 @@ def _evict_to_capacity(vector: TermVector, capacity: int) -> TermVector:
 
 
 def position_score(position: int, list_length: int) -> float:
-    """Linear decay from 1.0 at the top to 1/L at the bottom."""
-    if list_length < 1 or not (1 <= position <= list_length):
-        raise PositionOutOfRange(f"position {position} outside 1..{list_length}")
+    """Linear decay from 1.0 at the top to 1/L at the bottom, for position in 1..L."""
     return (list_length - position + 1) / list_length
 
 
@@ -120,9 +113,7 @@ class UrlCounts:
 
     @classmethod
     def of(cls, hit_lists: Sequence[Sequence[SearchHit]]) -> UrlCounts:
-        """Count each url once per hit list that contains it."""
-        if not hit_lists:
-            raise ValueError("need at least one hit list")
+        """Count each url once per hit list that contains it; ``hit_lists`` is not empty."""
         counts: Counter[str] = Counter()
         for hits in hit_lists:
             counts.update({hit.doc_url for hit in hits})
@@ -171,15 +162,7 @@ def result_fitness(
     environment: float,
     weights: FitnessWeights,
 ) -> float:
-    """Weighted component sum scaled by the environment factor."""
-    for name, value in (
-        ("rank", rank),
-        ("crossquery", crossquery),
-        ("semantic", semantic),
-        ("environment", environment),
-    ):
-        if not (0.0 <= value <= 1.0):
-            raise ComponentOutOfRange(f"component {name}={value!r} outside [0, 1]")
+    """Weighted component sum scaled by the environment factor; each lies in [0, 1]."""
     return environment * (
         weights.w_position * rank
         + weights.w_crossquery * crossquery
@@ -195,9 +178,7 @@ def query_fitness(results: Sequence[ScoredResult]) -> float:
 
 
 def population_fitness(query_fitnesses: Sequence[float]) -> float:
-    """Mean query fitness across the population, the GA's objective."""
-    if not query_fitnesses:
-        raise WrongPopulationSize("population fitness of zero queries")
+    """Mean query fitness across the population (g2 >= 1 queries), the GA's objective."""
     return reduce(add, query_fitnesses, 0.0) / len(query_fitnesses)
 
 

@@ -3,7 +3,9 @@
 A genome is a fixed-length list of distinct keyword lemmas plus a rendering
 variant. Operators keep the encoding valid by construction: crossover never
 introduces duplicates and mutation replaces exactly one term with a fresh
-one, so no repair step exists anywhere.
+one, so no repair step exists anywhere. They rely on ``run_evolution``: its
+genomes share one length and variant, and its pool has at least
+``RunConfig.min_pool_size`` terms, each of positive weight.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from operator import add
 from enum import Enum
 
 from .corpus import KeywordPool
-from .errors import PoolTooSmall, VariantMismatch
 from .rng import derive_rng
 
 
@@ -41,25 +42,22 @@ def _weighted_sample(
 ) -> list[str]:
     """Sample ``count`` distinct lemmas, probability proportional to weight.
 
-    Zero-weight items are only reachable once every positive weight is
-    exhausted, at which point the draw degrades to uniform.
+    Weights are positive, as a pool's term frequencies are, and ``count``
+    is at most ``len(items)``.
     """
     remaining = list(items)
     picked: list[str] = []
     for _ in range(count):
         # plain left-to-right addition: sum() compensates from Python 3.12 on
         total = reduce(add, (w for _, w in remaining), 0.0)
-        if total <= 0.0:
-            idx = rng.randrange(len(remaining))
-        else:
-            r = rng.random() * total
-            acc = 0.0
-            idx = len(remaining) - 1
-            for i, (_, w) in enumerate(remaining):
-                acc += w
-                if r < acc:
-                    idx = i
-                    break
+        r = rng.random() * total
+        acc = 0.0
+        idx = len(remaining) - 1
+        for i, (_, w) in enumerate(remaining):
+            acc += w
+            if r < acc:
+                idx = i
+                break
         picked.append(remaining.pop(idx)[0])
     return picked
 
@@ -75,8 +73,6 @@ def seed_population(
 
     Each genome gets its own derived stream so seeding order is immaterial.
     """
-    if len(pool) < g3:
-        raise PoolTooSmall(f"pool has {len(pool)} terms, need {g3}")
     genomes = []
     for i in range(g2):
         rng = derive_rng(rng_seed, f"seed-genome/{i}")
@@ -95,10 +91,6 @@ def crossover(
     one half. Children therefore always partition the parents' term union
     as far as distinctness allows.
     """
-    if a.variant is not b.variant:
-        raise VariantMismatch(f"{a.variant.value} vs {b.variant.value}")
-    if len(a.terms) != len(b.terms):
-        raise ValueError("parents must have equal term counts")
     a_set, b_set = set(a.terms), set(b.terms)
     a_unique = [t for t in a.terms if t not in b_set]
     b_unique = [t for t in b.terms if t not in a_set]
@@ -128,8 +120,6 @@ def mutate(
     already present, so distinctness is preserved.
     """
     candidates = [(t, w) for t, w in pool.terms if t not in g.terms]
-    if not candidates:
-        raise PoolTooSmall("no replacement terms outside the genome")
     if rng.random() >= m1:
         return g
     position = rng.randrange(len(g.terms))

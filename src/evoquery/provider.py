@@ -2,6 +2,7 @@
 
 Both expose the same contract, ``execute(query_string, limit)`` returning
 positioned hits, so the evolution loop never knows which one it talks to.
+The loop's queries are rendered genomes, never empty, and its limit is f1 >= 1.
 The offline engine exists to make experiments replayable; the HTTP client
 talks to any engine speaking the small JSON wire protocol documented on
 HttpProvider.
@@ -23,13 +24,7 @@ from typing import Protocol
 from urllib.parse import quote, urlencode, urlsplit, urlunsplit
 
 from .corpus import Document, Normalizer, DEFAULT_NORMALIZER
-from .errors import (
-    EmptyCorpus,
-    EmptyQuery,
-    ParseError,
-    ProtocolError,
-    ProviderUnavailable,
-)
+from .errors import EmptyCorpus, ParseError, ProtocolError, ProviderUnavailable
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -258,8 +253,6 @@ class OfflineProvider:
         self._answers, self._answer_hits = {}, 0
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
         hits = self._answers.get((query_string, limit))
         if hits is None:
             hits = self._rank(query_string, limit)
@@ -271,8 +264,6 @@ class OfflineProvider:
 
     def _rank(self, query_string: str, limit: int) -> list[SearchHit]:
         terms, conjunctive = parse_query(query_string)
-        if not terms:
-            raise EmptyQuery(f"query {query_string!r} contains no terms")
         postings, term_counts = self.index.postings, self.index.term_counts
         norm = self._norm
         candidates: set[int] | None = None
@@ -334,8 +325,6 @@ class HttpProvider:
     _last_request: float = field(default=0.0, repr=False)
 
     def _throttle(self) -> None:
-        if self.rate_limit_rps <= 0:
-            return
         min_interval = 1.0 / self.rate_limit_rps
         with self._lock:
             now = time.monotonic()
@@ -381,10 +370,6 @@ class HttpProvider:
         raise ProviderUnavailable(f"transport failure after retries: {last_error}")
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        if not query_string.strip():
-            raise EmptyQuery("empty query string")
         body = self._request(query_string, limit)
         try:
             payload = json.loads(body)
@@ -404,10 +389,14 @@ class HttpProvider:
                 raise ProtocolError(f"result {pos} lacks field {exc}") from exc
             if not all(isinstance(v, str) for v in (url, title, snippet)):
                 raise ProtocolError(f"result {pos} has non-string fields")
+            try:
+                host = urlsplit(url).netloc
+            except ValueError as exc:  # e.g. an unclosed "[" in the host
+                raise ProtocolError(f"result {pos} has an invalid url {url!r} ({exc})") from None
             hits.append(
                 SearchHit(
                     doc_url=url,
-                    doc_host=urlsplit(url).netloc,
+                    doc_host=host,
                     title=title,
                     snippet=snippet,
                     position=pos,

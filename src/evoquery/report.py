@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -55,13 +56,15 @@ def read_metrics_csv(path: str | Path) -> list[MetricRow]:
         raise not_utf8(source) from None
     reader = csv.reader(io.StringIO(text, newline=""))  # splits lines as open(newline="") does
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{source}: empty file, expected header") from None
-    if header != CSV_HEADER:
+        records = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(str(exc), reader.line_num, source) from None
+    if not records:
+        raise ParseError(f"{source}: empty file, expected header")
+    if records[0] != CSV_HEADER:
         raise ParseError(f"{source}: header must be {','.join(CSV_HEADER)}")
     rows = []
-    for line_no, record in enumerate(reader, start=2):
+    for line_no, record in enumerate(records[1:], start=2):
         if not record:
             continue
         if len(record) != len(CSV_HEADER):
@@ -77,6 +80,8 @@ def read_metrics_csv(path: str | Path) -> list[MetricRow]:
             value = float(value_text)
         except ValueError:
             raise ParseError(f"value must be a number, got {value_text!r}", line_no, source) from None
+        if not math.isfinite(value):
+            raise ParseError(f"value must be finite, got {value_text!r}", line_no, source)
         rows.append(MetricRow(metric=metric, ordering=ordering, persona=persona, n=n, value=value))
     return rows
 

@@ -501,6 +501,24 @@ class TestEvaluate:
         assert code == 1
         assert f"error: {FINAL_RESULTS_FILE} is not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["list", "ledger"])
+    def test_empty_ordering_exits_0(self, data_dir, run_dir, tmp_path, capsys, source):
+        if source == "list":
+            listing = tmp_path / "empty.txt"
+            listing.write_text("# no urls\n")
+            argv = ["--list", str(listing)]
+        else:
+            ledger = tmp_path / "ledger"
+            shutil.copytree(run_dir, ledger)
+            (ledger / FINAL_RESULTS_FILE).write_text("[]\n")
+            argv = ["--ledger", str(ledger)]
+        out = tmp_path / "metrics.csv"
+        code = main(["evaluate", *argv, "--qrels", str(data_dir / "qrels.tsv"), "--out", str(out)])
+        assert code == 0
+        assert "skipping rho12" in capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert rows and not any(row.startswith("rho12,") for row in rows)
+
     def test_needs_some_ordering(self, data_dir):
         code = main(["evaluate", "--qrels", str(data_dir / "qrels.tsv")])
         assert code == 1
@@ -655,6 +673,33 @@ class TestReplay:
         capsys.readouterr()
         assert main(["replay", "--ledger", "../work/ledger"]) == 0
         assert "replay verified" in capsys.readouterr().out
+
+    def test_relative_stop_words_replay_from_another_working_directory(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        write_top_keywords(data_dir, work / "stops.txt")
+        config = {**SMALL_CONFIG, "stop_words_path": "stops.txt"}
+        (work / "config.json").write_text(json.dumps(config))
+        monkeypatch.chdir(work)
+        assert main(["index", "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--out", "index.json", "--stop-words", "stops.txt"]) == 0
+        assert main([
+            "evolve", "--config", "config.json", "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", "index.json", "--out", "ledger",
+        ]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["replay", "--ledger", "work/ledger"]) == 0
+        assert "replay verified" in capsys.readouterr().out
+        # a ledger that names stop words but records no stop-word input is refused
+        payload = json.loads((work / "ledger" / "config.json").read_text())
+        assert payload["inputs"]["stop_words_path"] == "../stops.txt"
+        del payload["inputs"]["stop_words_path"]
+        (work / "ledger" / "config.json").write_text(canonical_json(payload) + "\n")
+        assert main(["replay", "--ledger", "work/ledger"]) == 1
+        assert "ledger inputs lack a string stop_words_path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("recorded", [None, 1, 3, "2"])
     def test_other_ledger_format_refused(self, run_dir, tmp_path, capsys, recorded):
@@ -825,12 +870,22 @@ def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
     "kind, text, argv_of",
     [
         ("corpus", '{"id": 1\n', lambda bad, out: ["keywords", "--corpus", str(bad)]),
+        ("corpus", '{"id": "d1", "url": "https://[oops/x", "host": "", "title": "", "body": ""}\n',
+         lambda bad, out: ["keywords", "--corpus", str(bad)]),
         ("qrels", "https://site-00.example/c000\tj1\tS\tthree\n",
          lambda bad, out: ["evaluate", "--list", str(_ordering(out)), "--qrels", str(bad)]),
         ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,twenty,0.5\n",
          lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
+        ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,20,nan\n",
+         lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
+        ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,20,-inf\n",
+         lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
+        ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,20,0.5\n"
+         f"ndcg,other,S,20,{'1' * 131_073}\n",
+         lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
     ],
-    ids=["corpus", "qrels", "metrics"],
+    ids=["corpus", "corpus-url", "qrels", "metrics", "metrics-nan", "metrics-inf",
+         "metrics-field-limit"],
 )
 def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
     bad = tmp_path / f"bad-{kind}"

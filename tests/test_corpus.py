@@ -252,10 +252,6 @@ class TestExtractKeywords:
         pool = extract_keywords(TermVector.from_weights({"b": 0.5, "a": 0.5}), 1)
         assert pool.terms == [("a", 0.5)]
 
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            extract_keywords(TermVector.from_weights({"a": 1.0}), 0)
-
     @given(
         st.dictionaries(
             st.text(alphabet="abcdefg", min_size=2, max_size=4),

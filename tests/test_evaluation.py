@@ -4,14 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoquery.errors import (
-    DuplicateJudgment,
-    GradeOutOfRange,
-    LengthMismatch,
-    NoJudgments,
-    ParseError,
-    ZeroEnergySequence,
-)
+from evoquery.errors import DuplicateJudgment, GradeOutOfRange, ParseError, ZeroEnergySequence
 from evoquery.evaluation import (
     Judgment,
     Persona,
@@ -119,10 +112,6 @@ class TestConsensus:
     def test_single_judge(self):
         assert consensus_grade([Judgment("u", "e1", S, 3)]) == 3.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(NoJudgments):
-            consensus_grade([])
-
     def test_map_groups_by_url_and_persona(self):
         judgments = [
             Judgment("u", "e1", S, 3),
@@ -212,10 +201,6 @@ class TestDcg:
         grades = uniform_grades(urls, [3, 3, 3])
         assert dcg(ranked(*urls), grades, S, n=1) == pytest.approx(7.0)
 
-    def test_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            dcg(ranked("u1"), uniform_grades(["u1"], [1]), S, n=0)
-
 
 class TestNdcg:
     def test_ideal_order_scores_one(self):
@@ -271,10 +256,6 @@ class TestCrossCorrelation:
     def test_raw_zero_sequence(self):
         assert cross_correlation_raw([1, 2], [0, 0]) == 0.0
 
-    def test_raw_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            cross_correlation_raw([1], [1, 2])
-
     def test_rho_identical_sequences(self):
         assert rho12([3, 1, 2], [3, 1, 2]) == pytest.approx(1.0, abs=1e-12)
 
@@ -288,6 +269,8 @@ class TestCrossCorrelation:
     def test_rho_zero_energy_rejected(self):
         with pytest.raises(ZeroEnergySequence):
             rho12([0, 0], [1, 2])
+        with pytest.raises(ZeroEnergySequence):
+            rho12([], [])
 
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=20),

@@ -593,14 +593,6 @@ class TestSelectSurvivors:
         assert result[1] == genomes[2]
         assert len(result) == 3
 
-    def test_single_genome_needs_evaluator(self):
-        population = [lemma_genome("alpha", "bravo")]
-        with pytest.raises(ValueError):
-            select_survivors(
-                population, [0.5], SELECTION_POOL, small_config(g2=1, g3=2),
-                derive_rng(4, "test-selection"),
-            )
-
     def test_single_genome_keeps_incumbent_on_worse_challenger(self):
         population = [lemma_genome("alpha", "bravo")]
         result = select_survivors(
@@ -618,14 +610,6 @@ class TestSelectSurvivors:
         )
         assert result[0] != incumbent
         assert len(result) == 1
-
-    def test_fitness_count_must_match(self):
-        population = [lemma_genome("alpha", "bravo")]
-        with pytest.raises(ValueError):
-            select_survivors(
-                population, [0.5, 0.6], SELECTION_POOL, small_config(g2=1, g3=2),
-                derive_rng(7, "test-selection"),
-            )
 
 
 class TestBuildProvider:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evoquery.corpus import KeywordPool
-from evoquery.errors import PoolTooSmall, VariantMismatch
 from evoquery.genome import (
     QueryGenome,
     Variant,
@@ -39,10 +38,6 @@ class TestSeedPopulation:
         expected = set(pool.lemmas())
         for g in pop:
             assert set(g.terms) == expected
-
-    def test_pool_below_g3_rejected(self):
-        with pytest.raises(PoolTooSmall):
-            seed_population(make_pool(5), g2=1, g3=6, rng_seed=0)
 
     def test_deterministic_for_fixed_seed(self):
         a = seed_population(make_pool(30), g2=4, g3=5, rng_seed=42)
@@ -98,12 +93,6 @@ class TestCrossover:
             c1, c2 = crossover(a, b, random.Random(seed))
             assert "shared" in c1.terms and "shared" in c2.terms
 
-    def test_variant_mismatch(self):
-        a = genome_of("t1", "t2")
-        b = genome_of("t3", "t4", variant=Variant.QUOTED)
-        with pytest.raises(VariantMismatch):
-            crossover(a, b, random.Random(0))
-
     def test_same_rng_stream_gives_same_children(self):
         a = genome_of("a1", "a2", "a3")
         b = genome_of("b1", "b2", "b3")
@@ -137,11 +126,6 @@ class TestMutate:
     def test_zero_probability_is_identity(self):
         g = genome_of("term00", "term01", "term02")
         assert mutate(g, make_pool(20), m1=0.0, rng=random.Random(0)) == g
-
-    def test_pool_without_candidates_rejected(self):
-        g = genome_of("term00", "term01", "term02")
-        with pytest.raises(PoolTooSmall):
-            mutate(g, make_pool(3), m1=1.0, rng=random.Random(0))
 
     def test_replacement_comes_from_pool(self):
         pool = make_pool(10)

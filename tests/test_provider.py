@@ -14,13 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import evoquery.provider
 from evoquery.corpus import DEFAULT_NORMALIZER, Document, SuffixNormalizer, load_corpus
-from evoquery.errors import (
-    EmptyCorpus,
-    EmptyQuery,
-    ParseError,
-    ProtocolError,
-    ProviderUnavailable,
-)
+from evoquery.errors import EmptyCorpus, ParseError, ProtocolError, ProviderUnavailable
 from evoquery.provider import (
     BM25_B,
     BM25_K1,
@@ -356,12 +350,6 @@ class TestOfflineProvider:
         assert len(hits) == 1
         assert hits[0].position == 1
 
-    def test_empty_query_rejected(self):
-        with pytest.raises(EmptyQuery):
-            self.make_provider().execute("   ", 10)
-        with pytest.raises(EmptyQuery):
-            self.make_provider().execute('""', 10)
-
     def test_positions_contiguous_from_one(self):
         hits = self.make_provider().execute("wear oil", 10)
         assert [h.position for h in hits] == list(range(1, len(hits) + 1))
@@ -607,6 +595,13 @@ class TestHttpProvider:
         with pytest.raises(ProtocolError):
             fast_provider(endpoint).execute("q", 1)
 
+    def test_unparsable_url_is_protocol_error_naming_position(self, stub_engine):
+        endpoint, handler = stub_engine
+        bad = {**result_item(1), "url": "https://[oops/x"}
+        handler.responses = [({"results": [result_item(0), bad]}, 200)]
+        with pytest.raises(ProtocolError, match="result 2 has an invalid url 'https://\\[oops/x'"):
+            fast_provider(endpoint).execute("q", 2)
+
     def test_server_errors_retried_then_succeed(self, stub_engine):
         endpoint, handler = stub_engine
         handler.fail_times = 2
@@ -626,12 +621,6 @@ class TestHttpProvider:
         provider = fast_provider("http://127.0.0.1:1/search", timeout=0.2)
         with pytest.raises(ProviderUnavailable):
             provider.execute("q", 1)
-
-    def test_empty_query_rejected_without_request(self, stub_engine):
-        endpoint, handler = stub_engine
-        with pytest.raises(EmptyQuery):
-            fast_provider(endpoint).execute("  ", 1)
-        assert handler.requests_seen == []
 
     def test_rate_limit_spaces_requests(self, stub_engine, monkeypatch):
         # the sends are timed in the client's own thread, as it opens each
