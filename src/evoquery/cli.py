@@ -27,14 +27,12 @@ from .errors import (
     ConfigInvalid,
     DivergenceDetected,
     EvoqueryError,
-    ProtocolError,
-    ProviderUnavailable,
+    ProviderError,
     ZeroEnergySequence,
     not_utf8,
 )
 from .evaluation import (
     MetricRow,
-    MetricsReport,
     Persona,
     RankedList,
     consensus_map,
@@ -50,7 +48,6 @@ from .evaluation import (
     rho12,
 )
 from .evolution import (
-    ProviderSpec,
     RunConfig,
     build_provider,
     make_run_inputs,
@@ -109,6 +106,12 @@ def cmd_keywords(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Provider config keys that one source alone reads, each with the flag that chooses it
+_SOURCE_KEYS = {
+    "full_body_snippets": "--index", "api_key_header": "--endpoint", "rate_limit_rps": "--endpoint"
+}
+
+
 def cmd_evolve(args: argparse.Namespace) -> int:
     payload = {}
     if args.config:
@@ -118,31 +121,28 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise ConfigInvalid(f"config {config_path} is not valid JSON: {exc}") from exc
     provider_payload = payload.get("provider") if isinstance(payload, dict) else None
-    for key in ("kind", "endpoint"):
-        if isinstance(provider_payload, dict) and key in provider_payload:
+    flag = "--index" if args.index else "--endpoint"
+    for key in provider_payload if isinstance(provider_payload, dict) else ():
+        if key in ("kind", "endpoint"):
             raise ConfigInvalid(
                 f"config key provider.{key} is not accepted; --index or --endpoint "
                 "chooses the provider"
             )
+        if _SOURCE_KEYS.get(key, flag) != flag:
+            raise ConfigInvalid(f"config key provider.{key} is not accepted with {flag}; "
+                                f"only {_SOURCE_KEYS[key]} reads it")
     config = RunConfig.from_payload(payload)
     seed_path = _require_file(args.seed_material, "seed material")
     seed_docs = load_corpus(seed_path)
 
     if args.index:
         index_path = _require_file(args.index, "index")
-        spec = ProviderSpec(
-            kind="offline", full_body_snippets=config.provider.full_body_snippets
-        )
         inputs = make_run_inputs(args.out, index_path, seed_path, config.stop_words_path)
     else:
-        index_path = None
-        spec = ProviderSpec(
-            kind="http",
-            endpoint=args.endpoint,
-            api_key_header=config.provider.api_key_header,
-            rate_limit_rps=config.provider.rate_limit_rps,
-        )
-        inputs = None
+        index_path = inputs = None
+    spec = dataclasses.replace(
+        config.provider, kind="offline" if args.index else "http", endpoint=args.endpoint
+    )
     config = dataclasses.replace(config, provider=spec)
 
     provider = build_provider(spec, index_path)
@@ -203,7 +203,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     n = args.n
     personas = _persona_list(args.persona)
-    report = MetricsReport()
+    rows: list[MetricRow] = []
     for ordering in orderings:
         top = RankedList(ordering.ordering_name, ordering.doc_urls[:n])
         for persona in personas:
@@ -217,19 +217,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 )
             name = ordering.ordering_name
             code = persona.value
-            report.rows.append(
+            rows.append(
                 MetricRow("mean_relevance", name, code, n, mean_relevance(top, grades, persona))
             )
-            report.rows.append(
+            rows.append(
                 MetricRow(
                     "precision", name, code, n, precision(top, grades, persona, args.threshold)
                 )
             )
-            report.rows.append(MetricRow("dcg", name, code, n, dcg(top, grades, persona, n)))
-            report.rows.append(MetricRow("ndcg", name, code, n, ndcg(top, grades, persona, n)))
+            rows.append(MetricRow("dcg", name, code, n, dcg(top, grades, persona, n)))
+            rows.append(MetricRow("ndcg", name, code, n, ndcg(top, grades, persona, n)))
             ideal = ideal_ordering(top, grades, persona)
             _append_rho12(
-                report,
+                rows,
                 f"{name}|expert",
                 code,
                 n,
@@ -241,7 +241,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pair = f"{left.ordering_name}|{right.ordering_name}"
         left_top = RankedList(left.ordering_name, left.doc_urls[:n])
         right_top = RankedList(right.ordering_name, right.doc_urls[:n])
-        report.rows.append(
+        rows.append(
             MetricRow("overlap_percent", pair, "-", n, overlap_percent(left_top, right_top))
         )
         for persona in personas:
@@ -249,20 +249,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             series_b = cumulative_dcg_series(right_top, grades, persona, n)
             shared = min(len(series_a), len(series_b))
             _append_rho12(
-                report, pair, persona.value, n, series_a[:shared], series_b[:shared]
+                rows, pair, persona.value, n, series_a[:shared], series_b[:shared]
             )
 
-    csv_text = metrics_csv_text(report.sorted_rows())
+    csv_text = metrics_csv_text(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
-        print(f"wrote {args.out} ({len(report.rows)} rows)")
+        print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         sys.stdout.write(csv_text)
     return EXIT_OK
 
 
 def _append_rho12(
-    report: MetricsReport,
+    rows: list[MetricRow],
     ordering: str,
     persona: str,
     n: int,
@@ -277,7 +277,7 @@ def _append_rho12(
             file=sys.stderr,
         )
         return
-    report.rows.append(MetricRow("rho12", ordering, persona, n, value))
+    rows.append(MetricRow("rho12", ordering, persona, n, value))
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -372,7 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (ProviderUnavailable, ProtocolError) as exc:
+    except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
     except DivergenceDetected as exc:

@@ -2,9 +2,7 @@
 
 A corpus is a newline-delimited JSON file, one document per line with the
 fields ``id``, ``url``, ``host``, ``title`` and ``body``. Normalization turns
-raw text into a stream of lemmas via a deliberately small suffix stripper;
-anything smarter (a dictionary lemmatizer, say) can be plugged in through the
-``Normalizer`` protocol.
+raw text into a stream of lemmas via a deliberately small suffix stripper.
 """
 
 from __future__ import annotations
@@ -15,10 +13,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ConfigInvalid, DuplicateId, EmptyDocument, ParseError, not_utf8
+from .errors import ConfigInvalid, ParseError, not_utf8
 
 _DOC_FIELDS = ("id", "url", "host", "title", "body")
 
@@ -32,16 +30,6 @@ class Document:
     host: str
     title: str
     body: str
-
-
-class Normalizer(Protocol):
-    """Anything that turns raw text into a list of lemma strings."""
-
-    def normalize(self, raw: str) -> list[str]: ...
-
-    def fingerprint(self) -> dict[str, str]:
-        """What an index records so that a run can check it normalizes alike."""
-        ...
 
 
 # Most raw tokens an instance memoizes; past this, lemmas are computed
@@ -96,7 +84,8 @@ class SuffixNormalizer:
         return lemmas
 
     def fingerprint(self) -> dict[str, str]:
-        """The class name and the sha256 of the sorted stop words, one per line."""
+        """What an index records so that a run can check it normalizes alike:
+        the class name and the sha256 of the sorted stop words, one per line."""
         words = "\n".join(sorted(self.stop_words)).encode("utf-8")
         return {
             "class": type(self).__name__,
@@ -131,7 +120,7 @@ def load_stop_words(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def normalizer_for(stop_words_path: str | Path | None) -> Normalizer:
+def normalizer_for(stop_words_path: str | Path | None) -> SuffixNormalizer:
     """The suffix normalizer, removing the words of ``stop_words_path`` if given.
 
     Raises ConfigInvalid naming the path when the file does not exist.
@@ -189,9 +178,6 @@ class KeywordPool:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def lemmas(self) -> list[str]:
-        return [t for t, _ in self.terms]
-
 
 def extract_keywords(vec: TermVector, k: int) -> KeywordPool:
     """Top-``k`` entries by weight descending, ties broken by lemma ascending."""
@@ -200,7 +186,7 @@ def extract_keywords(vec: TermVector, k: int) -> KeywordPool:
 
 
 def seed_vector(
-    docs: Sequence[Document], normalizer: Normalizer = DEFAULT_NORMALIZER
+    docs: Sequence[Document], normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
 ) -> TermVector:
     """Term vector of the concatenated bodies of all seed documents.
 
@@ -211,14 +197,14 @@ def seed_vector(
     for doc in docs:
         lemmas.extend(normalizer.normalize(doc.body))
     if not lemmas:
-        raise EmptyDocument("seed material normalizes to zero lemmas")
+        raise ParseError("seed material normalizes to zero lemmas")
     return TermVector.from_lemmas(lemmas)
 
 
 def build_keyword_pool(
     docs: Sequence[Document],
     k: int,
-    normalizer: Normalizer = DEFAULT_NORMALIZER,
+    normalizer: SuffixNormalizer = DEFAULT_NORMALIZER,
 ) -> KeywordPool:
     """Keyword pool over the seed material's ``seed_vector``."""
     return extract_keywords(seed_vector(docs, normalizer), k)
@@ -263,7 +249,7 @@ def load_corpus(path: str | Path) -> list[Document]:
             raise ParseError(f"invalid JSON ({exc})", line_no, path) from exc
         doc = _parse_document(record, line_no, path)
         if doc.id in seen:
-            raise DuplicateId(f"duplicate document id {doc.id!r}", line_no, path)
+            raise ParseError(f"duplicate document id {doc.id!r}", line_no, path)
         seen.add(doc.id)
         docs.append(doc)
     return docs

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per input boundary.
+
+``ParseError`` names a data file, ``ConfigInvalid`` a run configuration or
+argument, ``LedgerCorrupt`` a ledger directory and ``ProviderError`` a
+search engine or its answer.
+"""
 
 from __future__ import annotations
 
@@ -37,28 +42,8 @@ def not_utf8(path: str | Path) -> ParseError:
     return ParseError(f"{path} changed while it was read")
 
 
-class DuplicateId(ParseError):
-    """A corpus file contains the same document id twice."""
-
-
-class EmptyDocument(EvoqueryError):
-    """A document body normalized to zero lemmas."""
-
-
-class PoolTooSmall(EvoqueryError):
-    """The keyword pool cannot supply enough distinct terms."""
-
-
-class EmptyCorpus(EvoqueryError):
-    """An index build was attempted over zero documents."""
-
-
-class ProviderUnavailable(EvoqueryError):
-    """The search provider could not be reached."""
-
-
-class ProtocolError(EvoqueryError):
-    """The search provider returned a malformed response."""
+class ProviderError(EvoqueryError):
+    """The search provider could not be reached or returned a malformed response."""
 
 
 class ConfigInvalid(EvoqueryError):
@@ -66,11 +51,7 @@ class ConfigInvalid(EvoqueryError):
 
 
 class LedgerCorrupt(EvoqueryError):
-    """A run ledger directory is missing pieces or unreadable."""
-
-
-class NonReplayableLedger(EvoqueryError):
-    """The ledger was produced by a provider whose results cannot be re-derived."""
+    """A run ledger directory is missing pieces, unreadable or not replayable."""
 
 
 class DivergenceDetected(EvoqueryError):
@@ -93,14 +74,6 @@ class DivergenceDetected(EvoqueryError):
 
 def _clip(text: str, limit: int = 200) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-class DuplicateJudgment(ParseError):
-    """A qrels file repeats a (url, expert, persona) key."""
-
-
-class GradeOutOfRange(ParseError):
-    """A relevance grade fell outside the 0..3 scale."""
 
 
 class ZeroEnergySequence(EvoqueryError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import text_lines
-from .errors import DuplicateJudgment, GradeOutOfRange, ParseError, ZeroEnergySequence
+from .errors import ParseError, ZeroEnergySequence
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +45,6 @@ class Persona(str, Enum):
 @dataclass(frozen=True)
 class Judgment:
     doc_url: str
-    expert_id: str
     persona: Persona
     grade: int
 
@@ -71,14 +70,6 @@ class MetricRow:
     value: float
 
 
-@dataclass
-class MetricsReport:
-    rows: list[MetricRow] = field(default_factory=list)
-
-    def sorted_rows(self) -> list[MetricRow]:
-        return sorted(self.rows, key=lambda r: (r.metric, r.ordering, r.persona, r.n))
-
-
 GradeMap = Mapping[tuple[str, Persona], float]
 
 
@@ -93,8 +84,8 @@ def load_qrels(path: str | Path) -> list[Judgment]:
         parts = stripped.split("\t")
         if len(parts) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_no, path)
-        doc_url, expert_id, persona_code, grade_text = (p.strip() for p in parts)
-        if not doc_url or not expert_id:
+        doc_url, judge_id, persona_code, grade_text = (p.strip() for p in parts)
+        if not doc_url or not judge_id:
             raise ParseError("empty url or judge id", line_no, path)
         try:
             persona = Persona.from_code(persona_code)
@@ -105,18 +96,14 @@ def load_qrels(path: str | Path) -> list[Judgment]:
         except ValueError:
             raise ParseError(f"grade {grade_text!r} is not an integer", line_no, path) from None
         if grade not in GRADE_SCALE:
-            raise GradeOutOfRange(f"grade {grade} outside 0..3", line_no, path)
-        key = (doc_url, expert_id, persona)
+            raise ParseError(f"grade {grade} outside 0..3", line_no, path)
+        key = (doc_url, judge_id, persona)
         if key in seen:
-            raise DuplicateJudgment(
-                f"repeated judgment for {doc_url} / {expert_id} / {persona.value}",
-                line_no,
-                path,
+            raise ParseError(
+                f"repeated judgment for {doc_url} / {judge_id} / {persona.value}", line_no, path
             )
         seen.add(key)
-        judgments.append(
-            Judgment(doc_url=doc_url, expert_id=expert_id, persona=persona, grade=grade)
-        )
+        judgments.append(Judgment(doc_url=doc_url, persona=persona, grade=grade))
     return judgments
 
 

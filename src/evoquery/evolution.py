@@ -20,13 +20,7 @@ from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import Document, extract_keywords, load_corpus, normalizer_for, seed_vector
-from .errors import (
-    ConfigInvalid,
-    DivergenceDetected,
-    LedgerCorrupt,
-    NonReplayableLedger,
-    PoolTooSmall,
-)
+from .errors import ConfigInvalid, DivergenceDetected, LedgerCorrupt
 from .fitness import (
     FitnessWeights,
     HitVectors,
@@ -407,7 +401,7 @@ def run_evolution(
     seed = seed_vector(seed_material, normalizer)
     pool = extract_keywords(seed, config.keyword_pool_size)
     if len(pool) < config.min_pool_size:
-        raise PoolTooSmall(
+        raise ConfigInvalid(
             f"seed material yields {len(pool)} keywords, the run needs {config.min_pool_size}"
         )
     reference = ReferenceText.from_seed_vector(seed)
@@ -427,8 +421,8 @@ def run_evolution(
             terms=genome.terms,
             variant=genome.variant,
             query_string=query_string,
-            provider_name=provider.name,
-            issued_at=time.time() if provider.stamps_time else None,
+            provider_name=config.provider.kind,
+            issued_at=time.time() if config.provider.kind == "http" else None,
             hits=first.hits if first is not None else provider.execute(query_string, config.f1),
         )
 
@@ -489,13 +483,11 @@ def run_evolution(
 def build_provider(spec: ProviderSpec, index_path: str | Path | None = None) -> SearchProvider:
     """Construct the engine a run/replay talks to from its spec."""
     if spec.kind == "offline":
-        if index_path is None:
-            raise ConfigInvalid("offline provider needs an index path")
         return OfflineProvider(
             index=load_index(index_path), full_body_snippets=spec.full_body_snippets
         )
     return HttpProvider(
-        endpoint=spec.endpoint or "",
+        endpoint=spec.endpoint,
         api_key_header=spec.api_key_header,
         api_key=os.environ.get(API_KEY_ENV_VAR),
         rate_limit_rps=spec.rate_limit_rps,
@@ -563,7 +555,7 @@ def replay(ledger_dir: str | Path) -> RunLedger:
         raise LedgerCorrupt("config.json lacks a config section")
     config = RunConfig.from_payload(payload["config"])
     if config.provider.kind != "offline":
-        raise NonReplayableLedger(
+        raise LedgerCorrupt(
             f"ledger was produced by the {config.provider.kind!r} provider; "
             "only offline runs re-derive their results"
         )

@@ -27,7 +27,7 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
 
-from .corpus import Normalizer, TermVector, DEFAULT_NORMALIZER
+from .corpus import SuffixNormalizer, TermVector, DEFAULT_NORMALIZER
 from .errors import ConfigInvalid
 from .provider import SearchHit
 
@@ -72,19 +72,16 @@ class ReferenceText:
 
     Seeded from expert-provided material; each adaptation round folds in
     the lemma vectors of the current best results at geometrically
-    decaying weight, then evicts the lightest lemmas beyond capacity.
+    decaying weight, then evicts the lightest lemmas beyond ``REFERENCE_CAPACITY``.
     """
 
     vector: TermVector
-    capacity: int = REFERENCE_CAPACITY
     rounds: int = 0
 
     @classmethod
-    def from_seed_vector(
-        cls, seed: TermVector, capacity: int = REFERENCE_CAPACITY
-    ) -> ReferenceText:
+    def from_seed_vector(cls, seed: TermVector) -> ReferenceText:
         """Start from the seed material's ``corpus.seed_vector``."""
-        return cls(vector=_evict_to_capacity(seed, capacity), capacity=capacity)
+        return cls(vector=_evict_to_capacity(seed))
 
     def digest(self) -> str:
         """Stable fingerprint of the vector state, for ledger records."""
@@ -92,10 +89,10 @@ class ReferenceText:
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
 
-def _evict_to_capacity(vector: TermVector, capacity: int) -> TermVector:
-    if len(vector.entries) <= capacity:
+def _evict_to_capacity(vector: TermVector) -> TermVector:
+    if len(vector.entries) <= REFERENCE_CAPACITY:
         return TermVector.from_weights(vector.entries)
-    kept = sorted(vector.entries.items(), key=lambda kv: (-kv[1], kv[0]))[:capacity]
+    kept = sorted(vector.entries.items(), key=lambda kv: (-kv[1], kv[0]))[:REFERENCE_CAPACITY]
     return TermVector.from_weights(dict(kept))
 
 
@@ -125,7 +122,9 @@ def cross_query_score(doc_url: str, url_counts: UrlCounts) -> float:
     return url_counts.counts[doc_url] / url_counts.lists
 
 
-def hit_text_vector(hit: SearchHit, normalizer: Normalizer = DEFAULT_NORMALIZER) -> TermVector:
+def hit_text_vector(
+    hit: SearchHit, normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
+) -> TermVector:
     return TermVector.from_lemmas(normalizer.normalize(hit.title + " " + hit.snippet))
 
 
@@ -137,7 +136,7 @@ class HitVectors:
     mutate the returned vectors.
     """
 
-    def __init__(self, normalizer: Normalizer = DEFAULT_NORMALIZER):
+    def __init__(self, normalizer: SuffixNormalizer = DEFAULT_NORMALIZER):
         self.normalizer = normalizer
         self._vectors: dict[tuple[str, str], TermVector] = {}
 
@@ -275,5 +274,5 @@ def update_reference_text(
         contribution = vectors(result.hit)
         for lemma, weight in contribution.entries.items():
             merged[lemma] = merged.get(lemma, 0.0) + multiplier * weight
-    vector = _evict_to_capacity(TermVector.from_weights(merged), ref.capacity)
-    return ReferenceText(vector=vector, capacity=ref.capacity, rounds=round_number)
+    vector = _evict_to_capacity(TermVector.from_weights(merged))
+    return ReferenceText(vector=vector, rounds=round_number)

@@ -23,14 +23,17 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import quote, urlencode, urlsplit, urlunsplit
 
-from .corpus import Document, Normalizer, DEFAULT_NORMALIZER
-from .errors import EmptyCorpus, ParseError, ProtocolError, ProviderUnavailable
+from .corpus import Document, SuffixNormalizer, DEFAULT_NORMALIZER
+from .errors import ParseError, ProviderError
 
 BM25_K1 = 1.2
 BM25_B = 0.75
 SNIPPET_CHARS = 240
 INDEX_FORMAT = "evoquery-index"
 INDEX_VERSION = 3
+HTTP_RETRIES = 2
+HTTP_BACKOFF_S = 0.5
+HTTP_TIMEOUT_S = 10.0
 # An index's per-document columns, in this order in InvertedIndex.docs
 DOC_COLUMNS = ("id", "url", "host", "title", "text", "length")
 # Most hits an OfflineProvider keeps in its answer memo; past this, new
@@ -53,9 +56,6 @@ class SearchHit:
 
 
 class SearchProvider(Protocol):
-    name: str
-    stamps_time: bool
-
     def execute(self, query_string: str, limit: int) -> list[SearchHit]: ...
 
 
@@ -88,7 +88,7 @@ class InvertedIndex:
 
 
 def build_index(
-    docs: list[Document], normalizer: Normalizer = DEFAULT_NORMALIZER
+    docs: list[Document], normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
 ) -> InvertedIndex:
     """Doc columns and postings with raw term counts, docs ordered by their unique ids.
 
@@ -96,7 +96,7 @@ def build_index(
     hit exposes all of it or a fixed-size snippet is the provider's call.
     """
     if not docs:
-        raise EmptyCorpus("cannot index an empty corpus")
+        raise ParseError("cannot index an empty corpus")
     columns: dict[str, list] = {name: [] for name in DOC_COLUMNS}
     postings: dict[str, list[int]] = {}
     term_counts: dict[str, list[int]] = {}
@@ -231,8 +231,6 @@ class OfflineProvider:
 
     index: InvertedIndex
     full_body_snippets: bool = False
-    name: str = "offline"
-    stamps_time: bool = False
     _idf: dict[str, float] = field(init=False, repr=False, compare=False)
     _norm: list[float] = field(init=False, repr=False, compare=False)  # by doc position
     _answers: dict[tuple[str, int], list[SearchHit]] = field(init=False, repr=False, compare=False)
@@ -309,18 +307,15 @@ class HttpProvider:
     from the EVOQUERY_API_KEY environment variable at construction time.
 
     Requests are serialized through a rate limiter (default one per
-    second) and transport failures are retried twice with backoff.
+    second). A transport failure or 5xx status is retried ``HTTP_RETRIES``
+    times, after ``HTTP_BACKOFF_S`` seconds doubled per retry; each request
+    times out after ``HTTP_TIMEOUT_S`` seconds.
     """
 
     endpoint: str
     api_key_header: str | None = None
     api_key: str | None = None
     rate_limit_rps: float = 1.0
-    retries: int = 2
-    backoff_base: float = 0.5
-    timeout: float = 10.0
-    name: str = "http"
-    stamps_time: bool = True
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _last_request: float = field(default=0.0, repr=False)
 
@@ -348,12 +343,12 @@ class HttpProvider:
         if self.api_key_header and self.api_key:
             request.add_header(self.api_key_header, self.api_key)
         last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(HTTP_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                time.sleep(HTTP_BACKOFF_S * (2 ** (attempt - 1)))
             self._throttle()
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as response:
                     status, body = response.status, response.read()
             except urllib.error.HTTPError as exc:  # any non-2xx status; an OSError subclass
                 exc.close()
@@ -362,37 +357,37 @@ class HttpProvider:
                 last_error = exc
                 continue
             if status >= 500:
-                last_error = ProviderUnavailable(f"server error {status}")
+                last_error = ProviderError(f"server error {status}")
                 continue
             if status != 200:
-                raise ProviderUnavailable(f"unexpected status {status} from {self.endpoint}")
+                raise ProviderError(f"unexpected status {status} from {self.endpoint}")
             return body
-        raise ProviderUnavailable(f"transport failure after retries: {last_error}")
+        raise ProviderError(f"transport failure after retries: {last_error}")
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
         body = self._request(query_string, limit)
         try:
             payload = json.loads(body)
         except ValueError as exc:
-            raise ProtocolError(f"response is not JSON: {exc}") from exc
+            raise ProviderError(f"response is not JSON: {exc}") from exc
         if not isinstance(payload, dict) or not isinstance(payload.get("results"), list):
-            raise ProtocolError('response lacks a "results" array')
+            raise ProviderError('response lacks a "results" array')
         hits = []
         for pos, item in enumerate(payload["results"][:limit], start=1):
             if not isinstance(item, dict):
-                raise ProtocolError(f"result {pos} is not an object")
+                raise ProviderError(f"result {pos} is not an object")
             try:
                 url = item["url"]
                 title = item["title"]
                 snippet = item["snippet"]
             except KeyError as exc:
-                raise ProtocolError(f"result {pos} lacks field {exc}") from exc
+                raise ProviderError(f"result {pos} lacks field {exc}") from exc
             if not all(isinstance(v, str) for v in (url, title, snippet)):
-                raise ProtocolError(f"result {pos} has non-string fields")
+                raise ProviderError(f"result {pos} has non-string fields")
             try:
                 host = urlsplit(url).netloc
             except ValueError as exc:  # e.g. an unclosed "[" in the host
-                raise ProtocolError(f"result {pos} has an invalid url {url!r} ({exc})") from None
+                raise ProviderError(f"result {pos} has an invalid url {url!r} ({exc})") from None
             hits.append(
                 SearchHit(
                     doc_url=url,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,6 +22,8 @@ from .evaluation import MetricRow
 CSV_HEADER = ["metric", "ordering", "persona", "n", "value"]
 METRIC_FAMILIES = ("mean_relevance", "precision", "dcg", "ndcg", "rho12", "overlap_percent")
 
+# The order of metric rows in every CSV written here
+_ROW_ORDER = attrgetter("metric", "ordering", "persona", "n")
 _PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2", "#edc948")
 
 
@@ -37,11 +40,11 @@ def format_value(value: float) -> str:
     return f"{value:.6f}"
 
 
-def metrics_csv_text(rows: Sequence[MetricRow]) -> str:
+def metrics_csv_text(rows: Iterable[MetricRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
+    for row in sorted(rows, key=_ROW_ORDER):
         writer.writerow([row.metric, row.ordering, row.persona, row.n, format_value(row.value)])
     return out.getvalue()
 
@@ -55,16 +58,19 @@ def read_metrics_csv(path: str | Path) -> list[MetricRow]:
     except UnicodeDecodeError:
         raise not_utf8(source) from None
     reader = csv.reader(io.StringIO(text, newline=""))  # splits lines as open(newline="") does
+    records, start = [], 1  # each record with the line it starts on; a quoted field spans lines
     try:
-        records = list(reader)
+        for record in reader:
+            records.append((start, record))
+            start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(str(exc), reader.line_num, source) from None
     if not records:
         raise ParseError(f"{source}: empty file, expected header")
-    if records[0] != CSV_HEADER:
+    if records[0][1] != CSV_HEADER:
         raise ParseError(f"{source}: header must be {','.join(CSV_HEADER)}")
     rows = []
-    for line_no, record in enumerate(records[1:], start=2):
+    for line_no, record in records[1:]:
         if not record:
             continue
         if len(record) != len(CSV_HEADER):
@@ -91,8 +97,7 @@ def merged_csv_text(runs: dict[str, list[MetricRow]]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["run"] + CSV_HEADER)
     for run in sorted(runs):
-        ordered = sorted(runs[run], key=lambda r: (r.metric, r.ordering, r.persona, r.n))
-        for row in ordered:
+        for row in sorted(runs[run], key=_ROW_ORDER):
             writer.writerow(
                 [run, row.metric, row.ordering, row.persona, row.n, format_value(row.value)]
             )

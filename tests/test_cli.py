@@ -366,6 +366,27 @@ class TestEvolve:
         assert "--index or --endpoint chooses the provider" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, source, reader", [
+        ("rate_limit_rps", 5.0, "--index", "--endpoint"),
+        ("api_key_header", "X-Key", "--index", "--endpoint"),
+        ("full_body_snippets", True, "--endpoint", "--index"),
+    ])
+    def test_provider_key_the_source_ignores_rejected(
+        self, data_dir, tmp_path, capsys, key, value, source, reader
+    ):
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "provider": {key: value}}))
+        out = tmp_path / "ledger"
+        where = str(data_dir / "index.json") if source == "--index" else "http://127.0.0.1:9/s"
+        code = main([
+            "evolve", "--config", str(config),
+            "--seed-material", str(data_dir / "seed.jsonl"), source, where, "--out", str(out),
+        ])
+        assert code == 1
+        assert (f"error: config key provider.{key} is not accepted with {source}; "
+                f"only {reader} reads it") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_index_stop_words_must_match_the_run(self, data_dir, tmp_path, capsys, monkeypatch):
         stops = write_top_keywords(data_dir, tmp_path / "stops.txt")
         index = tmp_path / "stopped-index.json"
@@ -876,6 +897,9 @@ def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
          lambda bad, out: ["evaluate", "--list", str(_ordering(out)), "--qrels", str(bad)]),
         ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,twenty,0.5\n",
          lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
+        ("metrics", 'metric,ordering,persona,n,value\nndcg,"two\nlines",S,20,0.5\n'
+         "ndcg,evolved,S,twenty,0.5\n",
+         lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
         ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,20,nan\n",
          lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
         ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,20,-inf\n",
@@ -884,8 +908,8 @@ def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
          f"ndcg,other,S,20,{'1' * 131_073}\n",
          lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
     ],
-    ids=["corpus", "corpus-url", "qrels", "metrics", "metrics-nan", "metrics-inf",
-         "metrics-field-limit"],
+    ids=["corpus", "corpus-url", "qrels", "metrics", "metrics-quoted-newline", "metrics-nan",
+         "metrics-inf", "metrics-field-limit"],
 )
 def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
     bad = tmp_path / f"bad-{kind}"
@@ -898,7 +922,7 @@ def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
 def write_top_keywords(data_dir, path, k=6):
     """A stop-word file of the seed material's top ``k`` keywords."""
     pool = build_keyword_pool(load_corpus(data_dir / "seed.jsonl"), k)
-    path.write_text("\n".join(pool.lemmas()) + "\n", encoding="utf-8")
+    path.write_text("\n".join([t for t, _ in pool.terms]) + "\n", encoding="utf-8")
     return path
 
 

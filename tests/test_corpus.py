@@ -8,7 +8,6 @@ from evoquery.corpus import (
     DEFAULT_NORMALIZER,
     LEMMA_MEMO_LIMIT,
     Document,
-    KeywordPool,
     SuffixNormalizer,
     TermVector,
     build_keyword_pool,
@@ -19,7 +18,7 @@ from evoquery.corpus import (
     normalizer_for,
     seed_vector,
 )
-from evoquery.errors import ConfigInvalid, DuplicateId, EmptyDocument, ParseError
+from evoquery.errors import ConfigInvalid, ParseError
 
 normalize = DEFAULT_NORMALIZER.normalize
 
@@ -186,12 +185,12 @@ class TestTermWeights:
 
     def test_empty_document_rejected(self):
         assert normalize("! 1 2 ?") == []
-        with pytest.raises(EmptyDocument):
+        with pytest.raises(ParseError, match="^seed material normalizes to zero lemmas$"):
             build_keyword_pool([make_doc(body="! 1 2 ?")], 10)
 
     def test_title_is_ignored(self):
         pool = build_keyword_pool([make_doc(body="wear", title="friction friction")], 10)
-        assert pool.lemmas() == ["wear"]
+        assert pool.terms == [("wear", 1.0)]
 
     @given(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=200))
     def test_weights_sum_to_one(self, letters):
@@ -210,7 +209,7 @@ class TestSeedVector:
         assert build_keyword_pool(docs, 2) == extract_keywords(seed_vector(docs), 2)
 
     def test_empty_seed_material_rejected(self):
-        with pytest.raises(EmptyDocument, match="zero lemmas"):
+        with pytest.raises(ParseError, match="^seed material normalizes to zero lemmas$"):
             seed_vector([make_doc(body="! 1 2 ?")])
 
 
@@ -274,13 +273,8 @@ class TestKeywordPool:
         assert pool.terms == [("wear", 2 / 3), ("oil", 1 / 3)]
 
     def test_empty_seed_material_rejected(self):
-        with pytest.raises(EmptyDocument):
+        with pytest.raises(ParseError, match="^seed material normalizes to zero lemmas$"):
             build_keyword_pool([make_doc("s1", body="!")], 10)
-
-    def test_lemmas_accessor(self):
-        pool = KeywordPool(terms=[("a", 0.6), ("b", 0.4)])
-        assert pool.lemmas() == ["a", "b"]
-        assert len(pool) == 2
 
 
 class TestLoadCorpus:
@@ -309,7 +303,7 @@ class TestLoadCorpus:
 
     def test_duplicate_id_reports_line(self, tmp_path):
         path = self.write_lines(tmp_path, [self.record("d1"), self.record("d1")])
-        with pytest.raises(DuplicateId, match="line 2"):
+        with pytest.raises(ParseError, match="line 2: duplicate document id 'd1'$"):
             load_corpus(path)
 
     def test_malformed_json_reports_line(self, tmp_path):

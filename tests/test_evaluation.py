@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoquery.errors import DuplicateJudgment, GradeOutOfRange, ParseError, ZeroEnergySequence
+from evoquery.errors import ParseError, ZeroEnergySequence
 from evoquery.evaluation import (
     Judgment,
     Persona,
@@ -59,11 +59,11 @@ class TestLoadQrels:
         )
         judgments = load_qrels(path)
         assert len(judgments) == 4
-        assert judgments[0] == Judgment("https://a.org/1", "e1", S, 3)
+        assert judgments[0] == Judgment("https://a.org/1", S, 3)
 
     def test_grade_out_of_scale(self, tmp_path):
         path = self.write(tmp_path, "https://a.org/1\te1\tS\t4\n")
-        with pytest.raises(GradeOutOfRange, match="line 1"):
+        with pytest.raises(ParseError, match="line 1: grade 4 outside 0..3"):
             load_qrels(path)
 
     def test_duplicate_key(self, tmp_path):
@@ -71,7 +71,8 @@ class TestLoadQrels:
             tmp_path,
             "https://a.org/1\te1\tS\t3\nhttps://a.org/1\te1\tS\t2\n",
         )
-        with pytest.raises(DuplicateJudgment, match="line 2"):
+        repeated = "line 2: repeated judgment for https://a.org/1 / e1 / S$"
+        with pytest.raises(ParseError, match=repeated):
             load_qrels(path)
 
     def test_same_url_judge_different_persona_allowed(self, tmp_path):
@@ -104,20 +105,20 @@ class TestLoadQrels:
 class TestConsensus:
     def test_mean_of_two_judges(self):
         judgments = [
-            Judgment("u", "e1", S, 3),
-            Judgment("u", "e2", S, 2),
+            Judgment("u", S, 3),
+            Judgment("u", S, 2),
         ]
         assert consensus_grade(judgments) == 2.5
 
     def test_single_judge(self):
-        assert consensus_grade([Judgment("u", "e1", S, 3)]) == 3.0
+        assert consensus_grade([Judgment("u", S, 3)]) == 3.0
 
     def test_map_groups_by_url_and_persona(self):
         judgments = [
-            Judgment("u", "e1", S, 3),
-            Judgment("u", "e2", S, 2),
-            Judgment("u", "e1", N, 1),
-            Judgment("v", "e1", S, 0),
+            Judgment("u", S, 3),
+            Judgment("u", S, 2),
+            Judgment("u", N, 1),
+            Judgment("v", S, 0),
         ]
         cmap = consensus_map(judgments)
         assert cmap[("u", S)] == 2.5

@@ -9,8 +9,9 @@ import evoquery.fitness
 import reference_scoring
 
 from evoquery.corpus import Document, SuffixNormalizer, TermVector, seed_vector
-from evoquery.errors import ConfigInvalid, EmptyDocument
+from evoquery.errors import ConfigInvalid, ParseError
 from evoquery.fitness import (
+    REFERENCE_CAPACITY,
     FitnessWeights,
     HitVectors,
     ReferenceText,
@@ -540,7 +541,7 @@ class TestReferenceText:
         assert ref.vector == seed_vector(docs)
 
     def test_empty_seed_material_rejected(self):
-        with pytest.raises(EmptyDocument, match="zero lemmas"):
+        with pytest.raises(ParseError, match="^seed material normalizes to zero lemmas$"):
             ReferenceText.from_seed_vector(seed_vector([self.seed_doc("! 1 2 ?")]))
 
     def test_empty_update_is_identity(self):
@@ -592,11 +593,9 @@ class TestReferenceText:
         updated = update_reference_text(ref, top, HitVectors())
         assert updated.vector.entries == pytest.approx({"wear": 1.0, "oil": 0.5, "grease": 0.5})
 
-    def test_eviction_drops_lightest_lemma(self):
-        ref = ReferenceText(
-            vector=TermVector.from_weights({"aa": 0.5, "bb": 0.3, "cc": 0.01}),
-            capacity=3,
-        )
+    def test_eviction_drops_lightest_lemma(self, monkeypatch):
+        monkeypatch.setattr(evoquery.fitness, "REFERENCE_CAPACITY", 3)
+        ref = ReferenceText(vector=TermVector.from_weights({"aa": 0.5, "bb": 0.3, "cc": 0.01}))
         updated = update_reference_text(
             ref, [scored(0.9, url="https://x.org/1", title="dd dd dd")], HitVectors()
         )
@@ -611,5 +610,5 @@ class TestReferenceText:
 
     def test_seed_at_capacity_is_trimmed(self):
         words = [chr(97 + i // 26) + chr(97 + i % 26) + "x" for i in range(300)]
-        ref = ReferenceText.from_seed_vector(seed_vector([self.seed_doc(" ".join(words))]), capacity=256)
-        assert len(ref.vector.entries) == 256
+        ref = ReferenceText.from_seed_vector(seed_vector([self.seed_doc(" ".join(words))]))
+        assert len(ref.vector.entries) == REFERENCE_CAPACITY == 256

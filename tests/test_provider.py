@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import evoquery.provider
 from evoquery.corpus import DEFAULT_NORMALIZER, Document, SuffixNormalizer, load_corpus
-from evoquery.errors import EmptyCorpus, ParseError, ProtocolError, ProviderUnavailable
+from evoquery.errors import ParseError, ProviderError
 from evoquery.provider import (
     BM25_B,
     BM25_K1,
@@ -111,7 +111,7 @@ class TestBuildIndex:
         assert (index.postings["aa"], index.term_counts["aa"]) == ([0, 1], [1, 1])
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ParseError, match="^cannot index an empty corpus$"):
             build_index([])
 
     def test_stored_text_whitespace_collapsed(self):
@@ -535,9 +535,14 @@ def stub_engine():
     server.server_close()
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retries go out at once."""
+    monkeypatch.setattr(evoquery.provider, "HTTP_BACKOFF_S", 0.0)
+
+
 def fast_provider(endpoint, **kw):
     kw.setdefault("rate_limit_rps", 1000.0)
-    kw.setdefault("backoff_base", 0.0)
     return HttpProvider(endpoint=endpoint, **kw)
 
 
@@ -580,26 +585,26 @@ class TestHttpProvider:
     def test_non_json_body_is_protocol_error(self, stub_engine):
         endpoint, handler = stub_engine
         handler.responses = [("this is not json", 200)]
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProviderError, match="^response is not JSON: "):
             fast_provider(endpoint).execute("q", 1)
 
     def test_missing_results_field_is_protocol_error(self, stub_engine):
         endpoint, handler = stub_engine
         handler.responses = [({"items": []}, 200)]
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProviderError, match='^response lacks a "results" array$'):
             fast_provider(endpoint).execute("q", 1)
 
     def test_malformed_item_is_protocol_error(self, stub_engine):
         endpoint, handler = stub_engine
         handler.responses = [({"results": [{"url": "https://x.org"}]}, 200)]
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProviderError, match="^result 1 lacks field 'title'$"):
             fast_provider(endpoint).execute("q", 1)
 
     def test_unparsable_url_is_protocol_error_naming_position(self, stub_engine):
         endpoint, handler = stub_engine
         bad = {**result_item(1), "url": "https://[oops/x"}
         handler.responses = [({"results": [result_item(0), bad]}, 200)]
-        with pytest.raises(ProtocolError, match="result 2 has an invalid url 'https://\\[oops/x'"):
+        with pytest.raises(ProviderError, match="result 2 has an invalid url 'https://\\[oops/x'"):
             fast_provider(endpoint).execute("q", 2)
 
     def test_server_errors_retried_then_succeed(self, stub_engine):
@@ -613,13 +618,14 @@ class TestHttpProvider:
     def test_persistent_failure_is_provider_unavailable(self, stub_engine):
         endpoint, handler = stub_engine
         handler.fail_times = 99
-        with pytest.raises(ProviderUnavailable):
+        with pytest.raises(ProviderError, match="after retries: server error 503$"):
             fast_provider(endpoint).execute("q", 1)
         assert len(handler.requests_seen) == 3  # initial + 2 retries
 
-    def test_unreachable_endpoint_is_provider_unavailable(self):
-        provider = fast_provider("http://127.0.0.1:1/search", timeout=0.2)
-        with pytest.raises(ProviderUnavailable):
+    def test_unreachable_endpoint_is_provider_unavailable(self, monkeypatch):
+        monkeypatch.setattr(evoquery.provider, "HTTP_TIMEOUT_S", 0.2)
+        provider = fast_provider("http://127.0.0.1:1/search")
+        with pytest.raises(ProviderError, match="^transport failure after retries: "):
             provider.execute("q", 1)
 
     def test_rate_limit_spaces_requests(self, stub_engine, monkeypatch):
@@ -648,14 +654,14 @@ class TestHttpFaultPaths:
     def test_client_error_raises_after_one_request(self, stub_engine):
         endpoint, handler = stub_engine
         handler.responses = [({"error": "not found"}, 404)]
-        with pytest.raises(ProviderUnavailable, match="unexpected status 404"):
+        with pytest.raises(ProviderError, match="unexpected status 404"):
             fast_provider(endpoint).execute("q", 1)
         assert len(handler.requests_seen) == 1
 
     def test_no_content_is_unexpected_status(self, stub_engine):
         endpoint, handler = stub_engine
         handler.responses = [(b"", 204)]
-        with pytest.raises(ProviderUnavailable, match="unexpected status 204"):
+        with pytest.raises(ProviderError, match="unexpected status 204"):
             fast_provider(endpoint).execute("q", 1)
         assert len(handler.requests_seen) == 1
 
@@ -663,15 +669,16 @@ class TestHttpFaultPaths:
         endpoint, handler = stub_engine
         handler.responses = [({"results": [result_item(0)]}, 200)]
         handler.missing_bytes = 10
-        with pytest.raises(ProviderUnavailable, match="transport failure"):
+        with pytest.raises(ProviderError, match="transport failure"):
             fast_provider(endpoint).execute("q", 1)
         assert len(handler.requests_seen) == 3
 
-    def test_slow_response_retried_then_unavailable(self, stub_engine):
+    def test_slow_response_retried_then_unavailable(self, stub_engine, monkeypatch):
         endpoint, handler = stub_engine
         handler.delay = 0.5
-        with pytest.raises(ProviderUnavailable, match="transport failure"):
-            fast_provider(endpoint, timeout=0.1).execute("q", 1)
+        monkeypatch.setattr(evoquery.provider, "HTTP_TIMEOUT_S", 0.1)
+        with pytest.raises(ProviderError, match="transport failure"):
+            fast_provider(endpoint).execute("q", 1)
         assert len(handler.requests_seen) == 3
 
     def test_endpoint_query_string_joined_with_ampersand(self, stub_engine):
