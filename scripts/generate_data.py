@@ -46,7 +46,7 @@ KEYWORD_POOL_SIZE = 50
 
 def baseline_list(dataset, seed: int) -> list[str]:
     pool = build_keyword_pool(dataset.seed_material, KEYWORD_POOL_SIZE)
-    lemmas = [lemma for lemma, _ in pool.terms]
+    lemmas = [lemma for lemma, _ in pool]
     genomes = baseline_queries(
         lemmas, RUN_CONFIG["g2"], RUN_CONFIG["g3"], derive_rng(seed, "baseline")
     )

@@ -22,14 +22,14 @@ from itertools import combinations
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from .corpus import build_keyword_pool, load_corpus, normalizer_for
+from .corpus import build_keyword_pool, data_lines, load_corpus, normalizer_for
 from .errors import (
     ConfigInvalid,
     DivergenceDetected,
     EvoqueryError,
+    ParseError,
     ProviderError,
     ZeroEnergySequence,
-    not_utf8,
 )
 from .evaluation import (
     MetricRow,
@@ -55,7 +55,7 @@ from .evolution import (
     run_evolution,
     write_run_ledger,
 )
-from .ledger import FINAL_RESULTS_FILE, parse_ledger_json, read_final_results_text
+from .ledger import FINAL_RESULTS_FILE, parse_ledger_json, read_ledger_file
 from .provider import build_index, save_index
 from .report import metrics_csv_text, read_metrics_csv, write_report
 
@@ -101,7 +101,7 @@ def cmd_keywords(args: argparse.Namespace) -> int:
     corpus_path = _require_file(args.corpus, "corpus")
     docs = load_corpus(corpus_path)
     pool = build_keyword_pool(docs, args.k, normalizer_for(args.stop_words))
-    for lemma, weight in pool.terms:
+    for lemma, weight in pool:
         print(f"{lemma}\t{weight:.6f}")
     return EXIT_OK
 
@@ -157,7 +157,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _ledger_ordering(ledger_dir: Path) -> RankedList:
-    payload = parse_ledger_json(read_final_results_text(ledger_dir), FINAL_RESULTS_FILE)
+    text = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
+    payload = parse_ledger_json(text, FINAL_RESULTS_FILE)
     if not isinstance(payload, list):
         raise ConfigInvalid(f"final results in {ledger_dir} must be an array")
     urls = []
@@ -169,16 +170,12 @@ def _ledger_ordering(ledger_dir: Path) -> RankedList:
 
 
 def _list_ordering(path: Path) -> RankedList:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-    urls = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            urls.append(stripped)
-    return RankedList(ordering_name=path.stem, doc_urls=urls)
+    urls: dict[str, None] = {}
+    for line_no, url in data_lines(path):
+        if url in urls:
+            raise ParseError(f"repeated url {url!r}", line_no, path)
+        urls[url] = None
+    return RankedList(ordering_name=path.stem, doc_urls=list(urls))
 
 
 def _persona_list(code: str) -> list[Persona]:

@@ -106,18 +106,18 @@ def text_lines(path: str | Path) -> Iterator[str]:
             raise not_utf8(path) from None
 
 
+def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of ``path`` that is neither
+    blank nor a ``#`` comment; lines end where ``text_lines`` ends them."""
+    for line_no, line in enumerate(text_lines(path), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, stripped
+
+
 def load_stop_words(path: str | Path) -> frozenset[str]:
     """Read a stop-word file: one word per line, ``#`` starts a comment."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-    words = set()
-    for line in text.splitlines():
-        word = line.strip()
-        if word and not word.startswith("#"):
-            words.add(word.lower())
-    return frozenset(words)
+    return frozenset(word.lower() for _, word in data_lines(path))
 
 
 def normalizer_for(stop_words_path: str | Path | None) -> SuffixNormalizer:
@@ -165,24 +165,14 @@ class TermVector:
         return dot / (self.norm * other.norm)
 
 
-@dataclass
-class KeywordPool:
-    """Top-weighted lemmas of some seed material, ordered for sampling.
+def extract_keywords(vec: TermVector, k: int) -> list[tuple[str, float]]:
+    """The keyword pool: top-``k`` (lemma, weight) entries, ordered for sampling.
 
-    ``terms`` is strictly sorted by weight descending then lemma ascending
-    and never repeats a lemma.
+    Strictly sorted by weight descending, then lemma ascending, so no lemma
+    repeats.
     """
-
-    terms: list[tuple[str, float]]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def extract_keywords(vec: TermVector, k: int) -> KeywordPool:
-    """Top-``k`` entries by weight descending, ties broken by lemma ascending."""
     ranked = sorted(vec.entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    return KeywordPool(terms=ranked[:k])
+    return ranked[:k]
 
 
 def seed_vector(
@@ -205,7 +195,7 @@ def build_keyword_pool(
     docs: Sequence[Document],
     k: int,
     normalizer: SuffixNormalizer = DEFAULT_NORMALIZER,
-) -> KeywordPool:
+) -> list[tuple[str, float]]:
     """Keyword pool over the seed material's ``seed_vector``."""
     return extract_keywords(seed_vector(docs, normalizer), k)
 

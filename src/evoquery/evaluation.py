@@ -21,7 +21,7 @@ from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import text_lines
+from .corpus import data_lines
 from .errors import ParseError, ZeroEnergySequence
 
 logger = logging.getLogger(__name__)
@@ -77,11 +77,8 @@ def load_qrels(path: str | Path) -> list[Judgment]:
     """Parse judgment lines: url, judge id, persona code, grade, tab-separated."""
     judgments: list[Judgment] = []
     seen: set[tuple[str, str, Persona]] = set()
-    for line_no, line in enumerate(text_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
+    for line_no, line in data_lines(path):
+        parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_no, path)
         doc_url, judge_id, persona_code, grade_text = (p.strip() for p in parts)

@@ -4,7 +4,7 @@ run_evolution drives a population of query genomes against a provider for
 a fixed number of generations, maintaining the adaptive reference vector,
 the per-generation records and the run-wide capped result list. replay
 re-executes an offline run from its persisted ledger and verifies the
-records byte for byte.
+files byte for byte against the lines that ``evolve`` wrote.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import time
 from dataclasses import dataclass, field as dc_field, fields, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import Document, extract_keywords, load_corpus, normalizer_for, seed_vector
 from .errors import ConfigInvalid, DivergenceDetected, LedgerCorrupt
 from .fitness import (
     FitnessWeights,
-    HitVectors,
     ReferenceText,
     ScoredResult,
     UrlCounts,
@@ -44,14 +43,14 @@ from .genome import (
 )
 from .ledger import (
     FINAL_RESULTS_FILE,
+    GENERATIONS_FILE,
     canonical_json,
     file_digest,
     first_divergence,
     parse_ledger_json,
     parse_record_line,
     read_config_payload,
-    read_final_results_text,
-    read_generation_lines,
+    read_ledger_file,
     write_ledger_dir,
 )
 from .provider import (
@@ -404,8 +403,7 @@ def run_evolution(
         raise ConfigInvalid(
             f"seed material yields {len(pool)} keywords, the run needs {config.min_pool_size}"
         )
-    reference = ReferenceText.from_seed_vector(seed)
-    vectors = HitVectors(normalizer)
+    reference = ReferenceText.from_seed_vector(seed, normalizer)
     weights = config.fitness_weights()
     # Freeze mode scores each query string once: a later genome sending it
     # reuses its first outcome's hits, results and fitness, so a survivor
@@ -428,14 +426,13 @@ def run_evolution(
 
     def score(outcomes: list[QueryOutcome]) -> None:
         url_counts = UrlCounts.of([outcome.hits for outcome in outcomes])
-        semantics: dict[tuple[str, str], float] = {}  # this call's reference only
         for outcome in outcomes:
             first = first_outcomes.get(outcome.query_string)
             if first is not None:
                 outcome.results, outcome.query_fitness = first.results, first.query_fitness
                 continue
             outcome.results = score_query_results(
-                outcome.hits, url_counts, reference, weights, config.a_factor, vectors, semantics
+                outcome.hits, url_counts, reference, weights, config.a_factor
             )
             outcome.query_fitness = query_fitness(outcome.results)
             if config.freeze_reference:
@@ -461,7 +458,7 @@ def run_evolution(
         population_top = aggregate_results([o.results for o in outcomes], config.f2)
         global_top = merge_into_global(global_top, population_top, config.f3)
         if not config.freeze_reference:
-            reference = update_reference_text(reference, population_top, vectors)
+            reference = update_reference_text(reference, population_top)
         records.append(
             GenerationRecord(
                 generation=generation,
@@ -522,17 +519,23 @@ def make_run_inputs(
     return inputs
 
 
+def generation_lines(ledger: RunLedger) -> Iterator[str]:
+    """The lines of generations.jsonl: one canonical record and its newline each."""
+    for record in ledger.generations:
+        yield canonical_json(record.to_payload()) + "\n"
+
+
+def final_results_text(ledger: RunLedger) -> str:
+    """The whole text of final_results.json."""
+    return canonical_json([result_to_payload(r) for r in ledger.final_results]) + "\n"
+
+
 def write_run_ledger(
     ledger_dir: str | Path, ledger: RunLedger, inputs: dict | None = None
 ) -> None:
     """Write the ledger with the run's input fingerprints (``make_run_inputs``), if any."""
-    config_payload = {"config": ledger.config.to_payload(), "inputs": inputs}
-    write_ledger_dir(
-        ledger_dir,
-        config_payload,
-        [record.to_payload() for record in ledger.generations],
-        [result_to_payload(r) for r in ledger.final_results],
-    )
+    config = {"config": ledger.config.to_payload(), "inputs": inputs}
+    write_ledger_dir(ledger_dir, config, generation_lines(ledger), final_results_text(ledger))
 
 
 def _verify_input_file(
@@ -549,7 +552,9 @@ def _verify_input_file(
 
 
 def replay(ledger_dir: str | Path) -> RunLedger:
-    """Re-execute an offline run and verify its ledger byte for byte."""
+    """Re-execute an offline run and compare what ``write_run_ledger`` would
+    write with the stored bytes, stopping at the first line that differs;
+    the divergence names its first differing field, or ``<bytes>``."""
     payload = read_config_payload(ledger_dir)
     if "config" not in payload:
         raise LedgerCorrupt("config.json lacks a config section")
@@ -579,31 +584,33 @@ def replay(ledger_dir: str | Path) -> RunLedger:
     seed_material = load_corpus(paths["seed_material"])
     rerun = run_evolution(config, provider, seed_material)
 
-    stored_lines = read_generation_lines(ledger_dir)
-    fresh_lines = [canonical_json(r.to_payload()) for r in rerun.generations]
-    if len(stored_lines) != len(fresh_lines):
+    stored = read_ledger_file(ledger_dir, GENERATIONS_FILE)
+    # lines end at "\n" alone, as the writer ends them; a last one may lack it
+    stored_count = stored.count("\n") + (stored[-1:] not in ("", "\n"))
+    if stored_count != len(rerun.generations):
         raise DivergenceDetected(
-            min(len(stored_lines), len(fresh_lines)),
+            min(stored_count, len(rerun.generations)),
             "record_count",
-            len(stored_lines),
-            len(fresh_lines),
+            stored_count,
+            len(rerun.generations),
         )
-    for line_no, (stored, fresh) in enumerate(zip(stored_lines, fresh_lines), start=1):
-        if stored != fresh:
+    start = 0
+    for line_no, fresh in enumerate(generation_lines(rerun), start=1):
+        end = stored.find("\n", start) + 1 or len(stored)
+        line, start = stored[start:end], end
+        if line != fresh:
             found = first_divergence(
-                parse_record_line(stored, line_no), parse_record_line(fresh, line_no)
+                parse_record_line(line, line_no), parse_record_line(fresh, line_no)
             )
-            raise DivergenceDetected(line_no - 1, *(found or ("<bytes>", stored, fresh)))
+            raise DivergenceDetected(line_no - 1, *(found or ("<bytes>", line, fresh)))
 
-    stored_final = read_final_results_text(ledger_dir).strip()
-    fresh_final = canonical_json([result_to_payload(r) for r in rerun.final_results])
+    stored_final = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
+    fresh_final = final_results_text(rerun)
     if stored_final != fresh_final:
         found = first_divergence(
             parse_ledger_json(stored_final, FINAL_RESULTS_FILE),
             json.loads(fresh_final),
             "final_results",
         )
-        raise DivergenceDetected(
-            config.e1, *(found or ("final_results", stored_final, fresh_final))
-        )
+        raise DivergenceDetected(config.e1, *(found or ("<bytes>", stored_final, fresh_final)))
     return rerun

@@ -9,20 +9,19 @@ Means add left to right with plain float addition, not ``sum()``, which
 compensates rounding from Python 3.12 on and so would make ledger bytes
 depend on the interpreter version.
 
-Work that has the same answer every time is done once: a run memoizes
-each hit's title+snippet lemma vector by (title, snippet) in one
-``HitVectors``, and each generation counts the result lists containing
-each url once, in one ``UrlCounts``, instead of rescanning every list
-for every hit. One scoring step against one reference vector fills one
-semantic table, one cosine per distinct (title, snippet), and builds each
-``ScoredResult`` once, after its host damping is known.
+Work that has the same answer every time is done once. A run normalizes
+each distinct hit text, (title, snippet), once; each reference vector
+computes one cosine per distinct text and owns both memos (see
+``ReferenceText``). Each generation counts the result lists containing
+each url once, in one ``UrlCounts``, and each ``ScoredResult`` is built
+once, after its host damping is known.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -73,15 +72,34 @@ class ReferenceText:
     Seeded from expert-provided material; each adaptation round folds in
     the lemma vectors of the current best results at geometrically
     decaying weight, then evicts the lightest lemmas beyond ``REFERENCE_CAPACITY``.
+
+    It owns the memos keyed by a hit's (title, snippet). ``hit_vectors``
+    holds lemma vectors under ``normalizer``, which each round hands on to
+    the next. ``semantic_scores`` holds scores against this vector alone:
+    each new reference starts it empty. Callers must not mutate either.
     """
 
     vector: TermVector
     rounds: int = 0
+    normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
+    hit_vectors: dict[tuple[str, str], TermVector] = field(default_factory=dict, compare=False)
+    semantic_scores: dict[tuple[str, str], float] = field(default_factory=dict, compare=False)
 
     @classmethod
-    def from_seed_vector(cls, seed: TermVector) -> ReferenceText:
+    def from_seed_vector(
+        cls, seed: TermVector, normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
+    ) -> ReferenceText:
         """Start from the seed material's ``corpus.seed_vector``."""
-        return cls(vector=_evict_to_capacity(seed))
+        return cls(vector=_evict_to_capacity(seed), normalizer=normalizer)
+
+    def hit_vector(self, hit: SearchHit) -> TermVector:
+        """The hit's title+snippet lemma vector, memoized by (title, snippet)."""
+        key = (hit.title, hit.snippet)
+        vector = self.hit_vectors.get(key)
+        if vector is None:
+            lemmas = self.normalizer.normalize(hit.title + " " + hit.snippet)
+            vector = self.hit_vectors[key] = TermVector.from_lemmas(lemmas)
+        return vector
 
     def digest(self) -> str:
         """Stable fingerprint of the vector state, for ledger records."""
@@ -122,35 +140,9 @@ def cross_query_score(doc_url: str, url_counts: UrlCounts) -> float:
     return url_counts.counts[doc_url] / url_counts.lists
 
 
-def hit_text_vector(
-    hit: SearchHit, normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
-) -> TermVector:
-    return TermVector.from_lemmas(normalizer.normalize(hit.title + " " + hit.snippet))
-
-
-class HitVectors:
-    """One run's memo of hit lemma vectors, keyed by (title, snippet).
-
-    The vector depends only on the hit's text and the run's normalizer,
-    so each distinct text is normalized once per run. Callers must not
-    mutate the returned vectors.
-    """
-
-    def __init__(self, normalizer: SuffixNormalizer = DEFAULT_NORMALIZER):
-        self.normalizer = normalizer
-        self._vectors: dict[tuple[str, str], TermVector] = {}
-
-    def __call__(self, hit: SearchHit) -> TermVector:
-        key = (hit.title, hit.snippet)
-        vector = self._vectors.get(key)
-        if vector is None:
-            vector = self._vectors[key] = hit_text_vector(hit, self.normalizer)
-        return vector
-
-
-def semantic_score(hit: SearchHit, ref: ReferenceText, vectors: HitVectors) -> float:
+def semantic_score(hit: SearchHit, ref: ReferenceText) -> float:
     """Cosine between the hit's title+snippet vector and the reference."""
-    similarity = vectors(hit).cosine(ref.vector)
+    similarity = ref.hit_vector(hit).cosine(ref.vector)
     return min(1.0, max(0.0, similarity))
 
 
@@ -187,17 +179,16 @@ def score_query_results(
     ref: ReferenceText,
     weights: FitnessWeights,
     environment_factor: float,
-    vectors: HitVectors,
-    semantics: dict[tuple[str, str], float],
 ) -> list[ScoredResult]:
     """Score one query's hits within its population and damp host runs.
 
-    ``semantics`` is ``ref``'s semantic table, filled by (title, snippet).
-    In order of fitness descending, ties by url ascending, the k-th hit from
-    one host keeps coeff^(k-1) of its fitness; results come in that order
-    of damped fitness.
+    A text that ``ref`` has not scored yet is scored into
+    ``ref.semantic_scores``. In order of fitness descending, ties by url
+    ascending, the k-th hit from one host keeps coeff^(k-1) of its fitness;
+    results come in that order of damped fitness.
     """
     length = len(hits)
+    semantics = ref.semantic_scores
     ranked = []
     for hit in hits:
         rank = position_score(hit.position, length)
@@ -205,7 +196,7 @@ def score_query_results(
         key = (hit.title, hit.snippet)
         semantic = semantics.get(key)
         if semantic is None:
-            semantic = semantics[key] = semantic_score(hit, ref, vectors)
+            semantic = semantics[key] = semantic_score(hit, ref)
         fitness = result_fitness(rank, crossquery, semantic, environment_factor, weights)
         ranked.append((fitness, hit, rank, crossquery, semantic))
     ranked.sort(key=lambda row: (-row[0], row[1].doc_url))
@@ -254,7 +245,6 @@ def merge_into_global(
 def update_reference_text(
     ref: ReferenceText,
     top_results: Sequence[ScoredResult],
-    vectors: HitVectors,
 ) -> ReferenceText:
     """Fold the best current results into the reference vector.
 
@@ -262,7 +252,8 @@ def update_reference_text(
     ``aggregate_results`` returns it. Its first few results contribute
     their title+snippet lemma vectors, all scaled by decay^round so late
     generations nudge rather than overwrite the topic representation.
-    Empty input changes nothing, not even the round counter.
+    Empty input changes nothing, not even the round counter. The new
+    reference keeps ``ref``'s hit vectors and starts its own score table.
     """
     contributors = top_results[:REFERENCE_CONTRIBUTORS]
     if not contributors:
@@ -271,8 +262,8 @@ def update_reference_text(
     multiplier = REFERENCE_DECAY**round_number
     merged = dict(ref.vector.entries)
     for result in contributors:
-        contribution = vectors(result.hit)
+        contribution = ref.hit_vector(result.hit)
         for lemma, weight in contribution.entries.items():
             merged[lemma] = merged.get(lemma, 0.0) + multiplier * weight
     vector = _evict_to_capacity(TermVector.from_weights(merged))
-    return ReferenceText(vector=vector, rounds=round_number)
+    return replace(ref, vector=vector, rounds=round_number, semantic_scores={})

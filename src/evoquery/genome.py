@@ -16,7 +16,6 @@ from functools import reduce
 from operator import add
 from enum import Enum
 
-from .corpus import KeywordPool
 from .rng import derive_rng
 
 
@@ -63,7 +62,7 @@ def _weighted_sample(
 
 
 def seed_population(
-    pool: KeywordPool,
+    pool: list[tuple[str, float]],
     g2: int,
     g3: int,
     rng_seed: int,
@@ -76,7 +75,7 @@ def seed_population(
     genomes = []
     for i in range(g2):
         rng = derive_rng(rng_seed, f"seed-genome/{i}")
-        terms = _weighted_sample(pool.terms, g3, rng)
+        terms = _weighted_sample(pool, g3, rng)
         genomes.append(QueryGenome(terms=tuple(terms), variant=variant))
     return genomes
 
@@ -112,14 +111,14 @@ def crossover(
 
 
 def mutate(
-    g: QueryGenome, pool: KeywordPool, m1: float, rng: random.Random
+    g: QueryGenome, pool: list[tuple[str, float]], m1: float, rng: random.Random
 ) -> QueryGenome:
     """Replace one uniformly chosen term, with probability m1.
 
     The replacement is a weight-proportional draw from pool terms not
     already present, so distinctness is preserved.
     """
-    candidates = [(t, w) for t, w in pool.terms if t not in g.terms]
+    candidates = [(t, w) for t, w in pool if t not in g.terms]
     if rng.random() >= m1:
         return g
     position = rng.randrange(len(g.terms))

@@ -6,7 +6,7 @@ generation), and final_results.json (the run-wide capped result list).
 Every value is serialized through one canonical dumper (sorted keys,
 compact separators, ASCII escapes, floats as the shortest decimal that
 reads back to the same value) so equal runs produce byte-equal files and
-replay can compare lines directly.
+replay can compare the files' exact text with the lines it renders again.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .errors import LedgerCorrupt
 
@@ -43,9 +43,10 @@ def file_digest(path: str | Path) -> str:
 def write_ledger_dir(
     ledger_dir: str | Path,
     config_payload: dict,
-    generation_payloads: list[dict],
-    final_results_payload: list[dict],
+    generation_lines: Iterable[str],
+    final_results_text: str,
 ) -> None:
+    """Write config.json from its payload, and the other two files from their text."""
     directory = Path(ledger_dir)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / CONFIG_FILE).write_text(
@@ -53,19 +54,17 @@ def write_ledger_dir(
         encoding="utf-8",
     )
     with open(directory / GENERATIONS_FILE, "w", encoding="utf-8") as fh:
-        for payload in generation_payloads:
-            fh.write(canonical_json(payload) + "\n")
-    (directory / FINAL_RESULTS_FILE).write_text(
-        canonical_json(final_results_payload) + "\n", encoding="utf-8"
-    )
+        fh.writelines(generation_lines)
+    (directory / FINAL_RESULTS_FILE).write_text(final_results_text, encoding="utf-8")
 
 
-def _read_ledger_file(ledger_dir: str | Path, name: str) -> str:
+def read_ledger_file(ledger_dir: str | Path, name: str) -> str:
+    """The exact text of one ledger file; line ends are not translated."""
     path = Path(ledger_dir) / name
     if not path.is_file():
         raise LedgerCorrupt(f"missing {name} in {ledger_dir}")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LedgerCorrupt(f"{path} is not UTF-8: {exc}") from None
 
@@ -81,7 +80,7 @@ def parse_ledger_json(text: str, where: str) -> Any:
 def read_config_payload(ledger_dir: str | Path) -> dict:
     """config.json's object without its ``ledger_format``, which must be ours."""
     path = Path(ledger_dir) / CONFIG_FILE
-    payload = parse_ledger_json(_read_ledger_file(ledger_dir, CONFIG_FILE), str(path))
+    payload = parse_ledger_json(read_ledger_file(ledger_dir, CONFIG_FILE), str(path))
     if not isinstance(payload, dict):
         raise LedgerCorrupt(f"{CONFIG_FILE} must hold an object")
     found = payload.pop("ledger_format", 1)  # format 1 recorded no version
@@ -91,15 +90,6 @@ def read_config_payload(ledger_dir: str | Path) -> dict:
             "is supported; run evolve again to write a new ledger"
         )
     return payload
-
-
-def read_generation_lines(ledger_dir: str | Path) -> list[str]:
-    lines = _read_ledger_file(ledger_dir, GENERATIONS_FILE).splitlines()
-    return [line for line in lines if line.strip()]
-
-
-def read_final_results_text(ledger_dir: str | Path) -> str:
-    return _read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
 
 
 def parse_record_line(line: str, line_no: int) -> dict:

@@ -14,7 +14,6 @@ from typing import Sequence
 
 from evoquery.fitness import (
     FitnessWeights,
-    HitVectors,
     ReferenceText,
     ScoredResult,
     UrlCounts,
@@ -52,7 +51,6 @@ def score_query_results(
     ref: ReferenceText,
     weights: FitnessWeights,
     environment_factor: float,
-    vectors: HitVectors,
 ) -> list[ScoredResult]:
     """Score one query's hits within its population and damp host runs."""
     length = len(hits)
@@ -60,7 +58,7 @@ def score_query_results(
     for hit in hits:
         rank = position_score(hit.position, length)
         crossquery = cross_query_score(hit.doc_url, url_counts)
-        semantic = semantic_score(hit, ref, vectors)
+        semantic = semantic_score(hit, ref)
         scored.append(
             ScoredResult(
                 hit=hit,

@@ -27,7 +27,6 @@ from evoquery.evaluation import (
 from evoquery.evolution import RunConfig, build_provider, run_evolution
 from evoquery.fitness import (
     FitnessWeights,
-    HitVectors,
     ReferenceText,
     ScoredResult,
     UrlCounts,
@@ -170,7 +169,7 @@ def test_criterion_5_planted_cluster_gap(offline_setup):
     t0 = time.monotonic()
     grades = consensus_map(load_qrels(DATA_DIR / "qrels.tsv"))
     pool = build_keyword_pool(seed_material, RunConfig().keyword_pool_size)
-    lemmas = [lemma for lemma, _ in pool.terms]
+    lemmas = [lemma for lemma, _ in pool]
 
     evolved_scores = []
     random_scores = []
@@ -226,7 +225,7 @@ def test_criterion_7_fitness_bounds_and_host_penalty():
             out_of_range += 1
 
     # three hits of fitness 1.0 from one host: only the semantic component
-    # counts, and each hit's semantic score is set to 1.0 in its table
+    # counts, and the reference's score table holds 1.0 for each hit
     same_host = [
         SearchHit(doc_url=f"https://h.example/{i}", doc_host="h.example", title=f"t{i}",
                   snippet="s", position=i + 1)
@@ -234,10 +233,9 @@ def test_criterion_7_fitness_bounds_and_host_penalty():
     ]
     semantic_only = FitnessWeights(w_position=0.0, w_crossquery=0.0, w_semantic=1.0,
                                    host_coeff=0.75)
-    damped = score_query_results(
-        same_host, UrlCounts.of([same_host]), ReferenceText(vector=TermVector.from_weights({})),
-        semantic_only, 1.0, HitVectors(), {(h.title, h.snippet): 1.0 for h in same_host},
-    )
+    ref = ReferenceText(vector=TermVector.from_weights({}))
+    ref.semantic_scores.update({(h.title, h.snippet): 1.0 for h in same_host})
+    damped = score_query_results(same_host, UrlCounts.of([same_host]), ref, semantic_only, 1.0)
     fitnesses = sorted((r.fitness for r in damped), reverse=True)
     penalty_ok = (
         abs(fitnesses[0] - 1.0) <= 1e-12

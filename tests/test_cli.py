@@ -551,13 +551,25 @@ class TestEvaluate:
         assert code == 1
         assert "grade" in capsys.readouterr().err
 
-    def test_duplicate_url_in_list(self, data_dir, tmp_path):
+    def test_duplicate_url_in_list(self, data_dir, tmp_path, capsys):
         listing = tmp_path / "dup.txt"
         listing.write_text("https://a.example/1\nhttps://a.example/1\n")
         code = main([
             "evaluate", "--list", str(listing), "--qrels", str(data_dir / "qrels.tsv"),
         ])
         assert code == 1
+        assert f"{listing}: line 2: repeated url 'https://a.example/1'" in capsys.readouterr().err
+
+    def test_line_separator_inside_a_line_keeps_one_url(self, data_dir, tmp_path, capsys):
+        # lines end only at line feeds and carriage returns, as in every data file
+        listing = tmp_path / "sep.txt"
+        listing.write_text("https://a.example/1\u2028https://b.example/2\n", encoding="utf-8")
+        code = main([
+            "evaluate", "--list", str(listing), "--qrels", str(data_dir / "qrels.tsv"),
+            "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 0
+        assert "1 of 1 positions in 'sep'" in capsys.readouterr().err
 
     def test_unjudged_positions_noted(self, data_dir, tmp_path, capsys):
         listing = tmp_path / "mixed.txt"
@@ -841,6 +853,12 @@ def _ordering(tmp_path):
     return ordering
 
 
+def _qrels(tmp_path):
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("https://a.example/1\tj1\tS\t3\n", encoding="utf-8")
+    return qrels
+
+
 def _qrels_case(data_dir, tmp_path):
     bad = _non_utf8_copy(data_dir / "qrels.tsv", tmp_path / "qrels.tsv", 50)
     return ["evaluate", "--list", str(_ordering(tmp_path)), "--qrels", str(bad)], bad, 50
@@ -907,9 +925,11 @@ def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
         ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,20,0.5\n"
          f"ndcg,other,S,20,{'1' * 131_073}\n",
          lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
+        ("list", "https://a.example/1\nhttps://b.example/2\nhttps://a.example/1\n",
+         lambda bad, out: ["evaluate", "--list", str(bad), "--qrels", str(_qrels(out))]),
     ],
     ids=["corpus", "corpus-url", "qrels", "metrics", "metrics-quoted-newline", "metrics-nan",
-         "metrics-inf", "metrics-field-limit"],
+         "metrics-inf", "metrics-field-limit", "list-repeated-url"],
 )
 def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
     bad = tmp_path / f"bad-{kind}"
@@ -922,7 +942,7 @@ def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
 def write_top_keywords(data_dir, path, k=6):
     """A stop-word file of the seed material's top ``k`` keywords."""
     pool = build_keyword_pool(load_corpus(data_dir / "seed.jsonl"), k)
-    path.write_text("\n".join([t for t, _ in pool.terms]) + "\n", encoding="utf-8")
+    path.write_text("\n".join([t for t, _ in pool]) + "\n", encoding="utf-8")
     return path
 
 

@@ -11,6 +11,7 @@ from evoquery.corpus import (
     SuffixNormalizer,
     TermVector,
     build_keyword_pool,
+    data_lines,
     dump_corpus,
     extract_keywords,
     load_corpus,
@@ -190,7 +191,7 @@ class TestTermWeights:
 
     def test_title_is_ignored(self):
         pool = build_keyword_pool([make_doc(body="wear", title="friction friction")], 10)
-        assert pool.terms == [("wear", 1.0)]
+        assert pool == [("wear", 1.0)]
 
     @given(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=200))
     def test_weights_sum_to_one(self, letters):
@@ -241,15 +242,15 @@ class TestExtractKeywords:
     def test_top_k(self):
         vec = TermVector.from_weights({"a": 0.5, "b": 0.3, "c": 0.2})
         pool = extract_keywords(vec, 2)
-        assert pool.terms == [("a", 0.5), ("b", 0.3)]
+        assert pool == [("a", 0.5), ("b", 0.3)]
 
     def test_k_exceeds_vocabulary(self):
         pool = extract_keywords(TermVector.from_weights({"x": 1.0}), 50)
-        assert pool.terms == [("x", 1.0)]
+        assert pool == [("x", 1.0)]
 
     def test_tie_broken_lexicographically(self):
         pool = extract_keywords(TermVector.from_weights({"b": 0.5, "a": 0.5}), 1)
-        assert pool.terms == [("a", 0.5)]
+        assert pool == [("a", 0.5)]
 
     @given(
         st.dictionaries(
@@ -261,16 +262,16 @@ class TestExtractKeywords:
     )
     def test_prefix_monotone_in_k(self, entries, k):
         vec = TermVector.from_weights(entries)
-        shorter = extract_keywords(vec, k).terms
-        longer = extract_keywords(vec, k + 1).terms
+        shorter = extract_keywords(vec, k)
+        longer = extract_keywords(vec, k + 1)
         assert longer[: len(shorter)] == shorter
 
 
-class TestKeywordPool:
+class TestPoolFromSeed:
     def test_built_from_concatenated_seed_docs(self):
         docs = [make_doc("s1", body="wear wear"), make_doc("s2", body="oil")]
         pool = build_keyword_pool(docs, 10)
-        assert pool.terms == [("wear", 2 / 3), ("oil", 1 / 3)]
+        assert pool == [("wear", 2 / 3), ("oil", 1 / 3)]
 
     def test_empty_seed_material_rejected(self):
         with pytest.raises(ParseError, match="^seed material normalizes to zero lemmas$"):
@@ -354,6 +355,11 @@ class TestStopWordFile:
         path.write_text("# header\nthe\n\nAnd\n", encoding="utf-8")
         assert load_stop_words(path) == frozenset({"the", "and"})
 
+    def test_line_separator_inside_a_line_is_kept(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("the\u2028and\x0cor\n", encoding="utf-8")
+        assert load_stop_words(path) == frozenset({"the\u2028and\x0cor"})
+
     def test_normalizer_uses_loaded_words(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("the\n", encoding="utf-8")
@@ -370,3 +376,22 @@ class TestStopWordFile:
         missing = tmp_path / "absent.txt"
         with pytest.raises(ConfigInvalid, match="absent.txt"):
             normalizer_for(str(missing))
+
+
+class TestDataLines:
+    def test_numbers_stripped_data_lines(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        text = "# comment\n  a \n\n \t\n  # indented comment\nb\u2028c\x85d\n"
+        path.write_text(text, encoding="utf-8")
+        assert list(data_lines(path)) == [(2, "a"), (6, "b\u2028c\x85d")]
+
+    def test_line_ends_as_text_lines_reads_them(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"a\r\nb\rc\n")
+        assert list(data_lines(path)) == [(1, "a"), (2, "b"), (3, "c")]
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"a\n\xff\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: "):
+            list(data_lines(path))

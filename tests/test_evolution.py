@@ -7,12 +7,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from evoquery.corpus import (
     Document,
-    KeywordPool,
     SuffixNormalizer,
     build_keyword_pool,
     dump_corpus,
@@ -403,34 +402,72 @@ def small_ledger(bundled_inputs, tmp_path_factory):
     return ledger_dir
 
 
+def _replay_mutated(ledger_dir, name, mutated):
+    """Replay with ``name`` holding ``mutated``: None if it verified, else the
+    exception raised. The file is restored afterwards."""
+    path = ledger_dir / name
+    original = path.read_bytes()
+    path.write_bytes(mutated)
+    try:
+        replay(ledger_dir)
+    except Exception as exc:
+        return exc
+    finally:
+        path.write_bytes(original)
+    return None
+
+
 class TestCorruptLedgerReplay:
     """A ledger file with one byte replaced, cut short or 1-4 bytes inserted
-    fails replay with an EvoqueryError, or still replays; nothing else escapes."""
+    fails replay with an EvoqueryError, or still replays; nothing else escapes.
+    Any change to the bytes of generations.jsonl or final_results.json fails
+    it with DivergenceDetected or LedgerCorrupt."""
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.sampled_from([CONFIG_FILE, GENERATIONS_FILE, FINAL_RESULTS_FILE]),
-        st.sampled_from(["replace", "truncate", "insert"]),
-        st.data(),
+        name=st.sampled_from([CONFIG_FILE, GENERATIONS_FILE, FINAL_RESULTS_FILE]),
+        how=st.sampled_from(["replace", "truncate", "insert"]),
+        back=st.integers(min_value=0),
+        new=st.binary(min_size=1, max_size=4),
     )
-    def test_replay_raises_only_evoquery_errors(self, small_ledger, name, how, data):
-        path = small_ledger / name
-        original = path.read_bytes()
-        at = data.draw(st.integers(0, len(original) - 1), label="at")
+    @example(name=GENERATIONS_FILE, how="insert", back=0, new=b"\n")
+    @example(name=FINAL_RESULTS_FILE, how="insert", back=0, new=b" ")
+    def test_replay_raises_only_evoquery_errors(self, small_ledger, name, how, back, new):
+        original = (small_ledger / name).read_bytes()
+        # ``back`` counts bytes from the end, wrapping around; an insertion
+        # may also go after the last byte
+        room = len(original) + (how == "insert")
+        at = len(original) - (how != "insert") - back % room
         if how == "replace":
-            new = bytes([data.draw(st.integers(0, 255), label="byte")])
-            mutated = original[:at] + new + original[at + 1:]
+            mutated = original[:at] + new[:1] + original[at + 1:]
         elif how == "truncate":
             mutated = original[:at]
         else:
-            mutated = original[:at] + data.draw(st.binary(min_size=1, max_size=4)) + original[at:]
-        path.write_bytes(mutated)
-        try:
-            replay(small_ledger)
-        except EvoqueryError:
-            pass
-        finally:
-            path.write_bytes(original)
+            mutated = original[:at] + new + original[at:]
+        error = _replay_mutated(small_ledger, name, mutated)
+        assert error is None or isinstance(error, EvoqueryError)
+        if name != CONFIG_FILE and mutated != original:
+            assert isinstance(error, (DivergenceDetected, LedgerCorrupt))
+
+    @pytest.mark.parametrize(
+        "name, edit, field",
+        [
+            (GENERATIONS_FILE, lambda data: data + b"\n", "record_count"),
+            (GENERATIONS_FILE, lambda data: data.replace(b"\n", b"\r\n", 1), "<bytes>"),
+            (GENERATIONS_FILE, lambda data: data.replace(b",", b", ", 1), "<bytes>"),
+            (GENERATIONS_FILE, lambda data: data[:-1], "<bytes>"),
+            (FINAL_RESULTS_FILE, lambda data: data + b" ", "<bytes>"),
+            (FINAL_RESULTS_FILE, lambda data: data + b"\n", "<bytes>"),
+            (FINAL_RESULTS_FILE, lambda data: data[:-1], "<bytes>"),
+        ],
+        ids=["appended-newline", "crlf", "space-after-comma", "no-final-newline",
+             "final-appended-space", "final-appended-newline", "final-no-newline"],
+    )
+    def test_whitespace_change_diverges_at_bytes(self, small_ledger, name, edit, field):
+        original = (small_ledger / name).read_bytes()
+        error = _replay_mutated(small_ledger, name, edit(original))
+        assert isinstance(error, DivergenceDetected)
+        assert error.field == field
 
 
 class TestRunEvolution:
@@ -557,7 +594,7 @@ class TestRunEvolution:
 
 def pool_of(*lemmas):
     weight = 1.0 / len(lemmas)
-    return KeywordPool(terms=[(lemma, weight) for lemma in lemmas])
+    return [(lemma, weight) for lemma in lemmas]
 
 
 SELECTION_POOL = pool_of(
@@ -760,7 +797,7 @@ class TestLedgerWriteAndReplay:
         from evoquery.ledger import write_ledger_dir
 
         write_ledger_dir(
-            tmp_path, {"config": config.to_payload(), "inputs": None}, [], []
+            tmp_path, {"config": config.to_payload(), "inputs": None}, [], "[]\n"
         )
         with pytest.raises(LedgerCorrupt, match="^ledger was produced by the 'http' provider"):
             replay(tmp_path)

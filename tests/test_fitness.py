@@ -13,13 +13,11 @@ from evoquery.errors import ConfigInvalid, ParseError
 from evoquery.fitness import (
     REFERENCE_CAPACITY,
     FitnessWeights,
-    HitVectors,
     ReferenceText,
     ScoredResult,
     UrlCounts,
     aggregate_results,
     cross_query_score,
-    hit_text_vector,
     merge_into_global,
     population_fitness,
     position_score,
@@ -60,29 +58,28 @@ def hit_list(urls):
 
 
 def semantic_only_inputs(results):
-    """Hits and a semantic table under which ``results``' fitnesses are the
+    """Hits and a reference under which ``results``' fitnesses are the
     undamped fitnesses: each hit's title is its url, so each has its own
-    table entry, and that entry is its result's fitness."""
+    entry in the reference's score table, and that entry is its result's
+    fitness."""
     hits = [replace(r.hit, title=r.hit.doc_url, position=i) for i, r in enumerate(results, 1)]
-    semantics = {(h.title, h.snippet): r.fitness for h, r in zip(hits, results)}
-    return hits, semantics
+    ref = ReferenceText(vector=TermVector.from_weights({}))
+    ref.semantic_scores.update({(h.title, h.snippet): r.fitness for h, r in zip(hits, results)})
+    return hits, ref
 
 
-def semantic_only_scores(hits, semantics, host_coeff):
+def semantic_only_scores(hits, ref, host_coeff):
     """score_query_results weighting only the semantic component."""
     weights = FitnessWeights(
         w_position=0.0, w_crossquery=0.0, w_semantic=1.0, host_coeff=host_coeff
     )
-    ref = ReferenceText(vector=TermVector.from_weights({}))
-    return score_query_results(
-        hits, UrlCounts.of([hits]), ref, weights, 1.0, HitVectors(), semantics
-    )
+    return score_query_results(hits, UrlCounts.of([hits]), ref, weights, 1.0)
 
 
 def damp(results, host_coeff):
-    """``results`` as score_query_results damps them: the semantic table is
-    filled in advance, so each hit's undamped fitness is exactly its
-    result's fitness and no cosine is computed."""
+    """``results`` as score_query_results damps them: the reference's score
+    table is filled in advance, so each hit's undamped fitness is exactly
+    its result's fitness and no cosine is computed."""
     return semantic_only_scores(*semantic_only_inputs(results), host_coeff)
 
 
@@ -164,59 +161,80 @@ class TestSemanticScore:
 
     def test_parallel_vectors(self):
         ref = self.ref_of(wear=0.5, friction=0.5)
-        assert semantic_score(hit(title="wear friction"), ref, HitVectors()) == pytest.approx(1.0)
+        assert semantic_score(hit(title="wear friction"), ref) == pytest.approx(1.0)
 
     def test_disjoint_vocabulary(self):
         ref = self.ref_of(oil=1.0)
-        assert semantic_score(hit(title="wear friction"), ref, HitVectors()) == 0.0
+        assert semantic_score(hit(title="wear friction"), ref) == 0.0
 
     def test_known_cosine(self):
         ref = self.ref_of(wear=1.0)
-        score = semantic_score(hit(title="wear friction"), ref, HitVectors())
+        score = semantic_score(hit(title="wear friction"), ref)
         assert score == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
     def test_empty_hit_text(self):
         ref = self.ref_of(wear=1.0)
-        assert semantic_score(hit(title="", snippet=""), ref, HitVectors()) == 0.0
+        assert semantic_score(hit(title="", snippet=""), ref) == 0.0
 
     def test_empty_reference(self):
         ref = ReferenceText(vector=TermVector.from_weights({}))
-        assert semantic_score(hit(title="wear"), ref, HitVectors()) == 0.0
+        assert semantic_score(hit(title="wear"), ref) == 0.0
 
     def test_title_and_snippet_both_count(self):
         ref = self.ref_of(wear=0.5, oil=0.5)
-        combined = semantic_score(hit(title="wear", snippet="oil"), ref, HitVectors())
-        title_only = semantic_score(hit(title="wear"), ref, HitVectors())
+        combined = semantic_score(hit(title="wear", snippet="oil"), ref)
+        title_only = semantic_score(hit(title="wear"), ref)
         assert combined > title_only
 
 
 _HIT_TEXT = st.text(alphabet="ab ing.sé", max_size=12)
 
 
-class TestHitVectors:
+class CountingNormalizer:
+    """Splits on whitespace and records each text it is asked to normalize."""
+
+    def __init__(self):
+        self.calls = []
+
+    def normalize(self, raw):
+        self.calls.append(raw)
+        return raw.split()
+
+
+class TestHitVectorMemo:
     @settings(max_examples=200)
     @given(st.lists(st.tuples(_HIT_TEXT, _HIT_TEXT), min_size=1, max_size=12))
     def test_memoized_vector_equals_fresh(self, texts):
         normalizer = SuffixNormalizer(stop_words=frozenset({"ab"}))
-        vectors = HitVectors(normalizer)
+        ref = ReferenceText(vector=TermVector.from_weights({}), normalizer=normalizer)
         for title, snippet in texts:
-            h = hit(title=title, snippet=snippet)
-            assert vectors(h) == hit_text_vector(h, normalizer)
+            fresh = TermVector.from_lemmas(normalizer.normalize(title + " " + snippet))
+            assert ref.hit_vector(hit(title=title, snippet=snippet)) == fresh
 
     def test_each_distinct_text_normalized_once(self):
-        calls = []
-
-        class CountingNormalizer:
-            def normalize(self, raw):
-                calls.append(raw)
-                return raw.split()
-
-        vectors = HitVectors(CountingNormalizer())
-        first = vectors(hit(url="https://a.org/1", title="wear", snippet="oil"))
-        again = vectors(hit(url="https://b.org/2", title="wear", snippet="oil", position=3))
-        vectors(hit(title="wear oil", snippet=""))
+        normalizer = CountingNormalizer()
+        ref = ReferenceText(vector=TermVector.from_weights({}), normalizer=normalizer)
+        first = ref.hit_vector(hit(url="https://a.org/1", title="wear", snippet="oil"))
+        again = ref.hit_vector(hit(url="https://b.org/2", title="wear", snippet="oil", position=3))
+        ref.hit_vector(hit(title="wear oil", snippet=""))
         assert again is first
-        assert calls == ["wear oil", "wear oil "]
+        assert normalizer.calls == ["wear oil", "wear oil "]
+
+    def test_new_reference_reuses_vectors_with_empty_score_table(self):
+        normalizer = CountingNormalizer()
+        ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}), normalizer=normalizer)
+        hits = [hit(url="https://a.org/1", title="wear", position=1),
+                hit(url="https://b.org/2", title="oil", position=2)]
+        results = score_query_results(hits, UrlCounts.of([hits]), ref, PAPER_WEIGHTS, 1.0)
+        assert ref.semantic_scores == {("wear", ""): 1.0, ("oil", ""): 0.0}
+        updated = update_reference_text(ref, results)
+        assert updated.semantic_scores == {}
+        assert updated.hit_vectors is ref.hit_vectors
+        score_query_results(hits, UrlCounts.of([hits]), updated, PAPER_WEIGHTS, 1.0)
+        # the new reference scores each text again, without normalizing it again
+        assert normalizer.calls == ["wear ", "oil "]
+        assert updated.semantic_scores[("oil", "")] > 0.0
+        assert ref.semantic_scores == {("wear", ""): 1.0, ("oil", ""): 0.0}
 
 
 class TestResultFitness:
@@ -316,12 +334,12 @@ class TestHostCollocation:
             scored(0.8, url="https://a.org/1", host="a.org"),
             scored(0.8, url="https://a.org/2", host="a.org"),
         ]
-        hits, semantics = semantic_only_inputs(results)
-        before = (list(hits), dict(semantics))
-        out = semantic_only_scores(hits, semantics, 0.5)
+        hits, ref = semantic_only_inputs(results)
+        before = (list(hits), dict(ref.semantic_scores))
+        out = semantic_only_scores(hits, ref, 0.5)
         assert [r.fitness for r in out] == [0.8, 0.4]
         # the damped fitness is not written back into the hits or the table
-        assert (hits, semantics) == before
+        assert (hits, ref.semantic_scores) == before
 
 
 class TestQueryAndPopulationFitness:
@@ -421,7 +439,7 @@ class TestScoreQueryResults:
     def test_components_populated_and_bounded(self):
         hits, lists, ref = self.make_inputs()
         out = score_query_results(
-            hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors(), {}
+            hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0
         )
         assert len(out) == 2
         for result in out:
@@ -439,7 +457,7 @@ class TestScoreQueryResults:
         out = {
             r.hit.doc_url: r
             for r in score_query_results(
-                hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors(), {}
+                hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0
             )
         }
         assert out["https://shared.org/doc"].crossquery_component == 1.0
@@ -448,7 +466,7 @@ class TestScoreQueryResults:
     def test_empty_record_scores_empty(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         out = score_query_results(
-            [], UrlCounts.of([[]]), ref, PAPER_WEIGHTS, 1.0, HitVectors(), {}
+            [], UrlCounts.of([[]]), ref, PAPER_WEIGHTS, 1.0
         )
         assert out == []
 
@@ -456,9 +474,9 @@ class TestScoreQueryResults:
         calls = []
         semantic_score_ = evoquery.fitness.semantic_score
 
-        def counted(hit, ref, vectors):
-            calls.append((hit.title, hit.snippet))
-            return semantic_score_(hit, ref, vectors)
+        def counted(hit, ref):
+            calls.append((hit.title, hit.snippet, ref.rounds))
+            return semantic_score_(hit, ref)
 
         monkeypatch.setattr(evoquery.fitness, "semantic_score", counted)
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
@@ -468,13 +486,16 @@ class TestScoreQueryResults:
             [hit(url="https://c.org/3", title="wear", position=1),
              hit(url="https://a.org/1", title="oil", position=2)],
         ]
-        semantics = {}
         for hits in lists:
-            score_query_results(
-                hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0, HitVectors(), semantics
-            )
-        assert calls == [("wear", ""), ("oil", "")]
-        assert semantics == {("wear", ""): 1.0, ("oil", ""): 0.0}
+            score_query_results(hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0)
+        assert calls == [("wear", "", 0), ("oil", "", 0)]
+        assert ref.semantic_scores == {("wear", ""): 1.0, ("oil", ""): 0.0}
+        # an empty update keeps the reference and its table; a new one scores anew
+        assert update_reference_text(ref, []) is ref
+        updated = update_reference_text(ref, [scored(0.9, title="oil")])
+        for hits in lists:
+            score_query_results(hits, UrlCounts.of(lists), updated, PAPER_WEIGHTS, 1.0)
+        assert calls[2:] == [("wear", "", 1), ("oil", "", 1)]
 
 
 # Texts overlap so that hits under different urls share a (title, snippet).
@@ -504,7 +525,8 @@ ORACLE_WEIGHTS = [(0.33, 0.33, 0.34), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0), (1.0, 0.
 @settings(max_examples=300, deadline=None)
 def test_scorer_matches_reference(population, weights, host_coeff, environment):
     """Equal results in the same order as the scorer that copied each damped
-    result, with one semantic table shared by a population's lists."""
+    result, with one reference, and so one score table, shared by a
+    population's lists."""
     lists = [
         [
             hit(url=f"https://h{host}.org/{doc}", title=title, snippet=snippet, position=i)
@@ -515,14 +537,12 @@ def test_scorer_matches_reference(population, weights, host_coeff, environment):
     fitness_weights = FitnessWeights(*weights, host_coeff=host_coeff)
     ref = ReferenceText(vector=TermVector.from_weights({"wear": 0.6, "oil": 0.3, "film": 0.1}))
     url_counts = UrlCounts.of(lists)
-    vectors = HitVectors()
-    semantics = {}
     for hits in lists:
         expected = reference_scoring.score_query_results(
-            hits, url_counts, ref, fitness_weights, environment, HitVectors()
+            hits, url_counts, ReferenceText(vector=ref.vector), fitness_weights, environment
         )
         assert score_query_results(
-            hits, url_counts, ref, fitness_weights, environment, vectors, semantics
+            hits, url_counts, ref, fitness_weights, environment
         ) == expected
 
 
@@ -546,14 +566,14 @@ class TestReferenceText:
 
     def test_empty_update_is_identity(self):
         ref = ReferenceText.from_seed_vector(seed_vector([self.seed_doc("wear oil")]))
-        updated = update_reference_text(ref, [], HitVectors())
+        updated = update_reference_text(ref, [])
         assert updated.vector.entries == ref.vector.entries
         assert updated.rounds == 0
 
     def test_update_folds_in_top_results_with_decay(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         results = [scored(0.9, url="https://x.org/1", title="oil")]
-        updated = update_reference_text(ref, results, HitVectors())
+        updated = update_reference_text(ref, results)
         # contribution vector {oil: 1.0} scaled by 0.5 on round 1
         assert updated.vector.entries == pytest.approx({"wear": 1.0, "oil": 0.5})
         assert updated.rounds == 1
@@ -561,10 +581,10 @@ class TestReferenceText:
     def test_second_round_decays_deeper(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         ref = update_reference_text(
-            ref, [scored(0.9, url="https://x.org/1", title="oil")], HitVectors()
+            ref, [scored(0.9, url="https://x.org/1", title="oil")]
         )
         ref = update_reference_text(
-            ref, [scored(0.9, url="https://x.org/2", title="grease")], HitVectors()
+            ref, [scored(0.9, url="https://x.org/2", title="grease")]
         )
         assert ref.vector.entries["grease"] == pytest.approx(0.25)
 
@@ -575,7 +595,7 @@ class TestReferenceText:
             scored(0.9 - i / 100, url=f"https://x.org/{i}", title=title)
             for i, title in enumerate(titles)
         ]
-        updated = update_reference_text(ref, results, HitVectors())
+        updated = update_reference_text(ref, results)
         # the best three fold in at 0.5 each on round 1; the rest do not
         assert updated.vector.entries == pytest.approx(
             {"wear": 1.0, "oil": 0.5, "grease": 0.5, "film": 0.5}
@@ -590,21 +610,21 @@ class TestReferenceText:
             scored(0.7, url="https://x.org/2", title="grease"),
         ]
         top = aggregate_results([dup], per_population_cap=20)
-        updated = update_reference_text(ref, top, HitVectors())
+        updated = update_reference_text(ref, top)
         assert updated.vector.entries == pytest.approx({"wear": 1.0, "oil": 0.5, "grease": 0.5})
 
     def test_eviction_drops_lightest_lemma(self, monkeypatch):
         monkeypatch.setattr(evoquery.fitness, "REFERENCE_CAPACITY", 3)
         ref = ReferenceText(vector=TermVector.from_weights({"aa": 0.5, "bb": 0.3, "cc": 0.01}))
         updated = update_reference_text(
-            ref, [scored(0.9, url="https://x.org/1", title="dd dd dd")], HitVectors()
+            ref, [scored(0.9, url="https://x.org/1", title="dd dd dd")]
         )
         assert set(updated.vector.entries) == {"aa", "bb", "dd"}
 
     def test_digest_tracks_vector_state(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
         d1 = ref.digest()
-        updated = update_reference_text(ref, [scored(0.9, title="oil")], HitVectors())
+        updated = update_reference_text(ref, [scored(0.9, title="oil")])
         assert updated.digest() != d1
         assert ref.digest() == d1  # input unchanged
 

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoquery.corpus import KeywordPool
 from evoquery.genome import (
     QueryGenome,
     Variant,
@@ -17,7 +16,7 @@ from evoquery.genome import (
 def make_pool(n, start=0):
     # strictly decreasing weights keep the pool invariant honest
     terms = [(f"term{start + i:02d}", 1.0 / (i + 1)) for i in range(n)]
-    return KeywordPool(terms=terms)
+    return terms
 
 
 def genome_of(*terms, variant=Variant.LEMMA):
@@ -35,7 +34,7 @@ class TestSeedPopulation:
     def test_pool_exactly_g3_forces_full_pool(self):
         pool = make_pool(6)
         pop = seed_population(pool, g2=3, g3=6, rng_seed=7)
-        expected = {t for t, _ in pool.terms}
+        expected = {t for t, _ in pool}
         for g in pop:
             assert set(g.terms) == expected
 
@@ -52,13 +51,13 @@ class TestSeedPopulation:
     def test_terms_come_from_pool(self):
         pool = make_pool(20)
         pop = seed_population(pool, g2=8, g3=6, rng_seed=3)
-        lemmas = {t for t, _ in pool.terms}
+        lemmas = {t for t, _ in pool}
         for g in pop:
             assert set(g.terms) <= lemmas
 
     def test_heavier_terms_sampled_more_often(self):
         terms = [("heavy", 100.0)] + [(f"light{i}", 0.01) for i in range(20)]
-        pool = KeywordPool(terms=terms)
+        pool = terms
         hits = 0
         for seed in range(50):
             pop = seed_population(pool, g2=1, g3=3, rng_seed=seed)
@@ -132,13 +131,13 @@ class TestMutate:
         g = genome_of("outsider", "term00", "term01")
         mutated = mutate(g, pool, m1=1.0, rng=random.Random(1))
         new_terms = set(mutated.terms) - set(g.terms)
-        assert new_terms <= {t for t, _ in pool.terms}
+        assert new_terms <= {t for t, _ in pool}
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60)
     def test_set_distance_exactly_one(self, seed):
         pool = make_pool(15)
-        g = genome_of(*[t for t, _ in pool.terms[:6]])
+        g = genome_of(*[t for t, _ in pool[:6]])
         mutated = mutate(g, pool, m1=1.0, rng=random.Random(seed))
         assert len(set(g.terms) ^ set(mutated.terms)) == 2
         assert len(set(mutated.terms)) == len(mutated.terms)

@@ -20,8 +20,7 @@ from evoquery.ledger import (
     first_divergence,
     parse_record_line,
     read_config_payload,
-    read_final_results_text,
-    read_generation_lines,
+    read_ledger_file,
     write_ledger_dir,
 )
 from reference_ledger import reference_canonical_json, reference_format_float
@@ -113,36 +112,35 @@ class TestCanonicalJson:
 class TestLedgerDir:
     def _write(self, tmp_path):
         config = {"config": {"g2": 8}, "inputs": None}
-        generations = [{"generation": 0, "population_fitness": 0.5}]
-        final = [{"url": "https://a.example/x", "fitness": 0.25}]
-        write_ledger_dir(tmp_path, config, generations, final)
+        generations = ['{"generation":0,"population_fitness":0.5}\n']
+        final = '[{"fitness":0.25,"url":"https://a.example/x"}]\n'
+        write_ledger_dir(tmp_path, config, iter(generations), final)
         return config, generations, final
 
     def test_round_trip(self, tmp_path):
         config, generations, final = self._write(tmp_path)
         assert read_config_payload(tmp_path) == config
-        lines = read_generation_lines(tmp_path)
-        assert [parse_record_line(l, i) for i, l in enumerate(lines, 1)] == generations
-        assert json.loads(read_final_results_text(tmp_path)) == final
+        assert read_ledger_file(tmp_path, GENERATIONS_FILE) == "".join(generations)
+        assert read_ledger_file(tmp_path, FINAL_RESULTS_FILE) == final
 
     def test_files_end_with_newline(self, tmp_path):
         self._write(tmp_path)
         for name in (CONFIG_FILE, GENERATIONS_FILE, FINAL_RESULTS_FILE):
             assert (tmp_path / name).read_text().endswith("\n")
 
-    def test_blank_generation_lines_skipped(self, tmp_path):
-        self._write(tmp_path)
-        path = tmp_path / GENERATIONS_FILE
-        path.write_text(path.read_text() + "\n\n")
-        assert len(read_generation_lines(tmp_path)) == 1
+    def test_reader_keeps_exact_text(self, tmp_path):
+        # no blank line is skipped and no line end is translated
+        text = '{"a":1}\r\n\n{"b":2}\r \u2028\n'
+        (tmp_path / GENERATIONS_FILE).write_bytes(text.encode("utf-8"))
+        assert read_ledger_file(tmp_path, GENERATIONS_FILE) == text
 
     def test_missing_files_reported(self, tmp_path):
         with pytest.raises(LedgerCorrupt, match=f"missing {CONFIG_FILE}"):
             read_config_payload(tmp_path)
         with pytest.raises(LedgerCorrupt, match=f"missing {GENERATIONS_FILE}"):
-            read_generation_lines(tmp_path)
+            read_ledger_file(tmp_path, GENERATIONS_FILE)
         with pytest.raises(LedgerCorrupt, match=f"missing {FINAL_RESULTS_FILE}"):
-            read_final_results_text(tmp_path)
+            read_ledger_file(tmp_path, FINAL_RESULTS_FILE)
 
     def test_bad_json_reported(self, tmp_path):
         (tmp_path / CONFIG_FILE).write_text("{nope")

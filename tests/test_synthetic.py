@@ -100,12 +100,12 @@ class TestSeedMaterial:
     def test_pool_is_topic_plus_distractors(self, dataset):
         pool = build_keyword_pool(dataset.seed_material, 50)
         assert len(pool) == 50
-        lemmas = {t for t, _ in pool.terms}
+        lemmas = {t for t, _ in pool}
         assert lemmas == set(dataset.topic_terms) | set(dataset.distractor_terms)
 
     def test_topic_terms_outweigh_distractors(self, dataset):
         pool = build_keyword_pool(dataset.seed_material, 50)
-        heaviest = [lemma for lemma, _ in pool.terms[:TOPIC_TERMS]]
+        heaviest = [lemma for lemma, _ in pool[:TOPIC_TERMS]]
         assert set(heaviest) == set(dataset.topic_terms)
 
     def test_seed_docs_not_in_corpus(self, dataset):
@@ -137,7 +137,7 @@ class TestBaseline:
     def test_queries_shape(self, dataset):
         pool = build_keyword_pool(dataset.seed_material, 50)
         rng = derive_rng(3, "test-baseline")
-        queries = baseline_queries([t for t, _ in pool.terms], 8, 6, rng)
+        queries = baseline_queries([t for t, _ in pool], 8, 6, rng)
         assert len(queries) == 8
         for genome in queries:
             assert len(genome.terms) == 6
@@ -151,8 +151,8 @@ class TestBaseline:
 
     def test_deterministic_under_same_stream(self, dataset):
         pool = build_keyword_pool(dataset.seed_material, 50)
-        first = baseline_queries([t for t, _ in pool.terms], 4, 6, derive_rng(5, "test-baseline"))
-        second = baseline_queries([t for t, _ in pool.terms], 4, 6, derive_rng(5, "test-baseline"))
+        first = baseline_queries([t for t, _ in pool], 4, 6, derive_rng(5, "test-baseline"))
+        second = baseline_queries([t for t, _ in pool], 4, 6, derive_rng(5, "test-baseline"))
         assert first == second
 
 
