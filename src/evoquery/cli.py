@@ -146,12 +146,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config, provider=spec)
 
     provider = build_provider(spec, index_path)
-    ledger = run_evolution(config, provider, seed_docs)
-    write_run_ledger(args.out, ledger, inputs)
+    last = write_run_ledger(args.out, config, run_evolution(config, provider, seed_docs), inputs)
     print(f"ledger written to {args.out}")
-    print(f"final population fitness: {ledger.generations[-1].population_fitness:.6f}")
-    print(f"top {len(ledger.final_results)} results:")
-    for i, result in enumerate(ledger.final_results, start=1):
+    print(f"final population fitness: {last.population_fitness:.6f}")
+    print(f"top {len(last.top_results)} results:")
+    for i, result in enumerate(last.top_results, start=1):
         print(f"  {i:2d}. {result.hit.doc_url}  fitness {result.fitness:.6f}")
     return EXIT_OK
 
@@ -293,8 +292,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    rerun = replay(args.ledger)
-    print(f"replay verified: {len(rerun.generations)} generations byte-identical")
+    last = replay(args.ledger)
+    print(f"replay verified: {last.generation + 1} generations byte-identical")
     return EXIT_OK
 
 

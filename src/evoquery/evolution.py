@@ -1,10 +1,10 @@
 """The generational loop: seed, query, score, select, repeat.
 
 run_evolution drives a population of query genomes against a provider for
-a fixed number of generations, maintaining the adaptive reference vector,
-the per-generation records and the run-wide capped result list. replay
-re-executes an offline run from its persisted ledger and verifies the
-files byte for byte against the lines that ``evolve`` wrote.
+a fixed number of generations, maintaining the adaptive reference vector
+and the run-wide capped result list, and yields each generation's record
+once it is scored. write_run_ledger streams the records to disk; replay
+re-runs an offline ledger and stops at the first line that differs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field as dc_field, fields, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import Document, extract_keywords, load_corpus, normalizer_for, seed_vector
@@ -47,11 +47,13 @@ from .ledger import (
     canonical_json,
     file_digest,
     first_divergence,
+    ledger_file,
+    new_ledger_dir,
     parse_ledger_json,
     parse_record_line,
     read_config_payload,
     read_ledger_file,
-    write_ledger_dir,
+    stored_generation_lines,
 )
 from .provider import (
     OfflineProvider,
@@ -312,10 +314,14 @@ class QueryOutcome:
 
 @dataclass
 class GenerationRecord:
+    """A line of generations.jsonl, and the run-wide ``top_results`` after it
+    (not in the line): the last record's are the run's final results."""
+
     generation: int
     queries: list[QueryOutcome]
     population_fitness: float
     reference_digest: str
+    top_results: list[ScoredResult]
 
     def to_payload(self) -> dict:
         return {
@@ -324,13 +330,6 @@ class GenerationRecord:
             "population_fitness": self.population_fitness,
             "reference_digest": self.reference_digest,
         }
-
-
-@dataclass
-class RunLedger:
-    config: RunConfig
-    generations: list[GenerationRecord]
-    final_results: list[ScoredResult]
 
 
 def select_survivors(
@@ -385,8 +384,11 @@ def run_evolution(
     config: RunConfig,
     provider: SearchProvider,
     seed_material: Sequence[Document],
-) -> RunLedger:
-    """Run the full generational loop and return the in-memory ledger."""
+) -> Iterator[GenerationRecord]:
+    """Check the run's inputs, then return the loop as a stream of records.
+
+    A generation's queries are sent, and the survivors it breeds are
+    selected, only when the stream is asked for its record."""
     if not seed_material:
         raise ConfigInvalid("seed material must contain at least one document")
     normalizer = normalizer_for(config.stop_words_path)
@@ -444,37 +446,34 @@ def run_evolution(
         score([challenger])
         return challenger.query_fitness
 
-    population = seed_population(
-        pool, config.g2, config.g3, config.rng_seed, config.variant
-    )
+    def generations() -> Iterator[GenerationRecord]:
+        nonlocal reference
+        population = seed_population(pool, config.g2, config.g3, config.rng_seed, config.variant)
+        top: list[ScoredResult] = []
+        for generation in range(config.e1):
+            outcomes = [send(genome, f"g{idx}") for idx, genome in enumerate(population)]
+            score(outcomes)
+            fitnesses = [outcome.query_fitness for outcome in outcomes]
 
-    records: list[GenerationRecord] = []
-    global_top: list[ScoredResult] = []
-    for generation in range(config.e1):
-        outcomes = [send(genome, f"g{idx}") for idx, genome in enumerate(population)]
-        score(outcomes)
-        fitnesses = [outcome.query_fitness for outcome in outcomes]
-
-        population_top = aggregate_results([o.results for o in outcomes], config.f2)
-        global_top = merge_into_global(global_top, population_top, config.f3)
-        if not config.freeze_reference:
-            reference = update_reference_text(reference, population_top)
-        records.append(
-            GenerationRecord(
+            population_top = aggregate_results([o.results for o in outcomes], config.f2)
+            top = merge_into_global(top, population_top, config.f3)
+            if not config.freeze_reference:
+                reference = update_reference_text(reference, population_top)
+            yield GenerationRecord(
                 generation=generation,
                 queries=outcomes,
                 population_fitness=population_fitness(fitnesses),
                 reference_digest=reference.digest(),
-            )
-        )
-
-        if generation < config.e1 - 1:
-            rng = derive_rng(config.rng_seed, f"selection/{generation}")
-            population = select_survivors(
-                population, fitnesses, pool, config, rng, evaluate_single
+                top_results=top,
             )
 
-    return RunLedger(config=config, generations=records, final_results=global_top)
+            if generation < config.e1 - 1:
+                rng = derive_rng(config.rng_seed, f"selection/{generation}")
+                population = select_survivors(
+                    population, fitnesses, pool, config, rng, evaluate_single
+                )
+
+    return generations()
 
 
 def build_provider(spec: ProviderSpec, index_path: str | Path | None = None) -> SearchProvider:
@@ -519,23 +518,30 @@ def make_run_inputs(
     return inputs
 
 
-def generation_lines(ledger: RunLedger) -> Iterator[str]:
-    """The lines of generations.jsonl: one canonical record and its newline each."""
-    for record in ledger.generations:
-        yield canonical_json(record.to_payload()) + "\n"
+def generation_line(record: GenerationRecord) -> str:
+    """One line of generations.jsonl: the canonical record and its newline."""
+    return canonical_json(record.to_payload()) + "\n"
 
 
-def final_results_text(ledger: RunLedger) -> str:
+def final_results_text(results: list[ScoredResult]) -> str:
     """The whole text of final_results.json."""
-    return canonical_json([result_to_payload(r) for r in ledger.final_results]) + "\n"
+    return canonical_json([result_to_payload(r) for r in results]) + "\n"
 
 
 def write_run_ledger(
-    ledger_dir: str | Path, ledger: RunLedger, inputs: dict | None = None
-) -> None:
-    """Write the ledger with the run's input fingerprints (``make_run_inputs``), if any."""
-    config = {"config": ledger.config.to_payload(), "inputs": inputs}
-    write_ledger_dir(ledger_dir, config, generation_lines(ledger), final_results_text(ledger))
+    ledger_dir: str | Path, config: RunConfig, records: Iterable[GenerationRecord],
+    inputs: dict | None = None,
+) -> GenerationRecord:
+    """Write each record's line as it arrives, with the run's input fingerprints
+    (``make_run_inputs``), if any; returns the last record. The ledger appears
+    at ``ledger_dir`` only once whole (see ``new_ledger_dir``)."""
+    with new_ledger_dir(ledger_dir, {"config": config.to_payload(), "inputs": inputs}) as staging:
+        with open(staging / GENERATIONS_FILE, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(generation_line(record))
+        final = final_results_text(record.top_results)
+        (staging / FINAL_RESULTS_FILE).write_text(final, encoding="utf-8")
+    return record
 
 
 def _verify_input_file(
@@ -551,11 +557,24 @@ def _verify_input_file(
         )
 
 
-def replay(ledger_dir: str | Path) -> RunLedger:
-    """Re-execute an offline run and compare what ``write_run_ledger`` would
-    write with the stored bytes, stopping at the first line that differs;
-    the divergence names its first differing field, or ``<bytes>``."""
+def _compare_line(line: str | None, fresh: str, line_no: int, count: int) -> None:
+    """DivergenceDetected unless stored ``line`` (None past the last) is ``fresh``;
+    a call of its own, so neither line outlives it into the next generation."""
+    if line is None:
+        raise DivergenceDetected(line_no - 1, "record_count", line_no - 1, count)
+    if line != fresh:
+        stored, rendered = parse_record_line(line, line_no), parse_record_line(fresh, line_no)
+        found = first_divergence(stored, rendered)
+        raise DivergenceDetected(line_no - 1, *(found or ("<bytes>", line, fresh)))
+
+
+def replay(ledger_dir: str | Path) -> GenerationRecord:
+    """Re-execute an offline run, comparing each line it renders with the stored
+    line, read one at a time, as soon as it is produced; stop at the first that
+    differs, naming its first differing field, or ``<bytes>``. Returns the last record."""
     payload = read_config_payload(ledger_dir)
+    for name in (GENERATIONS_FILE, FINAL_RESULTS_FILE):  # a half-written ledger sends no query
+        ledger_file(ledger_dir, name)
     if "config" not in payload:
         raise LedgerCorrupt("config.json lacks a config section")
     config = RunConfig.from_payload(payload["config"])
@@ -581,31 +600,16 @@ def replay(ledger_dir: str | Path) -> RunLedger:
         config = replace(config, stop_words_path=str(paths["stop_words"]))
 
     provider = build_provider(config.provider, paths["index"])
-    seed_material = load_corpus(paths["seed_material"])
-    rerun = run_evolution(config, provider, seed_material)
-
-    stored = read_ledger_file(ledger_dir, GENERATIONS_FILE)
-    # lines end at "\n" alone, as the writer ends them; a last one may lack it
-    stored_count = stored.count("\n") + (stored[-1:] not in ("", "\n"))
-    if stored_count != len(rerun.generations):
-        raise DivergenceDetected(
-            min(stored_count, len(rerun.generations)),
-            "record_count",
-            stored_count,
-            len(rerun.generations),
-        )
-    start = 0
-    for line_no, fresh in enumerate(generation_lines(rerun), start=1):
-        end = stored.find("\n", start) + 1 or len(stored)
-        line, start = stored[start:end], end
-        if line != fresh:
-            found = first_divergence(
-                parse_record_line(line, line_no), parse_record_line(fresh, line_no)
-            )
-            raise DivergenceDetected(line_no - 1, *(found or ("<bytes>", line, fresh)))
+    records = run_evolution(config, provider, load_corpus(paths["seed_material"]))
+    stored = stored_generation_lines(ledger_dir)
+    for line_no, record in enumerate(records, start=1):
+        _compare_line(next(stored, None), generation_line(record), line_no, config.e1)
+    extra = sum(1 for _ in stored)
+    if extra:
+        raise DivergenceDetected(config.e1, "record_count", config.e1 + extra, config.e1)
 
     stored_final = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
-    fresh_final = final_results_text(rerun)
+    fresh_final = final_results_text(record.top_results)
     if stored_final != fresh_final:
         found = first_divergence(
             parse_ledger_json(stored_final, FINAL_RESULTS_FILE),
@@ -613,4 +617,4 @@ def replay(ledger_dir: str | Path) -> RunLedger:
             "final_results",
         )
         raise DivergenceDetected(config.e1, *(found or ("<bytes>", stored_final, fresh_final)))
-    return rerun
+    return record

@@ -7,16 +7,21 @@ Every value is serialized through one canonical dumper (sorted keys,
 compact separators, ASCII escapes, floats as the shortest decimal that
 reads back to the same value) so equal runs produce byte-equal files and
 replay can compare the files' exact text with the lines it renders again.
+A ledger is written into a hidden sibling directory and renamed into place,
+so it appears whole or not at all.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
-from .errors import LedgerCorrupt
+from .errors import ConfigInvalid, LedgerCorrupt
 
 CONFIG_FILE = "config.json"
 GENERATIONS_FILE = "generations.jsonl"
@@ -40,33 +45,58 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_ledger_dir(
-    ledger_dir: str | Path,
-    config_payload: dict,
-    generation_lines: Iterable[str],
-    final_results_text: str,
-) -> None:
-    """Write config.json from its payload, and the other two files from their text."""
-    directory = Path(ledger_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / CONFIG_FILE).write_text(
-        canonical_json({**config_payload, "ledger_format": LEDGER_FORMAT}) + "\n",
-        encoding="utf-8",
-    )
-    with open(directory / GENERATIONS_FILE, "w", encoding="utf-8") as fh:
-        fh.writelines(generation_lines)
-    (directory / FINAL_RESULTS_FILE).write_text(final_results_text, encoding="utf-8")
+@contextmanager
+def new_ledger_dir(ledger_dir: str | Path, config_payload: dict) -> Iterator[Path]:
+    """A hidden directory beside ``ledger_dir`` holding config.json, for the block
+    to write the other files into; renamed onto ``ledger_dir`` when the block
+    ends, removed if it raises. ``ledger_dir`` must be absent or an empty
+    directory, the only kind rename(2) replaces."""
+    target = Path(ledger_dir)
+    if target.exists() and (not target.is_dir() or any(target.iterdir())):
+        raise ConfigInvalid(f"ledger directory {target} exists and is not empty")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    staging.mkdir()
+    try:
+        (staging / CONFIG_FILE).write_text(
+            canonical_json({**config_payload, "ledger_format": LEDGER_FORMAT}) + "\n",
+            encoding="utf-8",
+        )
+        yield staging
+        os.replace(staging, target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+
+
+def ledger_file(ledger_dir: str | Path, name: str) -> Path:
+    """The path of one ledger file, which must exist."""
+    path = Path(ledger_dir) / name
+    if not path.is_file():
+        raise LedgerCorrupt(f"missing {name} in {ledger_dir}")
+    return path
 
 
 def read_ledger_file(ledger_dir: str | Path, name: str) -> str:
     """The exact text of one ledger file; line ends are not translated."""
-    path = Path(ledger_dir) / name
-    if not path.is_file():
-        raise LedgerCorrupt(f"missing {name} in {ledger_dir}")
+    path = ledger_file(ledger_dir, name)
     try:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LedgerCorrupt(f"{path} is not UTF-8: {exc}") from None
+
+
+def stored_generation_lines(ledger_dir: str | Path) -> Iterator[str]:
+    """Each line of generations.jsonl, read one at a time; lines end at LF
+    alone, which each keeps (the last may lack it)."""
+    path = ledger_file(ledger_dir, GENERATIONS_FILE)
+    with open(path, "rb") as fh:
+        for line_no, data in enumerate(fh, start=1):
+            try:
+                yield data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = f"byte 0x{data[exc.start]:02x}"
+                raise LedgerCorrupt(f"{path}: line {line_no}: {byte} is not UTF-8") from None
 
 
 def parse_ledger_json(text: str, where: str) -> Any:

@@ -69,7 +69,7 @@ def read_metrics_csv(path: str | Path) -> list[MetricRow]:
         raise ParseError(f"{source}: empty file, expected header")
     if records[0][1] != CSV_HEADER:
         raise ParseError(f"{source}: header must be {','.join(CSV_HEADER)}")
-    rows = []
+    rows, first_lines = [], {}  # each (metric, ordering, persona, n) with its line
     for line_no, record in records[1:]:
         if not record:
             continue
@@ -88,6 +88,11 @@ def read_metrics_csv(path: str | Path) -> list[MetricRow]:
             raise ParseError(f"value must be a number, got {value_text!r}", line_no, source) from None
         if not math.isfinite(value):
             raise ParseError(f"value must be finite, got {value_text!r}", line_no, source)
+        key = (metric, ordering, persona, n)
+        if key in first_lines:
+            raise ParseError(f"repeated metric row {'/'.join(map(str, key))} (first on line "
+                             f"{first_lines[key]})", line_no, source)
+        first_lines[key] = line_no
         rows.append(MetricRow(metric=metric, ordering=ordering, persona=persona, n=n, value=value))
     return rows
 

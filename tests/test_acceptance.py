@@ -175,8 +175,8 @@ def test_criterion_5_planted_cluster_gap(offline_setup):
     random_scores = []
     for seed in range(20):
         config = RunConfig(rng_seed=seed)
-        ledger = run_evolution(config, provider, seed_material)
-        evolved_urls = [r.hit.doc_url for r in ledger.final_results][:20]
+        *_, last = run_evolution(config, provider, seed_material)
+        evolved_urls = [r.hit.doc_url for r in last.top_results][:20]
         evolved_scores.append(
             precision(RankedList("evolved", evolved_urls), grades, S, threshold=2)
         )
@@ -201,10 +201,9 @@ def test_criterion_6_frozen_monotonicity(offline_setup):
     violations = 0
     for seed in range(20):
         config = RunConfig(rng_seed=seed, freeze_reference=True)
-        ledger = run_evolution(config, provider, seed_material)
         maxima = [
             max(q.query_fitness for q in record.queries)
-            for record in ledger.generations
+            for record in run_evolution(config, provider, seed_material)
         ]
         violations += sum(
             1 for prev, cur in zip(maxima, maxima[1:]) if cur < prev

@@ -20,6 +20,7 @@ from evoquery.corpus import (
     load_corpus,
     load_stop_words,
 )
+from evoquery.errors import ProviderError
 from evoquery.ledger import (
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
@@ -438,6 +439,53 @@ class TestEvolve:
         ])
         assert code == 2
         assert "provider error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def _evolve(self, data_dir, out, config=None):
+        return main([
+            "evolve", "--config", str(config or data_dir / "config.json"),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--index", str(data_dir / "index.json"), "--out", str(out),
+        ])
+
+    def test_provider_failure_leaves_no_out(self, data_dir, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "e1": 5}), encoding="utf-8")
+        fail_at = 3 * SMALL_CONFIG["g2"] + 2  # the second query of generation 3
+        execute = OfflineProvider.execute
+        sent = []
+
+        def fail_in_generation_3(self, *args):
+            sent.append(args)
+            if len(sent) == fail_at:
+                raise ProviderError("engine went away")
+            return execute(self, *args)
+
+        monkeypatch.setattr(OfflineProvider, "execute", fail_in_generation_3)
+        assert self._evolve(data_dir, tmp_path / "runs" / "ledger", config) == 2
+        assert "provider error: engine went away" in capsys.readouterr().err
+        assert len(sent) == fail_at
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    def test_non_empty_out_refused_before_any_query(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "ledger"
+        out.mkdir()
+        (out / GENERATIONS_FILE).write_text("kept\n")
+        monkeypatch.setattr(OfflineProvider, "execute", lambda *args: pytest.fail("query sent"))
+        assert self._evolve(data_dir, out) == 1
+        assert f"error: ledger directory {out} exists and is not empty" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger"]
+        assert [p.name for p in out.iterdir()] == [GENERATIONS_FILE]
+        assert (out / GENERATIONS_FILE).read_text() == "kept\n"
+
+    def test_empty_out_replaced(self, data_dir, tmp_path):
+        out = tmp_path / "ledger"
+        out.mkdir()
+        assert self._evolve(data_dir, out) == 0
+        assert main(["replay", "--ledger", str(out)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger"]
 
     def test_non_http_endpoint_rejected_before_any_request(self, data_dir, tmp_path, capsys):
         code = main([
@@ -873,7 +921,7 @@ def _generations_case(data_dir, tmp_path):
     ]) == 0
     bad = ledger / GENERATIONS_FILE
     _non_utf8_copy(bad, bad, 2)
-    return ["replay", "--ledger", str(ledger)], bad, None
+    return ["replay", "--ledger", str(ledger)], bad, 2
 
 
 def _list_case(data_dir, tmp_path):
@@ -927,9 +975,12 @@ def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
          lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
         ("list", "https://a.example/1\nhttps://b.example/2\nhttps://a.example/1\n",
          lambda bad, out: ["evaluate", "--list", str(bad), "--qrels", str(_qrels(out))]),
+        ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,20,0.5\n"
+         "ndcg,evolved,S,20,0.9\n",
+         lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
     ],
     ids=["corpus", "corpus-url", "qrels", "metrics", "metrics-quoted-newline", "metrics-nan",
-         "metrics-inf", "metrics-field-limit", "list-repeated-url"],
+         "metrics-inf", "metrics-field-limit", "list-repeated-url", "metrics-repeated-row"],
 )
 def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
     bad = tmp_path / f"bad-{kind}"

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,6 @@ from evoquery.evolution import (
     ProviderSpec,
     QueryOutcome,
     RunConfig,
-    RunLedger,
     build_provider,
     make_run_inputs,
     replay,
@@ -380,13 +381,13 @@ class TestAcceptedConfigsReplay:
             reject()
         index_path, seed_path = bundled_inputs
         with tempfile.TemporaryDirectory() as ledger_dir:
-            ledger = run_evolution(
+            records = run_evolution(
                 config, build_provider(config.provider, index_path), load_corpus(seed_path)
             )
             inputs = make_run_inputs(ledger_dir, index_path, seed_path)
-            write_run_ledger(ledger_dir, ledger, inputs)
-            rerun = replay(ledger_dir)
-        assert len(rerun.generations) == config.e1
+            write_run_ledger(ledger_dir, config, records, inputs)
+            last = replay(ledger_dir)
+        assert last.generation == config.e1 - 1
 
 
 @pytest.fixture(scope="module")
@@ -395,11 +396,34 @@ def small_ledger(bundled_inputs, tmp_path_factory):
     index_path, seed_path = bundled_inputs
     ledger_dir = tmp_path_factory.mktemp("small-ledger")
     config = RunConfig(g2=4, e1=2)
-    ledger = run_evolution(
+    records = run_evolution(
         config, build_provider(config.provider, index_path), load_corpus(seed_path)
     )
-    write_run_ledger(ledger_dir, ledger, make_run_inputs(ledger_dir, index_path, seed_path))
+    write_run_ledger(
+        ledger_dir, config, records, make_run_inputs(ledger_dir, index_path, seed_path)
+    )
     return ledger_dir
+
+
+def test_replay_holds_less_than_the_ledger(bundled_inputs, tmp_path):
+    """Replay reads generations.jsonl a line at a time and keeps no rerun
+    record past its line: its peak allocation stays below the file's size."""
+    index_path, seed_path = bundled_inputs
+    config = RunConfig(g2=32, e1=20)
+    ledger_dir = tmp_path / "ledger"
+    records = run_evolution(
+        config, build_provider(config.provider, index_path), load_corpus(seed_path)
+    )
+    write_run_ledger(
+        ledger_dir, config, records, make_run_inputs(ledger_dir, index_path, seed_path)
+    )
+    tracemalloc.start()
+    try:
+        replay(ledger_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (ledger_dir / GENERATIONS_FILE).stat().st_size
 
 
 def _replay_mutated(ledger_dir, name, mutated):
@@ -473,9 +497,9 @@ class TestCorruptLedgerReplay:
 class TestRunEvolution:
     def test_generation_count_and_shape(self, provider):
         config = small_config()
-        ledger = run_evolution(config, provider, SEED_DOCS)
-        assert len(ledger.generations) == config.e1
-        for number, record in enumerate(ledger.generations):
+        records = list(run_evolution(config, provider, SEED_DOCS))
+        assert len(records) == config.e1
+        for number, record in enumerate(records):
             assert record.generation == number
             assert len(record.queries) == config.g2
             for outcome in record.queries:
@@ -483,7 +507,7 @@ class TestRunEvolution:
                 assert outcome.provider_name == "offline"
                 assert outcome.issued_at is None
                 assert len(outcome.results) <= config.f1
-        assert 0 < len(ledger.final_results) <= config.f3
+        assert 0 < len(records[-1].top_results) <= config.f3
 
     def test_seed_material_normalized_once(self, monkeypatch):
         class FirstQuery(Exception):
@@ -500,7 +524,7 @@ class TestRunEvolution:
             SuffixNormalizer, "normalize", lambda self, text: calls.append(text) or normalize(self, text)
         )
         with pytest.raises(FirstQuery):
-            run_evolution(RunConfig(), StopAtFirstQuery(), seed)
+            next(run_evolution(RunConfig(), StopAtFirstQuery(), seed))
         # keyword pool and reference text share one pass over the seed docs
         assert calls == [doc.body for doc in seed]
 
@@ -514,19 +538,17 @@ class TestRunEvolution:
             run_evolution(small_config(g3=10, e1=2, keyword_pool_size=50), NoQueries(), SEED_DOCS)
 
     def test_single_generation_boundary(self, provider):
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)
-        assert len(ledger.generations) == 1
+        assert len(list(run_evolution(small_config(e1=1), provider, SEED_DOCS))) == 1
 
     def test_population_fitness_is_query_mean(self, provider):
-        ledger = run_evolution(small_config(), provider, SEED_DOCS)
-        for record in ledger.generations:
+        for record in run_evolution(small_config(), provider, SEED_DOCS):
             mean = sum(q.query_fitness for q in record.queries) / len(record.queries)
             assert record.population_fitness == pytest.approx(mean, abs=1e-12)
 
     def test_deterministic_ledgers(self, provider, tmp_path):
         config = small_config()
         for name in ("a", "b"):
-            write_run_ledger(tmp_path / name, run_evolution(config, provider, SEED_DOCS))
+            write_run_ledger(tmp_path / name, config, run_evolution(config, provider, SEED_DOCS))
         for filename in ("config.json", GENERATIONS_FILE, "final_results.json"):
             assert (tmp_path / "a" / filename).read_bytes() == (
                 tmp_path / "b" / filename
@@ -535,37 +557,36 @@ class TestRunEvolution:
     def test_seed_changes_outcome(self, provider):
         first = run_evolution(small_config(rng_seed=7), provider, SEED_DOCS)
         second = run_evolution(small_config(rng_seed=8), provider, SEED_DOCS)
-        first_lines = [canonical_json(r.to_payload()) for r in first.generations]
-        second_lines = [canonical_json(r.to_payload()) for r in second.generations]
+        first_lines = [canonical_json(r.to_payload()) for r in first]
+        second_lines = [canonical_json(r.to_payload()) for r in second]
         assert first_lines != second_lines
 
     def test_frozen_reference_keeps_digest(self, provider):
-        ledger = run_evolution(small_config(freeze_reference=True), provider, SEED_DOCS)
-        digests = {record.reference_digest for record in ledger.generations}
+        records = run_evolution(small_config(freeze_reference=True), provider, SEED_DOCS)
+        digests = {record.reference_digest for record in records}
         assert len(digests) == 1
 
     def test_adaptive_reference_moves(self, provider):
-        ledger = run_evolution(small_config(), provider, SEED_DOCS)
-        digests = [record.reference_digest for record in ledger.generations]
+        records = run_evolution(small_config(), provider, SEED_DOCS)
+        digests = [record.reference_digest for record in records]
         assert digests[0] != digests[1]
 
     def test_best_fitness_monotone_when_frozen(self, provider):
         config = small_config(e1=6, freeze_reference=True)
-        ledger = run_evolution(config, provider, SEED_DOCS)
-        best = [max(q.query_fitness for q in r.queries) for r in ledger.generations]
+        records = run_evolution(config, provider, SEED_DOCS)
+        best = [max(q.query_fitness for q in r.queries) for r in records]
         assert all(later >= earlier for earlier, later in zip(best, best[1:]))
 
     def test_hill_climb_population_of_one(self, provider):
         config = small_config(g2=1, e1=5, freeze_reference=True)
-        ledger = run_evolution(config, provider, SEED_DOCS)
-        fitness = [r.queries[0].query_fitness for r in ledger.generations]
-        assert all(len(r.queries) == 1 for r in ledger.generations)
+        records = list(run_evolution(config, provider, SEED_DOCS))
+        fitness = [r.queries[0].query_fitness for r in records]
+        assert all(len(r.queries) == 1 for r in records)
         assert all(later >= earlier for earlier, later in zip(fitness, fitness[1:]))
 
     def test_quoted_variant_runs(self, provider):
         config = small_config(variant=Variant.QUOTED, e1=2)
-        ledger = run_evolution(config, provider, SEED_DOCS)
-        for record in ledger.generations:
+        for record in run_evolution(config, provider, SEED_DOCS):
             for outcome in record.queries:
                 assert outcome.query_string.count('"') == config.g3 * 2
 
@@ -574,8 +595,8 @@ class TestRunEvolution:
             run_evolution(small_config(), provider, [])
 
     def test_result_payload_round_trip(self, provider):
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)
-        for result in ledger.final_results:
+        (record,) = run_evolution(small_config(e1=1), provider, SEED_DOCS)
+        for result in record.top_results:
             payload = result_to_payload(result)
             assert json.loads(canonical_json(payload)) == payload
 
@@ -588,8 +609,8 @@ class TestRunEvolution:
     )
     def test_population_size_invariant(self, provider, g2, g3, e1, seed):
         config = small_config(g2=g2, g3=g3, e1=e1, rng_seed=seed)
-        ledger = run_evolution(config, provider, SEED_DOCS)
-        assert all(len(r.queries) == g2 for r in ledger.generations)
+        records = run_evolution(config, provider, SEED_DOCS)
+        assert all(len(r.queries) == g2 for r in records)
 
 
 def pool_of(*lemmas):
@@ -711,9 +732,9 @@ class TestLedgerWriteAndReplay:
         index_path, seed_path = run_inputs_dir
         ledger_dir = tmp_path / "ledger"
         inputs = make_run_inputs(ledger_dir, index_path, seed_path)
-        ledger = run_evolution(small_config(**overrides), provider, SEED_DOCS)
-        write_run_ledger(ledger_dir, ledger, inputs)
-        return ledger_dir, ledger
+        config = small_config(**overrides)
+        records = run_evolution(config, provider, SEED_DOCS)
+        return ledger_dir, write_run_ledger(ledger_dir, config, records, inputs)
 
     def test_inputs_fingerprints(self, run_inputs_dir):
         index_path, seed_path = run_inputs_dir
@@ -727,10 +748,10 @@ class TestLedgerWriteAndReplay:
 
     def test_untouched_ledger_replays_clean(self, tmp_path, provider, run_inputs_dir):
         ledger_dir, original = self._run_and_write(tmp_path, provider, run_inputs_dir)
-        rerun = replay(ledger_dir)
-        assert len(rerun.generations) == len(original.generations)
-        assert [r.fitness for r in rerun.final_results] == [
-            r.fitness for r in original.final_results
+        last = replay(ledger_dir)
+        assert last.generation == original.generation
+        assert [r.fitness for r in last.top_results] == [
+            r.fitness for r in original.top_results
         ]
 
     def test_edited_value_reports_generation_and_field(
@@ -779,7 +800,7 @@ class TestLedgerWriteAndReplay:
         error = exc_info.value
         assert error.field == "final_results[0].url"
         assert error.stored == "https://tampered.example/x"
-        assert error.fresh == original.final_results[0].hit.doc_url
+        assert error.fresh == original.top_results[0].hit.doc_url
 
     def test_truncated_ledger_reports_count(self, tmp_path, provider, run_inputs_dir):
         ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)
@@ -790,21 +811,59 @@ class TestLedgerWriteAndReplay:
             replay(ledger_dir)
         assert exc_info.value.field == "record_count"
 
+    def test_replay_stops_at_the_first_divergent_generation(
+        self, tmp_path, provider, run_inputs_dir, monkeypatch
+    ):
+        ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir, e1=4)
+        path = ledger_dir / GENERATIONS_FILE
+        lines = path.read_text().splitlines(keepends=True)
+        payload = parse_record_line(lines[0], 1)
+        payload["population_fitness"] = payload["population_fitness"] + 0.125
+        lines[0] = canonical_json(payload) + "\n"
+        path.write_text("".join(lines))
+        sent = []
+        execute = OfflineProvider.execute
+
+        def counted(self, *args):
+            sent.append(args)
+            return execute(self, *args)
+
+        monkeypatch.setattr(OfflineProvider, "execute", counted)
+        with pytest.raises(DivergenceDetected) as exc_info:
+            replay(ledger_dir)
+        assert (exc_info.value.generation, exc_info.value.field) == (0, "population_fitness")
+        # generation 0's queries only: no survivor selected, no later generation sent
+        assert len(sent) == small_config().g2
+
+    def test_half_written_ledger_refused_before_any_query(
+        self, tmp_path, provider, run_inputs_dir, monkeypatch
+    ):
+        # what an evolve killed after two generations leaves beside its --out
+        ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)
+        staging = tmp_path / ".ledger.4242.tmp"
+        staging.mkdir()
+        shutil.copy(ledger_dir / CONFIG_FILE, staging / CONFIG_FILE)
+        lines = (ledger_dir / GENERATIONS_FILE).read_text().splitlines(keepends=True)
+        (staging / GENERATIONS_FILE).write_text("".join(lines[:2]))
+        monkeypatch.setattr(OfflineProvider, "execute", lambda *args: pytest.fail("query sent"))
+        with pytest.raises(LedgerCorrupt, match=f"^missing {FINAL_RESULTS_FILE} in "):
+            replay(staging)
+
     def test_http_ledger_refused(self, tmp_path):
         config = RunConfig(
             provider=ProviderSpec(kind="http", endpoint="https://api.example/search")
         )
-        from evoquery.ledger import write_ledger_dir
+        from evoquery.ledger import new_ledger_dir
 
-        write_ledger_dir(
-            tmp_path, {"config": config.to_payload(), "inputs": None}, [], "[]\n"
-        )
+        with new_ledger_dir(tmp_path, {"config": config.to_payload(), "inputs": None}) as staging:
+            (staging / GENERATIONS_FILE).write_text("")
+            (staging / FINAL_RESULTS_FILE).write_text("[]\n")
         with pytest.raises(LedgerCorrupt, match="^ledger was produced by the 'http' provider"):
             replay(tmp_path)
 
     def test_missing_inputs_refused(self, tmp_path, provider):
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)
-        write_run_ledger(tmp_path, ledger)
+        config = small_config(e1=1)
+        write_run_ledger(tmp_path, config, run_evolution(config, provider, SEED_DOCS))
         with pytest.raises(LedgerCorrupt):
             replay(tmp_path)
 
@@ -823,8 +882,8 @@ class TestLedgerWriteAndReplay:
         local_seed.write_bytes(seed_path.read_bytes())
         ledger_dir = tmp_path / "ledger"
         inputs = make_run_inputs(ledger_dir, index_path, local_seed)
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)
-        write_run_ledger(ledger_dir, ledger, inputs)
+        config = small_config(e1=1)
+        write_run_ledger(ledger_dir, config, run_evolution(config, provider, SEED_DOCS), inputs)
         local_seed.write_bytes(local_seed.read_bytes() + b"\n")
         with pytest.raises(LedgerCorrupt):
             replay(ledger_dir)
@@ -835,8 +894,8 @@ class TestLedgerWriteAndReplay:
         local_seed.write_bytes(seed_path.read_bytes())
         ledger_dir = tmp_path / "ledger"
         inputs = make_run_inputs(ledger_dir, index_path, local_seed)
-        ledger = run_evolution(small_config(e1=1), provider, SEED_DOCS)
-        write_run_ledger(ledger_dir, ledger, inputs)
+        config = small_config(e1=1)
+        write_run_ledger(ledger_dir, config, run_evolution(config, provider, SEED_DOCS), inputs)
         local_seed.unlink()
         with pytest.raises(LedgerCorrupt):
             replay(ledger_dir)

@@ -165,9 +165,9 @@ def test_ledger_digests(name, index_path, tmp_path):
         return execute(query_string, limit)
 
     provider.execute = counted_execute
-    ledger = run_evolution(config, provider, load_corpus(seed_path))
+    records = list(run_evolution(config, provider, load_corpus(seed_path)))
     assert len(sent) == EXECUTE_CALLS[name]
-    write_run_ledger(tmp_path, ledger, make_run_inputs(tmp_path, index_path, seed_path))
+    write_run_ledger(tmp_path, config, records, make_run_inputs(tmp_path, index_path, seed_path))
     assert format_1_sha256_of(tmp_path / GENERATIONS_FILE) == generations_sha
     assert format_1_sha256_of(tmp_path / FINAL_RESULTS_FILE) == final_sha
     v2_generations_sha, v2_final_sha = GOLDEN_V2[name]

@@ -21,7 +21,7 @@ from evoquery.ledger import (
     parse_record_line,
     read_config_payload,
     read_ledger_file,
-    write_ledger_dir,
+    new_ledger_dir,
 )
 from reference_ledger import reference_canonical_json, reference_format_float
 
@@ -114,7 +114,9 @@ class TestLedgerDir:
         config = {"config": {"g2": 8}, "inputs": None}
         generations = ['{"generation":0,"population_fitness":0.5}\n']
         final = '[{"fitness":0.25,"url":"https://a.example/x"}]\n'
-        write_ledger_dir(tmp_path, config, iter(generations), final)
+        with new_ledger_dir(tmp_path, config) as staging:
+            (staging / GENERATIONS_FILE).write_text("".join(generations))
+            (staging / FINAL_RESULTS_FILE).write_text(final)
         return config, generations, final
 
     def test_round_trip(self, tmp_path):

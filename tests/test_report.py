@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from evoquery.errors import ParseError
 from evoquery.report import escape, read_metrics_csv, write_report
 
 GOLDEN_CSV = Path(__file__).parent / "golden" / "metrics.csv"
@@ -47,3 +48,16 @@ def test_svg_digests(case, tmp_path):
 
 def test_escape_replaces_ampersand_first():
     assert escape("&lt; a&b <c> \"d\" 'e'") == "&amp;lt; a&amp;b &lt;c&gt; \"d\" 'e'"
+
+
+def test_repeated_metric_row_names_both_lines(tmp_path):
+    # a chart draws one bar per (ordering, persona, n): a repeat would hide a value
+    path = tmp_path / "repeated.csv"
+    path.write_text(
+        "metric,ordering,persona,n,value\nndcg,evolved,S,20,0.5\nndcg,evolved,S,020,0.9\n",
+        encoding="utf-8",
+    )
+    expected = f"{path}: line 3: repeated metric row ndcg/evolved/S/20 (first on line 2)"
+    with pytest.raises(ParseError) as exc_info:
+        read_metrics_csv(path)
+    assert str(exc_info.value) == expected
