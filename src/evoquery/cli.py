@@ -90,8 +90,8 @@ def _require_file(path: str | Path, what: str) -> Path:
 
 def cmd_index(args: argparse.Namespace) -> int:
     corpus_path = _require_file(args.corpus, "corpus")
-    docs = load_corpus(corpus_path)
-    index = build_index(docs, normalizer_for(args.stop_words))
+    # the corpus list is build_index's argument alone, so it is freed before the write
+    index = build_index(load_corpus(corpus_path), normalizer_for(args.stop_words))
     save_index(index, args.out)
     print(f"indexed {index.doc_count} documents, vocabulary {index.vocabulary_size}")
     return EXIT_OK

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import shutil
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple
 
@@ -46,27 +46,40 @@ def file_digest(path: str | Path) -> str:
 
 
 @contextmanager
+def staged_sibling(target: Path, directory: bool = False) -> Iterator[Path]:
+    """A new hidden sibling of ``target``, an empty file or directory, for the
+    block to fill; renamed onto ``target`` when the block ends, removed if it
+    raises. Its name, ``.NAME.RANDOM.tmp``, is never one a killed process left
+    behind, and its mode is the one a plain ``open`` or ``mkdir`` gives."""
+    while True:
+        staging = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+        with suppress(FileExistsError):
+            staging.mkdir() if directory else staging.touch(exist_ok=False)
+            break
+    try:
+        yield staging
+        os.replace(staging, target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True) if directory else staging.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
 def new_ledger_dir(ledger_dir: str | Path, config_payload: dict) -> Iterator[Path]:
     """A hidden directory beside ``ledger_dir`` holding config.json, for the block
     to write the other files into; renamed onto ``ledger_dir`` when the block
-    ends, removed if it raises. ``ledger_dir`` must be absent or an empty
-    directory, the only kind rename(2) replaces."""
+    ends, removed if it raises (see ``staged_sibling``). ``ledger_dir`` must be
+    absent or an empty directory, the only kind rename(2) replaces."""
     target = Path(ledger_dir)
     if target.exists() and (not target.is_dir() or any(target.iterdir())):
         raise ConfigInvalid(f"ledger directory {target} exists and is not empty")
     target.parent.mkdir(parents=True, exist_ok=True)
-    staging = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    staging.mkdir()
-    try:
+    with staged_sibling(target, directory=True) as staging:
         (staging / CONFIG_FILE).write_text(
             canonical_json({**config_payload, "ledger_format": LEDGER_FORMAT}) + "\n",
             encoding="utf-8",
         )
         yield staging
-        os.replace(staging, target)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
 
 
 def ledger_file(ledger_dir: str | Path, name: str) -> Path:

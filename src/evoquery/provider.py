@@ -18,13 +18,15 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from operator import lt
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 from urllib.parse import quote, urlencode, urlsplit, urlunsplit
 
 from .corpus import Document, SuffixNormalizer, DEFAULT_NORMALIZER
 from .errors import ParseError, ProviderError
+from .ledger import staged_sibling
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -36,6 +38,8 @@ HTTP_BACKOFF_S = 0.5
 HTTP_TIMEOUT_S = 10.0
 # An index's per-document columns, in this order in InvertedIndex.docs
 DOC_COLUMNS = ("id", "url", "host", "title", "text", "length")
+# Most entries of a list (a docs column, a posting list) that save_index encodes at once
+INDEX_SLICE = 256
 # Most hits an OfflineProvider keeps in its answer memo; past this, new
 # answers are ranked but not kept, so a long run cannot grow it without limit.
 ANSWER_MEMO_LIMIT = 1 << 16
@@ -113,7 +117,8 @@ def build_index(
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Write the index as one compact JSON object with sorted keys."""
+    """Write the index as one compact JSON object with sorted keys, in pieces
+    (see ``_pieces``), into a hidden sibling of ``path`` renamed onto it once whole."""
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -123,10 +128,29 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "postings": index.postings,
         "term_counts": index.term_counts,
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")),
-        encoding="utf-8",
-    )
+    with staged_sibling(Path(path)) as staging, open(staging, "w", encoding="utf-8") as fh:
+        fh.writelines(_pieces(payload))
+
+
+_dump = partial(json.dumps, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def _pieces(value) -> Iterator[str]:
+    """``_dump(value)`` in pieces, so that no string of the whole is built: each
+    dict member apart, and a list longer than ``INDEX_SLICE`` in slices of it."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "") + _dump(key) + ":"
+            yield from _pieces(value[key])
+        yield "}"
+    elif isinstance(value, list) and len(value) > INDEX_SLICE:
+        yield "["
+        for start in range(0, len(value), INDEX_SLICE):
+            yield ("," if start else "") + _dump(value[start:start + INDEX_SLICE])[1:-1]
+        yield "]"
+    else:
+        yield _dump(value)
 
 
 def _list_of(value, kind: type, least: int | None = None) -> bool:

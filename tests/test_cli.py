@@ -1,9 +1,11 @@
 """Exit codes, output contracts and format plumbing of the command line."""
 
+import errno
 import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import evoquery
+import evoquery.provider
 from evoquery.cli import main
 from evoquery.corpus import (
     Document,
@@ -179,6 +182,33 @@ class TestIndex:
                      "--out", str(tmp_path / "index.json")])
         assert code == 1
         assert "empty corpus" in capsys.readouterr().err
+
+    def _index(self, data_dir, out):
+        return main(["index", "--corpus", str(data_dir / "corpus.jsonl"), "--out", str(out)])
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent-out", "existing-out"])
+    def test_failed_write_leaves_out_as_it_was(
+        self, data_dir, tmp_path, capsys, monkeypatch, existing
+    ):
+        out = tmp_path / "index.json"
+        if existing:
+            assert self._index(data_dir, out) == 0
+            before = out.read_bytes()
+        pieces = evoquery.provider._pieces
+
+        def fail_after_the_first_piece(payload):
+            yield next(pieces(payload))
+            yield " " * (1 << 16)  # past the file's buffer, so the sibling holds bytes
+            (staging,) = tmp_path.glob(".index.json.*.tmp")
+            assert staging.stat().st_size > 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(evoquery.provider, "_pieces", fail_after_the_first_piece)
+        assert self._index(data_dir, out) == 2
+        assert "environment error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == (["index.json"] if existing else [])
+        if existing:
+            assert out.read_bytes() == before
 
 
 class TestKeywords:
@@ -486,6 +516,33 @@ class TestEvolve:
         assert self._evolve(data_dir, out) == 0
         assert main(["replay", "--ledger", str(out)]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["ledger"]
+
+    def test_leftover_staging_dir_left_alone(self, data_dir, tmp_path):
+        # a staging dir that a killed evolve of this same process id could leave
+        leftover = tmp_path / f".ledger.{os.getpid()}.tmp"
+        leftover.mkdir()
+        (leftover / GENERATIONS_FILE).write_text("kept\n")
+        assert self._evolve(data_dir, tmp_path / "ledger") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [leftover.name, "ledger"]
+        assert [p.name for p in leftover.iterdir()] == [GENERATIONS_FILE]
+        assert (leftover / GENERATIONS_FILE).read_text() == "kept\n"
+
+    def test_outputs_get_a_plain_mkdir_and_open_mode(self, data_dir, tmp_path):
+        old_umask = os.umask(0o027)
+        try:
+            (tmp_path / "plain-dir").mkdir()
+            open(tmp_path / "plain-file", "w").close()
+            assert main(["index", "--corpus", str(data_dir / "corpus.jsonl"),
+                         "--out", str(tmp_path / "index.json")]) == 0
+            assert self._evolve(data_dir, tmp_path / "ledger") == 0
+        finally:
+            os.umask(old_umask)
+
+        def mode(name):
+            return stat.S_IMODE((tmp_path / name).stat().st_mode)
+
+        assert mode("ledger") == mode("plain-dir") == 0o750
+        assert mode("index.json") == mode("plain-file") == 0o640
 
     def test_non_http_endpoint_rejected_before_any_request(self, data_dir, tmp_path, capsys):
         code = main([

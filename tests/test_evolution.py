@@ -840,7 +840,7 @@ class TestLedgerWriteAndReplay:
     ):
         # what an evolve killed after two generations leaves beside its --out
         ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)
-        staging = tmp_path / ".ledger.4242.tmp"
+        staging = tmp_path / ".ledger.3f9a0c1e72d4.tmp"
         staging.mkdir()
         shutil.copy(ledger_dir / CONFIG_FILE, staging / CONFIG_FILE)
         lines = (ledger_dir / GENERATIONS_FILE).read_text().splitlines(keepends=True)

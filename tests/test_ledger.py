@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from evoquery.ledger import (
     read_config_payload,
     read_ledger_file,
     new_ledger_dir,
+    staged_sibling,
 )
 from reference_ledger import reference_canonical_json, reference_format_float
 
@@ -249,3 +251,16 @@ class TestCanonicalJsonMatchesReference:
     def test_same_rejects(self, value):
         # str keys only: json.dumps spells int keys as strings, format 1 refused them
         assert _outcome(_as_format_1, value) == _outcome(reference_canonical_json, value)
+
+
+@pytest.mark.parametrize("directory", [False, True], ids=["file", "directory"])
+def test_staged_sibling_skips_a_taken_name(tmp_path, monkeypatch, directory):
+    draws = iter([b"\0" * 6, b"\1" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    taken = tmp_path / f".out.{'00' * 6}.tmp"
+    taken.mkdir()
+    with staged_sibling(tmp_path / "out", directory) as staging:
+        assert staging.name == f".out.{'01' * 6}.tmp"
+        assert staging.is_dir() if directory else staging.read_bytes() == b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out"]
+    assert list(taken.iterdir()) == []

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import math
 import random
+import tempfile
 import threading
 import time
+import tracemalloc
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -240,6 +244,56 @@ class TestIndexFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ParseError, match="does not record its normalizer"):
             load_index(path)
+
+
+# Text that JSON must escape or may keep raw: quotes, backslashes, control
+# characters, the line and paragraph separators, and non-ASCII characters
+# inside and outside the BMP
+INDEX_TEXT = st.text(st.sampled_from('ab é中😀"\\\x00\x1f\x7f\u2028\u2029\t\n'), max_size=12)
+
+
+def whole_file_text(index):
+    """The index file as one json.dumps string, the oracle for save_index's pieces."""
+    payload = {
+        "format": INDEX_FORMAT, "version": 3, "normalizer": index.normalizer,
+        "avg_doc_len": index.avg_doc_len, "docs": index.docs,
+        "postings": index.postings, "term_counts": index.term_counts,
+    }
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+class TestSaveIndex:
+    @given(
+        rows=st.lists(
+            st.tuples(INDEX_TEXT, INDEX_TEXT, INDEX_TEXT, INDEX_TEXT, INDEX_TEXT),
+            min_size=4, max_size=12, unique_by=lambda row: row[0],
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_one_shot_dump(self, rows):
+        # corpus order runs against id order, over more docs than one slice holds
+        docs = [Document(*row) for row in sorted(rows, reverse=True)]
+        index = build_index(docs)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(evoquery.provider, "INDEX_SLICE", 3):
+            path = Path(tmp) / "index.json"
+            save_index(index, path)
+            assert path.read_bytes() == whole_file_text(index).encode("utf-8")
+            assert [p.name for p in Path(tmp).iterdir()] == ["index.json"]
+
+    def test_holds_a_small_part_of_the_file(self, tmp_path):
+        bundled = load_corpus(Path(__file__).parents[1] / "data" / "corpus.jsonl")
+        docs = [dataclasses.replace(d, id=f"{d.id}-{k}") for k in range(8) for d in bundled]
+        index = build_index(docs)
+        path = tmp_path / "index.json"
+        tracemalloc.start()
+        try:
+            save_index(index, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.doc_count >= 4000
+        assert peak < path.stat().st_size / 4
 
 
 class TestScoreBm25:
