@@ -27,6 +27,7 @@ from .errors import (
     ConfigInvalid,
     DivergenceDetected,
     EvoqueryError,
+    LedgerCorrupt,
     ParseError,
     ProviderError,
     ZeroEnergySequence,
@@ -106,9 +107,12 @@ def cmd_keywords(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Provider config keys that one source alone reads, each with the flag that chooses it
+# Config keys that one source alone reads, each with the flag that chooses it
 _SOURCE_KEYS = {
-    "full_body_snippets": "--index", "api_key_header": "--endpoint", "rate_limit_rps": "--endpoint"
+    "provider.full_body_snippets": "--index",
+    "provider.api_key_header": "--endpoint",
+    "provider.rate_limit_rps": "--endpoint",
+    "stop_words_path": "--endpoint",  # an index records its own
 }
 
 
@@ -120,24 +124,29 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             payload = json.loads(config_path.read_text(encoding="utf-8"))
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise ConfigInvalid(f"config {config_path} is not valid JSON: {exc}") from exc
+    keys = list(payload) if isinstance(payload, dict) else []
     provider_payload = payload.get("provider") if isinstance(payload, dict) else None
+    if isinstance(provider_payload, dict):
+        keys += [f"provider.{key}" for key in provider_payload]
     flag = "--index" if args.index else "--endpoint"
-    for key in provider_payload if isinstance(provider_payload, dict) else ():
-        if key in ("kind", "endpoint"):
+    for key in keys:
+        if key in ("provider.kind", "provider.endpoint"):
             raise ConfigInvalid(
-                f"config key provider.{key} is not accepted; --index or --endpoint "
-                "chooses the provider"
+                f"config key {key} is not accepted; --index or --endpoint chooses the provider"
             )
-        if _SOURCE_KEYS.get(key, flag) != flag:
-            raise ConfigInvalid(f"config key provider.{key} is not accepted with {flag}; "
-                                f"only {_SOURCE_KEYS[key]} reads it")
+        reader = _SOURCE_KEYS.get(key, flag)
+        if reader != flag:
+            message = f"config key {key} is not accepted with {flag}; only {reader} reads it"
+            if key == "stop_words_path":
+                message += "; an index keeps its stop words from `evoquery index --stop-words`"
+            raise ConfigInvalid(message)
     config = RunConfig.from_payload(payload)
     seed_path = _require_file(args.seed_material, "seed material")
     seed_docs = load_corpus(seed_path)
 
     if args.index:
         index_path = _require_file(args.index, "index")
-        inputs = make_run_inputs(args.out, index_path, seed_path, config.stop_words_path)
+        inputs = make_run_inputs(args.out, index_path, seed_path)
     else:
         index_path = inputs = None
     spec = dataclasses.replace(
@@ -158,14 +167,17 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def _ledger_ordering(ledger_dir: Path) -> RankedList:
     text = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
     payload = parse_ledger_json(text, FINAL_RESULTS_FILE)
+    path = ledger_dir / FINAL_RESULTS_FILE
     if not isinstance(payload, list):
-        raise ConfigInvalid(f"final results in {ledger_dir} must be an array")
-    urls = []
-    for entry in payload:
+        raise LedgerCorrupt(f"{path} must hold an array")
+    urls: dict[str, None] = {}
+    for i, entry in enumerate(payload):
         if not isinstance(entry, dict) or not isinstance(entry.get("url"), str):
-            raise ConfigInvalid(f"malformed final results entry in {ledger_dir}")
-        urls.append(entry["url"])
-    return RankedList(ordering_name="evolved", doc_urls=urls)
+            raise LedgerCorrupt(f"{path}: entry {i} lacks a string url")
+        if entry["url"] in urls:
+            raise LedgerCorrupt(f"{path}: entry {i} repeats url {entry['url']!r}")
+        urls[entry["url"]] = None
+    return RankedList(ordering_name="evolved", doc_urls=list(urls))
 
 
 def _list_ordering(path: Path) -> RankedList:
@@ -202,17 +214,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rows: list[MetricRow] = []
     for ordering in orderings:
         top = RankedList(ordering.ordering_name, ordering.doc_urls[:n])
+        name = ordering.ordering_name
         for persona in personas:
+            code = persona.value
             missing = missing_grades(top, grades, persona)
             if missing:
                 print(
-                    f"note: {missing} of {len(top.doc_urls)} positions in "
-                    f"{ordering.ordering_name!r} lack {persona.value} judgments "
-                    "(scored 0)",
+                    f"note: {missing} of {len(top.doc_urls)} positions in {name!r} lack "
+                    f"{code} judgments (scored 0)",
                     file=sys.stderr,
                 )
-            name = ordering.ordering_name
-            code = persona.value
             rows.append(
                 MetricRow("mean_relevance", name, code, n, mean_relevance(top, grades, persona))
             )
@@ -224,14 +235,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             rows.append(MetricRow("dcg", name, code, n, dcg(top, grades, persona, n)))
             rows.append(MetricRow("ndcg", name, code, n, ndcg(top, grades, persona, n)))
             ideal = ideal_ordering(top, grades, persona)
-            _append_rho12(
-                rows,
-                f"{name}|expert",
-                code,
-                n,
-                cumulative_dcg_series(top, grades, persona, n),
-                cumulative_dcg_series(ideal, grades, persona, n),
-            )
+            ideal_series = cumulative_dcg_series(ideal, grades, persona, n)
+            if not any(ideal_series):  # so every series of top is all zero as well
+                what = f"has no {code} grade above 0" if top.doc_urls else "holds no urls"
+                note = f"note: {name!r} {what}: {code} ndcg is 0 and rho12 is skipped"
+                print(note, file=sys.stderr)
+                continue
+            series = cumulative_dcg_series(top, grades, persona, n)
+            rows.append(MetricRow("rho12", f"{name}|expert", code, n, rho12(series, ideal_series)))
 
     for left, right in combinations(orderings, 2):
         pair = f"{left.ordering_name}|{right.ordering_name}"
@@ -244,9 +255,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             series_a = cumulative_dcg_series(left_top, grades, persona, n)
             series_b = cumulative_dcg_series(right_top, grades, persona, n)
             shared = min(len(series_a), len(series_b))
-            _append_rho12(
-                rows, pair, persona.value, n, series_a[:shared], series_b[:shared]
-            )
+            try:
+                value = rho12(series_a[:shared], series_b[:shared])
+            except ZeroEnergySequence:
+                print(
+                    f"note: skipping rho12 for {pair!r}/{persona.value}: a series has zero energy",
+                    file=sys.stderr,
+                )
+                continue
+            rows.append(MetricRow("rho12", pair, persona.value, n, value))
 
     csv_text = metrics_csv_text(rows)
     if args.out:
@@ -255,25 +272,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(csv_text)
     return EXIT_OK
-
-
-def _append_rho12(
-    rows: list[MetricRow],
-    ordering: str,
-    persona: str,
-    n: int,
-    series_a: Sequence[float],
-    series_b: Sequence[float],
-) -> None:
-    try:
-        value = rho12(series_a, series_b)
-    except ZeroEnergySequence:
-        print(
-            f"note: skipping rho12 for {ordering!r}/{persona}: a series has zero energy",
-            file=sys.stderr,
-        )
-        return
-    rows.append(MetricRow("rho12", ordering, persona, n, value))
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -7,7 +7,6 @@ raw text into a stream of lemmas via a deliberately small suffix stripper.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import Counter
@@ -82,15 +81,6 @@ class SuffixNormalizer:
             if lemma is not None:
                 lemmas.append(lemma)
         return lemmas
-
-    def fingerprint(self) -> dict[str, str]:
-        """What an index records so that a run can check it normalizes alike:
-        the class name and the sha256 of the sorted stop words, one per line."""
-        words = "\n".join(sorted(self.stop_words)).encode("utf-8")
-        return {
-            "class": type(self).__name__,
-            "stop_words_sha256": hashlib.sha256(words).hexdigest(),
-        }
 
 
 DEFAULT_NORMALIZER = SuffixNormalizer()
@@ -208,6 +198,11 @@ def _parse_document(record: object, line_no: int, path: str | Path) -> Document:
             raise ParseError(f"missing field {name!r}", line_no, path)
         if not isinstance(record[name], str):
             raise ParseError(f"field {name!r} is not a string", line_no, path)
+        try:  # a JSON escape such as "\ud800" decodes to a lone surrogate
+            record[name].encode("utf-8")
+        except UnicodeEncodeError as exc:
+            message = f"field {name!r} holds a lone surrogate {exc.object[exc.start]!r}"
+            raise ParseError(message, line_no, path) from None
     doc_id = record["id"]
     if not doc_id:
         raise ParseError("empty document id", line_no, path)

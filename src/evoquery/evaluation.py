@@ -4,14 +4,15 @@ Judgments arrive as a tab-separated file graded on a 0..3 scale by any
 number of judges, split into two personas (subject specialist vs novice).
 Metrics operate on consensus grades: the per-persona mean grade of each
 document across judges. Documents without a judgment count as grade 0;
-callers can ask how many such holes a list had and surface that. Float
+callers can ask how many such holes a list had and surface that. An empty
+list, or one whose grades are all 0, scores 0 without a word: the caller
+notes it. Float
 sums add left to right, not through ``sum()``, which compensates rounding
 from Python 3.12 on and so would make metrics depend on the interpreter.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,8 +24,6 @@ from typing import Mapping, Sequence
 
 from .corpus import data_lines
 from .errors import ParseError, ZeroEnergySequence
-
-logger = logging.getLogger(__name__)
 
 GRADE_SCALE = (0, 1, 2, 3)
 DEFAULT_RELEVANCE_THRESHOLD = 2
@@ -141,7 +140,6 @@ def mean_relevance(ranked: RankedList, grades: GradeMap, persona: Persona) -> fl
     """Mean consensus grade over the list; empty list scores 0."""
     values, _ = resolve_grades(ranked, grades, persona)
     if not values:
-        logger.warning("mean_relevance of empty ordering %r", ranked.ordering_name)
         return 0.0
     return reduce(add, values, 0.0) / len(values)
 
@@ -152,10 +150,9 @@ def precision(
     persona: Persona,
     threshold: int = DEFAULT_RELEVANCE_THRESHOLD,
 ) -> float:
-    """Fraction of the list whose consensus grade reaches the threshold."""
+    """Fraction of the list whose consensus grade reaches the threshold; empty list scores 0."""
     values, _ = resolve_grades(ranked, grades, persona)
     if not values:
-        logger.warning("precision of empty ordering %r", ranked.ordering_name)
         return 0.0
     return sum(1 for v in values if v >= threshold) / len(values)
 
@@ -185,11 +182,6 @@ def ndcg(ranked: RankedList, grades: GradeMap, persona: Persona, n: int) -> floa
     ideal = ideal_ordering(ranked, grades, persona)
     best = dcg(ideal, grades, persona, n)
     if best == 0.0:
-        logger.warning(
-            "all grades zero for ordering %r persona %s; ndcg defined as 0",
-            ranked.ordering_name,
-            persona.value,
-        )
         return 0.0
     return dcg(ranked, grades, persona, n) / best
 
@@ -213,15 +205,10 @@ def rho12(x1: Sequence[float], x2: Sequence[float]) -> float:
 
 
 def overlap_percent(list_a: RankedList, list_b: RankedList) -> float:
-    """Shared urls as a percentage of all urls either list found."""
+    """Shared urls as a percentage of all urls either list found; 0 when neither found one."""
     a, b = set(list_a.doc_urls), set(list_b.doc_urls)
     union = a | b
     if not union:
-        logger.warning(
-            "overlap of two empty orderings %r, %r",
-            list_a.ordering_name,
-            list_b.ordering_name,
-        )
         return 0.0
     return 100.0 * len(a & b) / len(union)
 

@@ -13,13 +13,15 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, field as dc_field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
-from .corpus import Document, extract_keywords, load_corpus, normalizer_for, seed_vector
+from .corpus import (
+    Document, SuffixNormalizer, extract_keywords, load_corpus, normalizer_for, seed_vector
+)
 from .errors import ConfigInvalid, DivergenceDetected, LedgerCorrupt
 from .fitness import (
     FitnessWeights,
@@ -42,6 +44,7 @@ from .genome import (
     seed_population,
 )
 from .ledger import (
+    CONFIG_FILE,
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
     canonical_json,
@@ -387,18 +390,17 @@ def run_evolution(
 ) -> Iterator[GenerationRecord]:
     """Check the run's inputs, then return the loop as a stream of records.
 
-    A generation's queries are sent, and the survivors it breeds are
-    selected, only when the stream is asked for its record."""
+    An offline run normalizes with its index's stop words, so that its
+    keywords are lemmas the index holds; only another provider reads
+    ``config.stop_words_path``. A generation's queries are sent, and the
+    survivors it breeds are selected, only when the stream is asked for
+    its record."""
     if not seed_material:
         raise ConfigInvalid("seed material must contain at least one document")
-    normalizer = normalizer_for(config.stop_words_path)
-    # an offline index holds only the lemmas of the normalizer that built it
-    fingerprint = normalizer.fingerprint()
-    if isinstance(provider, OfflineProvider) and provider.index.normalizer != fingerprint:
-        raise ConfigInvalid(
-            f"index was built with normalizer {provider.index.normalizer}, but this run "
-            f"normalizes with {fingerprint}; rebuild the index with the run's stop words"
-        )
+    if isinstance(provider, OfflineProvider):
+        normalizer = SuffixNormalizer(frozenset(provider.index.stop_words))
+    else:
+        normalizer = normalizer_for(config.stop_words_path)
     seed = seed_vector(seed_material, normalizer)
     pool = extract_keywords(seed, config.keyword_pool_size)
     if len(pool) < config.min_pool_size:
@@ -490,32 +492,23 @@ def build_provider(spec: ProviderSpec, index_path: str | Path | None = None) -> 
     )
 
 
-def _stop_words_sha256(path: str | Path) -> str:
-    return normalizer_for(path).fingerprint()["stop_words_sha256"]
-
-
 def make_run_inputs(
-    ledger_dir: str | Path, index_path: str | Path, seed_material_path: str | Path,
-    stop_words_path: str | Path | None = None,
+    ledger_dir: str | Path, index_path: str | Path, seed_material_path: str | Path
 ) -> dict:
-    """Input fingerprints stored beside the config for later replay.
+    """Input paths and sha256 digests stored beside the config for later replay.
 
     Paths are recorded relative to the ledger directory, so replay finds the
     inputs from any working directory and the ledger's bytes do not depend
     on where the directories live, only on where they lie to each other.
-    A stop-word file is recorded with the sha256 of its sorted words, as the index records it.
+    The index records the run's stop words, so no stop-word file is an input.
     """
     base = Path(ledger_dir).resolve()
-    inputs = {
+    return {
         "index_path": os.path.relpath(Path(index_path).resolve(), base),
         "index_sha256": file_digest(index_path),
         "seed_material_path": os.path.relpath(Path(seed_material_path).resolve(), base),
         "seed_material_sha256": file_digest(seed_material_path),
     }
-    if stop_words_path:
-        inputs["stop_words_path"] = os.path.relpath(Path(stop_words_path).resolve(), base)
-        inputs["stop_words_sha256"] = _stop_words_sha256(stop_words_path)
-    return inputs
 
 
 def generation_line(record: GenerationRecord) -> str:
@@ -532,7 +525,7 @@ def write_run_ledger(
     ledger_dir: str | Path, config: RunConfig, records: Iterable[GenerationRecord],
     inputs: dict | None = None,
 ) -> GenerationRecord:
-    """Write each record's line as it arrives, with the run's input fingerprints
+    """Write each record's line as it arrives, with the run's input digests
     (``make_run_inputs``), if any; returns the last record. The ledger appears
     at ``ledger_dir`` only once whole (see ``new_ledger_dir``)."""
     with new_ledger_dir(ledger_dir, {"config": config.to_payload(), "inputs": inputs}) as staging:
@@ -544,12 +537,10 @@ def write_run_ledger(
     return record
 
 
-def _verify_input_file(
-    path: Path, recorded_digest: str, label: str, digest: Callable[[Path], str]
-) -> None:
+def _verify_input_file(path: Path, recorded_digest: str, label: str) -> None:
     if not path.is_file():
         raise LedgerCorrupt(f"recorded {label} {str(path)!r} no longer exists")
-    actual = digest(path)
+    actual = file_digest(path)
     if actual != recorded_digest:
         raise LedgerCorrupt(
             f"recorded {label} {str(path)!r} changed since the run "
@@ -575,29 +566,32 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
     payload = read_config_payload(ledger_dir)
     for name in (GENERATIONS_FILE, FINAL_RESULTS_FILE):  # a half-written ledger sends no query
         ledger_file(ledger_dir, name)
+    where = Path(ledger_dir, CONFIG_FILE)
     if "config" not in payload:
-        raise LedgerCorrupt("config.json lacks a config section")
-    config = RunConfig.from_payload(payload["config"])
+        raise LedgerCorrupt(f"{where} lacks a config section")
+    try:
+        config = RunConfig.from_payload(payload["config"])
+    except ConfigInvalid as exc:
+        raise LedgerCorrupt(f"{where} holds an invalid config: {exc}") from None
     if config.provider.kind != "offline":
         raise LedgerCorrupt(
             f"ledger was produced by the {config.provider.kind!r} provider; "
             "only offline runs re-derive their results"
         )
+    if config.stop_words_path is not None:  # which evolve refuses with --index
+        raise LedgerCorrupt(f"{where} names a stop_words_path, but an offline run takes "
+                            "its stop words from its index")
     inputs = payload.get("inputs")
     if not isinstance(inputs, dict):
         raise LedgerCorrupt("ledger records no input files; cannot replay")
-    digests = {"index": file_digest, "seed_material": file_digest}
-    if config.stop_words_path:
-        digests["stop_words"] = _stop_words_sha256
-    for key in (f"{name}_{part}" for name in digests for part in ("path", "sha256")):
+    names = ("index", "seed_material")
+    for key in (f"{name}_{part}" for name in names for part in ("path", "sha256")):
         if not isinstance(inputs.get(key), str):
             raise LedgerCorrupt(f"ledger inputs lack a string {key}")
     # recorded paths are relative to the ledger directory
-    paths = {name: Path(ledger_dir, inputs[f"{name}_path"]) for name in digests}
-    for name, digest in digests.items():
-        _verify_input_file(paths[name], inputs[f"{name}_sha256"], name.replace("_", " "), digest)
-    if config.stop_words_path:
-        config = replace(config, stop_words_path=str(paths["stop_words"]))
+    paths = {name: Path(ledger_dir, inputs[f"{name}_path"]) for name in names}
+    for name in names:
+        _verify_input_file(paths[name], inputs[f"{name}_sha256"], name.replace("_", " "))
 
     provider = build_provider(config.provider, paths["index"])
     records = run_evolution(config, provider, load_corpus(paths["seed_material"]))

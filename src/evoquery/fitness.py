@@ -102,7 +102,7 @@ class ReferenceText:
         return vector
 
     def digest(self) -> str:
-        """Stable fingerprint of the vector state, for ledger records."""
+        """Stable sha256 of the vector state, for ledger records."""
         parts = [f"{lemma}:{weight!r}" for lemma, weight in sorted(self.vector.entries.items())]
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 

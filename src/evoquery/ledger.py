@@ -1,7 +1,7 @@
 """Run-ledger persistence with a canonical JSON form.
 
 A ledger is a directory: config.json (the ledger format, run parameters
-and input file fingerprints), generations.jsonl (one record per
+and input file digests), generations.jsonl (one record per
 generation), and final_results.json (the run-wide capped result list).
 Every value is serialized through one canonical dumper (sorted keys,
 compact separators, ASCII escapes, floats as the shortest decimal that

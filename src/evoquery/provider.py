@@ -32,7 +32,7 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 SNIPPET_CHARS = 240
 INDEX_FORMAT = "evoquery-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 HTTP_RETRIES = 2
 HTTP_BACKOFF_S = 0.5
 HTTP_TIMEOUT_S = 10.0
@@ -73,14 +73,16 @@ class InvertedIndex:
     sliced from) and ``length`` (its lemma count). A doc's index in these
     lists is its position. ``postings`` maps each lemma to the strictly
     ascending positions of the docs holding it, and ``term_counts`` to how
-    often each of those docs holds it, in the same order.
+    often each of those docs holds it, in the same order. ``stop_words`` are
+    the sorted stop words of the normalizer that built it, which an offline
+    run normalizes with.
     """
 
     docs: dict[str, list]
     postings: dict[str, list[int]]
     term_counts: dict[str, list[int]]
     avg_doc_len: float
-    normalizer: dict[str, str]  # the fingerprint of the normalizer that built it
+    stop_words: list[str]
 
     @property
     def doc_count(self) -> int:
@@ -113,7 +115,7 @@ def build_index(
             postings.setdefault(lemma, []).append(position)
             term_counts.setdefault(lemma, []).append(tf)
     avg_doc_len = sum(columns["length"]) / len(docs)
-    return InvertedIndex(columns, postings, term_counts, avg_doc_len, normalizer.fingerprint())
+    return InvertedIndex(columns, postings, term_counts, avg_doc_len, sorted(normalizer.stop_words))
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
@@ -122,7 +124,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "normalizer": index.normalizer,
+        "stop_words": index.stop_words,
         "avg_doc_len": index.avg_doc_len,
         "docs": index.docs,
         "postings": index.postings,
@@ -182,9 +184,9 @@ def load_index(path: str | Path) -> InvertedIndex:
     if payload.get("version") != INDEX_VERSION:
         raise ParseError(f"unsupported index version {payload.get('version')!r} (version "
                          f"{INDEX_VERSION} is read); rebuild it with `evoquery index`", path=path)
-    normalizer = payload.get("normalizer")
-    if not isinstance(normalizer, dict) or not _list_of(list(normalizer.values()), str):
-        raise bad("does not record its normalizer")
+    stop_words = payload.get("stop_words")
+    if not _list_of(stop_words, str) or not _ascending(stop_words):
+        raise bad("stop_words must be a sorted list of distinct strings")
     avg = payload.get("avg_doc_len")
     if type(avg) not in (int, float) or not 0 <= avg < math.inf:
         raise bad(f"avg_doc_len must be a finite number >= 0, got {avg!r}")
@@ -213,7 +215,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise bad(f"term_counts of {lemma!r} must be a list of integers >= 1")
         if len(term_counts[lemma]) != len(plist):
             raise bad(f"postings and term_counts of {lemma!r} differ in length")
-    return InvertedIndex(docs, postings, term_counts, avg, normalizer)
+    return InvertedIndex(docs, postings, term_counts, avg, stop_words)
 
 
 def parse_query(query_string: str) -> tuple[list[str], bool]:

@@ -15,14 +15,7 @@ import pytest
 import evoquery
 import evoquery.provider
 from evoquery.cli import main
-from evoquery.corpus import (
-    Document,
-    SuffixNormalizer,
-    build_keyword_pool,
-    dump_corpus,
-    load_corpus,
-    load_stop_words,
-)
+from evoquery.corpus import Document, build_keyword_pool, dump_corpus, load_corpus
 from evoquery.errors import ProviderError
 from evoquery.ledger import (
     FINAL_RESULTS_FILE,
@@ -30,7 +23,7 @@ from evoquery.ledger import (
     canonical_json,
     parse_record_line,
 )
-from evoquery.provider import OfflineProvider
+from evoquery.provider import HttpProvider, OfflineProvider
 from evoquery.report import CSV_HEADER
 from evoquery.synthetic import build_dataset, qrels_lines
 
@@ -113,8 +106,32 @@ MALFORMED_INDEXES = [
     ),
     pytest.param(
         lambda p: p.update(version=2),
-        "unsupported index version 2 (version 3 is read); rebuild it with `evoquery index`",
+        "unsupported index version 2 (version 4 is read); rebuild it with `evoquery index`",
         id="format-2",
+    ),
+    pytest.param(
+        lambda p: (p.pop("stop_words"), p.update(version=3, normalizer={
+            "class": "SuffixNormalizer",
+            "stop_words_sha256": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        })),
+        "unsupported index version 3 (version 4 is read); rebuild it with `evoquery index`",
+        id="format-3",
+    ),
+    pytest.param(
+        lambda p: p.pop("stop_words"),
+        "index stop_words must be a sorted list of distinct strings", id="no-stop-words",
+    ),
+    pytest.param(
+        lambda p: p.update(stop_words=["the", "and"]),
+        "index stop_words must be a sorted list of distinct strings", id="unsorted-stop-words",
+    ),
+    pytest.param(
+        lambda p: p.update(stop_words=["and", "and"]),
+        "index stop_words must be a sorted list of distinct strings", id="repeated-stop-words",
+    ),
+    pytest.param(
+        lambda p: p.update(stop_words=["and", 1]),
+        "index stop_words must be a sorted list of distinct strings", id="non-string-stop-words",
     ),
 ]
 
@@ -418,36 +435,40 @@ class TestEvolve:
                 f"only {reader} reads it") in capsys.readouterr().err
         assert not out.exists()
 
-    def test_index_stop_words_must_match_the_run(self, data_dir, tmp_path, capsys, monkeypatch):
+    def test_stop_words_path_refused_with_index(self, data_dir, tmp_path, capsys, monkeypatch):
+        # an offline run normalizes with the stop words its index records
         stops = write_top_keywords(data_dir, tmp_path / "stops.txt")
         index = tmp_path / "stopped-index.json"
         assert main(["index", "--corpus", str(data_dir / "corpus.jsonl"),
                      "--out", str(index), "--stop-words", str(stops)]) == 0
         capsys.readouterr()
-        sent = []
-        monkeypatch.setattr(OfflineProvider, "execute", lambda self, q, limit: sent.append(q))
-        out = tmp_path / "ledger"
-        code = main([
-            "evolve", "--config", str(data_dir / "config.json"),
-            "--seed-material", str(data_dir / "seed.jsonl"),
-            "--index", str(index), "--out", str(out),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        for normalizer in (SuffixNormalizer(load_stop_words(stops)), SuffixNormalizer()):
-            assert normalizer.fingerprint()["stop_words_sha256"] in err
-        assert sent == []
-        assert not out.exists()
-
-    def test_missing_stop_word_file_is_usage_failure(self, data_dir, tmp_path, capsys):
-        missing = tmp_path / "absent-stops.txt"
+        monkeypatch.setattr(OfflineProvider, "execute", lambda *args: pytest.fail("query sent"))
         config = tmp_path / "stops.json"
-        config.write_text(json.dumps({**SMALL_CONFIG, "stop_words_path": str(missing)}))
+        config.write_text(json.dumps({**SMALL_CONFIG, "stop_words_path": str(stops)}))
         out = tmp_path / "ledger"
         code = main([
             "evolve", "--config", str(config),
             "--seed-material", str(data_dir / "seed.jsonl"),
-            "--index", str(data_dir / "index.json"), "--out", str(out),
+            "--index", str(index), "--out", str(out),
+        ])
+        assert code == 1
+        assert ("error: config key stop_words_path is not accepted with --index; only "
+                "--endpoint reads it; an index keeps its stop words from "
+                "`evoquery index --stop-words`\n") == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_stop_word_file_is_usage_failure(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        missing = tmp_path / "absent-stops.txt"
+        config = tmp_path / "stops.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "stop_words_path": str(missing)}))
+        monkeypatch.setattr(HttpProvider, "execute", lambda *args: pytest.fail("request sent"))
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(config),
+            "--seed-material", str(data_dir / "seed.jsonl"),
+            "--endpoint", "http://127.0.0.1:9/search", "--out", str(out),
         ])
         assert code == 1
         assert f"stop words not found: {missing}" in capsys.readouterr().err
@@ -641,9 +662,51 @@ class TestEvaluate:
         out = tmp_path / "metrics.csv"
         code = main(["evaluate", *argv, "--qrels", str(data_dir / "qrels.tsv"), "--out", str(out)])
         assert code == 0
-        assert "skipping rho12" in capsys.readouterr().err
+        name = "empty" if source == "list" else "evolved"
+        assert capsys.readouterr().err == "".join(
+            f"note: {name!r} holds no urls: {persona} ndcg is 0 and rho12 is skipped\n"
+            for persona in "SN"
+        )
         rows = out.read_text().splitlines()[1:]
         assert rows and not any(row.startswith("rho12,") for row in rows)
+
+    def test_zero_grades_noted_once_per_persona(self, tmp_path, capsys):
+        listing = tmp_path / "zero.txt"
+        listing.write_text("https://a.example/1\nhttps://a.example/2\n")
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text("".join(
+            f"https://a.example/{i}\tj1\t{persona}\t0\n" for i in (1, 2) for persona in "SN"
+        ))
+        out = tmp_path / "metrics.csv"
+        code = main(["evaluate", "--list", str(listing), "--qrels", str(qrels), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == "".join(
+            f"note: 'zero' has no {p} grade above 0: {p} ndcg is 0 and rho12 is skipped\n"
+            for p in "SN"
+        )
+        rows = out.read_text().splitlines()[1:]
+        assert [row for row in rows if row.startswith("ndcg,")] == [
+            "ndcg,zero,N,20,0.000000", "ndcg,zero,S,20,0.000000"
+        ]
+        assert not any(row.startswith("rho12,") for row in rows)
+
+    @pytest.mark.parametrize("final, problem", [
+        ('[{"url":"https://a.example/1"},{"url":"https://a.example/1"}]',
+         ": entry 1 repeats url 'https://a.example/1'"),
+        ('{"url":"https://a.example/1"}', " must hold an array"),
+        ('[{"url":1}]', ": entry 0 lacks a string url"),
+    ], ids=["repeated-url", "not-an-array", "non-string-url"])
+    def test_malformed_final_results_names_the_file(
+        self, data_dir, run_dir, tmp_path, capsys, final, problem
+    ):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        (ledger / FINAL_RESULTS_FILE).write_text(final + "\n")
+        code = main([
+            "evaluate", "--ledger", str(ledger), "--qrels", str(data_dir / "qrels.tsv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {ledger / FINAL_RESULTS_FILE}{problem}\n"
 
     def test_needs_some_ordering(self, data_dir):
         code = main(["evaluate", "--qrels", str(data_dir / "qrels.tsv")])
@@ -813,31 +876,32 @@ class TestReplay:
         assert "replay verified" in capsys.readouterr().out
 
     def test_relative_stop_words_replay_from_another_working_directory(
-        self, data_dir, tmp_path, monkeypatch, capsys
+        self, data_dir, run_dir, tmp_path, monkeypatch, capsys
     ):
+        # the index records its stop words: the run leaves them out of its queries, and
+        # the stop-word file is no input of the ledger
         work = tmp_path / "work"
         work.mkdir()
-        write_top_keywords(data_dir, work / "stops.txt")
-        config = {**SMALL_CONFIG, "stop_words_path": "stops.txt"}
-        (work / "config.json").write_text(json.dumps(config))
+        stop_words = set(write_top_keywords(data_dir, work / "stops.txt").read_text().split())
+        assert ledger_terms(run_dir) & stop_words  # the run without them sends some
         monkeypatch.chdir(work)
         assert main(["index", "--corpus", str(data_dir / "corpus.jsonl"),
                      "--out", "index.json", "--stop-words", "stops.txt"]) == 0
         assert main([
-            "evolve", "--config", "config.json", "--seed-material", str(data_dir / "seed.jsonl"),
-            "--index", "index.json", "--out", "ledger",
+            "evolve", "--config", str(data_dir / "config.json"),
+            "--seed-material", str(data_dir / "seed.jsonl"), "--index", "index.json",
+            "--out", "ledger",
         ]) == 0
+        assert ledger_terms(work / "ledger") and not ledger_terms(work / "ledger") & stop_words
+        inputs = json.loads((work / "ledger" / "config.json").read_text())["inputs"]
+        assert sorted(inputs) == [
+            "index_path", "index_sha256", "seed_material_path", "seed_material_sha256"
+        ]
+        (work / "stops.txt").unlink()
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()
         assert main(["replay", "--ledger", "work/ledger"]) == 0
         assert "replay verified" in capsys.readouterr().out
-        # a ledger that names stop words but records no stop-word input is refused
-        payload = json.loads((work / "ledger" / "config.json").read_text())
-        assert payload["inputs"]["stop_words_path"] == "../stops.txt"
-        del payload["inputs"]["stop_words_path"]
-        (work / "ledger" / "config.json").write_text(canonical_json(payload) + "\n")
-        assert main(["replay", "--ledger", "work/ledger"]) == 1
-        assert "ledger inputs lack a string stop_words_path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("recorded", [None, 1, 3, "2"])
     def test_other_ledger_format_refused(self, run_dir, tmp_path, capsys, recorded):
@@ -874,26 +938,42 @@ class TestReplay:
         assert f"error: {config} is not valid JSON" in capsys.readouterr().err
 
     def test_changed_stop_words_rejected(self, data_dir, tmp_path, capsys):
+        # other stop words make another index, whose sha256 replay refuses
         stops = write_top_keywords(data_dir, tmp_path / "stops.txt")
         index = tmp_path / "stopped-index.json"
-        assert main(["index", "--corpus", str(data_dir / "corpus.jsonl"),
-                     "--out", str(index), "--stop-words", str(stops)]) == 0
-        config = tmp_path / "stops.json"
-        config.write_text(json.dumps({**SMALL_CONFIG, "stop_words_path": str(stops)}))
+        index_argv = ["index", "--corpus", str(data_dir / "corpus.jsonl"),
+                      "--out", str(index), "--stop-words", str(stops)]
+        assert main(index_argv) == 0
         out = tmp_path / "ledger"
         assert main([
-            "evolve", "--config", str(config),
+            "evolve", "--config", str(data_dir / "config.json"),
             "--seed-material", str(data_dir / "seed.jsonl"),
             "--index", str(index), "--out", str(out),
         ]) == 0
         assert main(["replay", "--ledger", str(out)]) == 0
-        recorded = SuffixNormalizer(load_stop_words(stops)).fingerprint()
         stops.write_text("unrelated\n")
+        assert main(index_argv) == 0
         capsys.readouterr()
         assert main(["replay", "--ledger", str(out)]) == 1
         err = capsys.readouterr().err
-        assert recorded["stop_words_sha256"] in err
-        assert SuffixNormalizer(frozenset({"unrelated"})).fingerprint()["stop_words_sha256"] in err
+        assert "error: recorded index " in err and " changed since the run (sha256 " in err
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda c: c.update(g2="x"), " holds an invalid config: g2 must be an integer, got 'x'"),
+        (lambda c: c.update(retries=3),
+         " holds an invalid config: unknown config keys: ['retries']"),
+        (lambda c: c.update(stop_words_path="stops.txt"), " names a stop_words_path, but an "
+         "offline run takes its stop words from its index"),
+    ], ids=["bad-value", "unknown-key", "stop-words-path"])
+    def test_invalid_config_section_names_the_file(self, run_dir, tmp_path, capsys, edit, problem):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        config = ledger / "config.json"
+        payload = json.loads(config.read_text())
+        edit(payload["config"])
+        config.write_text(canonical_json(payload) + "\n")
+        assert main(["replay", "--ledger", str(ledger)]) == 1
+        assert capsys.readouterr().err == f"error: {config}{problem}\n"
 
 
 def test_cli_import_loads_no_third_party_http_client():
@@ -1016,6 +1096,8 @@ def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
         ("corpus", '{"id": 1\n', lambda bad, out: ["keywords", "--corpus", str(bad)]),
         ("corpus", '{"id": "d1", "url": "https://[oops/x", "host": "", "title": "", "body": ""}\n',
          lambda bad, out: ["keywords", "--corpus", str(bad)]),
+        ("corpus", '{"id": "d1", "url": "", "host": "", "title": "", "body": "\\ud800"}\n',
+         lambda bad, out: ["index", "--corpus", str(bad), "--out", str(out / "index.json")]),
         ("qrels", "https://site-00.example/c000\tj1\tS\tthree\n",
          lambda bad, out: ["evaluate", "--list", str(_ordering(out)), "--qrels", str(bad)]),
         ("metrics", "metric,ordering,persona,n,value\nndcg,evolved,S,twenty,0.5\n",
@@ -1036,7 +1118,8 @@ def test_non_utf8_input_names_file(data_dir, tmp_path, capsys, case):
          "ndcg,evolved,S,20,0.9\n",
          lambda bad, out: ["report", "--metrics", str(bad), "--out", str(out / "report")]),
     ],
-    ids=["corpus", "corpus-url", "qrels", "metrics", "metrics-quoted-newline", "metrics-nan",
+    ids=["corpus", "corpus-url", "corpus-lone-surrogate", "qrels", "metrics",
+         "metrics-quoted-newline", "metrics-nan",
          "metrics-inf", "metrics-field-limit", "list-repeated-url", "metrics-repeated-row"],
 )
 def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
@@ -1045,6 +1128,13 @@ def test_bad_line_names_file(tmp_path, capsys, kind, text, argv_of):
     assert main(argv_of(bad, tmp_path)) == 1
     line_no = text.count("\n")
     assert f"error: {bad}: line {line_no}: " in capsys.readouterr().err
+
+
+def ledger_terms(ledger):
+    """Every term of every query that a ledger records."""
+    lines = (ledger / GENERATIONS_FILE).read_text(encoding="utf-8").splitlines()
+    return {term for line in lines for query in json.loads(line)["queries"]
+            for term in query["terms"]}
 
 
 def write_top_keywords(data_dir, path, k=6):

@@ -160,19 +160,6 @@ class TestLemmaMemo:
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "SuffixNormalizer(stop_words=frozenset({'the'}))"
 
-    def test_fingerprint_names_class_and_stop_words(self):
-        empty = SuffixNormalizer().fingerprint()
-        assert empty == {
-            "class": "SuffixNormalizer",
-            "stop_words_sha256": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        }
-        # the sorted stop words, one per line: sha256(b"and\nat\nin\nis\nof\non\nthe\nto")
-        stop_words = frozenset(["the", "and", "of", "to", "in", "is", "on", "at"])
-        assert SuffixNormalizer(stop_words).fingerprint() == {
-            "class": "SuffixNormalizer",
-            "stop_words_sha256": "d266315b44bc6eeaec389a9bafad7cc480a64ce3d4361965ea6561b8f11f1346",
-        }
-
 
 class TestTermWeights:
     def test_hand_counted_fractions(self):
@@ -316,6 +303,13 @@ class TestLoadCorpus:
         huge = '{"id": ' + "9" * 5000 + "}"
         path = self.write_lines(tmp_path, [self.record("d1"), huge])
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
+            load_corpus(path)
+
+    def test_lone_surrogate_names_field(self, tmp_path):
+        # json.dumps escapes it as "\ud800", which json.loads reads back unpaired
+        path = self.write_lines(tmp_path, [self.record("d1"), self.record("d2", title="a\ud800")])
+        message = f"{path}: line 2: field 'title' holds a lone surrogate '\\ud800'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_corpus(path)
 
     def test_missing_field_rejected(self, tmp_path):

@@ -528,6 +528,35 @@ class TestRunEvolution:
         # keyword pool and reference text share one pass over the seed docs
         assert calls == [doc.body for doc in seed]
 
+    # With a pool of g3 keywords every genome holds them all: SEED_DOCS' top three,
+    # cave, karst and limestone, unless cave and limestone are stop words.
+    POOL_CONFIG = dict(g3=3, e1=1, keyword_pool_size=3)
+
+    @staticmethod
+    def sent_terms(config, provider):
+        (record,) = run_evolution(config, provider, SEED_DOCS)
+        return {term for query in record.queries for term in query.terms}
+
+    def test_offline_run_drops_its_index_stop_words(self):
+        stopped = build_index(CORPUS, SuffixNormalizer(frozenset({"cave", "limestone"})))
+        config = small_config(**self.POOL_CONFIG)
+        assert self.sent_terms(config, OfflineProvider(build_index(CORPUS))) == {
+            "cave", "karst", "limestone"
+        }
+        assert self.sent_terms(config, OfflineProvider(stopped)) == {"karst", "conduit", "fissure"}
+
+    def test_other_provider_drops_the_config_stop_words(self, tmp_path):
+        class NoHits:
+            def execute(self, query_string, limit):
+                return []
+
+        stops = tmp_path / "stops.txt"
+        stops.write_text("cave\nlimestone\n", encoding="utf-8")
+        config = small_config(**self.POOL_CONFIG)
+        assert self.sent_terms(config, NoHits()) == {"cave", "karst", "limestone"}
+        config = small_config(**self.POOL_CONFIG, stop_words_path=str(stops))
+        assert self.sent_terms(config, NoHits()) == {"karst", "conduit", "fissure"}
+
     def test_too_few_seed_keywords_rejected_before_any_query(self):
         class NoQueries:
             def execute(self, query_string, limit):

@@ -125,7 +125,7 @@ EXECUTE_CALLS = {
     "no-damping": 80,
 }
 
-INDEX_SHA256 = "ca19865f5c02178952f9f2f272a60dcc6976a10a8405612ce6c8c46b960967b7"
+INDEX_SHA256 = "55cc53972276bba8a509f83a6caa08be6051c4a50478d1ca066737389ba6c587"
 
 
 @pytest.fixture(scope="module")

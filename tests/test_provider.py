@@ -145,7 +145,7 @@ class TestBuildIndex:
         assert loaded.postings == index.postings
         assert loaded.term_counts == index.term_counts
         assert loaded.avg_doc_len == index.avg_doc_len
-        assert loaded.normalizer == index.normalizer
+        assert loaded.stop_words == index.stop_words
 
     def test_load_rejects_non_index_file(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -214,10 +214,10 @@ class TestIndexFile:
             for t, p in index.postings.items()
         } == postings
         assert index.avg_doc_len == avg_doc_len
-        assert index.normalizer == normalizer.fingerprint()
+        assert index.stop_words == sorted(stop_words)
 
-    def test_compact_sorted_format_3(self, tmp_path):
-        normalizer = SuffixNormalizer(frozenset({"cc"}))
+    def test_compact_sorted_format_4(self, tmp_path):
+        normalizer = SuffixNormalizer(frozenset({"dd", "cc"}))
         path = tmp_path / "index.json"
         save_index(build_index([doc("d1", "bb aa cc"), doc("d2", "aa")], normalizer), path)
         text = path.read_text(encoding="utf-8")
@@ -225,24 +225,24 @@ class TestIndexFile:
         assert text == json.dumps(
             payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")
         )
-        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 3)
-        assert payload["normalizer"] == normalizer.fingerprint()
+        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 4)
+        assert payload["stop_words"] == ["cc", "dd"]
         assert payload["docs"]["id"] == ["d1", "d2"]
         assert payload["docs"]["length"] == [2, 1]
         assert payload["postings"] == {"aa": [0, 1], "bb": [0]}
         assert payload["term_counts"] == {"aa": [1, 1], "bb": [1]}
-        assert load_index(path).normalizer == normalizer.fingerprint()
+        assert load_index(path).stop_words == ["cc", "dd"]
 
     def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "index.json"
         save_index(build_index([doc("d1", "aa")]), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        del payload["normalizer"]
+        del payload["stop_words"]
         path.write_text(json.dumps({**payload, "version": 1}), encoding="utf-8")
         with pytest.raises(ParseError, match="unsupported index version 1"):
             load_index(path)
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ParseError, match="does not record its normalizer"):
+        with pytest.raises(ParseError, match="stop_words must be a sorted list of distinct"):
             load_index(path)
 
 
@@ -255,7 +255,7 @@ INDEX_TEXT = st.text(st.sampled_from('ab é中😀"\\\x00\x1f\x7f\u2028\u2029\t\
 def whole_file_text(index):
     """The index file as one json.dumps string, the oracle for save_index's pieces."""
     payload = {
-        "format": INDEX_FORMAT, "version": 3, "normalizer": index.normalizer,
+        "format": INDEX_FORMAT, "version": 4, "stop_words": index.stop_words,
         "avg_doc_len": index.avg_doc_len, "docs": index.docs,
         "postings": index.postings, "term_counts": index.term_counts,
     }
