@@ -58,7 +58,7 @@ from .evolution import (
 )
 from .ledger import FINAL_RESULTS_FILE, parse_ledger_json, read_ledger_file
 from .provider import build_index, save_index
-from .report import metrics_csv_text, read_metrics_csv, write_report
+from .report import METRIC_FAMILIES, metrics_csv_text, read_metrics_csv, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,8 +89,17 @@ def _require_file(path: str | Path, what: str) -> Path:
     return resolved
 
 
+def _refuse_input_as_out(out: str | Path | None, inputs: list[tuple[str, str | None]]) -> None:
+    """ConfigInvalid if writing ``out`` would replace one of the (flag, path) ``inputs``."""
+    for flag, path in inputs:
+        both = out and path and os.path.exists(out) and os.path.exists(path)
+        if both and os.path.samefile(out, path):
+            raise ConfigInvalid(f"--out would write {out}, which is the {flag} file {path}")
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     corpus_path = _require_file(args.corpus, "corpus")
+    _refuse_input_as_out(args.out, [("--corpus", corpus_path), ("--stop-words", args.stop_words)])
     # the corpus list is build_index's argument alone, so it is freed before the write
     index = build_index(load_corpus(corpus_path), normalizer_for(args.stop_words))
     save_index(index, args.out)
@@ -198,6 +207,9 @@ def _persona_list(code: str) -> list[Persona]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.ledger and not args.list:
         raise ConfigInvalid("need --ledger and/or at least one --list ordering")
+    inputs = [("--qrels", args.qrels), *(("--list", path) for path in args.list or [])]
+    ledger_final = args.ledger and Path(args.ledger, FINAL_RESULTS_FILE)
+    _refuse_input_as_out(args.out, [*inputs, ("--ledger", ledger_final)])
     grades = consensus_map(load_qrels(_require_file(args.qrels, "qrels")))
 
     orderings: list[RankedList] = []
@@ -275,6 +287,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    formats = ("csv", "svg") if args.format == "both" else (args.format,)
+    names = ["merged.csv"] if "csv" in formats else []
+    names += [f"{family}.svg" for family in METRIC_FAMILIES] if "svg" in formats else []
+    for name in names:
+        _refuse_input_as_out(Path(args.out, name), [("--metrics", path) for path in args.metrics])
     runs: dict[str, list[MetricRow]] = {}
     for path_text in args.metrics:
         path = Path(path_text)
@@ -283,7 +300,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         runs[path.stem] = read_metrics_csv(path)
     if not any(runs.values()):
         print("warning: inputs hold no metric rows; report will be empty", file=sys.stderr)
-    formats = ("csv", "svg") if args.format == "both" else (args.format,)
     for path in write_report(runs, args.out, formats):
         print(f"wrote {path}")
     return EXIT_OK

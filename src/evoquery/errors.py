@@ -68,11 +68,11 @@ class DivergenceDetected(EvoqueryError):
         self.fresh = fresh
         super().__init__(
             f"generation {generation} diverges at {field}: "
-            f"stored {_clip(repr(stored))}, fresh {_clip(repr(fresh))}"
+            f"stored {clip(repr(stored))}, fresh {clip(repr(fresh))}"
         )
 
 
-def _clip(text: str, limit: int = 200) -> str:
+def clip(text: str, limit: int = 200) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

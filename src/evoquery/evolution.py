@@ -14,6 +14,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field, fields
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -22,7 +23,7 @@ from urllib.parse import urlsplit
 from .corpus import (
     Document, SuffixNormalizer, extract_keywords, load_corpus, normalizer_for, seed_vector
 )
-from .errors import ConfigInvalid, DivergenceDetected, LedgerCorrupt
+from .errors import ConfigInvalid, DivergenceDetected, LedgerCorrupt, clip
 from .fitness import (
     FitnessWeights,
     ReferenceText,
@@ -48,8 +49,8 @@ from .ledger import (
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
     canonical_json,
+    config_text,
     file_digest,
-    first_divergence,
     ledger_file,
     new_ledger_dir,
     parse_ledger_json,
@@ -57,6 +58,7 @@ from .ledger import (
     read_config_payload,
     read_ledger_file,
     stored_generation_lines,
+    text_divergence,
 )
 from .provider import (
     OfflineProvider,
@@ -68,6 +70,9 @@ from .provider import (
 from .rng import derive_rng
 
 API_KEY_ENV_VAR = "EVOQUERY_API_KEY"
+# Most pieces a LineFragments keeps, and json.dumps(ensure_ascii=True)'s own string encoder
+FRAGMENT_MEMO_LIMIT = 1 << 16
+_escape = json.encoder.encode_basestring_ascii
 # Largest accepted value of each RunConfig count. Every bound is far above a
 # useful run, and low enough that a slipped digit is rejected at load instead
 # of starting a run that cannot finish.
@@ -289,14 +294,14 @@ class QueryOutcome:
 
     Created when the query is sent, holding the provider's ``hits``, which
     the ledger does not record; ``results`` and ``query_fitness`` are set
-    when its generation is scored.
+    when its generation is scored. Its line leaves out ``query_string``
+    (``render_query`` of terms and variant) and each result's ``rank``
+    (``position_score(position, len(results))``) and ``environment`` (``a_factor``).
     """
 
-    genome_id: str
     terms: tuple[str, ...]
     variant: Variant
     query_string: str
-    provider_name: str
     issued_at: float | None
     hits: list[SearchHit]
     query_fitness: float = 0.0
@@ -304,14 +309,12 @@ class QueryOutcome:
 
     def to_payload(self) -> dict:
         return {
-            "genome_id": self.genome_id,
             "terms": list(self.terms),
             "variant": self.variant.value,
-            "query_string": self.query_string,
-            "provider_name": self.provider_name,
             "issued_at": self.issued_at,
             "query_fitness": self.query_fitness,
-            "results": [result_to_payload(r) for r in self.results],
+            "results": [{k: v for k, v in result_to_payload(r).items()
+                         if k not in ("rank", "environment")} for r in self.results],
         }
 
 
@@ -415,15 +418,13 @@ def run_evolution(
     # Adaptive runs rescore every query and leave this empty.
     first_outcomes: dict[str, QueryOutcome] = {}
 
-    def send(genome: QueryGenome, genome_id: str) -> QueryOutcome:
+    def send(genome: QueryGenome) -> QueryOutcome:
         query_string = render_query(genome)
         first = first_outcomes.get(query_string)
         return QueryOutcome(
-            genome_id=genome_id,
             terms=genome.terms,
             variant=genome.variant,
             query_string=query_string,
-            provider_name=config.provider.kind,
             issued_at=time.time() if config.provider.kind == "http" else None,
             hits=first.hits if first is not None else provider.execute(query_string, config.f1),
         )
@@ -444,7 +445,7 @@ def run_evolution(
 
     def evaluate_single(genome: QueryGenome) -> float:
         """Fitness of one genome scored as a population of itself."""
-        challenger = send(genome, "challenger")
+        challenger = send(genome)
         score([challenger])
         return challenger.query_fitness
 
@@ -453,7 +454,7 @@ def run_evolution(
         population = seed_population(pool, config.g2, config.g3, config.rng_seed, config.variant)
         top: list[ScoredResult] = []
         for generation in range(config.e1):
-            outcomes = [send(genome, f"g{idx}") for idx, genome in enumerate(population)]
+            outcomes = [send(genome) for genome in population]
             score(outcomes)
             fitnesses = [outcome.query_fitness for outcome in outcomes]
 
@@ -511,9 +512,46 @@ def make_run_inputs(
     }
 
 
-def generation_line(record: GenerationRecord) -> str:
-    """One line of generations.jsonl: the canonical record and its newline."""
-    return canonical_json(record.to_payload()) + "\n"
+class LineFragments(dict):
+    """The pieces of one run's generations.jsonl lines, each rendered once: a float's
+    spelling (``json.dumps``'s; NaN and infinities raise ValueError) and a hit's text
+    around its result's semantic value. Up to ``FRAGMENT_MEMO_LIMIT`` pieces are
+    kept, but never zero's, since 0.0 and -0.0 are one key."""
+
+    def __missing__(self, key):
+        if isinstance(key, SearchHit):
+            text = (f',"host":{_escape(key.doc_host)},"position":{key.position},"semantic":',
+                    f',"snippet":{_escape(key.snippet)},"title":{_escape(key.title)}'
+                    f',"url":{_escape(key.doc_url)}}}')
+        elif math.isfinite(key):
+            text = float.__repr__(key)
+        else:
+            raise ValueError(f"non-finite float {key!r} cannot enter a ledger")
+        if key and len(self) < FRAGMENT_MEMO_LIMIT:
+            self[key] = text
+        return text
+
+
+def generation_line(record: GenerationRecord, fragments: LineFragments | None = None) -> str:
+    """One line of generations.jsonl, ``canonical_json(record.to_payload())`` and
+    its newline, joined in sorted key order from ``fragments``: a run's own, or new ones."""
+    piece = LineFragments() if fragments is None else fragments
+    queries = []
+    for query in record.queries:
+        results = []
+        for r in query.results:
+            before, after = piece[r.hit]
+            results.append(f'{{"crossquery":{piece[r.crossquery_component]},"fitness":'
+                           f'{piece[r.fitness]}{before}{piece[r.semantic_component]}{after}')
+        issued_at = "null" if query.issued_at is None else piece[query.issued_at]
+        queries.append(
+            f'{{"issued_at":{issued_at},"query_fitness":{piece[query.query_fitness]}'
+            f',"results":[{",".join(results)}],"terms":[{",".join(map(_escape, query.terms))}]'
+            f',"variant":{_escape(query.variant.value)}}}'
+        )
+    return (f'{{"generation":{record.generation},"population_fitness":'
+            f'{piece[record.population_fitness]},"queries":[{",".join(queries)}]'
+            f',"reference_digest":{_escape(record.reference_digest)}}}\n')
 
 
 def final_results_text(results: list[ScoredResult]) -> str:
@@ -528,10 +566,11 @@ def write_run_ledger(
     """Write each record's line as it arrives, with the run's input digests
     (``make_run_inputs``), if any; returns the last record. The ledger appears
     at ``ledger_dir`` only once whole (see ``new_ledger_dir``)."""
+    fragments = LineFragments()
     with new_ledger_dir(ledger_dir, {"config": config.to_payload(), "inputs": inputs}) as staging:
         with open(staging / GENERATIONS_FILE, "w", encoding="utf-8") as fh:
             for record in records:
-                fh.write(generation_line(record))
+                fh.write(generation_line(record, fragments))
         final = final_results_text(record.top_results)
         (staging / FINAL_RESULTS_FILE).write_text(final, encoding="utf-8")
     return record
@@ -554,15 +593,15 @@ def _compare_line(line: str | None, fresh: str, line_no: int, count: int) -> Non
     if line is None:
         raise DivergenceDetected(line_no - 1, "record_count", line_no - 1, count)
     if line != fresh:
-        stored, rendered = parse_record_line(line, line_no), parse_record_line(fresh, line_no)
-        found = first_divergence(stored, rendered)
-        raise DivergenceDetected(line_no - 1, *(found or ("<bytes>", line, fresh)))
+        found = text_divergence(line, fresh, lambda text: parse_record_line(text, line_no))
+        raise DivergenceDetected(line_no - 1, *found)
 
 
 def replay(ledger_dir: str | Path) -> GenerationRecord:
     """Re-execute an offline run, comparing each line it renders with the stored
     line, read one at a time, as soon as it is produced; stop at the first that
-    differs, naming its first differing field, or ``<bytes>``. Returns the last record."""
+    differs, naming its first differing field, or ``<bytes at column N>``. Nothing
+    runs unless config.json is what evolve writes for it. Returns the last record."""
     payload = read_config_payload(ledger_dir)
     for name in (GENERATIONS_FILE, FINAL_RESULTS_FILE):  # a half-written ledger sends no query
         ledger_file(ledger_dir, name)
@@ -585,9 +624,17 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
     if not isinstance(inputs, dict):
         raise LedgerCorrupt("ledger records no input files; cannot replay")
     names = ("index", "seed_material")
-    for key in (f"{name}_{part}" for name in names for part in ("path", "sha256")):
+    keys = [f"{name}_{part}" for name in names for part in ("path", "sha256")]
+    for key in keys:
         if not isinstance(inputs.get(key), str):
             raise LedgerCorrupt(f"ledger inputs lack a string {key}")
+    stored_config = read_ledger_file(ledger_dir, CONFIG_FILE)
+    inputs = {key: inputs[key] for key in keys}
+    fresh_config = config_text({"config": config.to_payload(), "inputs": inputs})
+    if stored_config != fresh_config:
+        path, stored, fresh = text_divergence(stored_config, fresh_config, json.loads)
+        raise LedgerCorrupt(f"{where} is not the text evolve writes for its config and inputs: "
+                            f"at {path}, stored {clip(repr(stored))}, rendered {clip(repr(fresh))}")
     # recorded paths are relative to the ledger directory
     paths = {name: Path(ledger_dir, inputs[f"{name}_path"]) for name in names}
     for name in names:
@@ -595,9 +642,9 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
 
     provider = build_provider(config.provider, paths["index"])
     records = run_evolution(config, provider, load_corpus(paths["seed_material"]))
-    stored = stored_generation_lines(ledger_dir)
+    stored, fragments = stored_generation_lines(ledger_dir), LineFragments()
     for line_no, record in enumerate(records, start=1):
-        _compare_line(next(stored, None), generation_line(record), line_no, config.e1)
+        _compare_line(next(stored, None), generation_line(record, fragments), line_no, config.e1)
     extra = sum(1 for _ in stored)
     if extra:
         raise DivergenceDetected(config.e1, "record_count", config.e1 + extra, config.e1)
@@ -605,10 +652,7 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
     stored_final = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
     fresh_final = final_results_text(record.top_results)
     if stored_final != fresh_final:
-        found = first_divergence(
-            parse_ledger_json(stored_final, FINAL_RESULTS_FILE),
-            json.loads(fresh_final),
-            "final_results",
-        )
-        raise DivergenceDetected(config.e1, *(found or ("<bytes>", stored_final, fresh_final)))
+        parse = partial(parse_ledger_json, where=FINAL_RESULTS_FILE)
+        found = text_divergence(stored_final, fresh_final, parse, "final_results")
+        raise DivergenceDetected(config.e1, *found)
     return record

@@ -3,10 +3,13 @@
 A ledger is a directory: config.json (the ledger format, run parameters
 and input file digests), generations.jsonl (one record per
 generation), and final_results.json (the run-wide capped result list).
-Every value is serialized through one canonical dumper (sorted keys,
-compact separators, ASCII escapes, floats as the shortest decimal that
-reads back to the same value) so equal runs produce byte-equal files and
-replay can compare the files' exact text with the lines it renders again.
+Every value is in one canonical form (sorted keys, compact separators,
+ASCII escapes, floats as the shortest decimal that reads back to the same
+value), that of ``canonical_json``, so equal runs produce byte-equal files
+and replay can compare the files' exact text with the lines it renders
+again. ``evolution.generation_line`` joins each generations.jsonl line from
+pieces rendered once per run; a property test holds it equal to
+``canonical_json`` of the record's payload.
 A ledger is written into a hidden sibling directory and renamed into place,
 so it appears whole or not at all.
 """
@@ -19,7 +22,7 @@ import os
 import shutil
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import ConfigInvalid, LedgerCorrupt
 
@@ -27,8 +30,9 @@ CONFIG_FILE = "config.json"
 GENERATIONS_FILE = "generations.jsonl"
 FINAL_RESULTS_FILE = "final_results.json"
 # Version of the files' layout and spelling, recorded in config.json.
-# Format 1 (no recorded version) spelled floats at 17 significant digits.
-LEDGER_FORMAT = 2
+# Format 1 (no recorded version) spelled floats at 17 significant digits;
+# format 2 also wrote the fields of a generation line that format 3 re-derives.
+LEDGER_FORMAT = 3
 
 
 def canonical_json(value: Any) -> str:
@@ -75,11 +79,13 @@ def new_ledger_dir(ledger_dir: str | Path, config_payload: dict) -> Iterator[Pat
         raise ConfigInvalid(f"ledger directory {target} exists and is not empty")
     target.parent.mkdir(parents=True, exist_ok=True)
     with staged_sibling(target, directory=True) as staging:
-        (staging / CONFIG_FILE).write_text(
-            canonical_json({**config_payload, "ledger_format": LEDGER_FORMAT}) + "\n",
-            encoding="utf-8",
-        )
+        (staging / CONFIG_FILE).write_text(config_text(config_payload), encoding="utf-8")
         yield staging
+
+
+def config_text(config_payload: dict) -> str:
+    """The whole text of config.json: ``config_payload`` and our ``ledger_format``."""
+    return canonical_json({**config_payload, "ledger_format": LEDGER_FORMAT}) + "\n"
 
 
 def ledger_file(ledger_dir: str | Path, name: str) -> Path:
@@ -157,6 +163,21 @@ class Divergence(NamedTuple):
     path: str
     expected: Any
     actual: Any
+
+
+def text_divergence(
+    stored: str, fresh: str, parse: Callable[[str], Any], path: str = ""
+) -> Divergence:
+    """Where two unequal texts first differ: the first differing field of what
+    ``parse`` reads from them, else ``<bytes at column N>`` (N counted from 1),
+    with each text clipped to 40 characters either side."""
+    found = first_divergence(parse(stored), parse(fresh), path)
+    if found:
+        return found
+    at = next((i for i, pair in enumerate(zip(stored, fresh)) if pair[0] != pair[1]),
+              min(len(stored), len(fresh)))
+    window = slice(max(0, at - 40), at + 40)
+    return Divergence(f"<bytes at column {at + 1}>", stored[window], fresh[window])
 
 
 def first_divergence(expected: Any, actual: Any, path: str = "") -> Divergence | None:

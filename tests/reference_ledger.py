@@ -1,9 +1,13 @@
-"""The ledger format 1 writer, kept as a test reference.
+"""The ledger format 1 writer and a format 3 expander, kept as test references.
 
 Format 1 spelled every float at 17 significant digits; format 2 spells it
 by ``repr``. Both hold the same values, so parsing a format-2 document and
 writing it back through ``reference_canonical_json`` must give the format-1
 bytes, which lets the format-1 golden digests keep gating the values.
+
+Format 3's generation lines leave out five fields that the line and the
+run config give. ``expand_format_3_record`` puts them back, so a format-3
+line gives the format-2 line, and from it the format-1 line.
 """
 
 import json
@@ -37,3 +41,32 @@ def reference_canonical_json(value):
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(reference_canonical_json(item) for item in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__} into a ledger")
+
+
+def expand_format_3_record(record, config):
+    """The format-2 record of format-3 ``record`` (both parsed), under the
+    ``config`` section of its ledger's config.json.
+
+    Each query gets back its ``genome_id`` (``g`` and its place in the
+    list), ``provider_name`` (the provider's kind) and ``query_string`` (its
+    terms joined by spaces, each quoted when the variant is quoted); each
+    result its ``rank`` (1 at position 1, falling by 1/L a place over the
+    query's L results) and ``environment`` (the run's ``a_factor``).
+    """
+    queries = []
+    for place, query in enumerate(record["queries"]):
+        quote = '"' if query["variant"] == "quoted" else ""
+        count = len(query["results"])
+        results = [
+            {**result, "rank": (count - result["position"] + 1) / count,
+             "environment": config["a_factor"]}
+            for result in query["results"]
+        ]
+        queries.append({
+            **query,
+            "genome_id": f"g{place}",
+            "provider_name": config["provider"]["kind"],
+            "query_string": " ".join(f"{quote}{term}{quote}" for term in query["terms"]),
+            "results": results,
+        })
+    return {**record, "queries": queries}

@@ -903,7 +903,7 @@ class TestReplay:
         assert main(["replay", "--ledger", "work/ledger"]) == 0
         assert "replay verified" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("recorded", [None, 1, 3, "2"])
+    @pytest.mark.parametrize("recorded", [None, 1, 2, 4, "3"])
     def test_other_ledger_format_refused(self, run_dir, tmp_path, capsys, recorded):
         ledger = tmp_path / "ledger"
         shutil.copytree(run_dir, ledger)
@@ -915,7 +915,7 @@ class TestReplay:
         config.write_text(canonical_json(payload) + "\n")
         assert main(["replay", "--ledger", str(ledger)]) == 1
         found = 1 if recorded is None else recorded
-        assert f"holds ledger format {found!r}, but only format 2" in capsys.readouterr().err
+        assert f"holds ledger format {found!r}, but only format 3" in capsys.readouterr().err
 
     def test_final_results_integer_over_digit_limit_names_file(self, run_dir, tmp_path, capsys):
         ledger = tmp_path / "ledger"
@@ -1160,3 +1160,71 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code == 1
+
+
+class TestOutIsNotAnInput:
+    """An --out that names one of the command's own input files exits 1 before
+    any work, naming both flags, and leaves the input as it was."""
+
+    @staticmethod
+    def refused(args, victim, flag, capsys):
+        before = victim.read_bytes()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"--out would write {args[args.index('--out') + 1]}" in err
+        assert f"which is the {flag} file" in err
+        assert victim.read_bytes() == before
+
+    def test_index_onto_its_corpus(self, data_dir, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        shutil.copy(data_dir / "corpus.jsonl", corpus)
+        self.refused(["index", "--corpus", str(corpus), "--out", str(corpus)], corpus,
+                     "--corpus", capsys)
+        # another spelling of the same path is the same file
+        self.refused(["index", "--corpus", str(corpus), "--out", str(tmp_path / "." / "c.jsonl")],
+                     corpus, "--corpus", capsys)
+
+    def test_index_onto_its_stop_words(self, data_dir, tmp_path, capsys):
+        stops = tmp_path / "stops.txt"
+        stops.write_text("the\n")
+        self.refused(["index", "--corpus", str(data_dir / "corpus.jsonl"),
+                      "--stop-words", str(stops), "--out", str(stops)], stops, "--stop-words", capsys)
+
+    def test_evaluate_onto_its_qrels(self, data_dir, run_dir, tmp_path, capsys):
+        qrels = tmp_path / "q.tsv"
+        shutil.copy(data_dir / "qrels.tsv", qrels)
+        self.refused(["evaluate", "--ledger", str(run_dir), "--qrels", str(qrels),
+                      "--out", str(qrels)], qrels, "--qrels", capsys)
+
+    def test_evaluate_onto_its_ledger_final_results(self, data_dir, run_dir, tmp_path, capsys):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        final = ledger / FINAL_RESULTS_FILE
+        self.refused(["evaluate", "--ledger", str(ledger), "--qrels", str(data_dir / "qrels.tsv"),
+                      "--out", str(final)], final, "--ledger", capsys)
+
+    def test_evaluate_onto_one_of_its_lists(self, data_dir, tmp_path, capsys):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_text("https://a/1\n")
+        second.write_text("https://b/2\n")
+        self.refused(["evaluate", "--list", str(first), "--list", str(second),
+                      "--qrels", str(data_dir / "qrels.tsv"), "--out", str(second)],
+                     second, "--list", capsys)
+
+    @pytest.mark.parametrize("name, fmt", [("merged.csv", "both"), ("ndcg.svg", "svg")])
+    def test_report_over_its_metrics(self, metrics_csv, tmp_path, capsys, name, fmt):
+        out = tmp_path / "report"
+        out.mkdir()
+        victim = out / name
+        shutil.copy(metrics_csv, victim)
+        before = victim.read_bytes()
+        assert main(["report", "--metrics", str(victim), "--out", str(out), "--format", fmt]) == 1
+        assert f"which is the --metrics file {victim}" in capsys.readouterr().err
+        assert victim.read_bytes() == before
+
+    def test_report_format_that_does_not_write_it_runs(self, metrics_csv, tmp_path):
+        out = tmp_path / "report"
+        out.mkdir()
+        shutil.copy(metrics_csv, out / "ndcg.svg")
+        assert main(["report", "--metrics", str(out / "ndcg.svg"), "--out", str(out),
+                     "--format", "csv"]) == 0

@@ -19,13 +19,17 @@ from evoquery.corpus import (
     dump_corpus,
     load_corpus,
 )
+import evoquery.evolution
 from evoquery.errors import ConfigInvalid, DivergenceDetected, EvoqueryError, LedgerCorrupt
 from evoquery.evolution import (
     COUNT_LIMITS,
+    GenerationRecord,
+    LineFragments,
     ProviderSpec,
     QueryOutcome,
     RunConfig,
     build_provider,
+    generation_line,
     make_run_inputs,
     replay,
     result_to_payload,
@@ -33,6 +37,7 @@ from evoquery.evolution import (
     select_survivors,
     write_run_ledger,
 )
+from evoquery.fitness import ScoredResult
 from evoquery.genome import QueryGenome, Variant, render_query
 from evoquery.ledger import (
     CONFIG_FILE,
@@ -41,7 +46,7 @@ from evoquery.ledger import (
     canonical_json,
     parse_record_line,
 )
-from evoquery.provider import HttpProvider, OfflineProvider, build_index, save_index
+from evoquery.provider import HttpProvider, OfflineProvider, SearchHit, build_index, save_index
 from evoquery.rng import derive_rng
 
 
@@ -477,12 +482,12 @@ class TestCorruptLedgerReplay:
         "name, edit, field",
         [
             (GENERATIONS_FILE, lambda data: data + b"\n", "record_count"),
-            (GENERATIONS_FILE, lambda data: data.replace(b"\n", b"\r\n", 1), "<bytes>"),
-            (GENERATIONS_FILE, lambda data: data.replace(b",", b", ", 1), "<bytes>"),
-            (GENERATIONS_FILE, lambda data: data[:-1], "<bytes>"),
-            (FINAL_RESULTS_FILE, lambda data: data + b" ", "<bytes>"),
-            (FINAL_RESULTS_FILE, lambda data: data + b"\n", "<bytes>"),
-            (FINAL_RESULTS_FILE, lambda data: data[:-1], "<bytes>"),
+            (GENERATIONS_FILE, lambda data: data.replace(b"\n", b"\r\n", 1), "<bytes at column "),
+            (GENERATIONS_FILE, lambda data: data.replace(b",", b", ", 1), "<bytes at column "),
+            (GENERATIONS_FILE, lambda data: data[:-1], "<bytes at column "),
+            (FINAL_RESULTS_FILE, lambda data: data + b" ", "<bytes at column "),
+            (FINAL_RESULTS_FILE, lambda data: data + b"\n", "<bytes at column "),
+            (FINAL_RESULTS_FILE, lambda data: data[:-1], "<bytes at column "),
         ],
         ids=["appended-newline", "crlf", "space-after-comma", "no-final-newline",
              "final-appended-space", "final-appended-newline", "final-no-newline"],
@@ -491,7 +496,23 @@ class TestCorruptLedgerReplay:
         original = (small_ledger / name).read_bytes()
         error = _replay_mutated(small_ledger, name, edit(original))
         assert isinstance(error, DivergenceDetected)
-        assert error.field == field
+        assert error.field.startswith(field)
+
+    @pytest.mark.parametrize("name, line_no", [(GENERATIONS_FILE, 2), (FINAL_RESULTS_FILE, 1)])
+    def test_bytes_divergence_names_its_column_and_clips_both_sides(
+        self, small_ledger, name, line_no
+    ):
+        lines = (small_ledger / name).read_bytes().split(b"\n")
+        line = lines[line_no - 1]
+        at = line.index(b",", len(line) // 2) + 1  # a space after a comma mid-line
+        lines[line_no - 1] = line[:at] + b" " + line[at:]
+        error = _replay_mutated(small_ledger, name, b"\n".join(lines))
+        assert isinstance(error, DivergenceDetected)
+        assert error.generation == (line_no - 1 if name == GENERATIONS_FILE else 2)
+        assert error.field == f"<bytes at column {at + 1}>"
+        assert error.stored[40:] == " " + line[at:at + 39].decode()
+        assert error.fresh == line[at - 40:at + 40].decode()
+        assert len(str(error)) < 250
 
 
 class TestRunEvolution:
@@ -504,7 +525,6 @@ class TestRunEvolution:
             assert len(record.queries) == config.g2
             for outcome in record.queries:
                 assert len(outcome.terms) == config.g3
-                assert outcome.provider_name == "offline"
                 assert outcome.issued_at is None
                 assert len(outcome.results) <= config.f1
         assert 0 < len(records[-1].top_results) <= config.f3
@@ -937,7 +957,124 @@ class TestLedgerWriteAndReplay:
         ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)
         payload = json.loads((ledger_dir / "config.json").read_text())
         assert set(payload) == {"config", "inputs", "ledger_format"}
-        assert payload["ledger_format"] == 2
+        assert payload["ledger_format"] == 3
         assert set(payload["inputs"]) == {
             "index_path", "index_sha256", "seed_material_path", "seed_material_sha256",
         }
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda p: json.dumps({**p, "note": "hand-edited"}, indent=2), "note"),
+            (lambda p: json.dumps(p, indent=2), "<bytes at column 2>"),
+            (lambda p: canonical_json({**p, "inputs": {**p["inputs"], "extra": 1}}), "inputs.extra"),
+            (lambda p: canonical_json({**p, "config": {k: v for k, v in p["config"].items()
+                                                       if k != "f4"}}), "config.f4"),
+        ],
+        ids=["indented-with-key", "indented", "extra-input", "default-left-out"],
+    )
+    def test_config_not_as_evolve_writes_it_refused_before_any_query(
+        self, tmp_path, provider, run_inputs_dir, monkeypatch, edit, where
+    ):
+        ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)
+        path = ledger_dir / CONFIG_FILE
+        path.write_text(edit(json.loads(path.read_text())) + "\n")
+        monkeypatch.setattr(OfflineProvider, "execute", lambda *args: pytest.fail("query sent"))
+        with pytest.raises(LedgerCorrupt) as exc_info:
+            replay(ledger_dir)
+        message = str(exc_info.value)
+        assert message.startswith(f"{path} is not the text evolve writes")
+        assert f"at {where}, stored " in message
+
+
+# Floats and strings that a hand-written JSON encoder tends to get wrong
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-7, 0.1, 1.0]
+)
+TEXTS = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "caf\u00e9", "\U0001f600", "\ud800", "\udfff"]
+)
+HITS = st.builds(SearchHit, TEXTS, TEXTS, TEXTS, TEXTS, st.integers(1, 1000))
+RECORDS = st.builds(
+    GenerationRecord,
+    generation=st.integers(0, 10**6),
+    queries=st.lists(st.builds(
+        QueryOutcome,
+        terms=st.lists(TEXTS, max_size=3).map(tuple),
+        variant=st.sampled_from(Variant),
+        query_string=TEXTS,
+        issued_at=st.none() | FLOATS,
+        hits=st.just([]),
+        query_fitness=FLOATS,
+        results=st.lists(st.builds(ScoredResult, HITS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
+                         max_size=4),
+    ), max_size=4),
+    population_fitness=FLOATS,
+    reference_digest=TEXTS,
+    top_results=st.just([]),
+)
+
+
+class TestGenerationLine:
+    """A line joined from a run's fragments is its canonical record and newline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(RECORDS)
+    def test_fragments_join_to_the_canonical_line(self, record):
+        line = canonical_json(record.to_payload()) + "\n"
+        assert generation_line(record) == line
+        fragments = LineFragments()
+        assert generation_line(record, fragments) == line
+        assert generation_line(record, fragments) == line  # now from kept pieces
+
+    def test_signed_zeros_keep_their_signs(self):
+        hit = SearchHit("https://a/1", "a", "t", "s", 1)
+        record = GenerationRecord(0, [QueryOutcome(
+            ("a",), Variant.LEMMA, "a", -0.0, [], 0.0,
+            [ScoredResult(hit, 1.0, -0.0, 0.0, 1.0, -0.0)],
+        )], 0.0, "d", [])
+        fragments = LineFragments()
+        for _ in range(2):
+            line = generation_line(record, fragments)
+            assert line == canonical_json(record.to_payload()) + "\n"
+            assert '"crossquery":-0.0,"fitness":-0.0' in line and '"semantic":0.0' in line
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises_as_canonical_json_does(self, value):
+        hit = SearchHit("https://a/1", "a", "t", "s", 1)
+        records = [
+            GenerationRecord(0, [], value, "d", []),
+            GenerationRecord(0, [QueryOutcome(
+                ("a",), Variant.LEMMA, "a", None, [], 0.5,
+                [ScoredResult(hit, 1.0, 0.5, value, 1.0, 0.5)],
+            )], 0.5, "d", []),
+        ]
+        for record in records:
+            with pytest.raises(ValueError):
+                canonical_json(record.to_payload())
+            with pytest.raises(ValueError):
+                generation_line(record, LineFragments())
+
+    def test_two_runs_in_one_process_render_within_the_memo_bound(self, provider, monkeypatch):
+        monkeypatch.setattr(evoquery.evolution, "FRAGMENT_MEMO_LIMIT", 40)
+        for seed in (7, 8):
+            fragments = LineFragments()
+            for record in run_evolution(small_config(rng_seed=seed), provider, SEED_DOCS):
+                line = canonical_json(record.to_payload()) + "\n"
+                assert generation_line(record, fragments) == line
+            assert len(fragments) == 40
+
+    def test_line_leaves_out_what_the_line_and_config_give(self, provider):
+        config = small_config(variant=Variant.QUOTED, a_factor=0.5, e1=1)
+        (record,) = run_evolution(config, provider, SEED_DOCS)
+        line = json.loads(generation_line(record))
+        for place, (query, outcome) in enumerate(zip(line["queries"], record.queries)):
+            assert sorted(query) == ["issued_at", "query_fitness", "results", "terms", "variant"]
+            assert render_query(QueryGenome(tuple(query["terms"]), Variant.QUOTED)) == (
+                outcome.query_string
+            )
+            for result, scored in zip(query["results"], outcome.results):
+                assert "rank" not in result and "environment" not in result
+                count = len(query["results"])
+                assert scored.rank_component == (count - result["position"] + 1) / count
+                assert scored.environment_factor == config.a_factor

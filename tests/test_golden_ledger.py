@@ -8,9 +8,13 @@ whose hits carry whole bodies (so semantic scoring reads whole documents)
 and one without host damping (``f4`` = 1); a change that moves one is a
 format change and must say so.
 
-``GOLDEN`` holds the format-1 digests. Each format-2 file, read back and
-written through the format-1 reference writer, must still match them, so
-the values have not moved since format 1; ``GOLDEN_V2`` pins the bytes.
+``GOLDEN`` holds the format-1 digests and ``GOLDEN_V2`` the format-2 ones.
+Each format-3 generation line, expanded by the test reference to the
+format-2 record it stands for, must give the format-2 bytes when written
+with ``canonical_json`` and the format-1 bytes when written through the
+format-1 reference writer, so the values have not moved since format 1;
+``GOLDEN_V3`` pins the format-3 bytes of generations.jsonl.
+final_results.json is the same in formats 2 and 3.
 ``INDEX_SHA256`` pins the bundled corpus's index file, the ledgers' input.
 ``EXECUTE_CALLS`` pins how many queries each run sends: freeze mode sends
 each distinct query string once, and the hill climb sends each challenger.
@@ -30,9 +34,9 @@ from evoquery.evolution import (
     run_evolution,
     write_run_ledger,
 )
-from evoquery.ledger import FINAL_RESULTS_FILE, GENERATIONS_FILE
+from evoquery.ledger import CONFIG_FILE, FINAL_RESULTS_FILE, GENERATIONS_FILE, canonical_json
 from evoquery.provider import build_index, save_index
-from reference_ledger import reference_canonical_json
+from reference_ledger import expand_format_3_record, reference_canonical_json
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -114,6 +118,17 @@ GOLDEN_V2 = {
     ),
 }
 
+GOLDEN_V3 = {  # generations.jsonl alone
+    "reference": "55c523c9f284b6a2daf461182ab7a86316b2ab7835cfc90f3c610faf558dff3b",
+    "wide-lemma": "1bc26bb97dcf6eaa52778ec2ed8ac5ac2cc9db3f0909f89f61d73ca6ad9e3d77",
+    "quoted": "9fa9edf7077c473e1590d60c984516021bd79470425cc2cc93f2fc1b5d89d689",
+    "frozen": "f40fe8dc7f13d88f443e996a3217e539e693e48bda80191591bad1d73e7eca22",
+    "hill-climb": "e4a439932118583b852934e428d31f329b1d9608a69c0a1062cc71fafba74cab",
+    "frozen-hill-climb": "0e1b41d0765328343dcf556964d0555138f95d0531e359564e82c4e8d6bc63bf",
+    "full-body": "786867ec9982f85c521e23e1e7c294565fb5c7007c7bbc61676e3ced7fa24319",
+    "no-damping": "8548d20e280331381b6e1a5dc3720c9b1f92d8bf54180e855e06d2b8f27aa223",
+}
+
 EXECUTE_CALLS = {
     "reference": 80,
     "wide-lemma": 640,
@@ -139,10 +154,10 @@ def sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def format_1_sha256_of(path: Path) -> str:
-    """sha256 of ``path`` with each line rewritten by the format-1 writer."""
+def rewritten_sha256_of(path: Path, write, expand=lambda record: record) -> str:
+    """sha256 of ``path`` with each line parsed, expanded and rewritten by ``write``."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    text = "".join(reference_canonical_json(json.loads(line)) + "\n" for line in lines)
+    text = "".join(write(expand(json.loads(line))) + "\n" for line in lines)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -168,8 +183,15 @@ def test_ledger_digests(name, index_path, tmp_path):
     records = list(run_evolution(config, provider, load_corpus(seed_path)))
     assert len(sent) == EXECUTE_CALLS[name]
     write_run_ledger(tmp_path, config, records, make_run_inputs(tmp_path, index_path, seed_path))
-    assert format_1_sha256_of(tmp_path / GENERATIONS_FILE) == generations_sha
-    assert format_1_sha256_of(tmp_path / FINAL_RESULTS_FILE) == final_sha
+    generations = tmp_path / GENERATIONS_FILE
+    ledger_config = json.loads((tmp_path / CONFIG_FILE).read_text(encoding="utf-8"))["config"]
+
+    def expand(record):
+        return expand_format_3_record(record, ledger_config)
+
+    assert rewritten_sha256_of(generations, reference_canonical_json, expand) == generations_sha
+    assert rewritten_sha256_of(tmp_path / FINAL_RESULTS_FILE, reference_canonical_json) == final_sha
     v2_generations_sha, v2_final_sha = GOLDEN_V2[name]
-    assert sha256_of(tmp_path / GENERATIONS_FILE) == v2_generations_sha
+    assert rewritten_sha256_of(generations, canonical_json, expand) == v2_generations_sha
     assert sha256_of(tmp_path / FINAL_RESULTS_FILE) == v2_final_sha
+    assert sha256_of(generations) == GOLDEN_V3[name]

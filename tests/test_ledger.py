@@ -24,6 +24,7 @@ from evoquery.ledger import (
     read_ledger_file,
     new_ledger_dir,
     staged_sibling,
+    text_divergence,
 )
 from reference_ledger import reference_canonical_json, reference_format_float
 
@@ -196,6 +197,26 @@ class TestFirstDivergentPath:
 
     def test_path_prefix(self):
         assert first_divergence([{"f": 0.5}], [{"f": 0.25}], "final")[0] == "final[0].f"
+
+
+class TestTextDivergence:
+    def test_differing_field_comes_first(self):
+        assert text_divergence('{"a":1}', '{"a":2}', json.loads, "x") == ("x.a", 1, 2)
+
+    def test_equal_values_name_the_first_differing_column(self):
+        stored, fresh = '{"a":1, "b":2}', '{"a":1,"b":2}'
+        assert text_divergence(stored, fresh, json.loads) == (
+            "<bytes at column 8>", stored, fresh
+        )
+
+    def test_one_text_a_prefix_of_the_other(self):
+        assert text_divergence("[1]\n", "[1]", json.loads).path == "<bytes at column 4>"
+
+    def test_each_side_clipped_around_the_difference(self):
+        stored, fresh = "[" + "1," * 500 + " 2]", "[" + "1," * 500 + "2]"
+        found = text_divergence(stored, fresh, json.loads)
+        assert found == ("<bytes at column 1002>", stored[961:1041], fresh[961:1041])
+        assert found.expected[40] == " " and found.actual[40] == "2"
 
 
 def _outcome(writer, value):
