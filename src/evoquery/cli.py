@@ -33,6 +33,8 @@ from .errors import (
     ZeroEnergySequence,
 )
 from .evaluation import (
+    DEFAULT_RELEVANCE_THRESHOLD,
+    GRADE_SCALE,
     MetricRow,
     Persona,
     RankedList,
@@ -327,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     keywords_p = sub.add_parser("keywords", help="extract a weighted keyword pool")
     keywords_p.add_argument("--corpus", required=True, help="seed material JSONL file")
-    keywords_p.add_argument("--k", type=_positive_int, default=50, help="pool size")
+    keywords_p.add_argument(
+        "--k", type=_positive_int, default=RunConfig.keyword_pool_size, help="pool size"
+    )
     keywords_p.add_argument("--stop-words", help="stop word list, one per line")
     keywords_p.set_defaults(func=cmd_keywords)
 
@@ -349,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_p.add_argument("--persona", choices=["S", "N", "both"], default="both")
     evaluate_p.add_argument("--n", type=_positive_int, default=20, help="evaluation cutoff")
     evaluate_p.add_argument(
-        "--threshold", type=int, choices=[0, 1, 2, 3], default=2,
+        "--threshold", type=int, choices=GRADE_SCALE, default=DEFAULT_RELEVANCE_THRESHOLD,
         help="consensus grade counted as relevant",
     )
     evaluate_p.add_argument("--out", help="metrics CSV path; stdout when omitted")

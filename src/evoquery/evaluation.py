@@ -50,14 +50,10 @@ class Judgment:
 
 @dataclass
 class RankedList:
-    """A named document ordering under evaluation."""
+    """A named document ordering under evaluation; the CLI's loaders refuse repeated urls."""
 
     ordering_name: str
     doc_urls: list[str]
-
-    def __post_init__(self) -> None:
-        if len(set(self.doc_urls)) != len(self.doc_urls):
-            raise ValueError(f"ordering {self.ordering_name!r} repeats a url")
 
 
 @dataclass

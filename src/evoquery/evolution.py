@@ -13,9 +13,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
@@ -25,7 +24,6 @@ from .corpus import (
 )
 from .errors import ConfigInvalid, DivergenceDetected, LedgerCorrupt, clip
 from .fitness import (
-    FitnessWeights,
     ReferenceText,
     ScoredResult,
     UrlCounts,
@@ -94,13 +92,16 @@ def _parse_int(name: str, value: object) -> int:
 
 
 def _parse_float(name: str, value: object) -> float:
-    """A JSON number as a float, or ConfigInvalid naming the field."""
+    """A JSON number as a finite float, or ConfigInvalid naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        parsed = float(value)
     except OverflowError:
         raise ConfigInvalid(f"{name} must be finite, got an integer beyond float range") from None
+    if not math.isfinite(parsed):
+        raise ConfigInvalid(f"{name} must be finite, got {parsed!r}")
+    return parsed
 
 
 def _instance_of(kind: type | tuple[type, ...], noun: str):
@@ -124,21 +125,16 @@ def _parse_variant(name: str, value: object) -> Variant:
 def _from_payload(cls, payload: object, what: str):
     """Build the dataclass ``cls`` from a JSON object; absent keys take defaults.
 
-    Each value is parsed by its field's annotation (see ``_FIELD_CODECS``);
+    Each value is parsed by its field's annotation (see ``_FIELD_PARSERS``);
     range checks are left to ``cls.__post_init__``.
     """
     if not isinstance(payload, dict):
         raise ConfigInvalid(f"{what} must be a JSON object")
-    parsers = {f.name: _FIELD_CODECS[f.type][0] for f in fields(cls)}
+    parsers = {f.name: _FIELD_PARSERS[f.type] for f in fields(cls)}
     unknown = set(payload) - set(parsers)
     if unknown:
         raise ConfigInvalid(f"unknown {what} keys: {sorted(unknown)}")
     return cls(**{name: parsers[name](name, value) for name, value in payload.items()})
-
-
-def _to_payload(obj) -> dict:
-    """The JSON object that ``_from_payload`` reads back to an equal ``obj``."""
-    return {f.name: _FIELD_CODECS[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _is_http_url(text: str) -> bool:
@@ -160,21 +156,20 @@ class ProviderSpec:
     full_body_snippets: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rate_limit_rps", float(self.rate_limit_rps))  # see RunConfig
         if self.kind not in ("offline", "http"):
             raise ConfigInvalid(f"provider kind must be offline or http, got {self.kind!r}")
         if self.kind == "http" and not self.endpoint:
-            raise ConfigInvalid("http provider needs an endpoint")
+            raise ConfigInvalid("provider kind http needs an endpoint")
         if self.kind == "http" and not _is_http_url(self.endpoint):
             raise ConfigInvalid(
                 f"endpoint must be an http or https URL with a host, got {self.endpoint!r}"
             )
-        if not math.isfinite(self.rate_limit_rps):
-            raise ConfigInvalid(f"rate_limit_rps must be finite, got {self.rate_limit_rps!r}")
-        if self.rate_limit_rps <= 0:
+        if not self.rate_limit_rps > 0:
             raise ConfigInvalid("rate_limit_rps must be positive")
 
     def to_payload(self) -> dict:
-        return _to_payload(self)
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: object) -> ProviderSpec:
@@ -212,9 +207,8 @@ class RunConfig:
     provider: ProviderSpec = dc_field(default_factory=ProviderSpec)
 
     def __post_init__(self) -> None:
-        for name in ("f4", "f5", "f6", "f7", "m1", "a_factor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("f4", "f5", "f6", "f7", "m1", "a_factor"):  # so that asdict writes 1 as 1.0
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name, limit in COUNT_LIMITS.items():
             value = getattr(self, name)
             if not 1 <= value <= limit:
@@ -230,7 +224,14 @@ class RunConfig:
             raise ConfigInvalid(f"m1 must be a probability, got {self.m1!r}")
         if not (0.0 <= self.a_factor <= 1.0):
             raise ConfigInvalid(f"a_factor must be in [0, 1], got {self.a_factor!r}")
-        self.fitness_weights()  # validates f4..f7
+        if not (0.0 < self.f4 <= 1.0):
+            raise ConfigInvalid(f"f4 must be in (0, 1], got {self.f4!r}")
+        for name in ("f5", "f6", "f7"):
+            if not getattr(self, name) >= 0:
+                raise ConfigInvalid(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        total = self.f5 + self.f6 + self.f7
+        if not abs(total - 1.0) <= 1e-9:
+            raise ConfigInvalid(f"f5 + f6 + f7 must sum to 1 within 1e-9, got {total!r}")
 
     @property
     def min_pool_size(self) -> int:
@@ -238,16 +239,8 @@ class RunConfig:
         each genome to mutate it with when there is a second generation."""
         return self.g3 + (1 if self.e1 > 1 else 0)
 
-    def fitness_weights(self) -> FitnessWeights:
-        return FitnessWeights(
-            w_position=self.f5,
-            w_crossquery=self.f6,
-            w_semantic=self.f7,
-            host_coeff=self.f4,
-        )
-
     def to_payload(self) -> dict:
-        return _to_payload(self)
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: object) -> RunConfig:
@@ -255,21 +248,18 @@ class RunConfig:
         return _from_payload(cls, payload, "config")
 
 
-def _same(value):
-    return value
-
-
-# Field annotation -> (parse a JSON value naming its key, JSON form of a value).
+# Field annotation -> parser of a JSON value, naming its key in any ConfigInvalid.
 # Keys are annotations as written: ``from __future__ import annotations``
-# leaves every dataclass field's type a string.
-_FIELD_CODECS = {
-    "int": (_parse_int, _same),
-    "float": (_parse_float, float),
-    "bool": (_instance_of(bool, "a boolean"), _same),
-    "str": (_instance_of(str, "a string"), _same),
-    "str | None": (_instance_of((str, type(None)), "a string or null"), _same),
-    "Variant": (_parse_variant, attrgetter("value")),
-    "ProviderSpec": (lambda name, value: ProviderSpec.from_payload(value), ProviderSpec.to_payload),
+# leaves every dataclass field's type a string. ``to_payload`` is ``asdict``,
+# which reads back equal: each float field holds a float, and Variant is a str.
+_FIELD_PARSERS = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "bool": _instance_of(bool, "a boolean"),
+    "str": _instance_of(str, "a string"),
+    "str | None": _instance_of((str, type(None)), "a string or null"),
+    "Variant": _parse_variant,
+    "ProviderSpec": lambda name, value: ProviderSpec.from_payload(value),
 }
 
 
@@ -411,7 +401,6 @@ def run_evolution(
             f"seed material yields {len(pool)} keywords, the run needs {config.min_pool_size}"
         )
     reference = ReferenceText.from_seed_vector(seed, normalizer)
-    weights = config.fitness_weights()
     # Freeze mode scores each query string once: a later genome sending it
     # reuses its first outcome's hits, results and fitness, so a survivor
     # keeps its exact fitness however the rest of the population shifts.
@@ -436,9 +425,7 @@ def run_evolution(
             if first is not None:
                 outcome.results, outcome.query_fitness = first.results, first.query_fitness
                 continue
-            outcome.results = score_query_results(
-                outcome.hits, url_counts, reference, weights, config.a_factor
-            )
+            outcome.results = score_query_results(outcome.hits, url_counts, reference, config)
             outcome.query_fitness = query_fitness(outcome.results)
             if config.freeze_reference:
                 first_outcomes[outcome.query_string] = outcome

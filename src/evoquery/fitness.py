@@ -4,7 +4,9 @@ Each hit gets four normalized components: a rank score from its list
 position, a cross-query score counting how many of the population's result
 lists contain it, a semantic score against an adaptive reference vector,
 and a per-run environment factor. The weighted sum, damped per extra
-result from the same host, is the quantity the genetic loop maximizes.
+result from the same host, is the quantity the genetic loop maximizes;
+the weights, damping and factor are the run's ``RunConfig`` f5-f7, f4
+and a_factor.
 Means add left to right with plain float addition, not ``sum()``, which
 compensates rounding from Python 3.12 on and so would make ledger bytes
 depend on the interpreter version.
@@ -24,35 +26,17 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .corpus import SuffixNormalizer, TermVector, DEFAULT_NORMALIZER
-from .errors import ConfigInvalid
 from .provider import SearchHit
 
-WEIGHT_SUM_TOLERANCE = 1e-9
+if TYPE_CHECKING:  # evolution imports this module
+    from .evolution import RunConfig
+
 REFERENCE_CAPACITY = 256
 REFERENCE_DECAY = 0.5
 REFERENCE_CONTRIBUTORS = 3
-
-
-@dataclass(frozen=True)
-class FitnessWeights:
-    """Component weights and host damping; the result-list caps are RunConfig's f1-f3."""
-
-    w_position: float = 0.33
-    w_crossquery: float = 0.33
-    w_semantic: float = 0.34
-    host_coeff: float = 0.75
-
-    def __post_init__(self) -> None:
-        total = self.w_position + self.w_crossquery + self.w_semantic
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise ConfigInvalid(f"component weights must sum to 1, got {total!r}")
-        if min(self.w_position, self.w_crossquery, self.w_semantic) < 0:
-            raise ConfigInvalid("component weights must be non-negative")
-        if not (0.0 < self.host_coeff <= 1.0):
-            raise ConfigInvalid(f"host coefficient must be in (0, 1], got {self.host_coeff!r}")
 
 
 @dataclass
@@ -146,19 +130,10 @@ def semantic_score(hit: SearchHit, ref: ReferenceText) -> float:
     return min(1.0, max(0.0, similarity))
 
 
-def result_fitness(
-    rank: float,
-    crossquery: float,
-    semantic: float,
-    environment: float,
-    weights: FitnessWeights,
-) -> float:
-    """Weighted component sum scaled by the environment factor; each lies in [0, 1]."""
-    return environment * (
-        weights.w_position * rank
-        + weights.w_crossquery * crossquery
-        + weights.w_semantic * semantic
-    )
+def result_fitness(rank: float, crossquery: float, semantic: float, config: RunConfig) -> float:
+    """The f5/f6/f7-weighted component sum scaled by the environment factor
+    ``a_factor``; each lies in [0, 1]."""
+    return config.a_factor * (config.f5 * rank + config.f6 * crossquery + config.f7 * semantic)
 
 
 def query_fitness(results: Sequence[ScoredResult]) -> float:
@@ -177,14 +152,13 @@ def score_query_results(
     hits: Sequence[SearchHit],
     url_counts: UrlCounts,
     ref: ReferenceText,
-    weights: FitnessWeights,
-    environment_factor: float,
+    config: RunConfig,
 ) -> list[ScoredResult]:
     """Score one query's hits within its population and damp host runs.
 
     A text that ``ref`` has not scored yet is scored into
     ``ref.semantic_scores``. In order of fitness descending, ties by url
-    ascending, the k-th hit from one host keeps coeff^(k-1) of its fitness;
+    ascending, the k-th hit from one host keeps f4^(k-1) of its fitness;
     results come in that order of damped fitness.
     """
     length = len(hits)
@@ -197,7 +171,7 @@ def score_query_results(
         semantic = semantics.get(key)
         if semantic is None:
             semantic = semantics[key] = semantic_score(hit, ref)
-        fitness = result_fitness(rank, crossquery, semantic, environment_factor, weights)
+        fitness = result_fitness(rank, crossquery, semantic, config)
         ranked.append((fitness, hit, rank, crossquery, semantic))
     ranked.sort(key=lambda row: (-row[0], row[1].doc_url))
     seen: dict[str, int] = {}
@@ -205,8 +179,8 @@ def score_query_results(
     for fitness, hit, rank, crossquery, semantic in ranked:
         k = seen.get(hit.doc_host, 0)
         seen[hit.doc_host] = k + 1
-        damped = fitness * weights.host_coeff**k  # exactly fitness when k == 0 or coeff == 1
-        results.append(ScoredResult(hit, rank, crossquery, semantic, environment_factor, damped))
+        damped = fitness * config.f4**k  # exactly fitness when k == 0 or f4 == 1
+        results.append(ScoredResult(hit, rank, crossquery, semantic, config.a_factor, damped))
     results.sort(key=lambda r: (-r.fitness, r.hit.doc_url))
     return results
 

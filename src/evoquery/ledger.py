@@ -51,10 +51,11 @@ def file_digest(path: str | Path) -> str:
 
 @contextmanager
 def staged_sibling(target: Path, directory: bool = False) -> Iterator[Path]:
-    """A new hidden sibling of ``target``, an empty file or directory, for the
-    block to fill; renamed onto ``target`` when the block ends, removed if it
-    raises. Its name, ``.NAME.RANDOM.tmp``, is never one a killed process left
-    behind, and its mode is the one a plain ``open`` or ``mkdir`` gives."""
+    """A new hidden sibling of ``target`` (missing parents are made), an empty
+    file or directory, for the block to fill; renamed onto ``target`` when the
+    block ends, removed if it raises. Its name, ``.NAME.RANDOM.tmp``, is never
+    one a killed process left behind; its mode is a plain ``open``'s or ``mkdir``'s."""
+    target.parent.mkdir(parents=True, exist_ok=True)
     while True:
         staging = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
         with suppress(FileExistsError):
@@ -77,7 +78,6 @@ def new_ledger_dir(ledger_dir: str | Path, config_payload: dict) -> Iterator[Pat
     target = Path(ledger_dir)
     if target.exists() and (not target.is_dir() or any(target.iterdir())):
         raise ConfigInvalid(f"ledger directory {target} exists and is not empty")
-    target.parent.mkdir(parents=True, exist_ok=True)
     with staged_sibling(target, directory=True) as staging:
         (staging / CONFIG_FILE).write_text(config_text(config_payload), encoding="utf-8")
         yield staging

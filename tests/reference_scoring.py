@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+from evoquery.evolution import RunConfig
 from evoquery.fitness import (
-    FitnessWeights,
     ReferenceText,
     ScoredResult,
     UrlCounts,
@@ -49,8 +49,7 @@ def score_query_results(
     hits: Sequence[SearchHit],
     url_counts: UrlCounts,
     ref: ReferenceText,
-    weights: FitnessWeights,
-    environment_factor: float,
+    config: RunConfig,
 ) -> list[ScoredResult]:
     """Score one query's hits within its population and damp host runs."""
     length = len(hits)
@@ -65,9 +64,9 @@ def score_query_results(
                 rank_component=rank,
                 crossquery_component=crossquery,
                 semantic_component=semantic,
-                environment_factor=environment_factor,
-                fitness=result_fitness(rank, crossquery, semantic, environment_factor, weights),
+                environment_factor=config.a_factor,
+                fitness=result_fitness(rank, crossquery, semantic, config),
             )
         )
     scored.sort(key=lambda r: (-r.fitness, r.hit.doc_url))
-    return apply_host_collocation(scored, weights.host_coeff)
+    return apply_host_collocation(scored, config.f4)

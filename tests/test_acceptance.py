@@ -26,7 +26,6 @@ from evoquery.evaluation import (
 )
 from evoquery.evolution import RunConfig, build_provider, run_evolution
 from evoquery.fitness import (
-    FitnessWeights,
     ReferenceText,
     ScoredResult,
     UrlCounts,
@@ -218,8 +217,9 @@ def test_criterion_7_fitness_bounds_and_host_penalty():
     out_of_range = 0
     for _ in range(10_000):
         lo, hi = sorted((rng.random(), rng.random()))
-        weights = FitnessWeights(w_position=lo, w_crossquery=hi - lo, w_semantic=1.0 - hi)
-        w = result_fitness(rng.random(), rng.random(), rng.random(), rng.random(), weights)
+        rank, crossquery, semantic, environment = (rng.random() for _ in range(4))
+        config = RunConfig(f5=lo, f6=hi - lo, f7=1.0 - hi, a_factor=environment)
+        w = result_fitness(rank, crossquery, semantic, config)
         if not 0.0 <= w <= 1.0:
             out_of_range += 1
 
@@ -230,11 +230,10 @@ def test_criterion_7_fitness_bounds_and_host_penalty():
                   snippet="s", position=i + 1)
         for i in range(3)
     ]
-    semantic_only = FitnessWeights(w_position=0.0, w_crossquery=0.0, w_semantic=1.0,
-                                   host_coeff=0.75)
+    semantic_only = RunConfig(f4=0.75, f5=0.0, f6=0.0, f7=1.0)
     ref = ReferenceText(vector=TermVector.from_weights({}))
     ref.semantic_scores.update({(h.title, h.snippet): 1.0 for h in same_host})
-    damped = score_query_results(same_host, UrlCounts.of([same_host]), ref, semantic_only, 1.0)
+    damped = score_query_results(same_host, UrlCounts.of([same_host]), ref, semantic_only)
     fitnesses = sorted((r.fitness for r in damped), reverse=True)
     penalty_ok = (
         abs(fitnesses[0] - 1.0) <= 1e-12

@@ -203,6 +203,13 @@ class TestIndex:
     def _index(self, data_dir, out):
         return main(["index", "--corpus", str(data_dir / "corpus.jsonl"), "--out", str(out)])
 
+    def test_out_into_missing_directories(self, data_dir, tmp_path):
+        out = tmp_path / "sub" / "dir" / "index.json"
+        assert self._index(data_dir, out) == 0
+        assert out.read_bytes() == (data_dir / "index.json").read_bytes()
+        assert [p.name for p in out.parent.iterdir()] == ["index.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
     @pytest.mark.parametrize("existing", [False, True], ids=["absent-out", "existing-out"])
     def test_failed_write_leaves_out_as_it_was(
         self, data_dir, tmp_path, capsys, monkeypatch, existing

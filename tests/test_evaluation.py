@@ -328,8 +328,3 @@ class TestCumulativeSeries:
         grades = uniform_grades(urls, [1] * 5)
         assert len(cumulative_dcg_series(ranked(*urls), grades, S, n=3)) == 3
 
-
-class TestRankedList:
-    def test_duplicate_urls_rejected(self):
-        with pytest.raises(ValueError):
-            RankedList(ordering_name="bad", doc_urls=["u1", "u1"])

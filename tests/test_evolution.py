@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from evoquery.corpus import (
     Document,
     SuffixNormalizer,
+    TermVector,
     build_keyword_pool,
     dump_corpus,
     load_corpus,
@@ -37,7 +39,9 @@ from evoquery.evolution import (
     select_survivors,
     write_run_ledger,
 )
-from evoquery.fitness import ScoredResult
+from evoquery.fitness import (
+    ReferenceText, ScoredResult, UrlCounts, result_fitness, score_query_results
+)
 from evoquery.genome import QueryGenome, Variant, render_query
 from evoquery.ledger import (
     CONFIG_FILE,
@@ -123,7 +127,7 @@ class TestProviderSpec:
             ProviderSpec(kind="carrier-pigeon")
 
     def test_http_needs_endpoint(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid, match="^provider kind http needs an endpoint$"):
             ProviderSpec(kind="http")
 
     @pytest.mark.parametrize(
@@ -247,6 +251,12 @@ class TestRunConfig:
         config = RunConfig.from_payload({"m1": 1, "a_factor": 1})
         assert config.m1 == 1.0 and config.a_factor == 1.0
 
+    def test_integer_float_field_built_in_code_written_as_float(self):
+        """So that replay, which reads 1 as 1.0, renders the config.json evolve wrote."""
+        text = canonical_json(RunConfig(f4=1, m1=0, provider=ProviderSpec(rate_limit_rps=2))
+                              .to_payload())
+        assert '"f4":1.0' in text and '"m1":0.0' in text and '"rate_limit_rps":2.0' in text
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", ["f4", "f5", "f6", "f7", "m1", "a_factor"])
     def test_non_finite_float_rejected_naming_field(self, name, value):
@@ -265,9 +275,18 @@ class TestRunConfig:
             RunConfig.from_payload({"provider": {"rate_limit_rps": 10**400}})
 
     def test_fitness_weights_mapping(self):
-        weights = small_config(f4=0.5).fitness_weights()
-        assert weights.host_coeff == 0.5
-        assert (weights.w_position, weights.w_crossquery, weights.w_semantic) == (0.33, 0.33, 0.34)
+        """Scoring reads f5/f6/f7 as the rank/crossquery/semantic weights, a_factor
+        as the environment factor and f4 as the same-host damping."""
+        config = small_config(f4=0.5, f5=0.5, f6=0.3, f7=0.2, a_factor=0.5)
+        assert result_fitness(1, 0, 0, config) == pytest.approx(0.25)
+        assert result_fitness(0, 1, 0, config) == pytest.approx(0.15)
+        assert result_fitness(0, 0, 1, config) == pytest.approx(0.1)
+        hits = [SearchHit(f"https://h.example/{i}", "h.example", "", "", i) for i in (1, 2)]
+        ref = ReferenceText(vector=TermVector.from_weights({}))
+        scored = score_query_results(hits, UrlCounts.of([hits]), ref, config)
+        # rank 1 and 1/2, crossquery 1, semantic 0; the second hit is damped once
+        assert [r.fitness for r in scored] == pytest.approx([0.5 * 0.8, 0.5 * 0.55 * 0.5])
+        assert [r.environment_factor for r in scored] == [0.5, 0.5]
 
 
 # Any JSON value, including integers beyond float range and non-finite floats.
@@ -322,14 +341,24 @@ CONFIG_FIELDS = {
 }
 
 
+def names_a_set_key(message, payload):
+    """Whether ``message`` names a key that ``payload``, or its provider object, sets."""
+    keys = set(payload)
+    if isinstance(payload.get("provider"), dict):
+        keys |= set(payload["provider"])
+    return any(re.search(rf"(?<!\w){re.escape(key)}(?!\w)", message) for key in keys)
+
+
 class TestPayloadBoundary:
-    """A payload is rejected with ConfigInvalid or survives a round trip."""
+    """A payload is rejected with ConfigInvalid naming a key it sets, or survives
+    a round trip."""
 
     @staticmethod
     def check(cls, payload):
         try:
             parsed = cls.from_payload(payload)
-        except ConfigInvalid:
+        except ConfigInvalid as exc:
+            assert names_a_set_key(str(exc), payload), f"{exc} names no key of {payload!r}"
             return
         again = cls.from_payload(parsed.to_payload())
         assert again == parsed
@@ -337,11 +366,19 @@ class TestPayloadBoundary:
 
     @settings(max_examples=300, deadline=None)
     @given(payloads(CONFIG_FIELDS))
+    @example({"f4": 1.5})
+    @example({"f5": -0.1, "f6": 0.77})
+    @example({"f5": -0.1, "f6": 0.76})
+    @example({"g3": 30, "e1": 2, "keyword_pool_size": 30})
+    @example({"provider": {"kind": "http"}})
+    @example({"provider": {"rate_limit_rps": 0}})
     def test_run_config(self, payload):
         self.check(RunConfig, payload)
 
     @settings(max_examples=300, deadline=None)
     @given(payloads(PROVIDER_FIELDS))
+    @example({"kind": "http"})
+    @example({"kind": "http", "endpoint": "ftp://x/y"})
     def test_provider_spec(self, payload):
         self.check(ProviderSpec, payload)
 
@@ -360,7 +397,7 @@ SMALL_RUN_FIELDS = {
     "freeze_reference": st.booleans(),
     "provider": st.fixed_dictionaries({}, optional={"full_body_snippets": st.booleans()}),
 }
-# (f5, f6, f7): each sums to 1 within the tolerance FitnessWeights allows
+# (f5, f6, f7): each sums to 1 within the tolerance RunConfig allows
 WEIGHTS = st.sampled_from([(0.33, 0.33, 0.34), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.2, 0.7, 0.1)])
 
 

@@ -10,9 +10,9 @@ import reference_scoring
 
 from evoquery.corpus import Document, SuffixNormalizer, TermVector, seed_vector
 from evoquery.errors import ConfigInvalid, ParseError
+from evoquery.evolution import RunConfig
 from evoquery.fitness import (
     REFERENCE_CAPACITY,
-    FitnessWeights,
     ReferenceText,
     ScoredResult,
     UrlCounts,
@@ -29,7 +29,7 @@ from evoquery.fitness import (
 )
 from evoquery.provider import SearchHit
 
-PAPER_WEIGHTS = FitnessWeights()
+PAPER_CONFIG = RunConfig()
 
 
 def hit(url="https://a.org/1", host=None, title="", snippet="", position=1):
@@ -70,10 +70,8 @@ def semantic_only_inputs(results):
 
 def semantic_only_scores(hits, ref, host_coeff):
     """score_query_results weighting only the semantic component."""
-    weights = FitnessWeights(
-        w_position=0.0, w_crossquery=0.0, w_semantic=1.0, host_coeff=host_coeff
-    )
-    return score_query_results(hits, UrlCounts.of([hits]), ref, weights, 1.0)
+    config = RunConfig(f4=host_coeff, f5=0.0, f6=0.0, f7=1.0)
+    return score_query_results(hits, UrlCounts.of([hits]), ref, config)
 
 
 def damp(results, host_coeff):
@@ -84,20 +82,30 @@ def damp(results, host_coeff):
 
 
 class TestFitnessWeights:
+    """RunConfig's f4 (host damping) and f5/f6/f7 (component weights)."""
+
     def test_paper_defaults_are_valid(self):
-        w = FitnessWeights()
-        assert w.w_position + w.w_crossquery + w.w_semantic == pytest.approx(1.0)
-        assert w.host_coeff == 0.75
+        w = RunConfig()
+        assert w.f5 + w.f6 + w.f7 == pytest.approx(1.0)
+        assert w.f4 == 0.75
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ConfigInvalid):
-            FitnessWeights(w_position=0.5, w_crossquery=0.5, w_semantic=0.5)
+        with pytest.raises(ConfigInvalid, match=r"^f5 \+ f6 \+ f7 must sum to 1 within 1e-9, got 1\.5$"):
+            RunConfig(f5=0.5, f6=0.5, f7=0.5)
+
+    def test_sum_tolerance(self):
+        """Each weight may exceed 1 by the 1e-9 the sum is allowed; none may be negative."""
+        assert RunConfig.from_payload({"f5": 1.0000000001, "f6": 0, "f7": 0}).f5 == 1.0000000001
+        with pytest.raises(ConfigInvalid, match="^f6 must be non-negative, got -1e-10$"):
+            RunConfig.from_payload({"f5": 0.33, "f6": -1e-10, "f7": 0.67})
+        with pytest.raises(ConfigInvalid, match=r"^f5 \+ f6 \+ f7 must sum to 1"):
+            RunConfig.from_payload({"f5": 1.000000002, "f6": 0, "f7": 0})
 
     def test_host_coeff_range(self):
-        with pytest.raises(ConfigInvalid):
-            FitnessWeights(host_coeff=0.0)
-        with pytest.raises(ConfigInvalid):
-            FitnessWeights(host_coeff=1.5)
+        with pytest.raises(ConfigInvalid, match=r"^f4 must be in \(0, 1\], got 0\.0$"):
+            RunConfig(f4=0.0)
+        with pytest.raises(ConfigInvalid, match=r"^f4 must be in \(0, 1\], got 1\.5$"):
+            RunConfig(f4=1.5)
 
 
 class TestPositionScore:
@@ -225,12 +233,12 @@ class TestHitVectorMemo:
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}), normalizer=normalizer)
         hits = [hit(url="https://a.org/1", title="wear", position=1),
                 hit(url="https://b.org/2", title="oil", position=2)]
-        results = score_query_results(hits, UrlCounts.of([hits]), ref, PAPER_WEIGHTS, 1.0)
+        results = score_query_results(hits, UrlCounts.of([hits]), ref, PAPER_CONFIG)
         assert ref.semantic_scores == {("wear", ""): 1.0, ("oil", ""): 0.0}
         updated = update_reference_text(ref, results)
         assert updated.semantic_scores == {}
         assert updated.hit_vectors is ref.hit_vectors
-        score_query_results(hits, UrlCounts.of([hits]), updated, PAPER_WEIGHTS, 1.0)
+        score_query_results(hits, UrlCounts.of([hits]), updated, PAPER_CONFIG)
         # the new reference scores each text again, without normalizing it again
         assert normalizer.calls == ["wear ", "oil "]
         assert updated.semantic_scores[("oil", "")] > 0.0
@@ -239,31 +247,32 @@ class TestHitVectorMemo:
 
 class TestResultFitness:
     def test_all_ones_with_paper_weights(self):
-        assert result_fitness(1, 1, 1, 1, PAPER_WEIGHTS) == pytest.approx(1.0)
+        assert result_fitness(1, 1, 1, PAPER_CONFIG) == pytest.approx(1.0)
 
     def test_zero_environment_annihilates(self):
-        assert result_fitness(0.9, 0.8, 0.7, 0.0, PAPER_WEIGHTS) == 0.0
+        assert result_fitness(0.9, 0.8, 0.7, RunConfig(a_factor=0.0)) == 0.0
 
     def test_position_weight_alone(self):
-        assert result_fitness(1, 0, 0, 1, PAPER_WEIGHTS) == pytest.approx(0.33)
+        assert result_fitness(1, 0, 0, PAPER_CONFIG) == pytest.approx(0.33)
 
     @given(
         st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)
     )
     @settings(max_examples=200)
     def test_stays_in_unit_interval(self, f, p, s, a):
-        assert 0.0 <= result_fitness(f, p, s, a, PAPER_WEIGHTS) <= 1.0
+        assert 0.0 <= result_fitness(f, p, s, RunConfig(a_factor=a)) <= 1.0
 
     def test_monotone_in_each_component(self):
         rng = random.Random(7)
         for _ in range(100):
             f, p, s, a = (rng.random() for _ in range(4))
-            base = result_fitness(f, p, s, a, PAPER_WEIGHTS)
+            config = RunConfig(a_factor=a)
+            base = result_fitness(f, p, s, config)
             bump = 0.1
-            assert result_fitness(min(1, f + bump), p, s, a, PAPER_WEIGHTS) >= base
-            assert result_fitness(f, min(1, p + bump), s, a, PAPER_WEIGHTS) >= base
-            assert result_fitness(f, p, min(1, s + bump), a, PAPER_WEIGHTS) >= base
-            assert result_fitness(f, p, s, min(1, a + bump), PAPER_WEIGHTS) >= base
+            assert result_fitness(min(1, f + bump), p, s, config) >= base
+            assert result_fitness(f, min(1, p + bump), s, config) >= base
+            assert result_fitness(f, p, min(1, s + bump), config) >= base
+            assert result_fitness(f, p, s, RunConfig(a_factor=min(1, a + bump))) >= base
 
 
 class TestHostCollocation:
@@ -438,9 +447,7 @@ class TestScoreQueryResults:
 
     def test_components_populated_and_bounded(self):
         hits, lists, ref = self.make_inputs()
-        out = score_query_results(
-            hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0
-        )
+        out = score_query_results(hits, UrlCounts.of(lists), ref, PAPER_CONFIG)
         assert len(out) == 2
         for result in out:
             for value in (
@@ -456,18 +463,14 @@ class TestScoreQueryResults:
         hits, lists, ref = self.make_inputs()
         out = {
             r.hit.doc_url: r
-            for r in score_query_results(
-                hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0
-            )
+            for r in score_query_results(hits, UrlCounts.of(lists), ref, PAPER_CONFIG)
         }
         assert out["https://shared.org/doc"].crossquery_component == 1.0
         assert out["https://a.org/1"].crossquery_component == 0.5
 
     def test_empty_record_scores_empty(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
-        out = score_query_results(
-            [], UrlCounts.of([[]]), ref, PAPER_WEIGHTS, 1.0
-        )
+        out = score_query_results([], UrlCounts.of([[]]), ref, PAPER_CONFIG)
         assert out == []
 
     def test_one_cosine_per_distinct_text(self, monkeypatch):
@@ -487,14 +490,14 @@ class TestScoreQueryResults:
              hit(url="https://a.org/1", title="oil", position=2)],
         ]
         for hits in lists:
-            score_query_results(hits, UrlCounts.of(lists), ref, PAPER_WEIGHTS, 1.0)
+            score_query_results(hits, UrlCounts.of(lists), ref, PAPER_CONFIG)
         assert calls == [("wear", "", 0), ("oil", "", 0)]
         assert ref.semantic_scores == {("wear", ""): 1.0, ("oil", ""): 0.0}
         # an empty update keeps the reference and its table; a new one scores anew
         assert update_reference_text(ref, []) is ref
         updated = update_reference_text(ref, [scored(0.9, title="oil")])
         for hits in lists:
-            score_query_results(hits, UrlCounts.of(lists), updated, PAPER_WEIGHTS, 1.0)
+            score_query_results(hits, UrlCounts.of(lists), updated, PAPER_CONFIG)
         assert calls[2:] == [("wear", "", 1), ("oil", "", 1)]
 
 
@@ -534,16 +537,15 @@ def test_scorer_matches_reference(population, weights, host_coeff, environment):
         ]
         for spec in population
     ]
-    fitness_weights = FitnessWeights(*weights, host_coeff=host_coeff)
+    config = RunConfig(f4=host_coeff, f5=weights[0], f6=weights[1], f7=weights[2],
+                       a_factor=environment)
     ref = ReferenceText(vector=TermVector.from_weights({"wear": 0.6, "oil": 0.3, "film": 0.1}))
     url_counts = UrlCounts.of(lists)
     for hits in lists:
         expected = reference_scoring.score_query_results(
-            hits, url_counts, ReferenceText(vector=ref.vector), fitness_weights, environment
+            hits, url_counts, ReferenceText(vector=ref.vector), config
         )
-        assert score_query_results(
-            hits, url_counts, ref, fitness_weights, environment
-        ) == expected
+        assert score_query_results(hits, url_counts, ref, config) == expected
 
 
 class TestReferenceText:
