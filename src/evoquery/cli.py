@@ -58,7 +58,7 @@ from .evolution import (
     run_evolution,
     write_run_ledger,
 )
-from .ledger import FINAL_RESULTS_FILE, parse_ledger_json, read_ledger_file
+from .ledger import FINAL_RESULTS_FILE, parse_ledger_json, read_ledger_file, staged_sibling
 from .provider import build_index, save_index
 from .report import METRIC_FAMILIES, metrics_csv_text, read_metrics_csv, write_report
 
@@ -281,7 +281,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     csv_text = metrics_csv_text(rows)
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        with staged_sibling(Path(args.out)) as staging:
+            staging.write_text(csv_text, encoding="utf-8")
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         sys.stdout.write(csv_text)

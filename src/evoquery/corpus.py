@@ -11,6 +11,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
@@ -145,14 +146,13 @@ class TermVector:
         return cls.from_weights({t: c / total for t, c in counts.items()})
 
     def cosine(self, other: TermVector) -> float:
-        """Cosine similarity; 0 when either vector is empty."""
+        """Cosine similarity; 0 when either vector is empty. ``fsum`` rounds the
+        exact sum once, so the products may come in any order: a set's."""
         if self.norm == 0.0 or other.norm == 0.0:
             return 0.0
-        small, large = self.entries, other.entries
-        if len(small) > len(large):
-            small, large = large, small
-        dot = math.fsum(w * large[t] for t, w in small.items() if t in large)
-        return dot / (self.norm * other.norm)
+        common = self.entries.keys() & other.entries.keys()
+        weights = map(self.entries.__getitem__, common), map(other.entries.__getitem__, common)
+        return math.fsum(map(mul, *weights)) / (self.norm * other.norm)
 
 
 def extract_keywords(vec: TermVector, k: int) -> list[tuple[str, float]]:

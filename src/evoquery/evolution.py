@@ -269,7 +269,7 @@ def result_to_payload(result: ScoredResult) -> dict:
         "host": result.hit.doc_host,
         "title": result.hit.title,
         "snippet": result.hit.snippet,
-        "position": result.hit.position,
+        "position": result.position,
         "rank": result.rank_component,
         "crossquery": result.crossquery_component,
         "semantic": result.semantic_component,
@@ -346,11 +346,8 @@ def select_survivors(
     the incumbent only on strict improvement.
     """
     size = len(genomes)
-
-    def rank_key(i: int) -> tuple[float, str]:
-        return (-fitnesses[i], render_query(genomes[i]))
-
-    order = sorted(range(size), key=rank_key)
+    rank_keys = [(-fitness, render_query(genome)) for genome, fitness in zip(genomes, fitnesses)]
+    order = sorted(range(size), key=rank_keys.__getitem__)
 
     if size == 1:
         incumbent = genomes[0]
@@ -365,7 +362,7 @@ def select_survivors(
 
     def tournament() -> QueryGenome:
         i, j = rng.randrange(size), rng.randrange(size)
-        return genomes[i] if rank_key(i) <= rank_key(j) else genomes[j]
+        return genomes[i] if rank_keys[i] <= rank_keys[j] else genomes[j]
 
     offspring: list[QueryGenome] = []
     while len(offspring) < size - elite_count:
@@ -502,12 +499,12 @@ def make_run_inputs(
 class LineFragments(dict):
     """The pieces of one run's generations.jsonl lines, each rendered once: a float's
     spelling (``json.dumps``'s; NaN and infinities raise ValueError) and a hit's text
-    around its result's semantic value. Up to ``FRAGMENT_MEMO_LIMIT`` pieces are
+    before and after its result's position. Up to ``FRAGMENT_MEMO_LIMIT`` pieces are
     kept, but never zero's, since 0.0 and -0.0 are one key."""
 
     def __missing__(self, key):
         if isinstance(key, SearchHit):
-            text = (f',"host":{_escape(key.doc_host)},"position":{key.position},"semantic":',
+            text = (f',"host":{_escape(key.doc_host)},"position":',
                     f',"snippet":{_escape(key.snippet)},"title":{_escape(key.title)}'
                     f',"url":{_escape(key.doc_url)}}}')
         elif math.isfinite(key):
@@ -521,24 +518,27 @@ class LineFragments(dict):
 
 def generation_line(record: GenerationRecord, fragments: LineFragments | None = None) -> str:
     """One line of generations.jsonl, ``canonical_json(record.to_payload())`` and
-    its newline, joined in sorted key order from ``fragments``: a run's own, or new ones."""
+    its newline, joined in sorted key order from ``fragments``: a run's own, or new ones.
+    Its parts are joined once, so a result's text is copied once into the line."""
     piece = LineFragments() if fragments is None else fragments
-    queries = []
+    parts = [f'{{"generation":{record.generation},"population_fitness":'
+             f'{piece[record.population_fitness]},"queries":[']
+    query_comma = ""
     for query in record.queries:
-        results = []
+        issued_at = "null" if query.issued_at is None else piece[query.issued_at]
+        parts.append(f'{query_comma}{{"issued_at":{issued_at},"query_fitness":'
+                     f'{piece[query.query_fitness]},"results":[')
+        comma, query_comma = "", ","
         for r in query.results:
             before, after = piece[r.hit]
-            results.append(f'{{"crossquery":{piece[r.crossquery_component]},"fitness":'
-                           f'{piece[r.fitness]}{before}{piece[r.semantic_component]}{after}')
-        issued_at = "null" if query.issued_at is None else piece[query.issued_at]
-        queries.append(
-            f'{{"issued_at":{issued_at},"query_fitness":{piece[query.query_fitness]}'
-            f',"results":[{",".join(results)}],"terms":[{",".join(map(_escape, query.terms))}]'
-            f',"variant":{_escape(query.variant.value)}}}'
-        )
-    return (f'{{"generation":{record.generation},"population_fitness":'
-            f'{piece[record.population_fitness]},"queries":[{",".join(queries)}]'
-            f',"reference_digest":{_escape(record.reference_digest)}}}\n')
+            parts.append(f'{comma}{{"crossquery":{piece[r.crossquery_component]},"fitness":'
+                         f'{piece[r.fitness]}{before}{r.position},"semantic":'
+                         f'{piece[r.semantic_component]}{after}')
+            comma = ","
+        parts.append(f'],"terms":[{",".join(map(_escape, query.terms))}]'
+                     f',"variant":{_escape(query.variant.value)}}}')
+    parts.append(f'],"reference_digest":{_escape(record.reference_digest)}}}\n')
+    return "".join(parts)
 
 
 def final_results_text(results: list[ScoredResult]) -> str:

@@ -11,12 +11,12 @@ Means add left to right with plain float addition, not ``sum()``, which
 compensates rounding from Python 3.12 on and so would make ledger bytes
 depend on the interpreter version.
 
-Work that has the same answer every time is done once. A run normalizes
-each distinct hit text, (title, snippet), once; each reference vector
-computes one cosine per distinct text and owns both memos (see
-``ReferenceText``). Each generation counts the result lists containing
-each url once, in one ``UrlCounts``, and each ``ScoredResult`` is built
-once, after its host damping is known.
+Work that has the same answer every time is done once. A provider makes
+each hit once per run (see ``provider.SearchHit``), and the memos key on
+it: a run normalizes each hit text, (title, snippet), once; each reference
+vector computes one cosine per hit and owns both memos (see
+``ReferenceText``). Each generation computes each url's crossquery score
+once, in one ``UrlCounts``, and each ``ScoredResult`` is built once.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from operator import add
+from functools import cached_property, reduce
+from itertools import chain
+from operator import add, attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .corpus import SuffixNormalizer, TermVector, DEFAULT_NORMALIZER
@@ -37,11 +38,13 @@ if TYPE_CHECKING:  # evolution imports this module
 REFERENCE_CAPACITY = 256
 REFERENCE_DECAY = 0.5
 REFERENCE_CONTRIBUTORS = 3
+_URL_OF_HIT, _URL, _FITNESS = attrgetter("doc_url"), attrgetter("hit.doc_url"), attrgetter("fitness")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredResult:
     hit: SearchHit
+    position: int  # 1-based place of the hit in its provider's list
     rank_component: float
     crossquery_component: float
     semantic_component: float
@@ -57,17 +60,17 @@ class ReferenceText:
     the lemma vectors of the current best results at geometrically
     decaying weight, then evicts the lightest lemmas beyond ``REFERENCE_CAPACITY``.
 
-    It owns the memos keyed by a hit's (title, snippet). ``hit_vectors``
-    holds lemma vectors under ``normalizer``, which each round hands on to
-    the next. ``semantic_scores`` holds scores against this vector alone:
-    each new reference starts it empty. Callers must not mutate either.
+    It owns two memos. ``hit_vectors`` holds lemma vectors under
+    ``normalizer`` by a hit's (title, snippet), which each round hands on to
+    the next. ``semantic_scores`` holds scores against this vector alone by
+    hit: each new reference starts it empty. Callers must not mutate either.
     """
 
     vector: TermVector
     rounds: int = 0
     normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
     hit_vectors: dict[tuple[str, str], TermVector] = field(default_factory=dict, compare=False)
-    semantic_scores: dict[tuple[str, str], float] = field(default_factory=dict, compare=False)
+    semantic_scores: dict[SearchHit, float] = field(default_factory=dict, compare=False)
 
     @classmethod
     def from_seed_vector(
@@ -105,17 +108,22 @@ def position_score(position: int, list_length: int) -> float:
 
 @dataclass(frozen=True)
 class UrlCounts:
-    """How many of one generation's result lists contain each url."""
+    """How many of one generation's result lists contain each url, and each
+    url's ``cross_query_score``, computed once in ``crossquery``."""
 
     counts: Counter[str]
     lists: int
+
+    @cached_property
+    def crossquery(self) -> dict[str, float]:
+        return {url: cross_query_score(url, self) for url in self.counts}
 
     @classmethod
     def of(cls, hit_lists: Sequence[Sequence[SearchHit]]) -> UrlCounts:
         """Count each url once per hit list that contains it; ``hit_lists`` is not empty."""
         counts: Counter[str] = Counter()
         for hits in hit_lists:
-            counts.update({hit.doc_url for hit in hits})
+            counts.update(set(map(_URL_OF_HIT, hits)))
         return cls(counts, len(hit_lists))
 
 
@@ -140,12 +148,20 @@ def query_fitness(results: Sequence[ScoredResult]) -> float:
     """Mean result fitness of one query; zero when it returned nothing."""
     if not results:
         return 0.0
-    return reduce(add, (r.fitness for r in results), 0.0) / len(results)
+    return reduce(add, map(_FITNESS, results), 0.0) / len(results)
 
 
 def population_fitness(query_fitnesses: Sequence[float]) -> float:
     """Mean query fitness across the population (g2 >= 1 queries), the GA's objective."""
     return reduce(add, query_fitnesses, 0.0) / len(query_fitnesses)
+
+
+def _best_first(results: list[ScoredResult]) -> list[ScoredResult]:
+    """``results``, sorted in place by fitness descending, ties by url ascending:
+    two stable sorts on keys read in C, not one on a tuple built per result."""
+    results.sort(key=_URL)
+    results.sort(key=_FITNESS, reverse=True)
+    return results
 
 
 def score_query_results(
@@ -154,35 +170,34 @@ def score_query_results(
     ref: ReferenceText,
     config: RunConfig,
 ) -> list[ScoredResult]:
-    """Score one query's hits within its population and damp host runs.
+    """Score one query's hits, in rank order, within its population and damp host runs.
 
-    A text that ``ref`` has not scored yet is scored into
+    A hit that ``ref`` has not scored yet is scored into
     ``ref.semantic_scores``. In order of fitness descending, ties by url
     ascending, the k-th hit from one host keeps f4^(k-1) of its fitness;
     results come in that order of damped fitness.
     """
-    length = len(hits)
-    semantics = ref.semantic_scores
-    ranked = []
-    for hit in hits:
-        rank = position_score(hit.position, length)
-        crossquery = cross_query_score(hit.doc_url, url_counts)
-        key = (hit.title, hit.snippet)
-        semantic = semantics.get(key)
-        if semantic is None:
-            semantic = semantics[key] = semantic_score(hit, ref)
-        fitness = result_fitness(rank, crossquery, semantic, config)
-        ranked.append((fitness, hit, rank, crossquery, semantic))
-    ranked.sort(key=lambda row: (-row[0], row[1].doc_url))
-    seen: dict[str, int] = {}
+    length, environment = len(hits), config.a_factor
+    crossqueries, semantics = url_counts.crossquery, ref.semantic_scores
     results = []
-    for fitness, hit, rank, crossquery, semantic in ranked:
-        k = seen.get(hit.doc_host, 0)
-        seen[hit.doc_host] = k + 1
-        damped = fitness * config.f4**k  # exactly fitness when k == 0 or f4 == 1
-        results.append(ScoredResult(hit, rank, crossquery, semantic, config.a_factor, damped))
-    results.sort(key=lambda r: (-r.fitness, r.hit.doc_url))
-    return results
+    for position, hit in enumerate(hits, start=1):
+        rank = position_score(position, length)
+        crossquery = crossqueries[hit.doc_url]
+        semantic = semantics.get(hit)
+        if semantic is None:
+            semantic = semantics[hit] = semantic_score(hit, ref)
+        fitness = result_fitness(rank, crossquery, semantic, config)
+        results.append(ScoredResult(hit, position, rank, crossquery, semantic, environment, fitness))
+    _best_first(results)
+    if config.f4 == 1.0:  # f4^k is 1
+        return results
+    seen: dict[str, int] = {}
+    for result in results:
+        host = result.hit.doc_host
+        k = seen[host] = seen.get(host, -1) + 1
+        if k:
+            result.fitness *= config.f4**k
+    return _best_first(results) if len(seen) < length else results
 
 
 def _top_distinct(results: Iterable[ScoredResult], cap: int) -> list[ScoredResult]:
@@ -195,7 +210,7 @@ def _top_distinct(results: Iterable[ScoredResult], cap: int) -> list[ScoredResul
         url = result.hit.doc_url
         if url not in best or result.fitness > best[url].fitness:
             best[url] = result
-    return sorted(best.values(), key=lambda r: (-r.fitness, r.hit.doc_url))[:cap]
+    return _best_first(list(best.values()))[:cap]
 
 
 def aggregate_results(
@@ -203,8 +218,7 @@ def aggregate_results(
     per_population_cap: int,
 ) -> list[ScoredResult]:
     """Population-level top list: url-deduped keeping max fitness, capped."""
-    flat = (r for scored in per_query_scored for r in scored)
-    return _top_distinct(flat, per_population_cap)
+    return _top_distinct(chain.from_iterable(per_query_scored), per_population_cap)
 
 
 def merge_into_global(

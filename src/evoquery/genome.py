@@ -11,10 +11,11 @@ genomes share one length and variant, and its pool has at least
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from enum import Enum
+from itertools import accumulate
+from operator import itemgetter
 
 from .rng import derive_rng
 
@@ -42,22 +43,16 @@ def _weighted_sample(
     """Sample ``count`` distinct lemmas, probability proportional to weight.
 
     Weights are positive, as a pool's term frequencies are, and ``count``
-    is at most ``len(items)``.
+    is at most ``len(items)``. The pick is the first item whose running
+    weight total exceeds the draw, or the last if rounding leaves none.
     """
     remaining = list(items)
     picked: list[str] = []
     for _ in range(count):
         # plain left-to-right addition: sum() compensates from Python 3.12 on
-        total = reduce(add, (w for _, w in remaining), 0.0)
-        r = rng.random() * total
-        acc = 0.0
-        idx = len(remaining) - 1
-        for i, (_, w) in enumerate(remaining):
-            acc += w
-            if r < acc:
-                idx = i
-                break
-        picked.append(remaining.pop(idx)[0])
+        totals = list(accumulate(map(itemgetter(1), remaining)))
+        r = rng.random() * totals[-1]
+        picked.append(remaining.pop(min(bisect_right(totals, r), len(remaining) - 1))[0])
     return picked
 
 
@@ -118,7 +113,8 @@ def mutate(
     The replacement is a weight-proportional draw from pool terms not
     already present, so distinctness is preserved.
     """
-    candidates = [(t, w) for t, w in pool if t not in g.terms]
+    terms = set(g.terms)
+    candidates = [item for item in pool if item[0] not in terms]
     if rng.random() >= m1:
         return g
     position = rng.randrange(len(g.terms))

@@ -1,7 +1,8 @@
 """Search providers: a deterministic offline BM25 engine and an HTTP client.
 
 Both expose the same contract, ``execute(query_string, limit)`` returning
-positioned hits, so the evolution loop never knows which one it talks to.
+hits best first (a hit's position is its place, from 1), so the evolution
+loop never knows which one it talks to.
 The loop's queries are rendered genomes, never empty, and its limit is f1 >= 1.
 The offline engine exists to make experiments replayable; the HTTP client
 talks to any engine speaking the small JSON wire protocol documented on
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import lt
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Iterator, NamedTuple, Protocol
 from urllib.parse import quote, urlencode, urlsplit, urlunsplit
 
 from .corpus import Document, SuffixNormalizer, DEFAULT_NORMALIZER
@@ -40,8 +41,9 @@ HTTP_TIMEOUT_S = 10.0
 DOC_COLUMNS = ("id", "url", "host", "title", "text", "length")
 # Most entries of a list (a docs column, a posting list) that save_index encodes at once
 INDEX_SLICE = 256
-# Most hits an OfflineProvider keeps in its answer memo; past this, new
-# answers are ranked but not kept, so a long run cannot grow it without limit.
+# Most hits an OfflineProvider keeps in its answer memo, and most hits an
+# HttpProvider interns; past this, new ones are made but not kept, so a long
+# run cannot grow either without limit.
 ANSWER_MEMO_LIMIT = 1 << 16
 
 _QUOTED_TERM = re.compile(r'"([^"]*)"')
@@ -50,13 +52,15 @@ _QUOTED_TERM = re.compile(r'"([^"]*)"')
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
+    """A document as one provider shows it: a row, made once per run (the
+    offline provider makes one per document), so that the memos keyed on it
+    find the very object they hold. Its position is its place in the list."""
+
     doc_url: str
     doc_host: str
     title: str
     snippet: str
-    position: int  # 1-based rank in the provider's list
 
 
 class SearchProvider(Protocol):
@@ -238,12 +242,14 @@ def parse_query(query_string: str) -> tuple[list[str], bool]:
 class OfflineProvider:
     """BM25 (k1=1.2, b=0.75) over an in-process inverted index; ties break by doc id.
 
-    Queries are evaluated term at a time: each lemma's idf and each
-    document's length norm are computed once, when the provider is built,
-    and every query term, duplicates included, adds its contribution to
-    the documents in its posting list in query order. The top ``limit``
-    documents are then taken by (-score, doc position) with a heap; the
-    index orders positions by doc id, so ties break by doc id.
+    Queries are evaluated term at a time: each document's length norm is
+    computed when the provider is built, and each lemma's contribution to
+    each document in its posting list, idf * tf * (k1 + 1) / (tf + norm), when
+    a query first holds the lemma (one float per posting, kept for the run).
+    Every query term, duplicates included, adds its contributions in query
+    order. The top ``limit`` documents are then taken by (-score, doc
+    position) with a heap; the index orders positions by doc id, so ties
+    break by doc id. Each document's hit is made at its first use and kept.
 
     full_body_snippets exposes each hit's entire stored text instead of a
     fixed-size fragment, for runs that want semantic scoring over whole
@@ -257,23 +263,20 @@ class OfflineProvider:
 
     index: InvertedIndex
     full_body_snippets: bool = False
-    _idf: dict[str, float] = field(init=False, repr=False, compare=False)
     _norm: list[float] = field(init=False, repr=False, compare=False)  # by doc position
+    _contributions: dict[str, list[float]] = field(init=False, repr=False, compare=False)
+    _hits: list[SearchHit | None] = field(init=False, repr=False, compare=False)  # by position
     _answers: dict[tuple[str, int], list[SearchHit]] = field(init=False, repr=False, compare=False)
     _answer_hits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n_docs = self.index.doc_count
         avg = self.index.avg_doc_len
-        self._idf = {
-            lemma: math.log(1.0 + (n_docs - len(plist) + 0.5) / (len(plist) + 0.5))
-            for lemma, plist in self.index.postings.items()
-        }
         # BM25's tf saturation term K1 * (1 - b + b * |d| / avgdl) per document
         self._norm = [
             BM25_K1 * (1.0 - BM25_B + BM25_B * (length / avg if avg > 0 else 0.0))
             for length in self.index.docs["length"]
         ]
+        self._contributions, self._hits = {}, [None] * self.index.doc_count
         self._answers, self._answer_hits = {}, 0
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
@@ -288,8 +291,7 @@ class OfflineProvider:
 
     def _rank(self, query_string: str, limit: int) -> list[SearchHit]:
         terms, conjunctive = parse_query(query_string)
-        postings, term_counts = self.index.postings, self.index.term_counts
-        norm = self._norm
+        postings = self.index.postings
         candidates: set[int] | None = None
         if conjunctive:
             shortest, *others = sorted((postings.get(term, ()) for term in terms), key=len)
@@ -300,26 +302,41 @@ class OfflineProvider:
                 candidates.intersection_update(plist)
             if not candidates:
                 return []
-        k1_plus_1 = BM25_K1 + 1.0
         scores: dict[int, float] = {}
+        get = scores.get
         for term in terms:
             plist = postings.get(term)
             if not plist:
                 continue
-            idf, tfs = self._idf[term], term_counts[term]
-            matches = zip(plist, tfs)
+            matches = zip(plist, self._contributions.get(term) or self._contribute(term))
             if candidates is not None:
-                matches = ((d, tf) for d, tf in matches if d in candidates)
-            for d, tf in matches:
-                scores[d] = scores.get(d, 0.0) + idf * (tf * k1_plus_1) / (tf + norm[d])
-        top = heapq.nsmallest(limit, ((-score, d) for d, score in scores.items()))
-        docs = self.index.docs
-        hits = []
-        for rank, (_, d) in enumerate(top, start=1):
-            text = docs["text"][d]
-            snippet = text if self.full_body_snippets else text[:SNIPPET_CHARS]
-            hits.append(SearchHit(docs["url"][d], docs["host"][d], docs["title"][d], snippet, rank))
-        return hits
+                matches = ((d, c) for d, c in matches if d in candidates)
+            if scores:
+                for d, c in matches:
+                    scores[d] = get(d, 0.0) + c
+            else:  # 0.0 + c is c
+                scores.update(matches)
+        top = heapq.nsmallest(limit, zip(scores.values(), scores))
+        hits = self._hits
+        return [hits[d] or self._hit(d) for _, d in top]
+
+    def _contribute(self, lemma: str) -> list[float]:
+        """Each posting's BM25 contribution for ``lemma``, kept for the run, negated:
+        negation is exact, so the sums come negated, ready for the heap."""
+        plist, norm = self.index.postings[lemma], self._norm
+        idf = math.log(1.0 + (self.index.doc_count - len(plist) + 0.5) / (len(plist) + 0.5))
+        contributions = self._contributions[lemma] = [
+            -(idf * (tf * (BM25_K1 + 1.0)) / (tf + norm[d]))
+            for d, tf in zip(plist, self.index.term_counts[lemma])
+        ]
+        return contributions
+
+    def _hit(self, d: int) -> SearchHit:
+        """The hit of the document at position ``d``, made once."""
+        docs, text = self.index.docs, self.index.docs["text"][d]
+        snippet = text if self.full_body_snippets else text[:SNIPPET_CHARS]
+        hit = self._hits[d] = SearchHit(docs["url"][d], docs["host"][d], docs["title"][d], snippet)
+        return hit
 
 
 @dataclass
@@ -335,7 +352,9 @@ class HttpProvider:
     Requests are serialized through a rate limiter (default one per
     second). A transport failure or 5xx status is retried ``HTTP_RETRIES``
     times, after ``HTTP_BACKOFF_S`` seconds doubled per retry; each request
-    times out after ``HTTP_TIMEOUT_S`` seconds.
+    times out after ``HTTP_TIMEOUT_S`` seconds. A hit's snippet may depend on
+    the query, so hits are interned by their whole value, up to
+    ``ANSWER_MEMO_LIMIT`` of them.
     """
 
     endpoint: str
@@ -344,6 +363,7 @@ class HttpProvider:
     rate_limit_rps: float = 1.0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _last_request: float = field(default=0.0, repr=False)
+    _hits: dict[SearchHit, SearchHit] = field(default_factory=dict, repr=False)
 
     def _throttle(self) -> None:
         min_interval = 1.0 / self.rate_limit_rps
@@ -414,13 +434,7 @@ class HttpProvider:
                 host = urlsplit(url).netloc
             except ValueError as exc:  # e.g. an unclosed "[" in the host
                 raise ProviderError(f"result {pos} has an invalid url {url!r} ({exc})") from None
-            hits.append(
-                SearchHit(
-                    doc_url=url,
-                    doc_host=host,
-                    title=title,
-                    snippet=snippet,
-                    position=pos,
-                )
-            )
+            hit, kept = SearchHit(url, host, title, snippet), self._hits
+            hits.append(kept.setdefault(hit, hit) if len(kept) < ANSWER_MEMO_LIMIT
+                        else kept.get(hit, hit))
         return hits

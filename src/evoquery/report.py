@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ParseError, not_utf8
 from .evaluation import MetricRow
+from .ledger import staged_sibling
 
 CSV_HEADER = ["metric", "ordering", "persona", "n", "value"]
 METRIC_FAMILIES = ("mean_relevance", "precision", "dcg", "ndcg", "rho12", "overlap_percent")
@@ -196,10 +198,8 @@ def svg_bar_chart(
     return "\n".join(parts) + "\n"
 
 
-def family_chart(runs: dict[str, list[MetricRow]], family: str) -> str | None:
+def family_chart(runs: dict[str, list[MetricRow]], family: str) -> str:
     groups = _chart_groups(runs, family)
-    if not groups:
-        return None
     labels = [f"{ordering}/{persona}@{n}" for ordering, persona, n in groups]
     series = []
     for run in sorted(runs):
@@ -217,20 +217,16 @@ def write_report(
     out_dir: str | Path,
     formats: Iterable[str] = ("csv", "svg"),
 ) -> list[Path]:
+    """merged.csv and a chart per family with rows, as ``formats`` asks, each rendered
+    into a ``ledger.staged_sibling``: a failure leaves no partial file."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     wanted = set(formats)
-    if "csv" in wanted:
-        target = directory / "merged.csv"
-        target.write_text(merged_csv_text(runs), encoding="utf-8")
-        written.append(target)
+    renders = {"merged.csv": partial(merged_csv_text, runs)} if "csv" in wanted else {}
     if "svg" in wanted:
-        for family in METRIC_FAMILIES:
-            chart = family_chart(runs, family)
-            if chart is None:
-                continue
-            target = directory / f"{family}.svg"
-            target.write_text(chart, encoding="utf-8")
-            written.append(target)
-    return written
+        renders.update({f"{family}.svg": partial(family_chart, runs, family)
+                        for family in METRIC_FAMILIES if _chart_groups(runs, family)})
+    for name, render in renders.items():
+        with staged_sibling(directory / name) as staging:
+            staging.write_text(render(), encoding="utf-8")
+    return [directory / name for name in renders]

@@ -186,9 +186,9 @@ def pooled_top_urls(hit_lists: Sequence[Sequence[SearchHit]], limit: int) -> lis
     """Rank-fuse result lists: best position anywhere wins, ties by url."""
     best_position: dict[str, int] = {}
     for hits in hit_lists:
-        for hit in hits:
+        for position, hit in enumerate(hits, start=1):
             url = hit.doc_url
-            if url not in best_position or hit.position < best_position[url]:
-                best_position[url] = hit.position
+            if url not in best_position or position < best_position[url]:
+                best_position[url] = position
     ranked = sorted(best_position.items(), key=lambda item: (item[1], item[0]))
     return [url for url, _ in ranked[:limit]]

@@ -61,8 +61,8 @@ def _grade_map(urls, grades):
 
 def _dummy_result(fitness: float, url: str = "https://x.example/1",
                   host: str = "x.example") -> ScoredResult:
-    hit = SearchHit(doc_url=url, doc_host=host, title="t", snippet="s", position=1)
-    return ScoredResult(hit=hit, rank_component=0.0, crossquery_component=0.0,
+    hit = SearchHit(doc_url=url, doc_host=host, title="t", snippet="s")
+    return ScoredResult(hit=hit, position=1, rank_component=0.0, crossquery_component=0.0,
                         semantic_component=0.0, environment_factor=1.0, fitness=fitness)
 
 
@@ -227,12 +227,12 @@ def test_criterion_7_fitness_bounds_and_host_penalty():
     # counts, and the reference's score table holds 1.0 for each hit
     same_host = [
         SearchHit(doc_url=f"https://h.example/{i}", doc_host="h.example", title=f"t{i}",
-                  snippet="s", position=i + 1)
+                  snippet="s")
         for i in range(3)
     ]
     semantic_only = RunConfig(f4=0.75, f5=0.0, f6=0.0, f7=1.0)
     ref = ReferenceText(vector=TermVector.from_weights({}))
-    ref.semantic_scores.update({(h.title, h.snippet): 1.0 for h in same_host})
+    ref.semantic_scores.update({h: 1.0 for h in same_host})
     damped = score_query_results(same_host, UrlCounts.of([same_host]), ref, semantic_only)
     fitnesses = sorted((r.fitness for r in damped), reverse=True)
     penalty_ok = (

@@ -601,6 +601,17 @@ class TestEvaluate:
         keys = [tuple(line.split(",")[:4]) for line in lines]
         assert keys == sorted(keys)
 
+    def test_out_into_missing_directory(self, data_dir, run_dir, metrics_csv, tmp_path,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "evaluate", "--ledger", str(run_dir),
+            "--qrels", str(data_dir / "qrels.tsv"), "--out", "no/such/m.csv",
+        ])
+        assert code == 0
+        assert Path("no/such/m.csv").read_bytes() == metrics_csv.read_bytes()
+        assert [p.name for p in Path("no/such").iterdir()] == ["m.csv"]
+
     def test_stdout_when_no_out(self, data_dir, run_dir, capsys):
         code = main([
             "evaluate", "--ledger", str(run_dir),

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -223,6 +224,21 @@ class TestTermVector:
     def test_cosine_with_empty(self):
         v = TermVector.from_weights({"a": 1.0})
         assert v.cosine(TermVector.from_lemmas([])) == 0.0
+
+    @settings(max_examples=300)
+    @given(st.lists(st.dictionaries(st.sampled_from("abcdefgh"),
+                                    st.floats(1e-300, 1.0) | st.sampled_from([0.1, 1 / 3])),
+                    min_size=2, max_size=2))
+    def test_cosine_equals_the_loop_it_replaced(self, weights):
+        """The products come in a set's order, but ``fsum`` rounds their exact sum
+        once, so the cosine is the one the loop over the smaller vector gave."""
+        v, w = map(TermVector.from_weights, weights)
+        if v.norm == 0.0 or w.norm == 0.0:
+            return
+        small, large = (v.entries, w.entries) if len(v.entries) <= len(w.entries) else (
+            w.entries, v.entries)
+        dot = math.fsum(x * large[t] for t, x in small.items() if t in large)
+        assert v.cosine(w) == dot / (v.norm * w.norm)
 
 
 class TestExtractKeywords:

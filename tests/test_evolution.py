@@ -7,6 +7,7 @@ import re
 import shutil
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from evoquery.corpus import (
     load_corpus,
 )
 import evoquery.evolution
+import evoquery.provider
 from evoquery.errors import ConfigInvalid, DivergenceDetected, EvoqueryError, LedgerCorrupt
 from evoquery.evolution import (
     COUNT_LIMITS,
@@ -281,12 +283,43 @@ class TestRunConfig:
         assert result_fitness(1, 0, 0, config) == pytest.approx(0.25)
         assert result_fitness(0, 1, 0, config) == pytest.approx(0.15)
         assert result_fitness(0, 0, 1, config) == pytest.approx(0.1)
-        hits = [SearchHit(f"https://h.example/{i}", "h.example", "", "", i) for i in (1, 2)]
+        hits = [SearchHit(f"https://h.example/{i}", "h.example", "", "") for i in (1, 2)]
         ref = ReferenceText(vector=TermVector.from_weights({}))
         scored = score_query_results(hits, UrlCounts.of([hits]), ref, config)
         # rank 1 and 1/2, crossquery 1, semantic 0; the second hit is damped once
         assert [r.fitness for r in scored] == pytest.approx([0.5 * 0.8, 0.5 * 0.55 * 0.5])
         assert [r.environment_factor for r in scored] == [0.5, 0.5]
+
+
+class TestHitRows:
+    """A wide run over the bundled corpus makes each document's hit once, and
+    renders each hit's text once: a regression to a hit per result fails a
+    count here, not only a timing."""
+
+    def test_one_hit_per_document_and_one_text_per_hit(self, tmp_path, monkeypatch):
+        data = Path(__file__).resolve().parents[1] / "data"
+        index = build_index(load_corpus(data / "corpus.jsonl"))
+        made, escaped = [], Counter()
+        escape = evoquery.evolution._escape
+        monkeypatch.setattr(evoquery.provider, "SearchHit",
+                            lambda *fields: made.append(SearchHit(*fields)) or made[-1])
+        monkeypatch.setattr(evoquery.evolution, "_escape",
+                            lambda text: escaped.update([text]) or escape(text))
+        config = RunConfig(g2=32, e1=20)
+        records = []
+        write_run_ledger(tmp_path / "ledger", config, (
+            records.append(record) or record
+            for record in run_evolution(config, OfflineProvider(index), load_corpus(
+                data / "seed_material.jsonl"))
+        ))
+        used = {id(hit): hit for record in records for query in record.queries
+                for hit in [*query.hits, *(r.hit for r in query.results)]}
+        assert len(made) <= index.doc_count
+        assert len(used) == len({hit.doc_url for hit in used.values()}) == 144
+        assert used.keys() <= {id(hit) for hit in made}
+        # each field of each hit is escaped once, when its hit is first rendered
+        fields = Counter(text for hit in used.values() for text in hit)
+        assert {text: escaped[text] for text in fields} == fields
 
 
 # Any JSON value, including integers beyond float range and non-finite floats.
@@ -1031,7 +1064,7 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 TEXTS = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
     ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "caf\u00e9", "\U0001f600", "\ud800", "\udfff"]
 )
-HITS = st.builds(SearchHit, TEXTS, TEXTS, TEXTS, TEXTS, st.integers(1, 1000))
+HITS = st.builds(SearchHit, TEXTS, TEXTS, TEXTS, TEXTS)
 RECORDS = st.builds(
     GenerationRecord,
     generation=st.integers(0, 10**6),
@@ -1043,8 +1076,8 @@ RECORDS = st.builds(
         issued_at=st.none() | FLOATS,
         hits=st.just([]),
         query_fitness=FLOATS,
-        results=st.lists(st.builds(ScoredResult, HITS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
-                         max_size=4),
+        results=st.lists(st.builds(ScoredResult, HITS, st.integers(1, 1000), FLOATS, FLOATS,
+                                   FLOATS, FLOATS, FLOATS), max_size=4),
     ), max_size=4),
     population_fitness=FLOATS,
     reference_digest=TEXTS,
@@ -1065,10 +1098,10 @@ class TestGenerationLine:
         assert generation_line(record, fragments) == line  # now from kept pieces
 
     def test_signed_zeros_keep_their_signs(self):
-        hit = SearchHit("https://a/1", "a", "t", "s", 1)
+        hit = SearchHit("https://a/1", "a", "t", "s")
         record = GenerationRecord(0, [QueryOutcome(
             ("a",), Variant.LEMMA, "a", -0.0, [], 0.0,
-            [ScoredResult(hit, 1.0, -0.0, 0.0, 1.0, -0.0)],
+            [ScoredResult(hit, 1, 1.0, -0.0, 0.0, 1.0, -0.0)],
         )], 0.0, "d", [])
         fragments = LineFragments()
         for _ in range(2):
@@ -1078,12 +1111,12 @@ class TestGenerationLine:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises_as_canonical_json_does(self, value):
-        hit = SearchHit("https://a/1", "a", "t", "s", 1)
+        hit = SearchHit("https://a/1", "a", "t", "s")
         records = [
             GenerationRecord(0, [], value, "d", []),
             GenerationRecord(0, [QueryOutcome(
                 ("a",), Variant.LEMMA, "a", None, [], 0.5,
-                [ScoredResult(hit, 1.0, 0.5, value, 1.0, 0.5)],
+                [ScoredResult(hit, 1, 1.0, 0.5, value, 1.0, 0.5)],
             )], 0.5, "d", []),
         ]
         for record in records:

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,7 @@ import reference_scoring
 
 from evoquery.corpus import Document, SuffixNormalizer, TermVector, seed_vector
 from evoquery.errors import ConfigInvalid, ParseError
-from evoquery.evolution import RunConfig
+from evoquery.evolution import RunConfig, result_to_payload
 from evoquery.fitness import (
     REFERENCE_CAPACITY,
     ReferenceText,
@@ -32,19 +31,19 @@ from evoquery.provider import SearchHit
 PAPER_CONFIG = RunConfig()
 
 
-def hit(url="https://a.org/1", host=None, title="", snippet="", position=1):
+def hit(url="https://a.org/1", host=None, title="", snippet=""):
     return SearchHit(
         doc_url=url,
         doc_host=host if host is not None else url.split("/")[2],
         title=title,
         snippet=snippet,
-        position=position,
     )
 
 
 def scored(w, url="https://a.org/1", host=None, **kw):
     return ScoredResult(
         hit=hit(url=url, host=host, **kw),
+        position=1,
         rank_component=0.5,
         crossquery_component=0.5,
         semantic_component=0.5,
@@ -54,7 +53,7 @@ def scored(w, url="https://a.org/1", host=None, **kw):
 
 
 def hit_list(urls):
-    return [hit(url=u, position=i + 1) for i, u in enumerate(urls)]
+    return [hit(url=u) for u in urls]
 
 
 def semantic_only_inputs(results):
@@ -62,9 +61,9 @@ def semantic_only_inputs(results):
     undamped fitnesses: each hit's title is its url, so each has its own
     entry in the reference's score table, and that entry is its result's
     fitness."""
-    hits = [replace(r.hit, title=r.hit.doc_url, position=i) for i, r in enumerate(results, 1)]
+    hits = [r.hit._replace(title=r.hit.doc_url) for r in results]
     ref = ReferenceText(vector=TermVector.from_weights({}))
-    ref.semantic_scores.update({(h.title, h.snippet): r.fitness for h, r in zip(hits, results)})
+    ref.semantic_scores.update({h: r.fitness for h, r in zip(hits, results)})
     return hits, ref
 
 
@@ -223,7 +222,7 @@ class TestHitVectorMemo:
         normalizer = CountingNormalizer()
         ref = ReferenceText(vector=TermVector.from_weights({}), normalizer=normalizer)
         first = ref.hit_vector(hit(url="https://a.org/1", title="wear", snippet="oil"))
-        again = ref.hit_vector(hit(url="https://b.org/2", title="wear", snippet="oil", position=3))
+        again = ref.hit_vector(hit(url="https://b.org/2", title="wear", snippet="oil"))
         ref.hit_vector(hit(title="wear oil", snippet=""))
         assert again is first
         assert normalizer.calls == ["wear oil", "wear oil "]
@@ -231,18 +230,17 @@ class TestHitVectorMemo:
     def test_new_reference_reuses_vectors_with_empty_score_table(self):
         normalizer = CountingNormalizer()
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}), normalizer=normalizer)
-        hits = [hit(url="https://a.org/1", title="wear", position=1),
-                hit(url="https://b.org/2", title="oil", position=2)]
+        hits = [hit(url="https://a.org/1", title="wear"), hit(url="https://b.org/2", title="oil")]
         results = score_query_results(hits, UrlCounts.of([hits]), ref, PAPER_CONFIG)
-        assert ref.semantic_scores == {("wear", ""): 1.0, ("oil", ""): 0.0}
+        assert ref.semantic_scores == {hits[0]: 1.0, hits[1]: 0.0}
         updated = update_reference_text(ref, results)
         assert updated.semantic_scores == {}
         assert updated.hit_vectors is ref.hit_vectors
         score_query_results(hits, UrlCounts.of([hits]), updated, PAPER_CONFIG)
-        # the new reference scores each text again, without normalizing it again
+        # the new reference scores each hit again, without normalizing its text again
         assert normalizer.calls == ["wear ", "oil "]
-        assert updated.semantic_scores[("oil", "")] > 0.0
-        assert ref.semantic_scores == {("wear", ""): 1.0, ("oil", ""): 0.0}
+        assert updated.semantic_scores[hits[1]] > 0.0
+        assert ref.semantic_scores == {hits[0]: 1.0, hits[1]: 0.0}
 
 
 class TestResultFitness:
@@ -473,32 +471,29 @@ class TestScoreQueryResults:
         out = score_query_results([], UrlCounts.of([[]]), ref, PAPER_CONFIG)
         assert out == []
 
-    def test_one_cosine_per_distinct_text(self, monkeypatch):
+    def test_one_cosine_per_distinct_hit(self, monkeypatch):
         calls = []
         semantic_score_ = evoquery.fitness.semantic_score
 
         def counted(hit, ref):
-            calls.append((hit.title, hit.snippet, ref.rounds))
+            calls.append((hit.doc_url, hit.title, ref.rounds))
             return semantic_score_(hit, ref)
 
         monkeypatch.setattr(evoquery.fitness, "semantic_score", counted)
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
-        lists = [
-            [hit(url="https://a.org/1", title="wear", position=1),
-             hit(url="https://b.org/2", title="wear", position=2)],
-            [hit(url="https://c.org/3", title="wear", position=1),
-             hit(url="https://a.org/1", title="oil", position=2)],
-        ]
+        wear, oil = hit(url="https://a.org/1", title="wear"), hit(url="https://b.org/2", title="oil")
+        # a hit at two positions, in two lists, and a hit equal to it made apart
+        lists = [[wear, oil], [oil, wear], [hit(url="https://a.org/1", title="wear")]]
         for hits in lists:
             score_query_results(hits, UrlCounts.of(lists), ref, PAPER_CONFIG)
-        assert calls == [("wear", "", 0), ("oil", "", 0)]
-        assert ref.semantic_scores == {("wear", ""): 1.0, ("oil", ""): 0.0}
+        assert calls == [("https://a.org/1", "wear", 0), ("https://b.org/2", "oil", 0)]
+        assert ref.semantic_scores == {wear: 1.0, oil: 0.0}
         # an empty update keeps the reference and its table; a new one scores anew
         assert update_reference_text(ref, []) is ref
         updated = update_reference_text(ref, [scored(0.9, title="oil")])
         for hits in lists:
             score_query_results(hits, UrlCounts.of(lists), updated, PAPER_CONFIG)
-        assert calls[2:] == [("wear", "", 1), ("oil", "", 1)]
+        assert calls[2:] == [("https://a.org/1", "wear", 1), ("https://b.org/2", "oil", 1)]
 
 
 # Texts overlap so that hits under different urls share a (title, snippet).
@@ -532,8 +527,8 @@ def test_scorer_matches_reference(population, weights, host_coeff, environment):
     population's lists."""
     lists = [
         [
-            hit(url=f"https://h{host}.org/{doc}", title=title, snippet=snippet, position=i)
-            for i, (host, doc, title, snippet) in enumerate(spec, 1)
+            hit(url=f"https://h{host}.org/{doc}", title=title, snippet=snippet)
+            for host, doc, title, snippet in spec
         ]
         for spec in population
     ]
@@ -543,9 +538,10 @@ def test_scorer_matches_reference(population, weights, host_coeff, environment):
     url_counts = UrlCounts.of(lists)
     for hits in lists:
         expected = reference_scoring.score_query_results(
-            hits, url_counts, ReferenceText(vector=ref.vector), config
+            hits, lists, ref.vector, ref.normalizer, config
         )
-        assert score_query_results(hits, url_counts, ref, config) == expected
+        results = score_query_results(hits, url_counts, ref, config)
+        assert [result_to_payload(r) for r in results] == expected
 
 
 class TestReferenceText:

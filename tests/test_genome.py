@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from evoquery.genome import (
     QueryGenome,
     Variant,
+    _weighted_sample,
     crossover,
     mutate,
     render_query,
@@ -21,6 +22,31 @@ def make_pool(n, start=0):
 
 def genome_of(*terms, variant=Variant.LEMMA):
     return QueryGenome(terms=tuple(terms), variant=variant)
+
+
+@settings(max_examples=300)
+@given(
+    weights=st.lists(st.floats(1e-300, 1e3) | st.sampled_from([1e-17, 0.1, 1 / 3]),
+                     min_size=1, max_size=12),
+    seed=st.integers(0, 2**32),
+)
+def test_weighted_sample_picks_as_the_loop_it_replaced(weights, seed):
+    """A bisection of the running totals picks what the scan for the first total
+    above the draw picked, the last item when rounding leaves none above it."""
+    items = [(f"t{i}", w) for i, w in enumerate(weights)]
+    expected, remaining, rng = [], list(items), random.Random(seed)
+    for _ in range(len(items)):
+        total = 0.0
+        for _, w in remaining:
+            total += w
+        r, acc, idx = rng.random() * total, 0.0, len(remaining) - 1
+        for i, (_, w) in enumerate(remaining):
+            acc += w
+            if r < acc:
+                idx = i
+                break
+        expected.append(remaining.pop(idx)[0])
+    assert _weighted_sample(items, len(items), random.Random(seed)) == expected
 
 
 class TestSeedPopulation:

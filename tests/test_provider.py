@@ -6,10 +6,8 @@ import tempfile
 import threading
 import time
 import tracemalloc
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 from urllib.parse import parse_qs, urlsplit
 
@@ -17,22 +15,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evoquery.provider
-from evoquery.corpus import DEFAULT_NORMALIZER, Document, SuffixNormalizer, load_corpus
+from evoquery.corpus import Document, SuffixNormalizer, load_corpus
 from evoquery.errors import ParseError, ProviderError
 from evoquery.provider import (
-    BM25_B,
-    BM25_K1,
     DOC_COLUMNS,
     INDEX_FORMAT,
-    SNIPPET_CHARS,
     HttpProvider,
     OfflineProvider,
-    SearchHit,
     build_index,
     load_index,
     parse_query,
     save_index,
 )
+from reference_run import reference_bm25, reference_build_index, reference_execute, reference_index
 
 
 def doc(doc_id, body, title="t", host="example.org"):
@@ -43,60 +38,6 @@ def doc(doc_id, body, title="t", host="example.org"):
         title=title,
         body=body,
     )
-
-
-def reference_index(docs, normalizer=DEFAULT_NORMALIZER):
-    # the format-2 shape: postings of {doc id: term count}, docs by id
-    postings, stored, avg_doc_len = reference_build_index(docs, normalizer)
-    return SimpleNamespace(
-        postings=postings, docs=stored, avg_doc_len=avg_doc_len, doc_count=len(stored)
-    )
-
-
-def reference_bm25(index, query_lemmas, doc_id):
-    # oracle over reference_index's dicts: one document scored at a time, with
-    # the float operations of OfflineProvider's sums in the same order, so
-    # scores match bit for bit
-    n_docs = index.doc_count
-    dl = index.docs[doc_id]["length"]
-    norm_len = dl / index.avg_doc_len if index.avg_doc_len > 0 else 0.0
-    score = 0.0
-    for lemma in query_lemmas:
-        plist = index.postings.get(lemma)
-        if not plist or doc_id not in plist:
-            continue
-        tf = plist[doc_id]
-        n_t = len(plist)
-        idf = math.log(1.0 + (n_docs - n_t + 0.5) / (n_t + 0.5))
-        score += idf * (tf * (BM25_K1 + 1.0)) / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * norm_len))
-    return score
-
-
-def reference_execute(index, query_string, limit):
-    # every candidate scored on its own, then a full sort by (-score, doc id)
-    terms, conjunctive = parse_query(query_string)
-    candidates = None
-    if conjunctive:
-        for term in terms:
-            ids = set(index.postings.get(term, {}))
-            candidates = ids if candidates is None else candidates & ids
-            if not candidates:
-                return []
-    else:
-        candidates = set()
-        for term in terms:
-            candidates |= set(index.postings.get(term, {}))
-    ranked = sorted(candidates, key=lambda d: (-reference_bm25(index, terms, d), d))
-    return [
-        SearchHit(
-            doc_url=index.docs[d]["url"],
-            doc_host=index.docs[d]["host"],
-            title=index.docs[d]["title"],
-            snippet=index.docs[d]["text"][:SNIPPET_CHARS],
-            position=pos,
-        )
-        for pos, d in enumerate(ranked[:limit], start=1)
-    ]
 
 
 def ranked_ids(hits):
@@ -165,25 +106,6 @@ class TestBuildIndex:
         path.write_text(path.read_text().replace('"length":[2]', '"length":[' + "9" * 5000 + "]"))
         with pytest.raises(ParseError, match=f"^index {path} is not valid JSON"):
             load_index(path)
-
-
-def reference_build_index(docs, normalizer):
-    # oracle: build_index's loop as it was before it counted terms per document
-    postings, stored, total_len = {}, {}, 0
-    for d in docs:
-        lemmas = normalizer.normalize(d.body)
-        total_len += len(lemmas)
-        stored[d.id] = {
-            "url": d.url,
-            "host": d.host,
-            "title": d.title,
-            "text": " ".join(d.body.split()),
-            "length": len(lemmas),
-        }
-        for lemma in lemmas:
-            postings.setdefault(lemma, {})
-            postings[lemma][d.id] = postings[lemma].get(d.id, 0) + 1
-    return postings, stored, total_len / len(docs)
 
 
 class TestIndexFile:
@@ -400,13 +322,10 @@ class TestOfflineProvider:
         assert self.make_provider().execute("zzz", 10) == []
 
     def test_limit_one_returns_single_top_hit(self):
-        hits = self.make_provider().execute("wear", 1)
+        provider = self.make_provider()
+        hits = provider.execute("wear", 1)
         assert len(hits) == 1
-        assert hits[0].position == 1
-
-    def test_positions_contiguous_from_one(self):
-        hits = self.make_provider().execute("wear oil", 10)
-        assert [h.position for h in hits] == list(range(1, len(hits) + 1))
+        assert hits == provider.execute("wear", 10)[:1]
 
     def test_lemma_variant_is_disjunctive(self):
         hits = self.make_provider().execute("wear oil", 10)
@@ -613,8 +532,22 @@ class TestHttpProvider:
         endpoint, handler = stub_engine
         handler.responses = [({"results": [result_item(i) for i in range(3)]}, 200)]
         hits = fast_provider(endpoint).execute("wear friction", 10)
-        assert [h.position for h in hits] == [1, 2, 3]
+        assert [h.doc_url for h in hits] == [f"https://site{i}.org/page" for i in range(3)]
         assert [h.doc_host for h in hits] == ["site0.org", "site1.org", "site2.org"]
+
+    def test_hits_interned_by_whole_value_up_to_the_limit(self, stub_engine, monkeypatch):
+        endpoint, handler = stub_engine
+        changed = {**result_item(0), "snippet": "another snippet"}
+        handler.responses = [({"results": [result_item(0), result_item(1)]}, 200),
+                             ({"results": [changed, result_item(0), result_item(2)]}, 200)]
+        monkeypatch.setattr(evoquery.provider, "ANSWER_MEMO_LIMIT", 3)
+        provider = fast_provider(endpoint)
+        first, second = provider.execute("a", 10), provider.execute("b", 10)
+        assert second[1] is first[0]  # an equal hit is the kept one
+        assert second[0] != first[0]  # the url's other snippet is another hit
+        assert second[0] is provider.execute("b", 10)[0]  # kept: the third
+        assert second[2] == provider.execute("b", 10)[2]  # past the limit: made, not kept
+        assert second[2] is not provider.execute("b", 10)[2]
 
     def test_truncates_to_limit(self, stub_engine):
         endpoint, handler = stub_engine
@@ -682,26 +615,22 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="^transport failure after retries: "):
             provider.execute("q", 1)
 
-    def test_rate_limit_spaces_requests(self, stub_engine, monkeypatch):
-        # the sends are timed in the client's own thread, as it opens each
-        # request; arrivals in the server thread also carry its scheduling
+    def test_rate_limit_spaces_requests(self, stub_engine):
+        # the throttle spaces the instants it stamps as it lets each request go;
+        # an instant timed later, as the request opens, would add any pause
+        # between the two (a collection, a switch to the server thread) to one
+        # gap and take it from the next
         endpoint, handler = stub_engine
         handler.responses = [({"results": []}, 200)]
-        urlopen = urllib.request.urlopen
-        sent = []
-
-        def timed_urlopen(*args, **kwargs):
-            sent.append(time.monotonic())
-            return urlopen(*args, **kwargs)
-
-        monkeypatch.setattr(urllib.request, "urlopen", timed_urlopen)
         provider = fast_provider(endpoint, rate_limit_rps=50.0)
+        sent = []
         for _ in range(3):
             provider.execute("q", 1)
+            sent.append(provider._last_request)
         gaps = [b - a for a, b in zip(sent, sent[1:])]
         resolution = time.get_clock_info("monotonic").resolution
-        assert len(gaps) == 2
-        assert all(gap >= 0.020 - resolution for gap in gaps)  # 50 rps → 20 ms apart
+        assert len(handler.requests_seen) == 3
+        assert all(gap >= 0.020 - resolution for gap in gaps), gaps  # 50 rps → 20 ms apart
 
 
 class TestHttpFaultPaths:

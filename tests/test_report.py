@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import evoquery.report
 from evoquery.errors import ParseError
 from evoquery.report import escape, read_metrics_csv, write_report
 
@@ -44,6 +45,23 @@ def test_svg_digests(case, tmp_path):
     written = write_report(golden_runs(case), tmp_path, ("svg",))
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
     assert digests == GOLDEN_SVG[case]
+
+
+def test_chart_that_fails_to_render_leaves_no_file(tmp_path, monkeypatch):
+    draw = evoquery.report.svg_bar_chart
+
+    def failing(title, *args):
+        if title == "dcg":
+            raise RuntimeError("chart failed")
+        return draw(title, *args)
+
+    monkeypatch.setattr(evoquery.report, "svg_bar_chart", failing)
+    with pytest.raises(RuntimeError, match="chart failed"):
+        write_report(golden_runs("golden"), tmp_path / "report")
+    # the files before it are whole; it leaves neither itself nor a hidden sibling
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == [
+        "mean_relevance.svg", "merged.csv", "precision.svg"
+    ]
 
 
 def test_escape_replaces_ampersand_first():

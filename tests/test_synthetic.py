@@ -157,10 +157,7 @@ class TestBaseline:
 
 
 def hit_list(urls):
-    return [
-        SearchHit(doc_url=url, doc_host="h.example", title="", snippet="", position=i)
-        for i, url in enumerate(urls)
-    ]
+    return [SearchHit(doc_url=url, doc_host="h.example", title="", snippet="") for url in urls]
 
 
 class TestPooling:
@@ -170,8 +167,8 @@ class TestPooling:
             hit_list(["https://a/3", "https://a/4"]),
         ]
         assert pooled_top_urls(lists, 10) == [
-            "https://a/1",  # position 0, url tie broken ascending
-            "https://a/3",  # best position 0 in second record
+            "https://a/1",  # position 1, url tie broken ascending
+            "https://a/3",  # best position 1 in second record
             "https://a/2",
             "https://a/4",
         ]
