@@ -189,8 +189,6 @@ def score_query_results(
         fitness = result_fitness(rank, crossquery, semantic, config)
         results.append(ScoredResult(hit, position, rank, crossquery, semantic, environment, fitness))
     _best_first(results)
-    if config.f4 == 1.0:  # f4^k is 1
-        return results
     seen: dict[str, int] = {}
     for result in results:
         host = result.hit.doc_host

@@ -41,9 +41,8 @@ HTTP_TIMEOUT_S = 10.0
 DOC_COLUMNS = ("id", "url", "host", "title", "text", "length")
 # Most entries of a list (a docs column, a posting list) that save_index encodes at once
 INDEX_SLICE = 256
-# Most hits an OfflineProvider keeps in its answer memo, and most hits an
-# HttpProvider interns; past this, new ones are made but not kept, so a long
-# run cannot grow either without limit.
+# Most hits an OfflineProvider keeps in its answer memo; past this, new
+# answers are ranked but not kept, so a long run cannot grow it without limit.
 ANSWER_MEMO_LIMIT = 1 << 16
 
 _QUOTED_TERM = re.compile(r'"([^"]*)"')
@@ -53,9 +52,9 @@ _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 class SearchHit(NamedTuple):
-    """A document as one provider shows it: a row, made once per run (the
-    offline provider makes one per document), so that the memos keyed on it
-    find the very object they hold. Its position is its place in the list."""
+    """A document as one provider shows it: a row, which the offline provider
+    makes once per document per run, so that the memos keyed on it find the
+    very object they hold. Its position is its place in the list."""
 
     doc_url: str
     doc_host: str
@@ -352,9 +351,7 @@ class HttpProvider:
     Requests are serialized through a rate limiter (default one per
     second). A transport failure or 5xx status is retried ``HTTP_RETRIES``
     times, after ``HTTP_BACKOFF_S`` seconds doubled per retry; each request
-    times out after ``HTTP_TIMEOUT_S`` seconds. A hit's snippet may depend on
-    the query, so hits are interned by their whole value, up to
-    ``ANSWER_MEMO_LIMIT`` of them.
+    times out after ``HTTP_TIMEOUT_S`` seconds.
     """
 
     endpoint: str
@@ -363,7 +360,6 @@ class HttpProvider:
     rate_limit_rps: float = 1.0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _last_request: float = field(default=0.0, repr=False)
-    _hits: dict[SearchHit, SearchHit] = field(default_factory=dict, repr=False)
 
     def _throttle(self) -> None:
         min_interval = 1.0 / self.rate_limit_rps
@@ -434,7 +430,5 @@ class HttpProvider:
                 host = urlsplit(url).netloc
             except ValueError as exc:  # e.g. an unclosed "[" in the host
                 raise ProviderError(f"result {pos} has an invalid url {url!r} ({exc})") from None
-            hit, kept = SearchHit(url, host, title, snippet), self._hits
-            hits.append(kept.setdefault(hit, hit) if len(kept) < ANSWER_MEMO_LIMIT
-                        else kept.get(hit, hit))
+            hits.append(SearchHit(url, host, title, snippet))
         return hits

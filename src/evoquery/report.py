@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -198,8 +197,10 @@ def svg_bar_chart(
     return "\n".join(parts) + "\n"
 
 
-def family_chart(runs: dict[str, list[MetricRow]], family: str) -> str:
+def family_chart(runs: dict[str, list[MetricRow]], family: str) -> str | None:
     groups = _chart_groups(runs, family)
+    if not groups:
+        return None
     labels = [f"{ordering}/{persona}@{n}" for ordering, persona, n in groups]
     series = []
     for run in sorted(runs):
@@ -217,16 +218,23 @@ def write_report(
     out_dir: str | Path,
     formats: Iterable[str] = ("csv", "svg"),
 ) -> list[Path]:
-    """merged.csv and a chart per family with rows, as ``formats`` asks, each rendered
-    into a ``ledger.staged_sibling``: a failure leaves no partial file."""
+    """merged.csv and a chart per family with rows, as ``formats`` asks, each written
+    through a ``ledger.staged_sibling``: a failure leaves no partial file."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
     wanted = set(formats)
-    renders = {"merged.csv": partial(merged_csv_text, runs)} if "csv" in wanted else {}
-    if "svg" in wanted:
-        renders.update({f"{family}.svg": partial(family_chart, runs, family)
-                        for family in METRIC_FAMILIES if _chart_groups(runs, family)})
-    for name, render in renders.items():
+
+    def write(name: str, text: str) -> None:
         with staged_sibling(directory / name) as staging:
-            staging.write_text(render(), encoding="utf-8")
-    return [directory / name for name in renders]
+            staging.write_text(text, encoding="utf-8")
+        written.append(directory / name)
+
+    if "csv" in wanted:
+        write("merged.csv", merged_csv_text(runs))
+    if "svg" in wanted:
+        for family in METRIC_FAMILIES:
+            chart = family_chart(runs, family)
+            if chart is not None:
+                write(f"{family}.svg", chart)
+    return written

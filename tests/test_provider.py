@@ -535,20 +535,6 @@ class TestHttpProvider:
         assert [h.doc_url for h in hits] == [f"https://site{i}.org/page" for i in range(3)]
         assert [h.doc_host for h in hits] == ["site0.org", "site1.org", "site2.org"]
 
-    def test_hits_interned_by_whole_value_up_to_the_limit(self, stub_engine, monkeypatch):
-        endpoint, handler = stub_engine
-        changed = {**result_item(0), "snippet": "another snippet"}
-        handler.responses = [({"results": [result_item(0), result_item(1)]}, 200),
-                             ({"results": [changed, result_item(0), result_item(2)]}, 200)]
-        monkeypatch.setattr(evoquery.provider, "ANSWER_MEMO_LIMIT", 3)
-        provider = fast_provider(endpoint)
-        first, second = provider.execute("a", 10), provider.execute("b", 10)
-        assert second[1] is first[0]  # an equal hit is the kept one
-        assert second[0] != first[0]  # the url's other snippet is another hit
-        assert second[0] is provider.execute("b", 10)[0]  # kept: the third
-        assert second[2] == provider.execute("b", 10)[2]  # past the limit: made, not kept
-        assert second[2] is not provider.execute("b", 10)[2]
-
     def test_truncates_to_limit(self, stub_engine):
         endpoint, handler = stub_engine
         handler.responses = [({"results": [result_item(i) for i in range(8)]}, 200)]
