@@ -37,7 +37,6 @@ from .evaluation import (
     GRADE_SCALE,
     MetricRow,
     Persona,
-    RankedList,
     consensus_map,
     cumulative_dcg_series,
     dcg,
@@ -175,10 +174,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ledger_ordering(ledger_dir: Path) -> RankedList:
-    text = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
-    payload = parse_ledger_json(text, FINAL_RESULTS_FILE)
+def _ledger_ordering(ledger_dir: Path) -> list[str]:
     path = ledger_dir / FINAL_RESULTS_FILE
+    payload = parse_ledger_json(read_ledger_file(ledger_dir, FINAL_RESULTS_FILE), str(path))
     if not isinstance(payload, list):
         raise LedgerCorrupt(f"{path} must hold an array")
     urls: dict[str, None] = {}
@@ -188,16 +186,16 @@ def _ledger_ordering(ledger_dir: Path) -> RankedList:
         if entry["url"] in urls:
             raise LedgerCorrupt(f"{path}: entry {i} repeats url {entry['url']!r}")
         urls[entry["url"]] = None
-    return RankedList(ordering_name="evolved", doc_urls=list(urls))
+    return list(urls)
 
 
-def _list_ordering(path: Path) -> RankedList:
+def _list_ordering(path: Path) -> list[str]:
     urls: dict[str, None] = {}
     for line_no, url in data_lines(path):
         if url in urls:
             raise ParseError(f"repeated url {url!r}", line_no, path)
         urls[url] = None
-    return RankedList(ordering_name=path.stem, doc_urls=list(urls))
+    return list(urls)
 
 
 def _persona_list(code: str) -> list[Persona]:
@@ -214,60 +212,53 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _refuse_input_as_out(args.out, [*inputs, ("--ledger", ledger_final)])
     grades = consensus_map(load_qrels(_require_file(args.qrels, "qrels")))
 
-    orderings: list[RankedList] = []
+    orderings: list[tuple[str, list[str]]] = []
     if args.ledger:
-        orderings.append(_ledger_ordering(Path(args.ledger)))
+        orderings.append(("evolved", _ledger_ordering(Path(args.ledger))))
     for list_path in args.list or []:
-        orderings.append(_list_ordering(_require_file(list_path, "ordering list")))
-    names = [o.ordering_name for o in orderings]
+        path = _require_file(list_path, "ordering list")
+        orderings.append((path.stem, _list_ordering(path)))
+    names = [name for name, _ in orderings]
     if len(set(names)) != len(names):
         raise ConfigInvalid(f"ordering names must be distinct, got {names}")
 
     n = args.n
+    tops = {name: urls[:n] for name, urls in orderings}
     personas = _persona_list(args.persona)
     rows: list[MetricRow] = []
-    for ordering in orderings:
-        top = RankedList(ordering.ordering_name, ordering.doc_urls[:n])
-        name = ordering.ordering_name
+    series: dict[tuple[str, str], list[float]] = {}  # each (ordering, persona)'s DCG series
+    for name, top in tops.items():
         for persona in personas:
             code = persona.value
-            missing = missing_grades(top, grades, persona)
+            values, missing = missing_grades([grades.get((url, persona)) for url in top])
             if missing:
                 print(
-                    f"note: {missing} of {len(top.doc_urls)} positions in {name!r} lack "
+                    f"note: {missing} of {len(top)} positions in {name!r} lack "
                     f"{code} judgments (scored 0)",
                     file=sys.stderr,
                 )
-            rows.append(
-                MetricRow("mean_relevance", name, code, n, mean_relevance(top, grades, persona))
-            )
-            rows.append(
-                MetricRow(
-                    "precision", name, code, n, precision(top, grades, persona, args.threshold)
-                )
-            )
-            rows.append(MetricRow("dcg", name, code, n, dcg(top, grades, persona, n)))
-            rows.append(MetricRow("ndcg", name, code, n, ndcg(top, grades, persona, n)))
-            ideal = ideal_ordering(top, grades, persona)
-            ideal_series = cumulative_dcg_series(ideal, grades, persona, n)
+            rows += [
+                MetricRow("mean_relevance", name, code, n, mean_relevance(values)),
+                MetricRow("precision", name, code, n, precision(values, args.threshold)),
+                MetricRow("dcg", name, code, n, dcg(values, n)),
+                MetricRow("ndcg", name, code, n, ndcg(values, n)),
+            ]
+            series[name, code] = cumulative_dcg_series(values, n)
+            ideal_series = cumulative_dcg_series(ideal_ordering(values), n)
             if not any(ideal_series):  # so every series of top is all zero as well
-                what = f"has no {code} grade above 0" if top.doc_urls else "holds no urls"
+                what = f"has no {code} grade above 0" if top else "holds no urls"
                 note = f"note: {name!r} {what}: {code} ndcg is 0 and rho12 is skipped"
                 print(note, file=sys.stderr)
                 continue
-            series = cumulative_dcg_series(top, grades, persona, n)
-            rows.append(MetricRow("rho12", f"{name}|expert", code, n, rho12(series, ideal_series)))
+            value = rho12(series[name, code], ideal_series)
+            rows.append(MetricRow("rho12", f"{name}|expert", code, n, value))
 
-    for left, right in combinations(orderings, 2):
-        pair = f"{left.ordering_name}|{right.ordering_name}"
-        left_top = RankedList(left.ordering_name, left.doc_urls[:n])
-        right_top = RankedList(right.ordering_name, right.doc_urls[:n])
-        rows.append(
-            MetricRow("overlap_percent", pair, "-", n, overlap_percent(left_top, right_top))
-        )
+    for (left, left_top), (right, right_top) in combinations(tops.items(), 2):
+        pair = f"{left}|{right}"
+        overlap = overlap_percent(left_top, right_top)
+        rows.append(MetricRow("overlap_percent", pair, "-", n, overlap))
         for persona in personas:
-            series_a = cumulative_dcg_series(left_top, grades, persona, n)
-            series_b = cumulative_dcg_series(right_top, grades, persona, n)
+            series_a, series_b = series[left, persona.value], series[right, persona.value]
             shared = min(len(series_a), len(series_b))
             try:
                 value = rho12(series_a[:shared], series_b[:shared])

@@ -2,13 +2,15 @@
 
 Judgments arrive as a tab-separated file graded on a 0..3 scale by any
 number of judges, split into two personas (subject specialist vs novice).
-Metrics operate on consensus grades: the per-persona mean grade of each
-document across judges. Documents without a judgment count as grade 0;
-callers can ask how many such holes a list had and surface that. An empty
-list, or one whose grades are all 0, scores 0 without a word: the caller
-notes it. Float
-sums add left to right, not through ``sum()``, which compensates rounding
-from Python 3.12 on and so would make metrics depend on the interpreter.
+``consensus_map`` gives each judged (url, persona) its consensus grade, the
+mean over its judges. Every metric is a function of one ordering's grade
+list: the consensus grades of its urls in list order, which the caller
+looks up once per (ordering, persona). ``missing_grades`` scores each
+unjudged url 0 and counts them, for the caller to note. The ideal ordering
+is that list sorted best first. An empty list, or one whose grades are all
+0, scores 0 without a word: the caller notes it. Float sums add left to
+right, not through ``sum()``, which compensates rounding from Python 3.12
+on and so would make metrics depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from enum import Enum
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import data_lines
 from .errors import ParseError, ZeroEnergySequence
@@ -49,23 +51,12 @@ class Judgment:
 
 
 @dataclass
-class RankedList:
-    """A named document ordering under evaluation; the CLI's loaders refuse repeated urls."""
-
-    ordering_name: str
-    doc_urls: list[str]
-
-
-@dataclass
 class MetricRow:
     metric: str
     ordering: str
     persona: str
     n: int
     value: float
-
-
-GradeMap = Mapping[tuple[str, Persona], float]
 
 
 def load_qrels(path: str | Path) -> list[Judgment]:
@@ -99,92 +90,64 @@ def load_qrels(path: str | Path) -> list[Judgment]:
     return judgments
 
 
-def consensus_grade(judgments: Sequence[Judgment]) -> float:
-    """Mean grade over the judges of one (url, persona) group, which has at least one."""
-    return sum(j.grade for j in judgments) / len(judgments)
-
-
 def consensus_map(judgments: Sequence[Judgment]) -> dict[tuple[str, Persona], float]:
-    """Consensus grade for every (url, persona) seen in the judgment set."""
-    groups: dict[tuple[str, Persona], list[Judgment]] = defaultdict(list)
+    """Consensus grade, the mean over its judges, of every (url, persona) judged."""
+    groups: dict[tuple[str, Persona], list[int]] = defaultdict(list)
     for judgment in judgments:
-        groups[(judgment.doc_url, judgment.persona)].append(judgment)
-    return {key: consensus_grade(group) for key, group in groups.items()}
+        groups[(judgment.doc_url, judgment.persona)].append(judgment.grade)
+    return {key: sum(group) / len(group) for key, group in groups.items()}
 
 
-def resolve_grades(
-    ranked: RankedList, grades: GradeMap, persona: Persona
-) -> tuple[list[float], int]:
-    """Grades in list order; unjudged documents score 0 and are counted."""
-    resolved = []
-    missing = 0
-    for url in ranked.doc_urls:
-        grade = grades.get((url, persona))
-        if grade is None:
-            missing += 1
-            resolved.append(0.0)
-        else:
-            resolved.append(grade)
-    return resolved, missing
+def missing_grades(judged: Sequence[float | None]) -> tuple[list[float], int]:
+    """A list's grades with each unjudged place (None) scored 0, and how many there were."""
+    return [0.0 if grade is None else grade for grade in judged], judged.count(None)
 
 
-def missing_grades(ranked: RankedList, grades: GradeMap, persona: Persona) -> int:
-    return resolve_grades(ranked, grades, persona)[1]
-
-
-def mean_relevance(ranked: RankedList, grades: GradeMap, persona: Persona) -> float:
-    """Mean consensus grade over the list; empty list scores 0."""
-    values, _ = resolve_grades(ranked, grades, persona)
+def mean_relevance(values: Sequence[float]) -> float:
+    """Mean grade over the list; empty list scores 0."""
     if not values:
         return 0.0
     return reduce(add, values, 0.0) / len(values)
 
 
-def precision(
-    ranked: RankedList,
-    grades: GradeMap,
-    persona: Persona,
-    threshold: int = DEFAULT_RELEVANCE_THRESHOLD,
-) -> float:
-    """Fraction of the list whose consensus grade reaches the threshold; empty list scores 0."""
-    values, _ = resolve_grades(ranked, grades, persona)
+def precision(values: Sequence[float], threshold: int = DEFAULT_RELEVANCE_THRESHOLD) -> float:
+    """Fraction of the list whose grade reaches the threshold; empty list scores 0."""
     if not values:
         return 0.0
     return sum(1 for v in values if v >= threshold) / len(values)
 
 
-def dcg(ranked: RankedList, grades: GradeMap, persona: Persona, n: int) -> float:
+def cumulative_dcg_series(values: Sequence[float], n: int) -> list[float]:
+    """DCG prefix sums per position to n, the series correlation compares."""
+    series = []
+    total = 0.0
+    for p, grade in enumerate(values[:n]):
+        total += (2.0**grade - 1.0) / math.log2(2 + p)
+        series.append(total)
+    return series
+
+
+def dcg(values: Sequence[float], n: int) -> float:
     """Graded gain 2^g - 1 with logarithmic position discount, summed to n >= 1.
 
     The top document's discount is log2(2) = 1, i.e. positions count from
     zero inside the discount.
     """
-    series = cumulative_dcg_series(ranked, grades, persona, n)
+    series = cumulative_dcg_series(values, n)
     return series[-1] if series else 0.0
 
 
-def ideal_ordering(ranked: RankedList, grades: GradeMap, persona: Persona) -> RankedList:
-    """The same urls re-sorted best-grade-first; grade ties sort by url."""
-    values, _ = resolve_grades(ranked, grades, persona)
-    paired = sorted(zip(ranked.doc_urls, values), key=lambda uv: (-uv[1], uv[0]))
-    return RankedList(
-        ordering_name=f"{ranked.ordering_name}-ideal",
-        doc_urls=[url for url, _ in paired],
-    )
+def ideal_ordering(values: Sequence[float]) -> list[float]:
+    """The grade list of the best permutation: the grades best first."""
+    return sorted(values, reverse=True)
 
 
-def ndcg(ranked: RankedList, grades: GradeMap, persona: Persona, n: int) -> float:
+def ndcg(values: Sequence[float], n: int) -> float:
     """DCG normalized by the ideal permutation's DCG; 0 when all grades are 0."""
-    ideal = ideal_ordering(ranked, grades, persona)
-    best = dcg(ideal, grades, persona, n)
+    best = dcg(ideal_ordering(values), n)
     if best == 0.0:
         return 0.0
-    return dcg(ranked, grades, persona, n) / best
-
-
-def cross_correlation_raw(x1: Sequence[float], x2: Sequence[float]) -> float:
-    """Zero-shift raw cross-correlation of equal-length, non-empty sequences: the mean product."""
-    return reduce(add, (a * b for a, b in zip(x1, x2)), 0.0) / len(x1)
+    return dcg(values, n) / best
 
 
 def rho12(x1: Sequence[float], x2: Sequence[float]) -> float:
@@ -194,29 +157,16 @@ def rho12(x1: Sequence[float], x2: Sequence[float]) -> float:
     energy2 = reduce(add, (b * b for b in x2), 0.0)
     if energy1 == 0.0 or energy2 == 0.0:
         raise ZeroEnergySequence("correlation of an empty or all-zero sequence")
-    raw = cross_correlation_raw(x1, x2)
+    raw = reduce(add, (a * b for a, b in zip(x1, x2)), 0.0) / len(x1)  # the mean product
     denom = math.sqrt(energy1 * energy2) / len(x1)
     value = raw / denom
     return min(1.0, max(-1.0, value))
 
 
-def overlap_percent(list_a: RankedList, list_b: RankedList) -> float:
+def overlap_percent(urls_a: Sequence[str], urls_b: Sequence[str]) -> float:
     """Shared urls as a percentage of all urls either list found; 0 when neither found one."""
-    a, b = set(list_a.doc_urls), set(list_b.doc_urls)
+    a, b = set(urls_a), set(urls_b)
     union = a | b
     if not union:
         return 0.0
     return 100.0 * len(a & b) / len(union)
-
-
-def cumulative_dcg_series(
-    ranked: RankedList, grades: GradeMap, persona: Persona, n: int
-) -> list[float]:
-    """DCG prefix sums per position, the series correlation compares."""
-    values, _ = resolve_grades(ranked, grades, persona)
-    series = []
-    total = 0.0
-    for p, grade in enumerate(values[:n]):
-        total += (2.0**grade - 1.0) / math.log2(2 + p)
-        series.append(total)
-    return series

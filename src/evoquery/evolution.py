@@ -263,7 +263,8 @@ _FIELD_PARSERS = {
 }
 
 
-def result_to_payload(result: ScoredResult) -> dict:
+def result_to_payload(result: ScoredResult, a_factor: float) -> dict:
+    """A result as final_results.json holds it; ``environment`` is the run's ``a_factor``."""
     return {
         "url": result.hit.doc_url,
         "host": result.hit.doc_host,
@@ -273,7 +274,7 @@ def result_to_payload(result: ScoredResult) -> dict:
         "rank": result.rank_component,
         "crossquery": result.crossquery_component,
         "semantic": result.semantic_component,
-        "environment": result.environment_factor,
+        "environment": a_factor,
         "fitness": result.fitness,
     }
 
@@ -297,16 +298,6 @@ class QueryOutcome:
     query_fitness: float = 0.0
     results: list[ScoredResult] = dc_field(default_factory=list)
 
-    def to_payload(self) -> dict:
-        return {
-            "terms": list(self.terms),
-            "variant": self.variant.value,
-            "issued_at": self.issued_at,
-            "query_fitness": self.query_fitness,
-            "results": [{k: v for k, v in result_to_payload(r).items()
-                         if k not in ("rank", "environment")} for r in self.results],
-        }
-
 
 @dataclass
 class GenerationRecord:
@@ -318,14 +309,6 @@ class GenerationRecord:
     population_fitness: float
     reference_digest: str
     top_results: list[ScoredResult]
-
-    def to_payload(self) -> dict:
-        return {
-            "generation": self.generation,
-            "queries": [q.to_payload() for q in self.queries],
-            "population_fitness": self.population_fitness,
-            "reference_digest": self.reference_digest,
-        }
 
 
 def select_survivors(
@@ -517,9 +500,10 @@ class LineFragments(dict):
 
 
 def generation_line(record: GenerationRecord, fragments: LineFragments | None = None) -> str:
-    """One line of generations.jsonl, ``canonical_json(record.to_payload())`` and
-    its newline, joined in sorted key order from ``fragments``: a run's own, or new ones.
-    Its parts are joined once, so a result's text is copied once into the line."""
+    """One line of generations.jsonl and its newline: the record in canonical JSON,
+    without its ``top_results``, each query's ``hits`` or what ``QueryOutcome`` says
+    a line leaves out. Joined once in sorted key order from ``fragments`` (a run's
+    own, or new ones), so a result's text is copied once into the line."""
     piece = LineFragments() if fragments is None else fragments
     parts = [f'{{"generation":{record.generation},"population_fitness":'
              f'{piece[record.population_fitness]},"queries":[']
@@ -541,9 +525,9 @@ def generation_line(record: GenerationRecord, fragments: LineFragments | None = 
     return "".join(parts)
 
 
-def final_results_text(results: list[ScoredResult]) -> str:
+def final_results_text(results: list[ScoredResult], a_factor: float) -> str:
     """The whole text of final_results.json."""
-    return canonical_json([result_to_payload(r) for r in results]) + "\n"
+    return canonical_json([result_to_payload(r, a_factor) for r in results]) + "\n"
 
 
 def write_run_ledger(
@@ -558,7 +542,7 @@ def write_run_ledger(
         with open(staging / GENERATIONS_FILE, "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(generation_line(record, fragments))
-        final = final_results_text(record.top_results)
+        final = final_results_text(record.top_results, config.a_factor)
         (staging / FINAL_RESULTS_FILE).write_text(final, encoding="utf-8")
     return record
 
@@ -637,7 +621,7 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
         raise DivergenceDetected(config.e1, "record_count", config.e1 + extra, config.e1)
 
     stored_final = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
-    fresh_final = final_results_text(record.top_results)
+    fresh_final = final_results_text(record.top_results, config.a_factor)
     if stored_final != fresh_final:
         parse = partial(parse_ledger_json, where=FINAL_RESULTS_FILE)
         found = text_divergence(stored_final, fresh_final, parse, "final_results")

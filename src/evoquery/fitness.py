@@ -48,7 +48,6 @@ class ScoredResult:
     rank_component: float
     crossquery_component: float
     semantic_component: float
-    environment_factor: float
     fitness: float
 
 
@@ -177,7 +176,7 @@ def score_query_results(
     ascending, the k-th hit from one host keeps f4^(k-1) of its fitness;
     results come in that order of damped fitness.
     """
-    length, environment = len(hits), config.a_factor
+    length = len(hits)
     crossqueries, semantics = url_counts.crossquery, ref.semantic_scores
     results = []
     for position, hit in enumerate(hits, start=1):
@@ -187,7 +186,7 @@ def score_query_results(
         if semantic is None:
             semantic = semantics[hit] = semantic_score(hit, ref)
         fitness = result_fitness(rank, crossquery, semantic, config)
-        results.append(ScoredResult(hit, position, rank, crossquery, semantic, environment, fitness))
+        results.append(ScoredResult(hit, position, rank, crossquery, semantic, fitness))
     _best_first(results)
     seen: dict[str, int] = {}
     for result in results:

@@ -41,13 +41,21 @@ def format_value(value: float) -> str:
     return f"{value:.6f}"
 
 
-def metrics_csv_text(rows: Iterable[MetricRow]) -> str:
+def _csv_text(header: list[str], records: Iterable[list]) -> str:
+    """Every CSV written here: the header line, then a line per record."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in sorted(rows, key=_ROW_ORDER):
-        writer.writerow([row.metric, row.ordering, row.persona, row.n, format_value(row.value)])
+    writer.writerow(header)
+    writer.writerows(records)
     return out.getvalue()
+
+
+def _fields(row: MetricRow) -> list:
+    return [row.metric, row.ordering, row.persona, row.n, format_value(row.value)]
+
+
+def metrics_csv_text(rows: Iterable[MetricRow]) -> str:
+    return _csv_text(CSV_HEADER, map(_fields, sorted(rows, key=_ROW_ORDER)))
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricRow]:
@@ -99,25 +107,10 @@ def read_metrics_csv(path: str | Path) -> list[MetricRow]:
 
 
 def merged_csv_text(runs: dict[str, list[MetricRow]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["run"] + CSV_HEADER)
-    for run in sorted(runs):
-        for row in sorted(runs[run], key=_ROW_ORDER):
-            writer.writerow(
-                [run, row.metric, row.ordering, row.persona, row.n, format_value(row.value)]
-            )
-    return out.getvalue()
-
-
-def _chart_groups(runs: dict[str, list[MetricRow]], family: str) -> list[tuple[str, str, int]]:
-    groups = {
-        (row.ordering, row.persona, row.n)
-        for rows in runs.values()
-        for row in rows
-        if row.metric == family
-    }
-    return sorted(groups)
+    records = (
+        [run, *_fields(row)] for run in sorted(runs) for row in sorted(runs[run], key=_ROW_ORDER)
+    )
+    return _csv_text(["run"] + CSV_HEADER, records)
 
 
 def svg_bar_chart(
@@ -198,18 +191,18 @@ def svg_bar_chart(
 
 
 def family_chart(runs: dict[str, list[MetricRow]], family: str) -> str | None:
-    groups = _chart_groups(runs, family)
+    """The family's bar chart, a group per (ordering, persona, n) that any run
+    has a row for; None when none has."""
+    by_run = {
+        run: {(row.ordering, row.persona, row.n): row.value for row in runs[run]
+              if row.metric == family}
+        for run in sorted(runs)
+    }
+    groups = sorted({group for values in by_run.values() for group in values})
     if not groups:
         return None
     labels = [f"{ordering}/{persona}@{n}" for ordering, persona, n in groups]
-    series = []
-    for run in sorted(runs):
-        by_group = {
-            (row.ordering, row.persona, row.n): row.value
-            for row in runs[run]
-            if row.metric == family
-        }
-        series.append((run, [by_group.get(group) for group in groups]))
+    series = [(run, [values.get(group) for group in groups]) for run, values in by_run.items()]
     return svg_bar_chart(family, labels, series)
 
 

@@ -1,4 +1,5 @@
-"""The ledger format 1 writer and a format 3 expander, kept as test references.
+"""The ledger format 1 writer, a format 3 expander and the format 3 record
+payload, kept as test references.
 
 Format 1 spelled every float at 17 significant digits; format 2 spells it
 by ``repr``. Both hold the same values, so parsing a format-2 document and
@@ -8,6 +9,9 @@ bytes, which lets the format-1 golden digests keep gating the values.
 Format 3's generation lines leave out five fields that the line and the
 run config give. ``expand_format_3_record`` puts them back, so a format-3
 line gives the format-2 line, and from it the format-1 line.
+
+``record_payload`` is the plain dict of a format-3 generation line, which
+``canonical_json`` of it must spell as ``evolution.generation_line`` does.
 """
 
 import json
@@ -70,3 +74,37 @@ def expand_format_3_record(record, config):
             "results": results,
         })
     return {**record, "queries": queries}
+
+
+def query_payload(query):
+    """A ``QueryOutcome`` as its generation line holds it: no query string, and
+    no result's rank or environment."""
+    return {
+        "terms": list(query.terms),
+        "variant": query.variant.value,
+        "issued_at": query.issued_at,
+        "query_fitness": query.query_fitness,
+        "results": [
+            {
+                "url": r.hit.doc_url,
+                "host": r.hit.doc_host,
+                "title": r.hit.title,
+                "snippet": r.hit.snippet,
+                "position": r.position,
+                "crossquery": r.crossquery_component,
+                "semantic": r.semantic_component,
+                "fitness": r.fitness,
+            }
+            for r in query.results
+        ],
+    }
+
+
+def record_payload(record):
+    """A ``GenerationRecord`` as its generation line holds it: no top results."""
+    return {
+        "generation": record.generation,
+        "queries": [query_payload(q) for q in record.queries],
+        "population_fitness": record.population_fitness,
+        "reference_digest": record.reference_digest,
+    }

@@ -15,7 +15,6 @@ from evoquery.cli import main as cli_main
 from evoquery.corpus import TermVector, build_keyword_pool, load_corpus
 from evoquery.evaluation import (
     Persona,
-    RankedList,
     consensus_map,
     dcg,
     ideal_ordering,
@@ -43,6 +42,7 @@ from evoquery.synthetic import baseline_queries, pooled_top_urls
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
 GOLDEN_CSV = Path(__file__).parent / "golden" / "metrics.csv"
+GOLDEN_S_N5_T3_CSV = Path(__file__).parent / "golden" / "metrics-s-n5-t3.csv"
 
 S = Persona.SPECIALIST
 
@@ -55,15 +55,11 @@ def _verdict(num: int, ok: bool, elapsed: float, budget: float, detail: str) -> 
     assert in_budget, f"criterion {num}: {elapsed:.2f}s exceeds {budget:.0f}s budget"
 
 
-def _grade_map(urls, grades):
-    return {(url, S): float(g) for url, g in zip(urls, grades)}
-
-
 def _dummy_result(fitness: float, url: str = "https://x.example/1",
                   host: str = "x.example") -> ScoredResult:
     hit = SearchHit(doc_url=url, doc_host=host, title="t", snippet="s")
     return ScoredResult(hit=hit, position=1, rank_component=0.0, crossquery_component=0.0,
-                        semantic_component=0.0, environment_factor=1.0, fitness=fitness)
+                        semantic_component=0.0, fitness=fitness)
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +76,13 @@ def offline_setup(tmp_path_factory):
 
 def test_criterion_1_metric_oracles():
     t0 = time.monotonic()
-    urls = ["https://a.example/1", "https://a.example/2"]
-    two_docs = RankedList("probe", urls)
-    grades = _grade_map(urls, [3, 2])
+    two_docs = [3.0, 2.0]
 
-    dcg_value = dcg(two_docs, grades, S, n=2)
-    ideal = ideal_ordering(two_docs, grades, S)
+    dcg_value = dcg(two_docs, n=2)
+    ideal = ideal_ordering(two_docs)
     checks = [
         abs(dcg_value - 8.892789) <= 1e-6,
-        ndcg(ideal, grades, S, n=2) == 1.0,
+        ndcg(ideal, n=2) == 1.0,
         abs(rho12([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) - 1.0) <= 1e-12,
         abs(rho12([1.0, 0.0], [0.0, 1.0]) - 0.0) <= 1e-12,
         abs(rho12([1.0, 1.0], [1.0, 0.0]) - 0.707107) <= 1e-6,
@@ -131,13 +125,11 @@ def test_criterion_3_ideal_permutation():
     violations = 0
     sequences = 0
     for length in range(1, 7):
-        urls = [f"https://p.example/{i}" for i in range(length)]
-        ranked = RankedList("perm", urls)
         for multiset in itertools.combinations_with_replacement(range(4), length):
-            best = dcg(ranked, _grade_map(urls, sorted(multiset, reverse=True)), S, length)
+            best = dcg([float(g) for g in sorted(multiset, reverse=True)], length)
             for perm in set(itertools.permutations(multiset)):
                 sequences += 1
-                if dcg(ranked, _grade_map(urls, perm), S, length) > best + 1e-12:
+                if dcg([float(g) for g in perm], length) > best + 1e-12:
                     violations += 1
     _verdict(3, violations == 0, time.monotonic() - t0, 60.0,
              f"{sequences} orderings checked, {violations} beat the ideal")
@@ -177,14 +169,14 @@ def test_criterion_5_planted_cluster_gap(offline_setup):
         *_, last = run_evolution(config, provider, seed_material)
         evolved_urls = [r.hit.doc_url for r in last.top_results][:20]
         evolved_scores.append(
-            precision(RankedList("evolved", evolved_urls), grades, S, threshold=2)
+            precision([grades.get((url, S), 0.0) for url in evolved_urls], threshold=2)
         )
 
         genomes = baseline_queries(lemmas, config.g2, config.g3, derive_rng(seed, "baseline"))
         hit_lists = [provider.execute(render_query(g), config.f1) for g in genomes]
         random_urls = pooled_top_urls(hit_lists, 20)
         random_scores.append(
-            precision(RankedList("random", random_urls), grades, S, threshold=2)
+            precision([grades.get((url, S), 0.0) for url in random_urls], threshold=2)
         )
 
     evolved_mean = sum(evolved_scores) / len(evolved_scores)
@@ -284,3 +276,20 @@ def test_criterion_8_end_to_end_golden(tmp_path):
         60.0,
         f"families={sorted(families)}, golden match={golden_match}, {len(charts)} charts",
     )
+
+
+def test_second_golden_invocation(offline_setup, tmp_path, monkeypatch):
+    """One persona, a short cutoff, the top threshold and an ordering without
+    urls, in CI's quick-start spelling: metrics-s-n5-t3.csv byte for byte."""
+    _, index_path, _, _ = offline_setup
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "baseline_list.txt").write_bytes((DATA_DIR / "baseline_list.txt").read_bytes())
+    (tmp_path / "empty.txt").write_text("# no urls\n", encoding="utf-8")
+    assert cli_main(["evolve", "--config", str(DATA_DIR / "config.json"),
+                     "--seed-material", str(DATA_DIR / "seed_material.jsonl"),
+                     "--index", str(index_path), "--out", "ledger"]) == 0
+    assert cli_main(["evaluate", "--ledger", "ledger", "--list", "baseline_list.txt",
+                     "--list", "empty.txt", "--qrels", str(DATA_DIR / "qrels.tsv"),
+                     "--persona", "S", "--n", "5", "--threshold", "3",
+                     "--out", "metrics-s-n5-t3.csv"]) == 0
+    assert Path("metrics-s-n5-t3.csv").read_bytes() == GOLDEN_S_N5_T3_CSV.read_bytes()

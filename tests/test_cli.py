@@ -651,7 +651,7 @@ class TestEvaluate:
             "evaluate", "--ledger", str(ledger), "--qrels", str(data_dir / "qrels.tsv"),
         ])
         assert code == 1
-        assert f"error: {FINAL_RESULTS_FILE} is not valid JSON" in capsys.readouterr().err
+        assert f"error: {final} is not valid JSON" in capsys.readouterr().err
 
     def test_final_results_integer_over_digit_limit_names_file(
         self, data_dir, run_dir, tmp_path, capsys
@@ -664,7 +664,7 @@ class TestEvaluate:
             "evaluate", "--ledger", str(ledger), "--qrels", str(data_dir / "qrels.tsv"),
         ])
         assert code == 1
-        assert f"error: {FINAL_RESULTS_FILE} is not valid JSON" in capsys.readouterr().err
+        assert f"error: {final} is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["list", "ledger"])
     def test_empty_ordering_exits_0(self, data_dir, run_dir, tmp_path, capsys, source):
@@ -713,7 +713,8 @@ class TestEvaluate:
          ": entry 1 repeats url 'https://a.example/1'"),
         ('{"url":"https://a.example/1"}', " must hold an array"),
         ('[{"url":1}]', ": entry 0 lacks a string url"),
-    ], ids=["repeated-url", "not-an-array", "non-string-url"])
+        ("not json", " is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["repeated-url", "not-an-array", "non-string-url", "invalid-json"])
     def test_malformed_final_results_names_the_file(
         self, data_dir, run_dir, tmp_path, capsys, final, problem
     ):

@@ -8,10 +8,7 @@ from evoquery.errors import ParseError, ZeroEnergySequence
 from evoquery.evaluation import (
     Judgment,
     Persona,
-    RankedList,
-    consensus_grade,
     consensus_map,
-    cross_correlation_raw,
     cumulative_dcg_series,
     dcg,
     ideal_ordering,
@@ -21,7 +18,6 @@ from evoquery.evaluation import (
     ndcg,
     overlap_percent,
     precision,
-    resolve_grades,
     rho12,
 )
 
@@ -29,17 +25,8 @@ S = Persona.SPECIALIST
 N = Persona.NOVICE
 
 
-def ranked(*urls, name="run"):
-    return RankedList(ordering_name=name, doc_urls=list(urls))
-
-
-def grade_map(*entries):
-    # entries: (url, persona, grade)
-    return {(url, persona): float(grade) for url, persona, grade in entries}
-
-
-def uniform_grades(urls, grades, persona=S):
-    return {(u, persona): float(g) for u, g in zip(urls, grades)}
+def grade_list(*grades):
+    return [float(g) for g in grades]
 
 
 class TestLoadQrels:
@@ -108,10 +95,10 @@ class TestConsensus:
             Judgment("u", S, 3),
             Judgment("u", S, 2),
         ]
-        assert consensus_grade(judgments) == 2.5
+        assert consensus_map(judgments) == {("u", S): 2.5}
 
     def test_single_judge(self):
-        assert consensus_grade([Judgment("u", S, 3)]) == 3.0
+        assert consensus_map([Judgment("u", S, 3)]) == {("u", S): 3.0}
 
     def test_map_groups_by_url_and_persona(self):
         judgments = [
@@ -128,133 +115,99 @@ class TestConsensus:
 
 class TestResolveGrades:
     def test_missing_counted_and_zeroed(self):
-        grades = grade_map(("u1", S, 3))
-        values, missing = resolve_grades(ranked("u1", "u2"), grades, S)
-        assert values == [3.0, 0.0]
-        assert missing == 1
-        assert missing_grades(ranked("u1", "u2"), grades, S) == 1
+        assert missing_grades([3.0, None]) == ([3.0, 0.0], 1)
+        assert missing_grades([]) == ([], 0)
 
     def test_persona_separation(self):
-        grades = grade_map(("u1", S, 3))
-        _, missing = resolve_grades(ranked("u1"), grades, N)
-        assert missing == 1
+        grades = consensus_map([Judgment("u1", S, 3)])
+        assert missing_grades([grades.get(("u1", N))]) == ([0.0], 1)
+        assert missing_grades([grades.get(("u1", S))]) == ([3.0], 0)
 
 
 class TestMeanRelevanceAndPrecision:
     def test_mean_relevance(self):
-        urls = ["u1", "u2", "u3", "u4"]
-        grades = uniform_grades(urls, [3, 3, 0, 0])
-        assert mean_relevance(ranked(*urls), grades, S) == 1.5
+        assert mean_relevance(grade_list(3, 3, 0, 0)) == 1.5
 
     def test_mean_relevance_all_zero(self):
-        urls = ["u1", "u2"]
-        assert mean_relevance(ranked(*urls), uniform_grades(urls, [0, 0]), S) == 0.0
+        assert mean_relevance(grade_list(0, 0)) == 0.0
 
     def test_mean_relevance_empty_list(self):
-        assert mean_relevance(ranked(), {}, S) == 0.0
+        assert mean_relevance([]) == 0.0
 
     def test_mean_relevance_adds_left_to_right_on_every_python(self):
         # sum() would give exactly 1.0 here from Python 3.12 on
-        urls = [f"u{i}" for i in range(10)]
-        grades = {(u, S): 0.1 for u in urls}
-        assert mean_relevance(ranked(*urls), grades, S) == 0.9999999999999999 / 10
+        assert mean_relevance([0.1] * 10) == 0.9999999999999999 / 10
 
     def test_precision_default_threshold(self):
-        urls = ["u1", "u2", "u3", "u4"]
-        grades = uniform_grades(urls, [3, 2, 1, 0])
-        assert precision(ranked(*urls), grades, S) == 0.5
+        assert precision(grade_list(3, 2, 1, 0)) == 0.5
 
     def test_precision_threshold_zero_is_one(self):
-        urls = ["u1", "u2"]
-        grades = uniform_grades(urls, [0, 0])
-        assert precision(ranked(*urls), grades, S, threshold=0) == 1.0
+        assert precision(grade_list(0, 0), threshold=0) == 1.0
 
     def test_precision_monotone_in_threshold(self):
-        urls = [f"u{i}" for i in range(8)]
-        grades = uniform_grades(urls, [0, 1, 1, 2, 2, 3, 3, 3])
-        values = [precision(ranked(*urls), grades, S, threshold=t) for t in range(4)]
+        grades = grade_list(0, 1, 1, 2, 2, 3, 3, 3)
+        values = [precision(grades, threshold=t) for t in range(4)]
         assert values == sorted(values, reverse=True)
 
     def test_precision_empty_list(self):
-        assert precision(ranked(), {}, S) == 0.0
+        assert precision([]) == 0.0
 
 
 class TestDcg:
     def test_single_grade_three(self):
-        grades = uniform_grades(["u1"], [3])
-        assert dcg(ranked("u1"), grades, S, n=10) == pytest.approx(7.0)
+        assert dcg(grade_list(3), n=10) == pytest.approx(7.0)
 
     def test_two_grades_hand_value(self):
-        grades = uniform_grades(["u1", "u2"], [3, 2])
         expected = 7.0 + 3.0 / math.log2(3)
-        assert dcg(ranked("u1", "u2"), grades, S, n=10) == pytest.approx(expected, abs=1e-9)
-        assert dcg(ranked("u1", "u2"), grades, S, n=10) == pytest.approx(8.892789, abs=1e-6)
+        assert dcg(grade_list(3, 2), n=10) == pytest.approx(expected, abs=1e-9)
+        assert dcg(grade_list(3, 2), n=10) == pytest.approx(8.892789, abs=1e-6)
 
     def test_all_zero_grades(self):
-        urls = ["u1", "u2"]
-        assert dcg(ranked(*urls), uniform_grades(urls, [0, 0]), S, n=10) == 0.0
+        assert dcg(grade_list(0, 0), n=10) == 0.0
 
     def test_empty_list(self):
-        assert dcg(ranked(), {}, S, n=10) == 0.0
+        assert dcg([], n=10) == 0.0
 
     def test_cutoff_truncates(self):
-        urls = ["u1", "u2", "u3"]
-        grades = uniform_grades(urls, [3, 3, 3])
-        assert dcg(ranked(*urls), grades, S, n=1) == pytest.approx(7.0)
+        assert dcg(grade_list(3, 3, 3), n=1) == pytest.approx(7.0)
 
 
 class TestNdcg:
     def test_ideal_order_scores_one(self):
-        urls = ["u1", "u2", "u3"]
-        grades = uniform_grades(urls, [3, 2, 1])
-        assert ndcg(ranked(*urls), grades, S, n=10) == 1.0
+        assert ndcg(grade_list(3, 2, 1), n=10) == 1.0
 
     def test_known_swap_value(self):
-        grades = uniform_grades(["u1", "u2"], [2, 3])
-        value = ndcg(ranked("u1", "u2"), grades, S, n=10)
+        value = ndcg(grade_list(2, 3), n=10)
         expected = (3 + 7 / math.log2(3)) / (7 + 3 / math.log2(3))
         assert value == pytest.approx(expected, abs=1e-9)
         assert value == pytest.approx(0.833991, abs=1e-6)
 
     def test_all_zero_grades_define_zero(self):
         # the CLI notes this case on stderr (test_cli's test_zero_grades_noted_once_per_persona)
-        urls = ["u1", "u2"]
-        assert ndcg(ranked(*urls), uniform_grades(urls, [0, 0]), S, n=10) == 0.0
+        assert ndcg(grade_list(0, 0), n=10) == 0.0
 
-    def test_ideal_ordering_tie_broken_by_url(self):
-        urls = ["zz", "aa"]
-        grades = uniform_grades(urls, [2, 2])
-        ideal = ideal_ordering(ranked(*urls), grades, S)
-        assert ideal.doc_urls == ["aa", "zz"]
+    def test_ideal_ordering_is_the_grades_best_first(self):
+        grades = grade_list(1, 3, 0, 2, 3)
+        assert ideal_ordering(grades) == grade_list(3, 3, 2, 1, 0)
+        assert grades == grade_list(1, 3, 0, 2, 3)  # the caller's list is left as it was
 
     def test_range_and_unity_iff_grade_equivalent(self):
-        urls = [f"u{i}" for i in range(5)]
-        grades = uniform_grades(urls, [1, 3, 0, 2, 3])
-        for perm in itertools.permutations(urls):
-            value = ndcg(ranked(*perm), grades, S, n=10)
+        for perm in itertools.permutations(grade_list(1, 3, 0, 2, 3)):
+            value = ndcg(list(perm), n=10)
             assert 0.0 <= value <= 1.0
-            perm_grades = [grades[(u, S)] for u in perm]
-            if perm_grades == sorted(perm_grades, reverse=True):
+            if list(perm) == sorted(perm, reverse=True):
                 assert value == pytest.approx(1.0)
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_no_permutation_beats_ideal(self, grade_vector):
-        urls = [f"u{i}" for i in range(len(grade_vector))]
-        grades = uniform_grades(urls, grade_vector)
-        ideal = ideal_ordering(ranked(*urls), grades, S)
-        best = dcg(ideal, grades, S, n=6)
-        for perm in itertools.permutations(urls):
-            assert dcg(ranked(*perm), grades, S, n=6) <= best + 1e-12
+        grades = grade_list(*grade_vector)
+        best = dcg(ideal_ordering(grades), n=6)
+        for perm in itertools.permutations(grades):
+            assert dcg(list(perm), n=6) <= best + 1e-12
 
 
 class TestCrossCorrelation:
-    def test_raw_hand_value(self):
-        assert cross_correlation_raw([1, 1], [1, 0]) == 0.5
-
-    def test_raw_zero_sequence(self):
-        assert cross_correlation_raw([1, 2], [0, 0]) == 0.0
-
     def test_rho_identical_sequences(self):
         assert rho12([3, 1, 2], [3, 1, 2]) == pytest.approx(1.0, abs=1e-12)
 
@@ -294,37 +247,28 @@ class TestCrossCorrelation:
 
 class TestOverlap:
     def test_identical_lists(self):
-        a = ranked("u1", "u2", name="a")
-        b = ranked("u2", "u1", name="b")
-        assert overlap_percent(a, b) == 100.0
+        assert overlap_percent(["u1", "u2"], ["u2", "u1"]) == 100.0
 
     def test_disjoint_lists(self):
-        assert overlap_percent(ranked("u1"), ranked("u2")) == 0.0
+        assert overlap_percent(["u1"], ["u2"]) == 0.0
 
     def test_hand_jaccard(self):
-        a = ranked("u1", "u2", "u3", name="a")
-        b = ranked("u3", "u4", name="b")
-        assert overlap_percent(a, b) == 25.0
+        assert overlap_percent(["u1", "u2", "u3"], ["u3", "u4"]) == 25.0
 
     def test_both_empty(self):
-        assert overlap_percent(ranked(), ranked()) == 0.0
+        assert overlap_percent([], []) == 0.0
 
     def test_symmetric(self):
-        a = ranked("u1", "u2", name="a")
-        b = ranked("u2", "u3", name="b")
+        a, b = ["u1", "u2"], ["u2", "u3"]
         assert overlap_percent(a, b) == overlap_percent(b, a)
 
 
 class TestCumulativeSeries:
     def test_prefix_sums(self):
-        urls = ["u1", "u2"]
-        grades = uniform_grades(urls, [3, 2])
-        series = cumulative_dcg_series(ranked(*urls), grades, S, n=10)
+        series = cumulative_dcg_series(grade_list(3, 2), n=10)
         assert series[0] == pytest.approx(7.0)
         assert series[1] == pytest.approx(7 + 3 / math.log2(3))
 
     def test_series_respects_cutoff(self):
-        urls = [f"u{i}" for i in range(5)]
-        grades = uniform_grades(urls, [1] * 5)
-        assert len(cumulative_dcg_series(ranked(*urls), grades, S, n=3)) == 3
+        assert len(cumulative_dcg_series(grade_list(*[1] * 5), n=3)) == 3
 

@@ -33,6 +33,7 @@ from evoquery.evolution import (
     QueryOutcome,
     RunConfig,
     build_provider,
+    final_results_text,
     generation_line,
     make_run_inputs,
     replay,
@@ -54,6 +55,7 @@ from evoquery.ledger import (
 )
 from evoquery.provider import HttpProvider, OfflineProvider, SearchHit, build_index, save_index
 from evoquery.rng import derive_rng
+from reference_ledger import record_payload
 
 
 def make_doc(doc_id, host, slug, title, body):
@@ -288,7 +290,6 @@ class TestRunConfig:
         scored = score_query_results(hits, UrlCounts.of([hits]), ref, config)
         # rank 1 and 1/2, crossquery 1, semantic 0; the second hit is damped once
         assert [r.fitness for r in scored] == pytest.approx([0.5 * 0.8, 0.5 * 0.55 * 0.5])
-        assert [r.environment_factor for r in scored] == [0.5, 0.5]
 
 
 class TestHitRows:
@@ -676,8 +677,8 @@ class TestRunEvolution:
     def test_seed_changes_outcome(self, provider):
         first = run_evolution(small_config(rng_seed=7), provider, SEED_DOCS)
         second = run_evolution(small_config(rng_seed=8), provider, SEED_DOCS)
-        first_lines = [canonical_json(r.to_payload()) for r in first]
-        second_lines = [canonical_json(r.to_payload()) for r in second]
+        first_lines = [generation_line(r) for r in first]
+        second_lines = [generation_line(r) for r in second]
         assert first_lines != second_lines
 
     def test_frozen_reference_keeps_digest(self, provider):
@@ -716,7 +717,7 @@ class TestRunEvolution:
     def test_result_payload_round_trip(self, provider):
         (record,) = run_evolution(small_config(e1=1), provider, SEED_DOCS)
         for result in record.top_results:
-            payload = result_to_payload(result)
+            payload = result_to_payload(result, 1.0)
             assert json.loads(canonical_json(payload)) == payload
 
     @settings(max_examples=10, deadline=None)
@@ -1077,7 +1078,7 @@ RECORDS = st.builds(
         hits=st.just([]),
         query_fitness=FLOATS,
         results=st.lists(st.builds(ScoredResult, HITS, st.integers(1, 1000), FLOATS, FLOATS,
-                                   FLOATS, FLOATS, FLOATS), max_size=4),
+                                   FLOATS, FLOATS), max_size=4),
     ), max_size=4),
     population_fitness=FLOATS,
     reference_digest=TEXTS,
@@ -1091,7 +1092,7 @@ class TestGenerationLine:
     @settings(max_examples=300, deadline=None)
     @given(RECORDS)
     def test_fragments_join_to_the_canonical_line(self, record):
-        line = canonical_json(record.to_payload()) + "\n"
+        line = canonical_json(record_payload(record)) + "\n"
         assert generation_line(record) == line
         fragments = LineFragments()
         assert generation_line(record, fragments) == line
@@ -1101,12 +1102,12 @@ class TestGenerationLine:
         hit = SearchHit("https://a/1", "a", "t", "s")
         record = GenerationRecord(0, [QueryOutcome(
             ("a",), Variant.LEMMA, "a", -0.0, [], 0.0,
-            [ScoredResult(hit, 1, 1.0, -0.0, 0.0, 1.0, -0.0)],
+            [ScoredResult(hit, 1, 1.0, -0.0, 0.0, -0.0)],
         )], 0.0, "d", [])
         fragments = LineFragments()
         for _ in range(2):
             line = generation_line(record, fragments)
-            assert line == canonical_json(record.to_payload()) + "\n"
+            assert line == canonical_json(record_payload(record)) + "\n"
             assert '"crossquery":-0.0,"fitness":-0.0' in line and '"semantic":0.0' in line
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -1116,12 +1117,12 @@ class TestGenerationLine:
             GenerationRecord(0, [], value, "d", []),
             GenerationRecord(0, [QueryOutcome(
                 ("a",), Variant.LEMMA, "a", None, [], 0.5,
-                [ScoredResult(hit, 1, 1.0, 0.5, value, 1.0, 0.5)],
+                [ScoredResult(hit, 1, 1.0, 0.5, value, 0.5)],
             )], 0.5, "d", []),
         ]
         for record in records:
             with pytest.raises(ValueError):
-                canonical_json(record.to_payload())
+                canonical_json(record_payload(record))
             with pytest.raises(ValueError):
                 generation_line(record, LineFragments())
 
@@ -1130,7 +1131,7 @@ class TestGenerationLine:
         for seed in (7, 8):
             fragments = LineFragments()
             for record in run_evolution(small_config(rng_seed=seed), provider, SEED_DOCS):
-                line = canonical_json(record.to_payload()) + "\n"
+                line = canonical_json(record_payload(record)) + "\n"
                 assert generation_line(record, fragments) == line
             assert len(fragments) == 40
 
@@ -1147,4 +1148,5 @@ class TestGenerationLine:
                 assert "rank" not in result and "environment" not in result
                 count = len(query["results"])
                 assert scored.rank_component == (count - result["position"] + 1) / count
-                assert scored.environment_factor == config.a_factor
+        final = json.loads(final_results_text(record.top_results, config.a_factor))
+        assert final and all(entry["environment"] == config.a_factor for entry in final)

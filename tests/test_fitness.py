@@ -47,7 +47,6 @@ def scored(w, url="https://a.org/1", host=None, **kw):
         rank_component=0.5,
         crossquery_component=0.5,
         semantic_component=0.5,
-        environment_factor=1.0,
         fitness=w,
     )
 
@@ -452,7 +451,6 @@ class TestScoreQueryResults:
                 result.rank_component,
                 result.crossquery_component,
                 result.semantic_component,
-                result.environment_factor,
                 result.fitness,
             ):
                 assert 0.0 <= value <= 1.0
@@ -541,7 +539,7 @@ def test_scorer_matches_reference(population, weights, host_coeff, environment):
             hits, lists, ref.vector, ref.normalizer, config
         )
         results = score_query_results(hits, url_counts, ref, config)
-        assert [result_to_payload(r) for r in results] == expected
+        assert [result_to_payload(r, config.a_factor) for r in results] == expected
 
 
 class TestReferenceText:
