@@ -22,12 +22,12 @@ from itertools import combinations
 from pathlib import Path
 from typing import NoReturn, Sequence
 
+from .config import RunConfig
 from .corpus import build_keyword_pool, data_lines, load_corpus, normalizer_for
 from .errors import (
     ConfigInvalid,
     DivergenceDetected,
     EvoqueryError,
-    LedgerCorrupt,
     ParseError,
     ProviderError,
     ZeroEnergySequence,
@@ -49,15 +49,8 @@ from .evaluation import (
     precision,
     rho12,
 )
-from .evolution import (
-    RunConfig,
-    build_provider,
-    make_run_inputs,
-    replay,
-    run_evolution,
-    write_run_ledger,
-)
-from .ledger import FINAL_RESULTS_FILE, parse_ledger_json, read_ledger_file, staged_sibling
+from .evolution import build_provider, make_run_inputs, replay, run_evolution, write_run_ledger
+from .ledger import FINAL_RESULTS_FILE, ledger_ordering, staged_sibling
 from .provider import build_index, save_index
 from .report import METRIC_FAMILIES, metrics_csv_text, read_metrics_csv, write_report
 
@@ -174,21 +167,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ledger_ordering(ledger_dir: Path) -> list[str]:
-    path = ledger_dir / FINAL_RESULTS_FILE
-    payload = parse_ledger_json(read_ledger_file(ledger_dir, FINAL_RESULTS_FILE), str(path))
-    if not isinstance(payload, list):
-        raise LedgerCorrupt(f"{path} must hold an array")
-    urls: dict[str, None] = {}
-    for i, entry in enumerate(payload):
-        if not isinstance(entry, dict) or not isinstance(entry.get("url"), str):
-            raise LedgerCorrupt(f"{path}: entry {i} lacks a string url")
-        if entry["url"] in urls:
-            raise LedgerCorrupt(f"{path}: entry {i} repeats url {entry['url']!r}")
-        urls[entry["url"]] = None
-    return list(urls)
-
-
 def _list_ordering(path: Path) -> list[str]:
     urls: dict[str, None] = {}
     for line_no, url in data_lines(path):
@@ -214,7 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     orderings: list[tuple[str, list[str]]] = []
     if args.ledger:
-        orderings.append(("evolved", _ledger_ordering(Path(args.ledger))))
+        orderings.append(("evolved", ledger_ordering(args.ledger)))
     for list_path in args.list or []:
         path = _require_file(list_path, "ordering list")
         orderings.append((path.stem, _list_ordering(path)))

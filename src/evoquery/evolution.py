@@ -1,10 +1,12 @@
-"""The generational loop: seed, query, score, select, repeat.
+"""The generational loop and the run's two ends: its inputs and its ledger.
 
 run_evolution drives a population of query genomes against a provider for
 a fixed number of generations, maintaining the adaptive reference vector
 and the run-wide capped result list, and yields each generation's record
-once it is scored. write_run_ledger streams the records to disk; replay
-re-runs an offline ledger and stops at the first line that differs.
+once it is scored. make_run_inputs records the files a run reads;
+write_run_ledger streams the records to disk, each line spelled by
+``ledger.generation_line``; replay re-runs an offline ledger and stops at
+the first line that differs. The run's parameters are ``config.RunConfig``.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
-from urllib.parse import urlsplit
 
+from .config import ProviderSpec, RunConfig
 from .corpus import (
     Document, SuffixNormalizer, extract_keywords, load_corpus, normalizer_for, seed_vector
 )
@@ -34,249 +36,30 @@ from .fitness import (
     score_query_results,
     update_reference_text,
 )
-from .genome import (
-    QueryGenome,
-    Variant,
-    crossover,
-    mutate,
-    render_query,
-    seed_population,
-)
+from .genome import QueryGenome, Variant, crossover, mutate, render_query, seed_population
 from .ledger import (
     CONFIG_FILE,
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
+    LineFragments,
     canonical_json,
     config_text,
     file_digest,
+    generation_line,
     ledger_file,
     new_ledger_dir,
     parse_ledger_json,
     parse_record_line,
     read_config_payload,
     read_ledger_file,
+    result_to_payload,
     stored_generation_lines,
     text_divergence,
 )
-from .provider import (
-    OfflineProvider,
-    HttpProvider,
-    SearchHit,
-    SearchProvider,
-    load_index,
-)
+from .provider import HttpProvider, OfflineProvider, SearchHit, SearchProvider, load_index
 from .rng import derive_rng
 
 API_KEY_ENV_VAR = "EVOQUERY_API_KEY"
-# Most pieces a LineFragments keeps, and json.dumps(ensure_ascii=True)'s own string encoder
-FRAGMENT_MEMO_LIMIT = 1 << 16
-_escape = json.encoder.encode_basestring_ascii
-# Largest accepted value of each RunConfig count. Every bound is far above a
-# useful run, and low enough that a slipped digit is rejected at load instead
-# of starting a run that cannot finish.
-COUNT_LIMITS = {
-    "g2": 1_000,
-    "g3": 100,
-    "f1": 1_000,
-    "f2": 10_000,
-    "f3": 10_000,
-    "e1": 1_000,
-    "keyword_pool_size": 10_000,
-}
-
-
-def _parse_int(name: str, value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _parse_float(name: str, value: object) -> float:
-    """A JSON number as a finite float, or ConfigInvalid naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{name} must be a number, got {value!r}")
-    try:
-        parsed = float(value)
-    except OverflowError:
-        raise ConfigInvalid(f"{name} must be finite, got an integer beyond float range") from None
-    if not math.isfinite(parsed):
-        raise ConfigInvalid(f"{name} must be finite, got {parsed!r}")
-    return parsed
-
-
-def _instance_of(kind: type | tuple[type, ...], noun: str):
-    """A parser that passes instances of ``kind`` through as they are."""
-
-    def parse(name: str, value: object):
-        if not isinstance(value, kind):
-            raise ConfigInvalid(f"{name} must be {noun}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _parse_variant(name: str, value: object) -> Variant:
-    try:
-        return Variant(value)
-    except ValueError:
-        raise ConfigInvalid(f"{name} must be lemma or quoted, got {value!r}") from None
-
-
-def _from_payload(cls, payload: object, what: str):
-    """Build the dataclass ``cls`` from a JSON object; absent keys take defaults.
-
-    Each value is parsed by its field's annotation (see ``_FIELD_PARSERS``);
-    range checks are left to ``cls.__post_init__``.
-    """
-    if not isinstance(payload, dict):
-        raise ConfigInvalid(f"{what} must be a JSON object")
-    parsers = {f.name: _FIELD_PARSERS[f.type] for f in fields(cls)}
-    unknown = set(payload) - set(parsers)
-    if unknown:
-        raise ConfigInvalid(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**{name: parsers[name](name, value) for name, value in payload.items()})
-
-
-def _is_http_url(text: str) -> bool:
-    try:
-        parts = urlsplit(text)
-    except ValueError:  # e.g. an unclosed "[" in the host
-        return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
-
-
-@dataclass(frozen=True)
-class ProviderSpec:
-    """Which engine a run talks to and how."""
-
-    kind: str = "offline"  # "offline" | "http"
-    endpoint: str | None = None
-    api_key_header: str | None = None
-    rate_limit_rps: float = 1.0
-    full_body_snippets: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate_limit_rps", float(self.rate_limit_rps))  # see RunConfig
-        if self.kind not in ("offline", "http"):
-            raise ConfigInvalid(f"provider kind must be offline or http, got {self.kind!r}")
-        if self.kind == "http" and not self.endpoint:
-            raise ConfigInvalid("provider kind http needs an endpoint")
-        if self.kind == "http" and not _is_http_url(self.endpoint):
-            raise ConfigInvalid(
-                f"endpoint must be an http or https URL with a host, got {self.endpoint!r}"
-            )
-        if not self.rate_limit_rps > 0:
-            raise ConfigInvalid("rate_limit_rps must be positive")
-
-    def to_payload(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: object) -> ProviderSpec:
-        return _from_payload(cls, payload, "provider")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run parameters; the zero-argument form is the reference setup.
-
-    g2: population size; g3: terms per query; f1/f2/f3: per-query,
-    per-population and run-wide result caps; f4: same-host damping;
-    f5/f6/f7: rank/crossquery/semantic component weights; m1: mutation
-    probability; e1: generation count. These short names are the config
-    file's vocabulary; each count is bounded by ``COUNT_LIMITS``.
-    """
-
-    g2: int = 8
-    g3: int = 6
-    f1: int = 20
-    f2: int = 20
-    f3: int = 20
-    f4: float = 0.75
-    f5: float = 0.33
-    f6: float = 0.33
-    f7: float = 0.34
-    m1: float = 1.0
-    e1: int = 10
-    a_factor: float = 1.0
-    rng_seed: int = 0
-    variant: Variant = Variant.LEMMA
-    keyword_pool_size: int = 50
-    freeze_reference: bool = False
-    stop_words_path: str | None = None
-    provider: ProviderSpec = dc_field(default_factory=ProviderSpec)
-
-    def __post_init__(self) -> None:
-        for name in ("f4", "f5", "f6", "f7", "m1", "a_factor"):  # so that asdict writes 1 as 1.0
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name, limit in COUNT_LIMITS.items():
-            value = getattr(self, name)
-            if not 1 <= value <= limit:
-                # str() refuses integers of more than 4300 digits
-                shown = value if value.bit_length() <= 64 else f"a {value.bit_length()}-bit integer"
-                raise ConfigInvalid(f"{name} must be in 1..{limit}, got {shown}")
-        if self.keyword_pool_size < self.min_pool_size:
-            raise ConfigInvalid(
-                f"keyword_pool_size must be at least {self.min_pool_size} for "
-                f"g3={self.g3} and e1={self.e1}, got {self.keyword_pool_size}"
-            )
-        if not (0.0 <= self.m1 <= 1.0):
-            raise ConfigInvalid(f"m1 must be a probability, got {self.m1!r}")
-        if not (0.0 <= self.a_factor <= 1.0):
-            raise ConfigInvalid(f"a_factor must be in [0, 1], got {self.a_factor!r}")
-        if not (0.0 < self.f4 <= 1.0):
-            raise ConfigInvalid(f"f4 must be in (0, 1], got {self.f4!r}")
-        for name in ("f5", "f6", "f7"):
-            if not getattr(self, name) >= 0:
-                raise ConfigInvalid(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        total = self.f5 + self.f6 + self.f7
-        if not abs(total - 1.0) <= 1e-9:
-            raise ConfigInvalid(f"f5 + f6 + f7 must sum to 1 within 1e-9, got {total!r}")
-
-    @property
-    def min_pool_size(self) -> int:
-        """Keywords a run needs: g3 distinct terms per genome, plus one outside
-        each genome to mutate it with when there is a second generation."""
-        return self.g3 + (1 if self.e1 > 1 else 0)
-
-    def to_payload(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: object) -> RunConfig:
-        """Build a config from a plain dict; absent keys take defaults."""
-        return _from_payload(cls, payload, "config")
-
-
-# Field annotation -> parser of a JSON value, naming its key in any ConfigInvalid.
-# Keys are annotations as written: ``from __future__ import annotations``
-# leaves every dataclass field's type a string. ``to_payload`` is ``asdict``,
-# which reads back equal: each float field holds a float, and Variant is a str.
-_FIELD_PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "bool": _instance_of(bool, "a boolean"),
-    "str": _instance_of(str, "a string"),
-    "str | None": _instance_of((str, type(None)), "a string or null"),
-    "Variant": _parse_variant,
-    "ProviderSpec": lambda name, value: ProviderSpec.from_payload(value),
-}
-
-
-def result_to_payload(result: ScoredResult, a_factor: float) -> dict:
-    """A result as final_results.json holds it; ``environment`` is the run's ``a_factor``."""
-    return {
-        "url": result.hit.doc_url,
-        "host": result.hit.doc_host,
-        "title": result.hit.title,
-        "snippet": result.hit.snippet,
-        "position": result.position,
-        "rank": result.rank_component,
-        "crossquery": result.crossquery_component,
-        "semantic": result.semantic_component,
-        "environment": a_factor,
-        "fitness": result.fitness,
-    }
 
 
 @dataclass
@@ -479,52 +262,6 @@ def make_run_inputs(
     }
 
 
-class LineFragments(dict):
-    """The pieces of one run's generations.jsonl lines, each rendered once: a float's
-    spelling (``json.dumps``'s; NaN and infinities raise ValueError) and a hit's text
-    before and after its result's position. Up to ``FRAGMENT_MEMO_LIMIT`` pieces are
-    kept, but never zero's, since 0.0 and -0.0 are one key."""
-
-    def __missing__(self, key):
-        if isinstance(key, SearchHit):
-            text = (f',"host":{_escape(key.doc_host)},"position":',
-                    f',"snippet":{_escape(key.snippet)},"title":{_escape(key.title)}'
-                    f',"url":{_escape(key.doc_url)}}}')
-        elif math.isfinite(key):
-            text = float.__repr__(key)
-        else:
-            raise ValueError(f"non-finite float {key!r} cannot enter a ledger")
-        if key and len(self) < FRAGMENT_MEMO_LIMIT:
-            self[key] = text
-        return text
-
-
-def generation_line(record: GenerationRecord, fragments: LineFragments | None = None) -> str:
-    """One line of generations.jsonl and its newline: the record in canonical JSON,
-    without its ``top_results``, each query's ``hits`` or what ``QueryOutcome`` says
-    a line leaves out. Joined once in sorted key order from ``fragments`` (a run's
-    own, or new ones), so a result's text is copied once into the line."""
-    piece = LineFragments() if fragments is None else fragments
-    parts = [f'{{"generation":{record.generation},"population_fitness":'
-             f'{piece[record.population_fitness]},"queries":[']
-    query_comma = ""
-    for query in record.queries:
-        issued_at = "null" if query.issued_at is None else piece[query.issued_at]
-        parts.append(f'{query_comma}{{"issued_at":{issued_at},"query_fitness":'
-                     f'{piece[query.query_fitness]},"results":[')
-        comma, query_comma = "", ","
-        for r in query.results:
-            before, after = piece[r.hit]
-            parts.append(f'{comma}{{"crossquery":{piece[r.crossquery_component]},"fitness":'
-                         f'{piece[r.fitness]}{before}{r.position},"semantic":'
-                         f'{piece[r.semantic_component]}{after}')
-            comma = ","
-        parts.append(f'],"terms":[{",".join(map(_escape, query.terms))}]'
-                     f',"variant":{_escape(query.variant.value)}}}')
-    parts.append(f'],"reference_digest":{_escape(record.reference_digest)}}}\n')
-    return "".join(parts)
-
-
 def final_results_text(results: list[ScoredResult], a_factor: float) -> str:
     """The whole text of final_results.json."""
     return canonical_json([result_to_payload(r, a_factor) for r in results]) + "\n"
@@ -558,13 +295,14 @@ def _verify_input_file(path: Path, recorded_digest: str, label: str) -> None:
         )
 
 
-def _compare_line(line: str | None, fresh: str, line_no: int, count: int) -> None:
-    """DivergenceDetected unless stored ``line`` (None past the last) is ``fresh``;
-    a call of its own, so neither line outlives it into the next generation."""
+def _compare_line(line: str | None, fresh: str, line_no: int, count: int, path: Path) -> None:
+    """DivergenceDetected unless stored ``line`` (None past the last) of the file at
+    ``path`` is ``fresh``; a call of its own, so neither line outlives it into the
+    next generation."""
     if line is None:
         raise DivergenceDetected(line_no - 1, "record_count", line_no - 1, count)
     if line != fresh:
-        found = text_divergence(line, fresh, lambda text: parse_record_line(text, line_no))
+        found = text_divergence(line, fresh, lambda text: parse_record_line(text, line_no, path))
         raise DivergenceDetected(line_no - 1, *found)
 
 
@@ -572,10 +310,13 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
     """Re-execute an offline run, comparing each line it renders with the stored
     line, read one at a time, as soon as it is produced; stop at the first that
     differs, naming its first differing field, or ``<bytes at column N>``. Nothing
-    runs unless config.json is what evolve writes for it. Returns the last record."""
+    runs unless config.json is what evolve writes for it and final_results.json is
+    JSON. Returns the last record."""
     payload = read_config_payload(ledger_dir)
-    for name in (GENERATIONS_FILE, FINAL_RESULTS_FILE):  # a half-written ledger sends no query
-        ledger_file(ledger_dir, name)
+    ledger_file(ledger_dir, GENERATIONS_FILE)  # a half-written ledger sends no query
+    stored_final = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
+    parse_final = partial(parse_ledger_json, where=str(Path(ledger_dir, FINAL_RESULTS_FILE)))
+    parse_final(stored_final)
     where = Path(ledger_dir, CONFIG_FILE)
     if "config" not in payload:
         raise LedgerCorrupt(f"{where} lacks a config section")
@@ -584,21 +325,19 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
     except ConfigInvalid as exc:
         raise LedgerCorrupt(f"{where} holds an invalid config: {exc}") from None
     if config.provider.kind != "offline":
-        raise LedgerCorrupt(
-            f"ledger was produced by the {config.provider.kind!r} provider; "
-            "only offline runs re-derive their results"
-        )
+        raise LedgerCorrupt(f"{where} records a run on the {config.provider.kind!r} provider; "
+                            "only offline runs re-derive their results")
     if config.stop_words_path is not None:  # which evolve refuses with --index
         raise LedgerCorrupt(f"{where} names a stop_words_path, but an offline run takes "
                             "its stop words from its index")
     inputs = payload.get("inputs")
     if not isinstance(inputs, dict):
-        raise LedgerCorrupt("ledger records no input files; cannot replay")
+        raise LedgerCorrupt(f"{where} records no input files; cannot replay")
     names = ("index", "seed_material")
     keys = [f"{name}_{part}" for name in names for part in ("path", "sha256")]
     for key in keys:
         if not isinstance(inputs.get(key), str):
-            raise LedgerCorrupt(f"ledger inputs lack a string {key}")
+            raise LedgerCorrupt(f"{where} inputs lack a string {key}")
     stored_config = read_ledger_file(ledger_dir, CONFIG_FILE)
     inputs = {key: inputs[key] for key in keys}
     fresh_config = config_text({"config": config.to_payload(), "inputs": inputs})
@@ -614,16 +353,15 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
     provider = build_provider(config.provider, paths["index"])
     records = run_evolution(config, provider, load_corpus(paths["seed_material"]))
     stored, fragments = stored_generation_lines(ledger_dir), LineFragments()
+    compare = partial(_compare_line, count=config.e1, path=Path(ledger_dir, GENERATIONS_FILE))
     for line_no, record in enumerate(records, start=1):
-        _compare_line(next(stored, None), generation_line(record, fragments), line_no, config.e1)
+        compare(next(stored, None), generation_line(record, fragments), line_no)
     extra = sum(1 for _ in stored)
     if extra:
         raise DivergenceDetected(config.e1, "record_count", config.e1 + extra, config.e1)
 
-    stored_final = read_ledger_file(ledger_dir, FINAL_RESULTS_FILE)
     fresh_final = final_results_text(record.top_results, config.a_factor)
     if stored_final != fresh_final:
-        parse = partial(parse_ledger_json, where=FINAL_RESULTS_FILE)
-        found = text_divergence(stored_final, fresh_final, parse, "final_results")
+        found = text_divergence(stored_final, fresh_final, parse_final, "final_results")
         raise DivergenceDetected(config.e1, *found)
     return record

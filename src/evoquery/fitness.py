@@ -5,7 +5,7 @@ position, a cross-query score counting how many of the population's result
 lists contain it, a semantic score against an adaptive reference vector,
 and a per-run environment factor. The weighted sum, damped per extra
 result from the same host, is the quantity the genetic loop maximizes;
-the weights, damping and factor are the run's ``RunConfig`` f5-f7, f4
+the weights, damping and factor are the run's ``config.RunConfig`` f5-f7, f4
 and a_factor.
 Means add left to right with plain float addition, not ``sum()``, which
 compensates rounding from Python 3.12 on and so would make ledger bytes
@@ -27,13 +27,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import chain
 from operator import add, attrgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
+from .config import RunConfig
 from .corpus import SuffixNormalizer, TermVector, DEFAULT_NORMALIZER
 from .provider import SearchHit
-
-if TYPE_CHECKING:  # evolution imports this module
-    from .evolution import RunConfig
 
 REFERENCE_CAPACITY = 256
 REFERENCE_DECAY = 0.5

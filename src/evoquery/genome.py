@@ -3,9 +3,9 @@
 A genome is a fixed-length list of distinct keyword lemmas plus a rendering
 variant. Operators keep the encoding valid by construction: crossover never
 introduces duplicates and mutation replaces exactly one term with a fresh
-one, so no repair step exists anywhere. They rely on ``run_evolution``: its
+one, so no repair step exists anywhere. They rely on ``evolution.run_evolution``: its
 genomes share one length and variant, and its pool has at least
-``RunConfig.min_pool_size`` terms, each of positive weight.
+``config.RunConfig.min_pool_size`` terms, each of positive weight.
 """
 
 from __future__ import annotations

@@ -7,17 +7,21 @@ Every value is in one canonical form (sorted keys, compact separators,
 ASCII escapes, floats as the shortest decimal that reads back to the same
 value), that of ``canonical_json``, so equal runs produce byte-equal files
 and replay can compare the files' exact text with the lines it renders
-again. ``evolution.generation_line`` joins each generations.jsonl line from
-pieces rendered once per run; a property test holds it equal to
+again. ``generation_line`` joins each generations.jsonl line from pieces
+rendered once per run; a property test holds it equal to
 ``canonical_json`` of the record's payload.
 A ledger is written into a hidden sibling directory and renamed into place,
-so it appears whole or not at all.
+so it appears whole or not at all. An error about a file read here names its path.
+This module imports no other of the package but ``errors``: ``provider``
+writes its index through ``staged_sibling``, and a hit is told from a
+float by being a tuple, not by its class.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 from contextlib import contextmanager, suppress
@@ -33,6 +37,9 @@ FINAL_RESULTS_FILE = "final_results.json"
 # Format 1 (no recorded version) spelled floats at 17 significant digits;
 # format 2 also wrote the fields of a generation line that format 3 re-derives.
 LEDGER_FORMAT = 3
+# Most pieces a LineFragments keeps, and json.dumps(ensure_ascii=True)'s own string encoder
+FRAGMENT_MEMO_LIMIT = 1 << 16
+_escape = json.encoder.encode_basestring_ascii
 
 
 def canonical_json(value: Any) -> str:
@@ -88,6 +95,70 @@ def config_text(config_payload: dict) -> str:
     return canonical_json({**config_payload, "ledger_format": LEDGER_FORMAT}) + "\n"
 
 
+def result_to_payload(result, a_factor: float) -> dict:
+    """A ``ScoredResult`` as final_results.json holds it; ``environment`` is ``a_factor``."""
+    return {
+        "url": result.hit.doc_url,
+        "host": result.hit.doc_host,
+        "title": result.hit.title,
+        "snippet": result.hit.snippet,
+        "position": result.position,
+        "rank": result.rank_component,
+        "crossquery": result.crossquery_component,
+        "semantic": result.semantic_component,
+        "environment": a_factor,
+        "fitness": result.fitness,
+    }
+
+
+class LineFragments(dict):
+    """The pieces of one run's generations.jsonl lines, each rendered once: a float's
+    spelling (``json.dumps``'s; NaN and infinities raise ValueError) and a hit's text
+    before and after its result's position; a hit is the one tuple key, since a
+    ``SearchHit`` is a NamedTuple. Up to ``FRAGMENT_MEMO_LIMIT`` pieces are kept,
+    but never zero's, since 0.0 and -0.0 are one key."""
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            text = (f',"host":{_escape(key.doc_host)},"position":',
+                    f',"snippet":{_escape(key.snippet)},"title":{_escape(key.title)}'
+                    f',"url":{_escape(key.doc_url)}}}')
+        elif math.isfinite(key):
+            text = float.__repr__(key)
+        else:
+            raise ValueError(f"non-finite float {key!r} cannot enter a ledger")
+        if key and len(self) < FRAGMENT_MEMO_LIMIT:
+            self[key] = text
+        return text
+
+
+def generation_line(record, fragments: LineFragments | None = None) -> str:
+    """One line of generations.jsonl and its newline: a ``GenerationRecord`` in
+    canonical JSON, without its ``top_results``, each query's ``hits`` or what
+    ``QueryOutcome`` says a line leaves out. Joined once in sorted key order from
+    ``fragments`` (a run's own, or new ones), so a result's text is copied once
+    into the line."""
+    piece = LineFragments() if fragments is None else fragments
+    parts = [f'{{"generation":{record.generation},"population_fitness":'
+             f'{piece[record.population_fitness]},"queries":[']
+    query_comma = ""
+    for query in record.queries:
+        issued_at = "null" if query.issued_at is None else piece[query.issued_at]
+        parts.append(f'{query_comma}{{"issued_at":{issued_at},"query_fitness":'
+                     f'{piece[query.query_fitness]},"results":[')
+        comma, query_comma = "", ","
+        for r in query.results:
+            before, after = piece[r.hit]
+            parts.append(f'{comma}{{"crossquery":{piece[r.crossquery_component]},"fitness":'
+                         f'{piece[r.fitness]}{before}{r.position},"semantic":'
+                         f'{piece[r.semantic_component]}{after}')
+            comma = ","
+        parts.append(f'],"terms":[{",".join(map(_escape, query.terms))}]'
+                     f',"variant":{_escape(query.variant.value)}}}')
+    parts.append(f'],"reference_digest":{_escape(record.reference_digest)}}}\n')
+    return "".join(parts)
+
+
 def ledger_file(ledger_dir: str | Path, name: str) -> Path:
     """The path of one ledger file, which must exist."""
     path = Path(ledger_dir) / name
@@ -131,7 +202,7 @@ def read_config_payload(ledger_dir: str | Path) -> dict:
     path = Path(ledger_dir) / CONFIG_FILE
     payload = parse_ledger_json(read_ledger_file(ledger_dir, CONFIG_FILE), str(path))
     if not isinstance(payload, dict):
-        raise LedgerCorrupt(f"{CONFIG_FILE} must hold an object")
+        raise LedgerCorrupt(f"{path} must hold an object")
     found = payload.pop("ledger_format", 1)  # format 1 recorded no version
     if found != LEDGER_FORMAT:
         raise LedgerCorrupt(
@@ -141,12 +212,28 @@ def read_config_payload(ledger_dir: str | Path) -> dict:
     return payload
 
 
-def parse_record_line(line: str, line_no: int) -> dict:
-    where = f"{GENERATIONS_FILE} line {line_no}"
+def parse_record_line(line: str, line_no: int, path: str | Path) -> dict:
+    where = f"{path} line {line_no}"
     payload = parse_ledger_json(line, where)
     if not isinstance(payload, dict):
         raise LedgerCorrupt(f"{where} must hold an object")
     return payload
+
+
+def ledger_ordering(ledger_dir: str | Path) -> list[str]:
+    """The urls of final_results.json, in order; each must be a distinct string."""
+    path = Path(ledger_dir) / FINAL_RESULTS_FILE
+    payload = parse_ledger_json(read_ledger_file(ledger_dir, FINAL_RESULTS_FILE), str(path))
+    if not isinstance(payload, list):
+        raise LedgerCorrupt(f"{path} must hold an array")
+    urls: dict[str, None] = {}
+    for i, entry in enumerate(payload):
+        if not isinstance(entry, dict) or not isinstance(entry.get("url"), str):
+            raise LedgerCorrupt(f"{path}: entry {i} lacks a string url")
+        if entry["url"] in urls:
+            raise LedgerCorrupt(f"{path}: entry {i} repeats url {entry['url']!r}")
+        urls[entry["url"]] = None
+    return list(urls)
 
 
 class _Absent:

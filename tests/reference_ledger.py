@@ -11,7 +11,7 @@ run config give. ``expand_format_3_record`` puts them back, so a format-3
 line gives the format-2 line, and from it the format-1 line.
 
 ``record_payload`` is the plain dict of a format-3 generation line, which
-``canonical_json`` of it must spell as ``evolution.generation_line`` does.
+``canonical_json`` of it must spell as ``ledger.generation_line`` does.
 """
 
 import json

@@ -23,7 +23,8 @@ from evoquery.evaluation import (
     precision,
     rho12,
 )
-from evoquery.evolution import RunConfig, build_provider, run_evolution
+from evoquery.config import RunConfig
+from evoquery.evolution import build_provider, run_evolution
 from evoquery.fitness import (
     ReferenceText,
     ScoredResult,

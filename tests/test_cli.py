@@ -136,6 +136,50 @@ MALFORMED_INDEXES = [
 ]
 
 
+
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+def _edit_config(ledger, edit):
+    path = ledger / "config.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    return _write(path, canonical_json(payload).encode() + b"\n")
+
+
+# (break a copy of a ledger and return the file the error must name; the
+# message after the file's path; whether replay must refuse before any query)
+BROKEN_LEDGERS = [
+    pytest.param(
+        lambda d: _write(d / FINAL_RESULTS_FILE, (d / FINAL_RESULTS_FILE).read_bytes()[:100]),
+        " is not valid JSON: ", True, id="truncated-final-results",
+    ),
+    pytest.param(
+        lambda d: _write(d / "config.json", b"[1]\n"), " must hold an object", True,
+        id="config-not-an-object",
+    ),
+    pytest.param(
+        lambda d: _write(d / GENERATIONS_FILE, (d / GENERATIONS_FILE).read_bytes()[:100]),
+        " line 1 is not valid JSON: ", False, id="truncated-generations",
+    ),
+    pytest.param(
+        lambda d: _edit_config(d, lambda p: p.pop("inputs")),
+        " records no input files; cannot replay", True, id="no-inputs",
+    ),
+    pytest.param(
+        lambda d: _edit_config(d, lambda p: p["inputs"].pop("index_sha256")),
+        " inputs lack a string index_sha256", True, id="input-without-digest",
+    ),
+    pytest.param(
+        lambda d: _edit_config(d, lambda p: p["config"]["provider"].update(
+            kind="http", endpoint="https://api.example/search")),
+        " records a run on the 'http' provider; only offline runs re-derive their results",
+        True, id="http-provider",
+    ),
+]
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-data")
@@ -864,7 +908,7 @@ class TestReplay:
         ]) == 0
         path = out / GENERATIONS_FILE
         lines = path.read_text().splitlines()
-        payload = parse_record_line(lines[0], 1)
+        payload = parse_record_line(lines[0], 1, GENERATIONS_FILE)
         payload["population_fitness"] = payload["population_fitness"] + 0.25
         lines[0] = canonical_json(payload)
         path.write_text("\n".join(lines) + "\n")
@@ -944,7 +988,7 @@ class TestReplay:
         assert count == 1
         final.write_text(text)
         assert main(["replay", "--ledger", str(ledger)]) == 1
-        assert f"error: {FINAL_RESULTS_FILE} is not valid JSON" in capsys.readouterr().err
+        assert f"error: {final} is not valid JSON" in capsys.readouterr().err
 
     def test_config_integer_over_digit_limit_names_file(self, run_dir, tmp_path, capsys):
         ledger = tmp_path / "ledger"
@@ -993,6 +1037,18 @@ class TestReplay:
         config.write_text(canonical_json(payload) + "\n")
         assert main(["replay", "--ledger", str(ledger)]) == 1
         assert capsys.readouterr().err == f"error: {config}{problem}\n"
+
+    @pytest.mark.parametrize("corrupt, problem, before_any_query", BROKEN_LEDGERS)
+    def test_broken_ledger_file_named(
+        self, run_dir, tmp_path, capsys, monkeypatch, corrupt, problem, before_any_query
+    ):
+        ledger = tmp_path / "ledger"
+        shutil.copytree(run_dir, ledger)
+        path = corrupt(ledger)
+        if before_any_query:
+            monkeypatch.setattr(OfflineProvider, "execute", lambda *args: pytest.fail("query sent"))
+        assert main(["replay", "--ledger", str(ledger)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}{problem}")
 
 
 def test_cli_import_loads_no_third_party_http_client():

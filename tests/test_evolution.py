@@ -1,5 +1,6 @@
 """Generational loop, selection, run ledger persistence and replay."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,22 +23,17 @@ from evoquery.corpus import (
     dump_corpus,
     load_corpus,
 )
-import evoquery.evolution
+import evoquery.ledger
 import evoquery.provider
+from evoquery.config import COUNT_LIMITS, ProviderSpec, RunConfig
 from evoquery.errors import ConfigInvalid, DivergenceDetected, EvoqueryError, LedgerCorrupt
 from evoquery.evolution import (
-    COUNT_LIMITS,
     GenerationRecord,
-    LineFragments,
-    ProviderSpec,
     QueryOutcome,
-    RunConfig,
     build_provider,
     final_results_text,
-    generation_line,
     make_run_inputs,
     replay,
-    result_to_payload,
     run_evolution,
     select_survivors,
     write_run_ledger,
@@ -50,8 +46,11 @@ from evoquery.ledger import (
     CONFIG_FILE,
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
+    LineFragments,
     canonical_json,
+    generation_line,
     parse_record_line,
+    result_to_payload,
 )
 from evoquery.provider import HttpProvider, OfflineProvider, SearchHit, build_index, save_index
 from evoquery.rng import derive_rng
@@ -160,7 +159,7 @@ class TestProviderSpec:
             kind="http", endpoint="https://api.example/search",
             api_key_header="X-Key", rate_limit_rps=2.0,
         )
-        assert ProviderSpec.from_payload(spec.to_payload()) == spec
+        assert ProviderSpec.from_payload(dataclasses.asdict(spec)) == spec
 
     def test_unknown_payload_key_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -301,10 +300,10 @@ class TestHitRows:
         data = Path(__file__).resolve().parents[1] / "data"
         index = build_index(load_corpus(data / "corpus.jsonl"))
         made, escaped = [], Counter()
-        escape = evoquery.evolution._escape
+        escape = evoquery.ledger._escape
         monkeypatch.setattr(evoquery.provider, "SearchHit",
                             lambda *fields: made.append(SearchHit(*fields)) or made[-1])
-        monkeypatch.setattr(evoquery.evolution, "_escape",
+        monkeypatch.setattr(evoquery.ledger, "_escape",
                             lambda text: escaped.update([text]) or escape(text))
         config = RunConfig(g2=32, e1=20)
         records = []
@@ -394,9 +393,10 @@ class TestPayloadBoundary:
         except ConfigInvalid as exc:
             assert names_a_set_key(str(exc), payload), f"{exc} names no key of {payload!r}"
             return
-        again = cls.from_payload(parsed.to_payload())
+        payload = dataclasses.asdict(parsed)  # RunConfig.to_payload
+        again = cls.from_payload(payload)
         assert again == parsed
-        assert canonical_json(again.to_payload()) == canonical_json(parsed.to_payload())
+        assert canonical_json(dataclasses.asdict(again)) == canonical_json(payload)
 
     @settings(max_examples=300, deadline=None)
     @given(payloads(CONFIG_FIELDS))
@@ -880,7 +880,7 @@ class TestLedgerWriteAndReplay:
         ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir)
         path = ledger_dir / GENERATIONS_FILE
         lines = path.read_text().splitlines()
-        payload = parse_record_line(lines[1], 2)
+        payload = parse_record_line(lines[1], 2, GENERATIONS_FILE)
         payload["population_fitness"] = payload["population_fitness"] + 0.125
         lines[1] = canonical_json(payload)
         path.write_text("\n".join(lines) + "\n")
@@ -895,7 +895,7 @@ class TestLedgerWriteAndReplay:
         ledger_dir, original = self._run_and_write(tmp_path, provider, run_inputs_dir)
         path = ledger_dir / GENERATIONS_FILE
         lines = path.read_text().splitlines()
-        payload = parse_record_line(lines[2], 3)
+        payload = parse_record_line(lines[2], 3, GENERATIONS_FILE)
         result = payload["queries"][1]["results"][0]
         fresh = result["semantic"]
         stored = fresh + 2.0**-40
@@ -937,7 +937,7 @@ class TestLedgerWriteAndReplay:
         ledger_dir, _ = self._run_and_write(tmp_path, provider, run_inputs_dir, e1=4)
         path = ledger_dir / GENERATIONS_FILE
         lines = path.read_text().splitlines(keepends=True)
-        payload = parse_record_line(lines[0], 1)
+        payload = parse_record_line(lines[0], 1, GENERATIONS_FILE)
         payload["population_fitness"] = payload["population_fitness"] + 0.125
         lines[0] = canonical_json(payload) + "\n"
         path.write_text("".join(lines))
@@ -978,7 +978,7 @@ class TestLedgerWriteAndReplay:
         with new_ledger_dir(tmp_path, {"config": config.to_payload(), "inputs": None}) as staging:
             (staging / GENERATIONS_FILE).write_text("")
             (staging / FINAL_RESULTS_FILE).write_text("[]\n")
-        with pytest.raises(LedgerCorrupt, match="^ledger was produced by the 'http' provider"):
+        with pytest.raises(LedgerCorrupt, match="config.json records a run on the 'http' provider"):
             replay(tmp_path)
 
     def test_missing_inputs_refused(self, tmp_path, provider):
@@ -1127,7 +1127,7 @@ class TestGenerationLine:
                 generation_line(record, LineFragments())
 
     def test_two_runs_in_one_process_render_within_the_memo_bound(self, provider, monkeypatch):
-        monkeypatch.setattr(evoquery.evolution, "FRAGMENT_MEMO_LIMIT", 40)
+        monkeypatch.setattr(evoquery.ledger, "FRAGMENT_MEMO_LIMIT", 40)
         for seed in (7, 8):
             fragments = LineFragments()
             for record in run_evolution(small_config(rng_seed=seed), provider, SEED_DOCS):

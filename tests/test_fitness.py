@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import evoquery.fitness
 import reference_scoring
 
+from evoquery.config import RunConfig
 from evoquery.corpus import Document, SuffixNormalizer, TermVector, seed_vector
 from evoquery.errors import ConfigInvalid, ParseError
-from evoquery.evolution import RunConfig, result_to_payload
 from evoquery.fitness import (
     REFERENCE_CAPACITY,
     ReferenceText,
@@ -26,6 +26,7 @@ from evoquery.fitness import (
     semantic_score,
     update_reference_text,
 )
+from evoquery.ledger import result_to_payload
 from evoquery.provider import SearchHit
 
 PAPER_CONFIG = RunConfig()

@@ -26,9 +26,9 @@ from pathlib import Path
 
 import pytest
 
+from evoquery.config import RunConfig
 from evoquery.corpus import load_corpus
 from evoquery.evolution import (
-    RunConfig,
     build_provider,
     make_run_inputs,
     run_evolution,

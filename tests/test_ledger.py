@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -152,13 +153,15 @@ class TestLedgerDir:
         with pytest.raises(LedgerCorrupt):
             read_config_payload(tmp_path)
         with pytest.raises(LedgerCorrupt):
-            parse_record_line("{nope", 3)
+            parse_record_line("{nope", 3, GENERATIONS_FILE)
         with pytest.raises(LedgerCorrupt):
-            parse_record_line("[1]", 1)  # record must be an object
+            parse_record_line("[1]", 1, GENERATIONS_FILE)  # record must be an object
 
-    def test_integer_over_digit_limit_names_file_and_line(self):
-        with pytest.raises(LedgerCorrupt, match=f"{GENERATIONS_FILE} line 4 is not valid JSON"):
-            parse_record_line('{"generation":' + "9" * 5000 + "}", 4)
+    def test_integer_over_digit_limit_names_file_and_line(self, tmp_path):
+        path = tmp_path / GENERATIONS_FILE
+        where = re.escape(f"{path} line 4 is not valid JSON")
+        with pytest.raises(LedgerCorrupt, match=f"^{where}"):
+            parse_record_line('{"generation":' + "9" * 5000 + "}", 4, path)
 
     def test_config_records_ledger_format(self, tmp_path):
         config, _, _ = self._write(tmp_path)

@@ -14,7 +14,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from evoquery.corpus import DEFAULT_NORMALIZER, Document, SuffixNormalizer, load_corpus
-from evoquery.evolution import RunConfig, run_evolution, write_run_ledger
+from evoquery.config import RunConfig
+from evoquery.evolution import run_evolution, write_run_ledger
 from evoquery.ledger import FINAL_RESULTS_FILE, GENERATIONS_FILE
 from evoquery.provider import OfflineProvider, build_index
 from reference_run import reference_run
