@@ -84,7 +84,9 @@ def _require_file(path: str | Path, what: str) -> Path:
 
 
 def _refuse_input_as_out(out: str | Path | None, inputs: list[tuple[str, str | None]]) -> None:
-    """ConfigInvalid if writing ``out`` would replace one of the (flag, path) ``inputs``."""
+    """ConfigInvalid if ``out`` is a directory or would replace one of the (flag, path) inputs."""
+    if out and os.path.isdir(out):
+        raise ConfigInvalid(f"--out would write {out}, which is a directory")
     for flag, path in inputs:
         both = out and path and os.path.exists(out) and os.path.exists(path)
         if both and os.path.samefile(out, path):

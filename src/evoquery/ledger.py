@@ -37,6 +37,7 @@ FINAL_RESULTS_FILE = "final_results.json"
 # Format 1 (no recorded version) spelled floats at 17 significant digits;
 # format 2 also wrote the fields of a generation line that format 3 re-derives.
 LEDGER_FORMAT = 3
+DIGEST_CHUNK = 1 << 16  # bytes that file_digest reads at once, so it never holds a whole file
 # Most pieces a LineFragments keeps, and json.dumps(ensure_ascii=True)'s own string encoder
 FRAGMENT_MEMO_LIMIT = 1 << 16
 _escape = json.encoder.encode_basestring_ascii
@@ -53,7 +54,11 @@ def canonical_json(value: Any) -> str:
 
 
 def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb", buffering=0) as fh:
+        while chunk := fh.read(DIGEST_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 @contextmanager

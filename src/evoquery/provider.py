@@ -111,7 +111,9 @@ def build_index(
     term_counts: dict[str, list[int]] = {}
     for position, doc in enumerate(sorted(docs, key=lambda d: d.id)):
         lemmas = normalizer.normalize(doc.body)
-        values = (doc.id, doc.url, doc.host, doc.title, " ".join(doc.body.split()), len(lemmas))
+        text = " ".join(doc.body.split())
+        text = doc.body if text == doc.body else text  # a collapsed body is kept, not copied
+        values = (doc.id, doc.url, doc.host, doc.title, text, len(lemmas))
         for name, value in zip(DOC_COLUMNS, values):
             columns[name].append(value)
         for lemma, tf in Counter(lemmas).items():
@@ -174,8 +176,14 @@ def _ascending(values: list) -> bool:
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index file, checking it once; each ParseError names the file and the bad part."""
+
+    class Ints(dict):  # each integer's spelling to one int, so equal values share one object
+        def __missing__(self, digits: str) -> int:
+            value = self[digits] = int(digits)
+            return value
+
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=Ints().__getitem__)
     except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an integer over the digit limit
         raise ParseError(f"index {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:

@@ -1,6 +1,7 @@
 """Exit codes, output contracts and format plumbing of the command line."""
 
 import errno
+import hashlib
 import json
 import os
 import re
@@ -1000,6 +1001,21 @@ class TestReplay:
         assert main(["replay", "--ledger", str(ledger)]) == 1
         assert f"error: {config} is not valid JSON" in capsys.readouterr().err
 
+    def test_changed_index_names_both_digests(self, data_dir, tmp_path, capsys):
+        index = tmp_path / "index.json"
+        shutil.copy(data_dir / "index.json", index)
+        out = tmp_path / "ledger"
+        assert main(["evolve", "--config", str(data_dir / "config.json"),
+                     "--seed-material", str(data_dir / "seed.jsonl"),
+                     "--index", str(index), "--out", str(out)]) == 0
+        recorded = hashlib.sha256(index.read_bytes()).hexdigest()
+        with open(index, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        changed = hashlib.sha256(index.read_bytes()).hexdigest()
+        capsys.readouterr()
+        assert main(["replay", "--ledger", str(out)]) == 1
+        assert f"changed since the run (sha256 {changed} != {recorded})" in capsys.readouterr().err
+
     def test_changed_stop_words_rejected(self, data_dir, tmp_path, capsys):
         # other stop words make another index, whose sha256 replay refuses
         stops = write_top_keywords(data_dir, tmp_path / "stops.txt")
@@ -1303,3 +1319,30 @@ class TestOutIsNotAnInput:
         shutil.copy(metrics_csv, out / "ndcg.svg")
         assert main(["report", "--metrics", str(out / "ndcg.svg"), "--out", str(out),
                      "--format", "csv"]) == 0
+
+
+class TestOutIsADirectory:
+    """An --out that names an existing directory exits 1 naming --out before any
+    work; the write that would fail on it comes only after all of it."""
+
+    @staticmethod
+    def refused(args, out, monkeypatch, capsys, work):
+        def no_work(*_):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(f"evoquery.cli.{work}", no_work)
+        assert main(args) == 1
+        assert f"error: --out would write {out}, which is a directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_index(self, data_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        self.refused(["index", "--corpus", str(data_dir / "corpus.jsonl"), "--out", str(out)],
+                     out, monkeypatch, capsys, "load_corpus")
+
+    def test_evaluate(self, data_dir, run_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        self.refused(["evaluate", "--ledger", str(run_dir), "--qrels", str(data_dir / "qrels.tsv"),
+                      "--out", str(out)], out, monkeypatch, capsys, "load_qrels")

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from evoquery.errors import LedgerCorrupt
 from evoquery.ledger import (
     ABSENT,
     CONFIG_FILE,
+    DIGEST_CHUNK,
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
     LEDGER_FORMAT,
@@ -173,6 +175,25 @@ class TestLedgerDir:
         path = tmp_path / "blob.bin"
         path.write_bytes(b"fixed bytes")
         assert file_digest(path) == hashlib.sha256(b"fixed bytes").hexdigest()
+
+    @pytest.mark.parametrize("size", [0, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1,
+                                      3 * DIGEST_CHUNK + 5])
+    def test_file_digest_at_chunk_edges(self, tmp_path, size):
+        data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+        path = tmp_path / "blob.bin"
+        path.write_bytes(data)
+        assert file_digest(path) == hashlib.sha256(data).hexdigest()
+
+    def test_file_digest_holds_no_copy_of_the_file(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(os.urandom(4 << 20))
+        tracemalloc.start()
+        try:
+            file_digest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
 
 
 class TestFirstDivergentPath:

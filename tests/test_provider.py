@@ -63,6 +63,12 @@ class TestBuildIndex:
         index = build_index([doc("d1", "word  \n word\tword")])
         assert index.docs["text"] == ["word word word"]
 
+    def test_collapsed_body_is_stored_as_itself(self):
+        bodies = ["word word", "word  word", "word\tword", "word\nword", " word word"]
+        texts = build_index([doc(f"d{i}", body) for i, body in enumerate(bodies)]).docs["text"]
+        assert texts[0] is bodies[0]
+        assert texts[1:] == ["word word"] * 4
+
     def test_snippet_truncated_at_query_time(self):
         body = "word " * 100
         provider = OfflineProvider(index=build_index([doc("d1", body)]))
@@ -203,10 +209,15 @@ class TestSaveIndex:
             assert path.read_bytes() == whole_file_text(index).encode("utf-8")
             assert [p.name for p in Path(tmp).iterdir()] == ["index.json"]
 
-    def test_holds_a_small_part_of_the_file(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def eightfold_index(self):
+        """The bundled corpus eight times over under fresh ids: 4,000 docs."""
         bundled = load_corpus(Path(__file__).parents[1] / "data" / "corpus.jsonl")
         docs = [dataclasses.replace(d, id=f"{d.id}-{k}") for k in range(8) for d in bundled]
-        index = build_index(docs)
+        return build_index(docs)
+
+    def test_holds_a_small_part_of_the_file(self, eightfold_index, tmp_path):
+        index = eightfold_index
         path = tmp_path / "index.json"
         tracemalloc.start()
         try:
@@ -216,6 +227,16 @@ class TestSaveIndex:
             tracemalloc.stop()
         assert index.doc_count >= 4000
         assert peak < path.stat().st_size / 4
+
+    def test_load_makes_one_int_per_distinct_value(self, eightfold_index, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(eightfold_index, path)
+        index = load_index(path)
+        assert index == eightfold_index
+        counts = [tf for tfs in index.term_counts.values() for tf in tfs]
+        positions = [d for plist in index.postings.values() for d in plist]
+        assert len(positions) > 10 * index.doc_count
+        assert len(set(map(id, positions + counts))) <= index.doc_count + len(set(counts))
 
 
 class TestScoreBm25:
