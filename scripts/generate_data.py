@@ -7,16 +7,18 @@ tree is byte-identical and `git diff` stays quiet.
 
 import argparse
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from evoquery.cli import main as cli_main
-from evoquery.corpus import build_keyword_pool, dump_corpus
-from evoquery.genome import render_query
-from evoquery.provider import OfflineProvider, build_index
+from evoquery.corpus import Document, build_keyword_pool
+from evoquery.genome import QueryGenome, Variant, render_query
+from evoquery.provider import OfflineProvider, SearchHit, build_index
 from evoquery.rng import derive_rng
-from evoquery.synthetic import baseline_queries, build_dataset, pooled_top_urls, qrels_lines
+from evoquery.synthetic import build_dataset, qrels_lines
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +44,44 @@ BASELINE_COMMENT = (
 
 
 KEYWORD_POOL_SIZE = 50
+
+
+def dump_corpus(docs: Iterable[Document], path: str | Path) -> None:
+    """Write documents in the same newline-delimited format load_corpus reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            record = {
+                "id": doc.id,
+                "url": doc.url,
+                "host": doc.host,
+                "title": doc.title,
+                "body": doc.body,
+            }
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def baseline_queries(
+    lemmas: Sequence[str], count: int, length: int, rng: random.Random
+) -> list[QueryGenome]:
+    """Uniform-random same-length queries, the no-selection control arm."""
+    if len(lemmas) < length:
+        raise ValueError(f"need {length} distinct lemmas, have {len(lemmas)}")
+    return [
+        QueryGenome(terms=tuple(rng.sample(list(lemmas), length)), variant=Variant.LEMMA)
+        for _ in range(count)
+    ]
+
+
+def pooled_top_urls(hit_lists: Sequence[Sequence[SearchHit]], limit: int) -> list[str]:
+    """Rank-fuse result lists: best position anywhere wins, ties by url."""
+    best_position: dict[str, int] = {}
+    for hits in hit_lists:
+        for position, hit in enumerate(hits, start=1):
+            url = hit.doc_url
+            if url not in best_position or position < best_position[url]:
+                best_position[url] = position
+    ranked = sorted(best_position.items(), key=lambda item: (item[1], item[0]))
+    return [url for url, _ in ranked[:limit]]
 
 
 def baseline_list(dataset, seed: int) -> list[str]:

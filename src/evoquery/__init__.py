@@ -1,3 +1,1 @@
 """Evolutionary keyword-query engine with a search-relevance evaluation harness."""
-
-__version__ = "0.1.0"

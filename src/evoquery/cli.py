@@ -24,14 +24,7 @@ from typing import NoReturn, Sequence
 
 from .config import RunConfig
 from .corpus import build_keyword_pool, data_lines, load_corpus, normalizer_for
-from .errors import (
-    ConfigInvalid,
-    DivergenceDetected,
-    EvoqueryError,
-    ParseError,
-    ProviderError,
-    ZeroEnergySequence,
-)
+from .errors import ConfigInvalid, DivergenceDetected, EvoqueryError, ParseError, ProviderError
 from .evaluation import (
     DEFAULT_RELEVANCE_THRESHOLD,
     GRADE_SCALE,
@@ -178,12 +171,6 @@ def _list_ordering(path: Path) -> list[str]:
     return list(urls)
 
 
-def _persona_list(code: str) -> list[Persona]:
-    if code == "both":
-        return [Persona.SPECIALIST, Persona.NOVICE]
-    return [Persona.from_code(code)]
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.ledger and not args.list:
         raise ConfigInvalid("need --ledger and/or at least one --list ordering")
@@ -204,7 +191,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     n = args.n
     tops = {name: urls[:n] for name, urls in orderings}
-    personas = _persona_list(args.persona)
+    personas = list(Persona) if args.persona == "both" else [Persona(args.persona)]
     rows: list[MetricRow] = []
     series: dict[tuple[str, str], list[float]] = {}  # each (ordering, persona)'s DCG series
     for name, top in tops.items():
@@ -225,12 +212,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             ]
             series[name, code] = cumulative_dcg_series(values, n)
             ideal_series = cumulative_dcg_series(ideal_ordering(values), n)
-            if not any(ideal_series):  # so every series of top is all zero as well
+            value = rho12(series[name, code], ideal_series)
+            if value is None:  # no grade of top is above 0, so neither series has energy
                 what = f"has no {code} grade above 0" if top else "holds no urls"
                 note = f"note: {name!r} {what}: {code} ndcg is 0 and rho12 is skipped"
                 print(note, file=sys.stderr)
                 continue
-            value = rho12(series[name, code], ideal_series)
             rows.append(MetricRow("rho12", f"{name}|expert", code, n, value))
 
     for (left, left_top), (right, right_top) in combinations(tops.items(), 2):
@@ -240,9 +227,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for persona in personas:
             series_a, series_b = series[left, persona.value], series[right, persona.value]
             shared = min(len(series_a), len(series_b))
-            try:
-                value = rho12(series_a[:shared], series_b[:shared])
-            except ZeroEnergySequence:
+            value = rho12(series_a[:shared], series_b[:shared])
+            if value is None:
                 print(
                     f"note: skipping rho12 for {pair!r}/{persona.value}: a series has zero energy",
                     file=sys.stderr,

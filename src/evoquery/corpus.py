@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .errors import ConfigInvalid, ParseError, not_utf8
@@ -238,17 +238,3 @@ def load_corpus(path: str | Path) -> list[Document]:
         seen.add(doc.id)
         docs.append(doc)
     return docs
-
-
-def dump_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    """Write documents in the same newline-delimited format load_corpus reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            record = {
-                "id": doc.id,
-                "url": doc.url,
-                "host": doc.host,
-                "title": doc.title,
-                "body": doc.body,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, one per input boundary.
+"""Exception types shared across the package; each names the input at fault.
 
 ``ParseError`` names a data file, ``ConfigInvalid`` a run configuration or
-argument, ``LedgerCorrupt`` a ledger directory and ``ProviderError`` a
+argument, ``LedgerCorrupt`` a ledger directory, ``DivergenceDetected`` a
+ledger record that its replay does not reproduce, and ``ProviderError`` a
 search engine or its answer.
 """
 
@@ -74,7 +75,3 @@ class DivergenceDetected(EvoqueryError):
 
 def clip(text: str, limit: int = 200) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-class ZeroEnergySequence(EvoqueryError):
-    """A correlation was requested for an empty or all-zero sequence."""

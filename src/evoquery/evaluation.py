@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import data_lines
-from .errors import ParseError, ZeroEnergySequence
+from .errors import ParseError
 
 GRADE_SCALE = (0, 1, 2, 3)
 DEFAULT_RELEVANCE_THRESHOLD = 2
@@ -34,13 +34,6 @@ DEFAULT_RELEVANCE_THRESHOLD = 2
 class Persona(str, Enum):
     SPECIALIST = "S"
     NOVICE = "N"
-
-    @classmethod
-    def from_code(cls, code: str) -> Persona:
-        try:
-            return cls(code)
-        except ValueError:
-            raise ValueError(f"persona must be S or N, got {code!r}") from None
 
 
 @dataclass(frozen=True)
@@ -71,9 +64,9 @@ def load_qrels(path: str | Path) -> list[Judgment]:
         if not doc_url or not judge_id:
             raise ParseError("empty url or judge id", line_no, path)
         try:
-            persona = Persona.from_code(persona_code)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no, path) from None
+            persona = Persona(persona_code)
+        except ValueError:
+            raise ParseError(f"persona must be S or N, got {persona_code!r}", line_no, path) from None
         try:
             grade = int(grade_text)
         except ValueError:
@@ -150,13 +143,13 @@ def ndcg(values: Sequence[float], n: int) -> float:
     return dcg(values, n) / best
 
 
-def rho12(x1: Sequence[float], x2: Sequence[float]) -> float:
+def rho12(x1: Sequence[float], x2: Sequence[float]) -> float | None:
     """Normalized zero-shift cross-correlation of equal-length sequences, in [-1, 1];
-    ZeroEnergySequence when one is empty or all zero."""
+    None when one is empty or all zero."""
     energy1 = reduce(add, (a * a for a in x1), 0.0)
     energy2 = reduce(add, (b * b for b in x2), 0.0)
     if energy1 == 0.0 or energy2 == 0.0:
-        raise ZeroEnergySequence("correlation of an empty or all-zero sequence")
+        return None
     raw = reduce(add, (a * b for a, b in zip(x1, x2)), 0.0) / len(x1)  # the mean product
     denom = math.sqrt(energy1 * energy2) / len(x1)
     value = raw / denom

@@ -28,8 +28,8 @@ from .errors import ConfigInvalid, DivergenceDetected, LedgerCorrupt, clip
 from .fitness import (
     ReferenceText,
     ScoredResult,
-    UrlCounts,
     aggregate_results,
+    crossquery_scores,
     merge_into_global,
     population_fitness,
     query_fitness,
@@ -182,13 +182,13 @@ def run_evolution(
         )
 
     def score(outcomes: list[QueryOutcome]) -> None:
-        url_counts = UrlCounts.of([outcome.hits for outcome in outcomes])
+        crossqueries = crossquery_scores([outcome.hits for outcome in outcomes])
         for outcome in outcomes:
             first = first_outcomes.get(outcome.query_string)
             if first is not None:
                 outcome.results, outcome.query_fitness = first.results, first.query_fitness
                 continue
-            outcome.results = score_query_results(outcome.hits, url_counts, reference, config)
+            outcome.results = score_query_results(outcome.hits, crossqueries, reference, config)
             outcome.query_fitness = query_fitness(outcome.results)
             if config.freeze_reference:
                 first_outcomes[outcome.query_string] = outcome

@@ -16,7 +16,7 @@ each hit once per run (see ``provider.SearchHit``), and the memos key on
 it: a run normalizes each hit text, (title, snippet), once; each reference
 vector computes one cosine per hit and owns both memos (see
 ``ReferenceText``). Each generation computes each url's crossquery score
-once, in one ``UrlCounts``, and each ``ScoredResult`` is built once.
+once, in ``crossquery_scores``, and each ``ScoredResult`` is built once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import add, attrgetter
 from typing import Iterable, Sequence
@@ -103,30 +103,19 @@ def position_score(position: int, list_length: int) -> float:
     return (list_length - position + 1) / list_length
 
 
-@dataclass(frozen=True)
-class UrlCounts:
-    """How many of one generation's result lists contain each url, and each
-    url's ``cross_query_score``, computed once in ``crossquery``."""
-
-    counts: Counter[str]
-    lists: int
-
-    @cached_property
-    def crossquery(self) -> dict[str, float]:
-        return {url: cross_query_score(url, self) for url in self.counts}
-
-    @classmethod
-    def of(cls, hit_lists: Sequence[Sequence[SearchHit]]) -> UrlCounts:
-        """Count each url once per hit list that contains it; ``hit_lists`` is not empty."""
-        counts: Counter[str] = Counter()
-        for hits in hit_lists:
-            counts.update(set(map(_URL_OF_HIT, hits)))
-        return cls(counts, len(hit_lists))
+def crossquery_scores(hit_lists: Sequence[Sequence[SearchHit]]) -> dict[str, float]:
+    """Each url's ``cross_query_score`` in one generation, counting it once per
+    hit list that contains it; ``hit_lists`` is not empty."""
+    counts: Counter[str] = Counter()
+    for hits in hit_lists:
+        counts.update(set(map(_URL_OF_HIT, hits)))
+    lists = len(hit_lists)
+    return {url: cross_query_score(count, lists) for url, count in counts.items()}
 
 
-def cross_query_score(doc_url: str, url_counts: UrlCounts) -> float:
-    """Fraction of the population's result lists that contain the url."""
-    return url_counts.counts[doc_url] / url_counts.lists
+def cross_query_score(count: int, lists: int) -> float:
+    """Fraction of the population's result lists that contain the url: ``count`` of ``lists``."""
+    return count / lists
 
 
 def semantic_score(hit: SearchHit, ref: ReferenceText) -> float:
@@ -163,19 +152,20 @@ def _best_first(results: list[ScoredResult]) -> list[ScoredResult]:
 
 def score_query_results(
     hits: Sequence[SearchHit],
-    url_counts: UrlCounts,
+    crossqueries: dict[str, float],
     ref: ReferenceText,
     config: RunConfig,
 ) -> list[ScoredResult]:
     """Score one query's hits, in rank order, within its population and damp host runs.
 
-    A hit that ``ref`` has not scored yet is scored into
-    ``ref.semantic_scores``. In order of fitness descending, ties by url
-    ascending, the k-th hit from one host keeps f4^(k-1) of its fitness;
-    results come in that order of damped fitness.
+    ``crossqueries`` is the population's ``crossquery_scores``. A hit that
+    ``ref`` has not scored yet is scored into ``ref.semantic_scores``. In
+    order of fitness descending, ties by url ascending, the k-th hit from
+    one host keeps f4^(k-1) of its fitness; results come in that order of
+    damped fitness.
     """
     length = len(hits)
-    crossqueries, semantics = url_counts.crossquery, ref.semantic_scores
+    semantics = ref.semantic_scores
     results = []
     for position, hit in enumerate(hits, start=1):
         rank = position_score(position, length)

@@ -356,16 +356,16 @@ class HttpProvider:
     the engine needs one, travels in the configured header; its value comes
     from the EVOQUERY_API_KEY environment variable at construction time.
 
-    Requests are serialized through a rate limiter (default one per
-    second). A transport failure or 5xx status is retried ``HTTP_RETRIES``
+    Requests are serialized through a rate limiter, ``rate_limit_rps`` per
+    second. A transport failure or 5xx status is retried ``HTTP_RETRIES``
     times, after ``HTTP_BACKOFF_S`` seconds doubled per retry; each request
     times out after ``HTTP_TIMEOUT_S`` seconds.
     """
 
     endpoint: str
-    api_key_header: str | None = None
-    api_key: str | None = None
-    rate_limit_rps: float = 1.0
+    api_key_header: str | None
+    api_key: str | None
+    rate_limit_rps: float
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _last_request: float = field(default=0.0, repr=False)
 

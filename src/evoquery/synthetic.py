@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Document
-from .genome import QueryGenome, Variant
-from .provider import SearchHit
 from .rng import derive_rng
 
 CONSONANTS = "bdfgklmnprtvz"
@@ -168,27 +166,3 @@ def qrels_lines(dataset: SyntheticDataset) -> list[str]:
         lines.append(f"{url}\tx1\tN\t3")
         lines.append(f"{url}\tx2\tN\t{2 if i % 2 else 3}")
     return lines
-
-
-def baseline_queries(
-    lemmas: Sequence[str], count: int, length: int, rng: random.Random
-) -> list[QueryGenome]:
-    """Uniform-random same-length queries, the no-selection control arm."""
-    if len(lemmas) < length:
-        raise ValueError(f"need {length} distinct lemmas, have {len(lemmas)}")
-    return [
-        QueryGenome(terms=tuple(rng.sample(list(lemmas), length)), variant=Variant.LEMMA)
-        for _ in range(count)
-    ]
-
-
-def pooled_top_urls(hit_lists: Sequence[Sequence[SearchHit]], limit: int) -> list[str]:
-    """Rank-fuse result lists: best position anywhere wins, ties by url."""
-    best_position: dict[str, int] = {}
-    for hits in hit_lists:
-        for position, hit in enumerate(hits, start=1):
-            url = hit.doc_url
-            if url not in best_position or position < best_position[url]:
-                best_position[url] = position
-    ranked = sorted(best_position.items(), key=lambda item: (item[1], item[0]))
-    return [url for url, _ in ranked[:limit]]

@@ -4,8 +4,8 @@ kept as the oracle of ``evoquery evaluate``.
 
 ``reference_evaluate`` is the command's scoring loop over those functions:
 the metrics CSV text and the ``note:`` lines it prints, for orderings given
-as (name, urls) pairs. Only the persona, the judgment record and the error
-raised for a zero-energy series come from the package.
+as (name, urls) pairs. Only the persona and the judgment record come from
+the package.
 """
 
 from __future__ import annotations
@@ -20,10 +20,13 @@ from itertools import combinations
 from operator import add
 from typing import Mapping, Sequence
 
-from evoquery.errors import ZeroEnergySequence
 from evoquery.evaluation import Judgment, Persona
 
 DEFAULT_RELEVANCE_THRESHOLD = 2
+
+
+class ZeroEnergySequence(Exception):
+    """A correlation was requested for an empty or all-zero sequence."""
 
 
 @dataclass

@@ -28,7 +28,7 @@ from evoquery.evolution import build_provider, run_evolution
 from evoquery.fitness import (
     ReferenceText,
     ScoredResult,
-    UrlCounts,
+    crossquery_scores,
     population_fitness,
     query_fitness,
     result_fitness,
@@ -38,7 +38,7 @@ from evoquery.genome import render_query
 from evoquery.ledger import GENERATIONS_FILE
 from evoquery.provider import SearchHit
 from evoquery.rng import derive_rng
-from evoquery.synthetic import baseline_queries, pooled_top_urls
+from generate_data import baseline_queries, pooled_top_urls
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -226,7 +226,7 @@ def test_criterion_7_fitness_bounds_and_host_penalty():
     semantic_only = RunConfig(f4=0.75, f5=0.0, f6=0.0, f7=1.0)
     ref = ReferenceText(vector=TermVector.from_weights({}))
     ref.semantic_scores.update({h: 1.0 for h in same_host})
-    damped = score_query_results(same_host, UrlCounts.of([same_host]), ref, semantic_only)
+    damped = score_query_results(same_host, crossquery_scores([same_host]), ref, semantic_only)
     fitnesses = sorted((r.fitness for r in damped), reverse=True)
     penalty_ok = (
         abs(fitnesses[0] - 1.0) <= 1e-12

@@ -16,7 +16,7 @@ import pytest
 import evoquery
 import evoquery.provider
 from evoquery.cli import main
-from evoquery.corpus import Document, build_keyword_pool, dump_corpus, load_corpus
+from evoquery.corpus import Document, build_keyword_pool, load_corpus
 from evoquery.errors import ProviderError
 from evoquery.ledger import (
     FINAL_RESULTS_FILE,
@@ -27,6 +27,7 @@ from evoquery.ledger import (
 from evoquery.provider import HttpProvider, OfflineProvider
 from evoquery.report import CSV_HEADER
 from evoquery.synthetic import build_dataset, qrels_lines
+from generate_data import dump_corpus
 
 SMALL_CONFIG = {"g2": 4, "g3": 3, "e1": 2, "f1": 8, "f2": 8, "f3": 10}
 

@@ -13,7 +13,6 @@ from evoquery.corpus import (
     TermVector,
     build_keyword_pool,
     data_lines,
-    dump_corpus,
     extract_keywords,
     load_corpus,
     load_stop_words,
@@ -21,6 +20,7 @@ from evoquery.corpus import (
     seed_vector,
 )
 from evoquery.errors import ConfigInvalid, ParseError
+from generate_data import dump_corpus
 
 normalize = DEFAULT_NORMALIZER.normalize
 
@@ -308,6 +308,12 @@ class TestLoadCorpus:
     def test_duplicate_id_reports_line(self, tmp_path):
         path = self.write_lines(tmp_path, [self.record("d1"), self.record("d1")])
         with pytest.raises(ParseError, match="line 2: duplicate document id 'd1'$"):
+            load_corpus(path)
+
+    def test_empty_id_rejected(self, tmp_path):
+        path = self.write_lines(tmp_path, [self.record("d1"), self.record("")])
+        message = f"{path}: line 2: empty document id"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_corpus(path)
 
     def test_malformed_json_reports_line(self, tmp_path):

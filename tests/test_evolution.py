@@ -20,7 +20,6 @@ from evoquery.corpus import (
     SuffixNormalizer,
     TermVector,
     build_keyword_pool,
-    dump_corpus,
     load_corpus,
 )
 import evoquery.ledger
@@ -39,7 +38,7 @@ from evoquery.evolution import (
     write_run_ledger,
 )
 from evoquery.fitness import (
-    ReferenceText, ScoredResult, UrlCounts, result_fitness, score_query_results
+    ReferenceText, ScoredResult, crossquery_scores, result_fitness, score_query_results
 )
 from evoquery.genome import QueryGenome, Variant, render_query
 from evoquery.ledger import (
@@ -54,6 +53,7 @@ from evoquery.ledger import (
 )
 from evoquery.provider import HttpProvider, OfflineProvider, SearchHit, build_index, save_index
 from evoquery.rng import derive_rng
+from generate_data import dump_corpus
 from reference_ledger import record_payload
 
 
@@ -223,6 +223,17 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid, match="^e1 must be in 1..1000, got a 16610-bit integer"):
             RunConfig.from_payload({"e1": 10**5000})
 
+    def test_f2_limit_is_ten_thousand(self):
+        assert RunConfig(f2=10_000).f2 == 10_000
+        with pytest.raises(ConfigInvalid, match="^f2 must be in 1..10000, got 10001$"):
+            RunConfig(f2=10_001)
+
+    def test_count_over_64_bits_is_shown_by_its_size(self):
+        with pytest.raises(ConfigInvalid, match="^e1 must be in 1..1000, got 18446744073709551615$"):
+            RunConfig(e1=2**64 - 1)
+        with pytest.raises(ConfigInvalid, match="^e1 must be in 1..1000, got a 65-bit integer$"):
+            RunConfig(e1=2**64)
+
     def test_payload_round_trip(self):
         config = small_config(variant=Variant.QUOTED, freeze_reference=True)
         assert RunConfig.from_payload(config.to_payload()) == config
@@ -286,7 +297,7 @@ class TestRunConfig:
         assert result_fitness(0, 0, 1, config) == pytest.approx(0.1)
         hits = [SearchHit(f"https://h.example/{i}", "h.example", "", "") for i in (1, 2)]
         ref = ReferenceText(vector=TermVector.from_weights({}))
-        scored = score_query_results(hits, UrlCounts.of([hits]), ref, config)
+        scored = score_query_results(hits, crossquery_scores([hits]), ref, config)
         # rank 1 and 1/2, crossquery 1, semantic 0; the second hit is damped once
         assert [r.fitness for r in scored] == pytest.approx([0.5 * 0.8, 0.5 * 0.55 * 0.5])
 

@@ -14,9 +14,9 @@ from evoquery.fitness import (
     REFERENCE_CAPACITY,
     ReferenceText,
     ScoredResult,
-    UrlCounts,
     aggregate_results,
     cross_query_score,
+    crossquery_scores,
     merge_into_global,
     population_fitness,
     position_score,
@@ -70,7 +70,7 @@ def semantic_only_inputs(results):
 def semantic_only_scores(hits, ref, host_coeff):
     """score_query_results weighting only the semantic component."""
     config = RunConfig(f4=host_coeff, f5=0.0, f6=0.0, f7=1.0)
-    return score_query_results(hits, UrlCounts.of([hits]), ref, config)
+    return score_query_results(hits, crossquery_scores([hits]), ref, config)
 
 
 def damp(results, host_coeff):
@@ -128,20 +128,21 @@ class TestCrossQueryScore:
     def test_half_the_lists(self):
         lists = [hit_list(["https://x.org/hit"]) for _ in range(4)]
         lists += [hit_list(["https://y.org/other"]) for _ in range(4)]
-        assert cross_query_score("https://x.org/hit", UrlCounts.of(lists)) == 0.5
+        assert crossquery_scores(lists)["https://x.org/hit"] == 0.5
 
     def test_unanimous(self):
         lists = [hit_list(["https://x.org/hit"]) for _ in range(3)]
-        assert cross_query_score("https://x.org/hit", UrlCounts.of(lists)) == 1.0
+        assert crossquery_scores(lists)["https://x.org/hit"] == 1.0
 
     def test_absent(self):
         lists = [hit_list(["https://y.org/other"])]
-        assert cross_query_score("https://x.org/hit", UrlCounts.of(lists)) == 0.0
+        assert crossquery_scores(lists) == {"https://y.org/other": 1.0}
+        assert cross_query_score(0, len(lists)) == 0.0
 
     def test_repeated_url_in_one_list_counts_once(self):
         lists = [hit_list(["https://x.org/hit", "https://x.org/hit"])]
         lists.append(hit_list(["https://y.org/other"]))
-        assert cross_query_score("https://x.org/hit", UrlCounts.of(lists)) == 0.5
+        assert crossquery_scores(lists)["https://x.org/hit"] == 0.5
 
     @settings(max_examples=200)
     @given(
@@ -153,13 +154,13 @@ class TestCrossQueryScore:
     )
     def test_matches_brute_force_count(self, url_lists):
         lists = [hit_list(urls) for urls in url_lists]
-        counts = UrlCounts.of(lists)
+        scores = crossquery_scores(lists)
         for hits in lists:
             for h in hits:
                 containing = sum(
                     1 for other in lists if h.doc_url in {x.doc_url for x in other}
                 )
-                assert cross_query_score(h.doc_url, counts) == containing / len(lists)
+                assert scores[h.doc_url] == containing / len(lists)
 
 
 class TestSemanticScore:
@@ -231,12 +232,12 @@ class TestHitVectorMemo:
         normalizer = CountingNormalizer()
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}), normalizer=normalizer)
         hits = [hit(url="https://a.org/1", title="wear"), hit(url="https://b.org/2", title="oil")]
-        results = score_query_results(hits, UrlCounts.of([hits]), ref, PAPER_CONFIG)
+        results = score_query_results(hits, crossquery_scores([hits]), ref, PAPER_CONFIG)
         assert ref.semantic_scores == {hits[0]: 1.0, hits[1]: 0.0}
         updated = update_reference_text(ref, results)
         assert updated.semantic_scores == {}
         assert updated.hit_vectors is ref.hit_vectors
-        score_query_results(hits, UrlCounts.of([hits]), updated, PAPER_CONFIG)
+        score_query_results(hits, crossquery_scores([hits]), updated, PAPER_CONFIG)
         # the new reference scores each hit again, without normalizing its text again
         assert normalizer.calls == ["wear ", "oil "]
         assert updated.semantic_scores[hits[1]] > 0.0
@@ -445,7 +446,7 @@ class TestScoreQueryResults:
 
     def test_components_populated_and_bounded(self):
         hits, lists, ref = self.make_inputs()
-        out = score_query_results(hits, UrlCounts.of(lists), ref, PAPER_CONFIG)
+        out = score_query_results(hits, crossquery_scores(lists), ref, PAPER_CONFIG)
         assert len(out) == 2
         for result in out:
             for value in (
@@ -460,14 +461,14 @@ class TestScoreQueryResults:
         hits, lists, ref = self.make_inputs()
         out = {
             r.hit.doc_url: r
-            for r in score_query_results(hits, UrlCounts.of(lists), ref, PAPER_CONFIG)
+            for r in score_query_results(hits, crossquery_scores(lists), ref, PAPER_CONFIG)
         }
         assert out["https://shared.org/doc"].crossquery_component == 1.0
         assert out["https://a.org/1"].crossquery_component == 0.5
 
     def test_empty_record_scores_empty(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))
-        out = score_query_results([], UrlCounts.of([[]]), ref, PAPER_CONFIG)
+        out = score_query_results([], crossquery_scores([[]]), ref, PAPER_CONFIG)
         assert out == []
 
     def test_one_cosine_per_distinct_hit(self, monkeypatch):
@@ -484,14 +485,14 @@ class TestScoreQueryResults:
         # a hit at two positions, in two lists, and a hit equal to it made apart
         lists = [[wear, oil], [oil, wear], [hit(url="https://a.org/1", title="wear")]]
         for hits in lists:
-            score_query_results(hits, UrlCounts.of(lists), ref, PAPER_CONFIG)
+            score_query_results(hits, crossquery_scores(lists), ref, PAPER_CONFIG)
         assert calls == [("https://a.org/1", "wear", 0), ("https://b.org/2", "oil", 0)]
         assert ref.semantic_scores == {wear: 1.0, oil: 0.0}
         # an empty update keeps the reference and its table; a new one scores anew
         assert update_reference_text(ref, []) is ref
         updated = update_reference_text(ref, [scored(0.9, title="oil")])
         for hits in lists:
-            score_query_results(hits, UrlCounts.of(lists), updated, PAPER_CONFIG)
+            score_query_results(hits, crossquery_scores(lists), updated, PAPER_CONFIG)
         assert calls[2:] == [("https://a.org/1", "wear", 1), ("https://b.org/2", "oil", 1)]
 
 
@@ -534,12 +535,12 @@ def test_scorer_matches_reference(population, weights, host_coeff, environment):
     config = RunConfig(f4=host_coeff, f5=weights[0], f6=weights[1], f7=weights[2],
                        a_factor=environment)
     ref = ReferenceText(vector=TermVector.from_weights({"wear": 0.6, "oil": 0.3, "film": 0.1}))
-    url_counts = UrlCounts.of(lists)
+    crossqueries = crossquery_scores(lists)
     for hits in lists:
         expected = reference_scoring.score_query_results(
             hits, lists, ref.vector, ref.normalizer, config
         )
-        results = score_query_results(hits, url_counts, ref, config)
+        results = score_query_results(hits, crossqueries, ref, config)
         assert [result_to_payload(r, config.a_factor) for r in results] == expected
 
 
@@ -617,6 +618,13 @@ class TestReferenceText:
             ref, [scored(0.9, url="https://x.org/1", title="dd dd dd")]
         )
         assert set(updated.vector.entries) == {"aa", "bb", "dd"}
+
+    def test_eviction_tie_keeps_the_lemma_that_sorts_first(self, monkeypatch):
+        monkeypatch.setattr(evoquery.fitness, "REFERENCE_CAPACITY", 2)
+        # "zz" and "bb" come before "aa" and tie with it at the cut
+        seed = TermVector.from_weights({"zz": 0.2, "bb": 0.2, "top": 0.5, "aa": 0.2})
+        ref = ReferenceText.from_seed_vector(seed)
+        assert set(ref.vector.entries) == {"top", "aa"}
 
     def test_digest_tracks_vector_state(self):
         ref = ReferenceText(vector=TermVector.from_weights({"wear": 1.0}))

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 from urllib.parse import parse_qs, urlsplit
 
@@ -536,7 +537,7 @@ def no_backoff(monkeypatch):
 
 
 def fast_provider(endpoint, **kw):
-    kw.setdefault("rate_limit_rps", 1000.0)
+    kw = {"api_key_header": None, "api_key": None, "rate_limit_rps": 1000.0, **kw}
     return HttpProvider(endpoint=endpoint, **kw)
 
 
@@ -594,6 +595,12 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="^result 1 lacks field 'title'$"):
             fast_provider(endpoint).execute("q", 1)
 
+    def test_item_that_is_not_an_object_is_protocol_error(self, stub_engine):
+        endpoint, handler = stub_engine
+        handler.responses = [({"results": [result_item(0), ["https://x.org", "t", "s"]]}, 200)]
+        with pytest.raises(ProviderError, match="^result 2 is not an object$"):
+            fast_provider(endpoint).execute("q", 2)
+
     def test_unparsable_url_is_protocol_error_naming_position(self, stub_engine):
         endpoint, handler = stub_engine
         bad = {**result_item(1), "url": "https://[oops/x"}
@@ -615,6 +622,19 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="after retries: server error 503$"):
             fast_provider(endpoint).execute("q", 1)
         assert len(handler.requests_seen) == 3  # initial + 2 retries
+
+    def test_retries_wait_the_backoff_then_twice_it(self, stub_engine, monkeypatch):
+        endpoint, handler = stub_engine
+        handler.fail_times = 99
+        sleeps = []
+        monkeypatch.setattr(evoquery.provider, "HTTP_BACKOFF_S", 0.25)
+        clock = SimpleNamespace(monotonic=time.monotonic, sleep=sleeps.append)
+        monkeypatch.setattr(evoquery.provider, "time", clock)
+        # at 1e9 requests per second the throttle never waits, so each sleep is a backoff
+        with pytest.raises(ProviderError, match="after retries: server error 503$"):
+            fast_provider(endpoint, rate_limit_rps=1e9).execute("q", 1)
+        assert sleeps == [0.25, 0.5]
+        assert len(handler.requests_seen) == 3
 
     def test_unreachable_endpoint_is_provider_unavailable(self, monkeypatch):
         monkeypatch.setattr(evoquery.provider, "HTTP_TIMEOUT_S", 0.2)

@@ -21,13 +21,12 @@ from evoquery.synthetic import (
     DOCS_PER_SHARD,
     SHARDS,
     TOPIC_TERMS,
-    baseline_queries,
     build_dataset,
     distinct_words,
-    pooled_top_urls,
     pseudo_word,
     qrels_lines,
 )
+from generate_data import baseline_queries, pooled_top_urls
 
 
 @pytest.fixture(scope="module")
