@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .errors import ConfigInvalid, ParseError, not_utf8
@@ -35,7 +35,34 @@ class Document:
 # Most raw tokens an instance memoizes; past this, lemmas are computed
 # uncached, so a Zipfian vocabulary cannot grow the memo without limit.
 LEMMA_MEMO_LIMIT = 1 << 16
-_UNSEEN = object()
+
+
+def _lemma(token: str, stop_words: frozenset[str]) -> str | None:
+    word = "".join(ch for ch in token.lower() if ch.isalpha())
+    if len(word) < 2:
+        return None
+    if word.endswith("ing") and len(word) - 3 >= 3:
+        word = word[:-3]
+    elif word.endswith("ed") and len(word) - 2 >= 3:
+        word = word[:-2]
+    elif word.endswith("s") and len(word) - 1 >= 3:
+        word = word[:-1]
+    return None if word in stop_words else word
+
+
+class _LemmaMemo(dict):
+    """Raw token to its ``_lemma``: a miss computes it, and keeps it while the
+    memo holds fewer than ``LEMMA_MEMO_LIMIT`` tokens."""
+
+    def __init__(self, stop_words: frozenset[str]) -> None:
+        super().__init__()
+        self.stop_words = stop_words
+
+    def __missing__(self, token: str) -> str | None:
+        lemma = _lemma(token, self.stop_words)
+        if len(self) < LEMMA_MEMO_LIMIT:
+            self[token] = lemma
+        return lemma
 
 
 @dataclass(frozen=True)
@@ -49,39 +76,24 @@ class SuffixNormalizer:
     three characters. Stop words are removed after stemming.
 
     A token's lemma depends only on the token and the stop words, so each
-    instance memoizes it per raw token (``None`` for a dropped token), up
-    to ``LEMMA_MEMO_LIMIT`` tokens.
+    instance memoizes it per raw token, up to ``LEMMA_MEMO_LIMIT`` tokens.
+    ``lemma_of`` looks a token up in that memo (``None`` for a dropped
+    token), so ``map`` can lemmatize a token list with no Python loop.
     """
 
     stop_words: frozenset[str] = frozenset()
-    _lemmas: dict[str, str | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _lemmas: _LemmaMemo = field(init=False, repr=False, compare=False)
 
-    def _lemma(self, token: str) -> str | None:
-        word = "".join(ch for ch in token.lower() if ch.isalpha())
-        if len(word) < 2:
-            return None
-        if word.endswith("ing") and len(word) - 3 >= 3:
-            word = word[:-3]
-        elif word.endswith("ed") and len(word) - 2 >= 3:
-            word = word[:-2]
-        elif word.endswith("s") and len(word) - 1 >= 3:
-            word = word[:-1]
-        return None if word in self.stop_words else word
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_lemmas", _LemmaMemo(self.stop_words))
+
+    @property
+    def lemma_of(self) -> Callable[[str], str | None]:
+        """The lemma of one raw token, or ``None`` for a dropped token."""
+        return self._lemmas.__getitem__
 
     def normalize(self, raw: str) -> list[str]:
-        memo = self._lemmas
-        lemmas = []
-        for token in raw.split():
-            lemma = memo.get(token, _UNSEEN)
-            if lemma is _UNSEEN:
-                lemma = self._lemma(token)
-                if len(memo) < LEMMA_MEMO_LIMIT:
-                    memo[token] = lemma
-            if lemma is not None:
-                lemmas.append(lemma)
-        return lemmas
+        return list(filter(None, map(self.lemma_of, raw.split())))
 
 
 DEFAULT_NORMALIZER = SuffixNormalizer()
@@ -209,7 +221,9 @@ def _parse_document(record: object, line_no: int, path: str | Path) -> Document:
     url, host = record["url"], record["host"]
     if url:
         try:
-            derived = urlsplit(url).netloc
+            # cut at the third "/", past which no netloc reaches: same netloc,
+            # same ValueError, and urlsplit's lru cache then parses each host once
+            derived = urlsplit("/".join(url.split("/", 3)[:3])).netloc
         except ValueError as exc:  # e.g. an unclosed "[" in the host
             raise ParseError(f"url {url!r} is not a valid URL ({exc})", line_no, path) from None
         if not host:

@@ -61,8 +61,8 @@ def load_qrels(path: str | Path) -> list[Judgment]:
         if len(parts) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_no, path)
         doc_url, judge_id, persona_code, grade_text = (p.strip() for p in parts)
-        if not doc_url or not judge_id:
-            raise ParseError("empty url or judge id", line_no, path)
+        if not judge_id:  # a stripped line starts with its url, which is never empty
+            raise ParseError("empty judge id", line_no, path)
         try:
             persona = Persona(persona_code)
         except ValueError:

@@ -19,7 +19,6 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from operator import lt
 from pathlib import Path
 from typing import Iterator, NamedTuple, Protocol
@@ -101,24 +100,33 @@ def build_index(
 ) -> InvertedIndex:
     """Doc columns and postings with raw term counts, docs ordered by their unique ids.
 
-    The whole whitespace-collapsed body is stored per document; whether a
-    hit exposes all of it or a fixed-size snippet is the provider's call.
+    Each body is split once. Its tokens' lemmas are counted through
+    ``normalizer.lemma_of``, which gives ``None`` for a dropped token, and the
+    same tokens, joined, are the whitespace-collapsed body, stored whole;
+    whether a hit exposes all of it or a fixed-size snippet is the provider's call.
     """
     if not docs:
         raise ParseError("cannot index an empty corpus")
+    lemma_of = normalizer.lemma_of
     columns: dict[str, list] = {name: [] for name in DOC_COLUMNS}
     postings: dict[str, list[int]] = {}
     term_counts: dict[str, list[int]] = {}
     for position, doc in enumerate(sorted(docs, key=lambda d: d.id)):
-        lemmas = normalizer.normalize(doc.body)
-        text = " ".join(doc.body.split())
+        tokens = doc.body.split()
+        counts = Counter(map(lemma_of, tokens))
+        length = len(tokens) - counts.pop(None, 0)
+        text = " ".join(tokens)
         text = doc.body if text == doc.body else text  # a collapsed body is kept, not copied
-        values = (doc.id, doc.url, doc.host, doc.title, text, len(lemmas))
+        values = (doc.id, doc.url, doc.host, doc.title, text, length)
         for name, value in zip(DOC_COLUMNS, values):
             columns[name].append(value)
-        for lemma, tf in Counter(lemmas).items():
-            postings.setdefault(lemma, []).append(position)
-            term_counts.setdefault(lemma, []).append(tf)
+        for lemma, tf in counts.items():
+            plist = postings.get(lemma)
+            if plist is None:
+                postings[lemma], term_counts[lemma] = [position], [tf]
+            else:
+                plist.append(position)
+                term_counts[lemma].append(tf)
     avg_doc_len = sum(columns["length"]) / len(docs)
     return InvertedIndex(columns, postings, term_counts, avg_doc_len, sorted(normalizer.stop_words))
 
@@ -139,7 +147,8 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         fh.writelines(_pieces(payload))
 
 
-_dump = partial(json.dumps, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+# one encoder for every piece; json.dumps with these arguments would build one per call
+_dump = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 
 
 def _pieces(value) -> Iterator[str]:

@@ -1,7 +1,9 @@
 """Exit codes, output contracts and format plumbing of the command line."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,9 +11,11 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evoquery
 import evoquery.provider
@@ -24,7 +28,7 @@ from evoquery.ledger import (
     canonical_json,
     parse_record_line,
 )
-from evoquery.provider import HttpProvider, OfflineProvider
+from evoquery.provider import HttpProvider, OfflineProvider, load_index
 from evoquery.report import CSV_HEADER
 from evoquery.synthetic import build_dataset, qrels_lines
 from generate_data import dump_corpus
@@ -279,6 +283,50 @@ class TestIndex:
         assert [p.name for p in tmp_path.iterdir()] == (["index.json"] if existing else [])
         if existing:
             assert out.read_bytes() == before
+
+
+# A small corpus, its url hosts given and derived, for the mutation property
+SMALL_CORPUS = "".join(
+    json.dumps({"id": f"m{i}", "url": f"https://h{i % 2}.example/{i}",
+                "host": f"h{i % 2}.example" if i % 3 else "", "title": f"título {i}",
+                "body": f"wear tear {i} oil éclat"}, ensure_ascii=False) + "\n"
+    for i in range(4)
+).encode("utf-8")
+
+
+@st.composite
+def mutated_corpus(draw):
+    """SMALL_CORPUS with one byte flipped, the tail cut off, or one byte put in."""
+    at = draw(st.integers(0, len(SMALL_CORPUS) - 1))
+    kind = draw(st.sampled_from(["flip", "cut", "insert"]))
+    if kind == "flip":
+        flipped = SMALL_CORPUS[at] ^ draw(st.integers(1, 255))
+        return SMALL_CORPUS[:at] + bytes([flipped]) + SMALL_CORPUS[at + 1:]
+    if kind == "cut":
+        return SMALL_CORPUS[:at]
+    return SMALL_CORPUS[:at] + bytes([draw(st.integers(0, 255))]) + SMALL_CORPUS[at:]
+
+
+class TestIndexMutatedCorpus:
+    """`index` on a damaged corpus exits 0 with a whole index, or 1 naming the
+    file; never 2, a traceback or a partial --out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_corpus())
+    def test_exits_0_or_names_the_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "index.json"
+            corpus.write_bytes(data)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["index", "--corpus", str(corpus), "--out", str(out)])
+            if code == 0:
+                assert load_index(out).doc_count == int(stdout.getvalue().split()[1])
+            elif data.strip():
+                assert code == 1 and stderr.getvalue().startswith(f"error: {corpus}: line ")
+            else:  # a cut to nothing: the empty corpus, whose message names no file
+                assert (code, stderr.getvalue()) == (1, "error: cannot index an empty corpus\n")
+            assert sorted(os.listdir(tmp)) == ["corpus.jsonl"] + ["index.json"] * (code == 0)
 
 
 class TestKeywords:

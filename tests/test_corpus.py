@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from evoquery.corpus import (
     Document,
     SuffixNormalizer,
     TermVector,
+    _parse_document,
     build_keyword_pool,
     data_lines,
     extract_keywords,
@@ -341,8 +343,17 @@ class TestLoadCorpus:
             load_corpus(path)
 
     def test_host_mismatch_rejected(self, tmp_path):
-        path = self.write_lines(tmp_path, [self.record("d1", host="other.net")])
-        with pytest.raises(ParseError, match="host"):
+        path = self.write_lines(tmp_path, [self.record("d1"), self.record("d2", host="other.net")])
+        message = f"{path}: line 2: host 'other.net' does not match url authority 'example.org'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("host", ["", "::1"], ids=["no-host", "with-host"])
+    def test_invalid_url_names_file_and_line(self, tmp_path, host):
+        path = self.write_lines(tmp_path, [self.record("d1"), self.record(
+            "d2", url="http://[::1/x", host=host)])
+        message = f"{path}: line 2: url 'http://[::1/x' is not a valid URL (Invalid IPv6 URL)"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_corpus(path)
 
     def test_empty_host_filled_from_url(self, tmp_path):
@@ -363,6 +374,39 @@ class TestLoadCorpus:
         out = tmp_path / "again.jsonl"
         dump_corpus(docs, out)
         assert load_corpus(out) == docs
+
+
+# Urls from the characters urlsplit reads (the delimiters "/:?#[]@"), strips
+# (space and C0 controls, leading) or removes (tab, CR, LF), and non-ASCII,
+# among them the fullwidth "/" and "#" that NFKC maps onto delimiters; most
+# start as a scheme and "//" would, so that they have an authority
+URL_TEXT = st.text(st.sampled_from("/:?#[]@ \t\r\n\x00\x01\x1f\x7fab1.é／＃"), max_size=14)
+AUTHORITY_URLS = st.tuples(
+    st.sampled_from(["", " ", "\x00", "\t"]),
+    st.sampled_from(["", "http:", "HTTP:", "Ab+.-:", "1a:"]),
+    st.sampled_from(["//", "//", "/\t/", "/"]),
+    st.sampled_from(["", "[::1]", "[::1", "::1]", "[v1.x]", "a@b:80", "é"]),
+    URL_TEXT,
+).map("".join)
+URLS = st.one_of(URL_TEXT, AUTHORITY_URLS, AUTHORITY_URLS, AUTHORITY_URLS)
+
+
+class TestUrlAuthority:
+    """_parse_document splits a url cut at its third "/", which must give the
+    whole url's netloc, or fail with the whole url's ValueError."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(URLS)
+    def test_cut_url_gives_the_urls_netloc(self, url):
+        record = {"id": "d1", "url": url, "host": "", "title": "t", "body": "b"}
+        try:
+            netloc = urlsplit(url).netloc
+        except ValueError as exc:
+            with pytest.raises(ParseError) as caught:
+                _parse_document(record, 3, "c.jsonl")
+            assert str(caught.value) == f"c.jsonl: line 3: url {url!r} is not a valid URL ({exc})"
+        else:
+            assert _parse_document(record, 3, "c.jsonl").host == netloc
 
 
 class TestStopWordFile:

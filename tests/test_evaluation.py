@@ -83,7 +83,7 @@ class TestLoadQrels:
         # a stripped line starts with its url, so only the judge id can be empty
         for line in ("https://a.org/1\t\tS\t3\n", "https://a.org/1\t \tS\t3\n"):
             path = self.write(tmp_path, line)
-            with pytest.raises(ParseError, match="line 1: empty url or judge id$"):
+            with pytest.raises(ParseError, match="line 1: empty judge id$"):
                 load_qrels(path)
 
     def test_non_integer_grade(self, tmp_path):

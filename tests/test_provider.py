@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evoquery.provider
-from evoquery.corpus import Document, SuffixNormalizer, load_corpus
+from evoquery.corpus import LEMMA_MEMO_LIMIT, Document, SuffixNormalizer, load_corpus
 from evoquery.errors import ParseError, ProviderError
 from evoquery.provider import (
     DOC_COLUMNS,
@@ -28,7 +28,7 @@ from evoquery.provider import (
     parse_query,
     save_index,
 )
-from reference_run import reference_bm25, reference_build_index, reference_execute, reference_index
+from reference_run import reference_bm25, reference_execute, reference_index
 
 
 def doc(doc_id, body, title="t", host="example.org"):
@@ -43,6 +43,21 @@ def doc(doc_id, body, title="t", host="example.org"):
 
 def ranked_ids(hits):
     return [h.doc_url.rsplit("/", 1)[1] for h in hits]
+
+
+def format_2(index):
+    """``index`` in ``reference_index``'s shape: postings of {doc id: term count}, docs by id."""
+    ids = index.docs["id"]
+    rows = zip(*(index.docs[name] for name in DOC_COLUMNS[1:]))
+    return SimpleNamespace(
+        postings={
+            lemma: dict(zip([ids[d] for d in plist], index.term_counts[lemma]))
+            for lemma, plist in index.postings.items()
+        },
+        docs={i: dict(zip(DOC_COLUMNS[1:], row)) for i, row in zip(ids, rows)},
+        avg_doc_len=index.avg_doc_len,
+        doc_count=index.doc_count,
+    )
 
 
 class TestBuildIndex:
@@ -69,6 +84,20 @@ class TestBuildIndex:
         texts = build_index([doc(f"d{i}", body) for i, body in enumerate(bodies)]).docs["text"]
         assert texts[0] is bodies[0]
         assert texts[1:] == ["word word"] * 4
+
+    @pytest.mark.parametrize(
+        "stop_words", [frozenset(), frozenset({"wear", "the"})], ids=["no-stop-words", "stop-words"]
+    )
+    def test_full_lemma_memo_changes_nothing(self, stop_words):
+        # dropped tokens, suffixes and stop words, none of them in the memo yet
+        docs = [doc("d3", "wear Wearing 7 worn. wears a the oil"), doc("d1", "oil oiled é"),
+                doc("d2", "7 a ! the")]
+        normalizer = SuffixNormalizer(stop_words)
+        # keys with a space: body.split() never yields such a token
+        normalizer._lemmas.update((f" {i}", None) for i in range(LEMMA_MEMO_LIMIT))
+        index = build_index(docs, normalizer)
+        assert format_2(index) == reference_index(docs, SuffixNormalizer(stop_words))
+        assert len(normalizer._lemmas) == LEMMA_MEMO_LIMIT
 
     def test_snippet_truncated_at_query_time(self):
         body = "word " * 100
@@ -130,19 +159,12 @@ class TestIndexFile:
         # ids run against insertion order, so corpus order is not id order
         docs = [doc(f"d{len(bodies) - i}", " ".join(b)) for i, b in enumerate(bodies)]
         normalizer = SuffixNormalizer(frozenset(stop_words))
-        postings, stored, avg_doc_len = reference_build_index(docs, normalizer)
+        expected = reference_index(docs, normalizer)
         index = build_index(docs, normalizer)
-        ids = index.docs["id"]
-        assert ids == sorted(stored)
-        rows = zip(*(index.docs[name] for name in DOC_COLUMNS[1:]))
-        assert [dict(zip(DOC_COLUMNS[1:], row)) for row in rows] == [stored[i] for i in ids]
+        assert index.docs["id"] == sorted(expected.docs)
         assert index.term_counts.keys() == index.postings.keys()
         assert all(p == sorted(set(p)) for p in index.postings.values())
-        assert {
-            t: dict(zip([ids[d] for d in p], index.term_counts[t]))
-            for t, p in index.postings.items()
-        } == postings
-        assert index.avg_doc_len == avg_doc_len
+        assert format_2(index) == expected
         assert index.stop_words == sorted(stop_words)
 
     def test_compact_sorted_format_4(self, tmp_path):
