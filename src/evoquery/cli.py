@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NoReturn, Sequence
 
 from .config import RunConfig
-from .corpus import build_keyword_pool, data_lines, load_corpus, normalizer_for
+from .corpus import build_keyword_pool, data_lines, load_corpus, normalizer_for, require_file
 from .errors import ConfigInvalid, DivergenceDetected, EvoqueryError, ParseError, ProviderError
 from .evaluation import (
     DEFAULT_RELEVANCE_THRESHOLD,
@@ -69,13 +69,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _require_file(path: str | Path, what: str) -> Path:
-    resolved = Path(path)
-    if not resolved.is_file():
-        raise ConfigInvalid(f"{what} not found: {resolved}")
-    return resolved
-
-
 def _refuse_input_as_out(out: str | Path | None, inputs: list[tuple[str, str | None]]) -> None:
     """ConfigInvalid if ``out`` is a directory or would replace one of the (flag, path) inputs."""
     if out and os.path.isdir(out):
@@ -87,7 +80,7 @@ def _refuse_input_as_out(out: str | Path | None, inputs: list[tuple[str, str | N
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    corpus_path = _require_file(args.corpus, "corpus")
+    corpus_path = require_file(args.corpus, "corpus")
     _refuse_input_as_out(args.out, [("--corpus", corpus_path), ("--stop-words", args.stop_words)])
     # the corpus list is build_index's argument alone, so it is freed before the write
     index = build_index(load_corpus(corpus_path), normalizer_for(args.stop_words))
@@ -97,7 +90,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_keywords(args: argparse.Namespace) -> int:
-    corpus_path = _require_file(args.corpus, "corpus")
+    corpus_path = require_file(args.corpus, "corpus")
     docs = load_corpus(corpus_path)
     pool = build_keyword_pool(docs, args.k, normalizer_for(args.stop_words))
     for lemma, weight in pool:
@@ -117,7 +110,7 @@ _SOURCE_KEYS = {
 def cmd_evolve(args: argparse.Namespace) -> int:
     payload = {}
     if args.config:
-        config_path = _require_file(args.config, "config")
+        config_path = require_file(args.config, "config")
         try:
             payload = json.loads(config_path.read_text(encoding="utf-8"))
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
@@ -139,11 +132,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                 message += "; an index keeps its stop words from `evoquery index --stop-words`"
             raise ConfigInvalid(message)
     config = RunConfig.from_payload(payload)
-    seed_path = _require_file(args.seed_material, "seed material")
+    seed_path = require_file(args.seed_material, "seed material")
     seed_docs = load_corpus(seed_path)
 
     if args.index:
-        index_path = _require_file(args.index, "index")
+        index_path = require_file(args.index, "index")
         inputs = make_run_inputs(args.out, index_path, seed_path)
     else:
         index_path = inputs = None
@@ -177,13 +170,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     inputs = [("--qrels", args.qrels), *(("--list", path) for path in args.list or [])]
     ledger_final = args.ledger and Path(args.ledger, FINAL_RESULTS_FILE)
     _refuse_input_as_out(args.out, [*inputs, ("--ledger", ledger_final)])
-    grades = consensus_map(load_qrels(_require_file(args.qrels, "qrels")))
+    grades = consensus_map(load_qrels(require_file(args.qrels, "qrels")))
 
     orderings: list[tuple[str, list[str]]] = []
     if args.ledger:
         orderings.append(("evolved", ledger_ordering(args.ledger)))
     for list_path in args.list or []:
-        path = _require_file(list_path, "ordering list")
+        path = require_file(list_path, "ordering list")
         orderings.append((path.stem, _list_ordering(path)))
     names = [name for name, _ in orderings]
     if len(set(names)) != len(names):
@@ -254,7 +247,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         _refuse_input_as_out(Path(args.out, name), [("--metrics", path) for path in args.metrics])
     runs: dict[str, list[MetricRow]] = {}
     for path_text in args.metrics:
-        path = Path(path_text)
+        path = require_file(path_text, "metrics file")
         if path.stem in runs:
             raise ConfigInvalid(f"duplicate run name {path.stem!r}; rename an input file")
         runs[path.stem] = read_metrics_csv(path)

@@ -123,17 +123,19 @@ def load_stop_words(path: str | Path) -> frozenset[str]:
     return frozenset(word.lower() for _, word in data_lines(path))
 
 
-def normalizer_for(stop_words_path: str | Path | None) -> SuffixNormalizer:
-    """The suffix normalizer, removing the words of ``stop_words_path`` if given.
+def require_file(path: str | Path, what: str) -> Path:
+    """``path`` as a Path; ConfigInvalid naming it and ``what`` it is if no file is there."""
+    resolved = Path(path)
+    if not resolved.is_file():
+        raise ConfigInvalid(f"{what} not found: {resolved}")
+    return resolved
 
-    Raises ConfigInvalid naming the path when the file does not exist.
-    """
+
+def normalizer_for(stop_words_path: str | Path | None) -> SuffixNormalizer:
+    """The suffix normalizer, removing the words of ``stop_words_path`` if given."""
     if not stop_words_path:
         return DEFAULT_NORMALIZER
-    path = Path(stop_words_path)
-    if not path.is_file():
-        raise ConfigInvalid(f"stop words not found: {path}")
-    return SuffixNormalizer(stop_words=load_stop_words(path))
+    return SuffixNormalizer(stop_words=load_stop_words(require_file(stop_words_path, "stop words")))
 
 
 @dataclass
@@ -236,7 +238,8 @@ def _parse_document(record: object, line_no: int, path: str | Path) -> Document:
 
 
 def load_corpus(path: str | Path) -> list[Document]:
-    """Load a newline-delimited corpus file, rejecting duplicate ids."""
+    """Load a newline-delimited corpus file, rejecting duplicate ids and a file
+    that holds no document."""
     docs: list[Document] = []
     seen: set[str] = set()
     for line_no, line in enumerate(text_lines(path), start=1):
@@ -251,4 +254,6 @@ def load_corpus(path: str | Path) -> list[Document]:
             raise ParseError(f"duplicate document id {doc.id!r}", line_no, path)
         seen.add(doc.id)
         docs.append(doc)
+    if not docs:
+        raise ParseError("holds no document", path=path)
     return docs

@@ -32,14 +32,15 @@ def not_utf8(path: str | Path) -> ParseError:
 
     For a text-mode read of ``path`` that failed to decode: its error gives
     an offset within one buffered chunk, so the file is read again to find
-    the line.
+    the line. Lines end at LF, CR and CRLF, as the text-mode read ends them.
     """
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        return ParseError(message, data.count(b"\n", 0, exc.start) + 1, path)
+        ends = data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
+        return ParseError(message, ends - data.count(b"\r\n", 0, exc.start) + 1, path)
     return ParseError(f"{path} changed while it was read")
 
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import ProviderSpec, RunConfig
 from .corpus import (
@@ -100,28 +100,18 @@ def select_survivors(
     pool,
     config: RunConfig,
     rng,
-    evaluate_single: Callable[[QueryGenome], float] | None = None,
 ) -> list[QueryGenome]:
-    """Elitist truncation plus tournament-bred offspring.
+    """Elitist truncation plus tournament-bred offspring, for two or more genomes.
 
     ``fitnesses`` holds one value per genome. The best half (rounded up)
     survives unchanged, ranked by fitness with rendered-query text breaking
     ties. Remaining slots are filled by crossover of pairwise-tournament
-    winners, then mutation. A population of one degenerates to hill
-    climbing: a mutated challenger, scored by ``evaluate_single``, replaces
-    the incumbent only on strict improvement.
+    winners, then mutation. It sends no query: ``run_evolution``'s loop
+    hill-climbs a population of one.
     """
     size = len(genomes)
     rank_keys = [(-fitness, render_query(genome)) for genome, fitness in zip(genomes, fitnesses)]
     order = sorted(range(size), key=rank_keys.__getitem__)
-
-    if size == 1:
-        incumbent = genomes[0]
-        challenger = mutate(incumbent, pool, config.m1, rng)
-        winner = incumbent
-        if challenger != incumbent and evaluate_single(challenger) > fitnesses[0]:
-            winner = challenger
-        return [winner]
 
     elite_count = math.ceil(size / 2)
     survivors = [genomes[i] for i in order[:elite_count]]
@@ -150,9 +140,9 @@ def run_evolution(
     keywords are lemmas the index holds; only another provider reads
     ``config.stop_words_path``. A generation's queries are sent, and the
     survivors it breeds are selected, only when the stream is asked for
-    its record."""
-    if not seed_material:
-        raise ConfigInvalid("seed material must contain at least one document")
+    its record. The loop alone sends queries: a population of one hill-climbs,
+    its mutated challenger sent, scored as a population of itself, and adopted
+    only on strict improvement."""
     if isinstance(provider, OfflineProvider):
         normalizer = SuffixNormalizer(frozenset(provider.index.stop_words))
     else:
@@ -193,12 +183,6 @@ def run_evolution(
             if config.freeze_reference:
                 first_outcomes[outcome.query_string] = outcome
 
-    def evaluate_single(genome: QueryGenome) -> float:
-        """Fitness of one genome scored as a population of itself."""
-        challenger = send(genome)
-        score([challenger])
-        return challenger.query_fitness
-
     def generations() -> Iterator[GenerationRecord]:
         nonlocal reference
         population = seed_population(pool, config.g2, config.g3, config.rng_seed, config.variant)
@@ -220,11 +204,18 @@ def run_evolution(
                 top_results=top,
             )
 
-            if generation < config.e1 - 1:
-                rng = derive_rng(config.rng_seed, f"selection/{generation}")
-                population = select_survivors(
-                    population, fitnesses, pool, config, rng, evaluate_single
-                )
+            if generation == config.e1 - 1:
+                return
+            rng = derive_rng(config.rng_seed, f"selection/{generation}")
+            if config.g2 > 1:
+                population = select_survivors(population, fitnesses, pool, config, rng)
+                continue
+            challenger = mutate(population[0], pool, config.m1, rng)
+            if challenger != population[0]:
+                trial = send(challenger)
+                score([trial])
+                if trial.query_fitness > fitnesses[0]:
+                    population = [challenger]
 
     return generations()
 
@@ -284,13 +275,15 @@ def write_run_ledger(
     return record
 
 
-def _verify_input_file(path: Path, recorded_digest: str, label: str) -> None:
+def _verify_input_file(path: Path, recorded_digest: str, label: str, where: Path) -> None:
+    """Each error names ``where``, the config.json recording ``path``, which need not
+    lie in the ledger: an absolute recorded path replaces the ledger's."""
     if not path.is_file():
-        raise LedgerCorrupt(f"recorded {label} {str(path)!r} no longer exists")
+        raise LedgerCorrupt(f"{where} records {label} {str(path)!r}, which no longer exists")
     actual = file_digest(path)
     if actual != recorded_digest:
         raise LedgerCorrupt(
-            f"recorded {label} {str(path)!r} changed since the run "
+            f"{where} records {label} {str(path)!r}, which changed since the run "
             f"(sha256 {actual} != {recorded_digest})"
         )
 
@@ -348,7 +341,7 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
     # recorded paths are relative to the ledger directory
     paths = {name: Path(ledger_dir, inputs[f"{name}_path"]) for name in names}
     for name in names:
-        _verify_input_file(paths[name], inputs[f"{name}_sha256"], name.replace("_", " "))
+        _verify_input_file(paths[name], inputs[f"{name}_sha256"], name.replace("_", " "), where)
 
     provider = build_provider(config.provider, paths["index"])
     records = run_evolution(config, provider, load_corpus(paths["seed_material"]))

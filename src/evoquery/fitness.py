@@ -182,7 +182,7 @@ def score_query_results(
         k = seen[host] = seen.get(host, -1) + 1
         if k:
             result.fitness *= config.f4**k
-    return _best_first(results) if len(seen) < length else results
+    return _best_first(results)
 
 
 def _top_distinct(results: Iterable[ScoredResult], cap: int) -> list[ScoredResult]:

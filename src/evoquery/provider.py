@@ -98,15 +98,14 @@ class InvertedIndex:
 def build_index(
     docs: list[Document], normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
 ) -> InvertedIndex:
-    """Doc columns and postings with raw term counts, docs ordered by their unique ids.
+    """Doc columns and postings with raw term counts, docs ordered by their unique ids;
+    ``docs`` is not empty, since ``load_corpus`` refuses a file with no document.
 
     Each body is split once. Its tokens' lemmas are counted through
     ``normalizer.lemma_of``, which gives ``None`` for a dropped token, and the
     same tokens, joined, are the whitespace-collapsed body, stored whole;
     whether a hit exposes all of it or a fixed-size snippet is the provider's call.
     """
-    if not docs:
-        raise ParseError("cannot index an empty corpus")
     lemma_of = normalizer.lemma_of
     columns: dict[str, list] = {name: [] for name in DOC_COLUMNS}
     postings: dict[str, list[int]] = {}

@@ -60,8 +60,6 @@ def metrics_csv_text(rows: Iterable[MetricRow]) -> str:
 
 def read_metrics_csv(path: str | Path) -> list[MetricRow]:
     source = Path(path)
-    if not source.is_file():
-        raise ParseError(f"no such metrics file: {source}")
     try:
         text = source.read_bytes().decode("utf-8")
     except UnicodeDecodeError:

@@ -57,8 +57,6 @@ class SyntheticDataset:
     corpus: list[Document]
     seed_material: list[Document]
     cluster_urls: list[str]
-    topic_terms: list[str]
-    distractor_terms: list[str]
 
 
 def _doc(doc_id: str, host: str, title: str, body: str) -> Document:
@@ -148,8 +146,6 @@ def build_dataset(seed: int = 0) -> SyntheticDataset:
         corpus=corpus,
         seed_material=_seed_docs(topic, distractors),
         cluster_urls=[doc.url for doc in corpus[:CLUSTER_SIZE]],
-        topic_terms=list(topic),
-        distractor_terms=list(distractors),
     )
 
 

@@ -23,6 +23,7 @@ from evoquery.cli import main
 from evoquery.corpus import Document, build_keyword_pool, load_corpus
 from evoquery.errors import ProviderError
 from evoquery.ledger import (
+    CONFIG_FILE,
     FINAL_RESULTS_FILE,
     GENERATIONS_FILE,
     canonical_json,
@@ -248,7 +249,8 @@ class TestIndex:
         code = main(["index", "--corpus", str(tmp_path / "empty.jsonl"),
                      "--out", str(tmp_path / "index.json")])
         assert code == 1
-        assert "empty corpus" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {tmp_path / 'empty.jsonl'}: holds no document\n"
+        assert not (tmp_path / "index.json").exists()
 
     def _index(self, data_dir, out):
         return main(["index", "--corpus", str(data_dir / "corpus.jsonl"), "--out", str(out)])
@@ -295,16 +297,15 @@ SMALL_CORPUS = "".join(
 
 
 @st.composite
-def mutated_corpus(draw):
-    """SMALL_CORPUS with one byte flipped, the tail cut off, or one byte put in."""
-    at = draw(st.integers(0, len(SMALL_CORPUS) - 1))
+def mutated(draw, data: bytes):
+    """``data`` with one byte flipped, the tail cut off, or one byte put in."""
+    at = draw(st.integers(0, len(data) - 1))
     kind = draw(st.sampled_from(["flip", "cut", "insert"]))
     if kind == "flip":
-        flipped = SMALL_CORPUS[at] ^ draw(st.integers(1, 255))
-        return SMALL_CORPUS[:at] + bytes([flipped]) + SMALL_CORPUS[at + 1:]
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
     if kind == "cut":
-        return SMALL_CORPUS[:at]
-    return SMALL_CORPUS[:at] + bytes([draw(st.integers(0, 255))]) + SMALL_CORPUS[at:]
+        return data[:at]
+    return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at:]
 
 
 class TestIndexMutatedCorpus:
@@ -312,7 +313,7 @@ class TestIndexMutatedCorpus:
     file; never 2, a traceback or a partial --out."""
 
     @settings(max_examples=300, deadline=None)
-    @given(mutated_corpus())
+    @given(mutated(SMALL_CORPUS))
     def test_exits_0_or_names_the_file(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "index.json"
@@ -324,9 +325,133 @@ class TestIndexMutatedCorpus:
                 assert load_index(out).doc_count == int(stdout.getvalue().split()[1])
             elif data.strip():
                 assert code == 1 and stderr.getvalue().startswith(f"error: {corpus}: line ")
-            else:  # a cut to nothing: the empty corpus, whose message names no file
-                assert (code, stderr.getvalue()) == (1, "error: cannot index an empty corpus\n")
+            else:  # a cut to nothing
+                assert (code, stderr.getvalue()) == (1, f"error: {corpus}: holds no document\n")
             assert sorted(os.listdir(tmp)) == ["corpus.jsonl"] + ["index.json"] * (code == 0)
+
+
+def _quiet_main(argv):
+    """``main(argv)``'s exit code and stderr, its stdout dropped."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([str(arg) for arg in argv])
+    return code, stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The directory of every input of a two-generation run on SMALL_CORPUS's 4 docs."""
+    root = tmp_path_factory.mktemp("small-run")
+    urls = [json.loads(line)["url"] for line in SMALL_CORPUS.decode("utf-8").splitlines()]
+    (root / "corpus.jsonl").write_bytes(SMALL_CORPUS)
+    (root / "seed.jsonl").write_bytes(SMALL_CORPUS)
+    config = {"g2": 2, "g3": 2, "e1": 2, "f1": 4, "f2": 4, "f3": 4, "keyword_pool_size": 4}
+    (root / "config.json").write_text(json.dumps(config) + "\n", encoding="utf-8")
+    (root / "qrels.tsv").write_text(
+        "".join(f"{url}\tx{i % 2}\t{'SN'[i % 2]}\t{i % 4}\n" for i, url in enumerate(urls)),
+        encoding="utf-8",
+    )
+    (root / "list.txt").write_text("\n".join(urls[:3]) + "\n", encoding="utf-8")
+    index = ["index", "--corpus", root / "corpus.jsonl", "--out", root / "index.json"]
+    assert _quiet_main(index)[0] == 0
+    inputs = _inputs(root)
+    assert _quiet_main(_evolve(inputs, inputs["ledger"]))[0] == 0
+    assert _quiet_main(_evaluate_lists(inputs, inputs["metrics.csv"]))[0] == 0
+    return root
+
+
+def _inputs(root):
+    names = ("config.json", "seed.jsonl", "index.json", "qrels.tsv", "list.txt", "metrics.csv")
+    return {name: root / name for name in (*names, "ledger")}
+
+
+def _evolve(inputs, out):
+    return ["evolve", "--config", inputs["config.json"], "--seed-material",
+            inputs["seed.jsonl"], "--index", inputs["index.json"], "--out", out]
+
+
+def _evaluate_lists(inputs, out):
+    return ["evaluate", "--list", inputs["list.txt"], "--qrels", inputs["qrels.tsv"],
+            "--out", out]
+
+
+def _evaluate_ledger(inputs, out):
+    return ["evaluate", "--ledger", inputs["ledger"], "--qrels", inputs["qrels.tsv"],
+            "--out", out]
+
+
+def _report(inputs, out):
+    return ["report", "--metrics", inputs["metrics.csv"], "--out", out]
+
+
+def _replay(inputs, out):
+    return ["replay", "--ledger", inputs["ledger"]]
+
+
+# (input file, the command that reads it); a ledger's files are read by two
+MUTATED_INPUTS = [
+    pytest.param("seed.jsonl", _evolve, id="seed-material-evolve"),
+    pytest.param("config.json", _evolve, id="config-evolve"),
+    pytest.param("index.json", _evolve, id="index-evolve"),
+    pytest.param("qrels.tsv", _evaluate_lists, id="qrels-evaluate"),
+    pytest.param("list.txt", _evaluate_lists, id="list-evaluate"),
+    pytest.param("metrics.csv", _report, id="metrics-report"),
+    *(pytest.param(f"ledger/{name}", command, id=f"{name}-{verb}")
+      for name in (CONFIG_FILE, GENERATIONS_FILE, FINAL_RESULTS_FILE)
+      for verb, command in (("evaluate", _evaluate_ledger), ("replay", _replay))),
+]
+
+
+class TestMutatedInputs:
+    """A damaged input file gives exit 0, or exit 1 naming the file (config: or
+    one of its keys; a ledger's file: or the generation and field that replay
+    finds diverging); never 2, a traceback or a partial --out."""
+
+    @pytest.mark.parametrize("name, command", MUTATED_INPUTS)
+    def test_exits_0_or_names_the_file(self, small_run, name, command):
+        original = (small_run / name).read_bytes()
+
+        @settings(max_examples=60, deadline=None)
+        @given(mutated(original))
+        def check(data):
+            work = Path(tempfile.mkdtemp(dir=small_run))
+            in_ledger = name.startswith("ledger/")
+            try:
+                inputs = _inputs(small_run)
+                if in_ledger:  # a copy beside small_run/ledger keeps its relative input paths
+                    shutil.copytree(inputs["ledger"], work, dirs_exist_ok=True)
+                    inputs["ledger"], target = work, work / Path(name).name
+                else:
+                    target = inputs[name] = work / name
+                target.write_bytes(data)
+                placed = sorted(os.listdir(work))
+                code, stderr = _quiet_main(command(inputs, work / "out"))
+                wrote = ["out"] if code == 0 and command is not _replay else []
+                assert sorted(os.listdir(work)) == sorted(placed + wrote), stderr
+                if code == 0:
+                    return
+                assert code == 1, stderr
+                named = [str(work if in_ledger else target)]
+                if name == "config.json":
+                    named += _keys(data)
+                diverged = in_ledger and re.match(
+                    r"divergence detected: generation \d+ diverges at \S", stderr)
+                assert diverged or any(part in stderr for part in named), stderr
+            finally:
+                shutil.rmtree(work)
+
+        check()
+
+
+def _keys(config_bytes):
+    """The keys of a config file's JSON object, if it holds one, each as a message
+    shows it alone or in a list (``repr``); not an empty key, in every message."""
+    try:
+        payload = json.loads(config_bytes)
+    except ValueError:
+        return []
+    keys = [key for key in payload if key] if isinstance(payload, dict) else []
+    return keys + [repr(key) for key in keys]
 
 
 class TestKeywords:
@@ -929,7 +1054,7 @@ class TestReport:
         missing = tmp_path / "absent.csv"
         code = main(["report", "--metrics", str(missing), "--out", str(tmp_path / "r")])
         assert code == 1
-        assert f"no such metrics file: {missing}" in capsys.readouterr().err
+        assert f"error: metrics file not found: {missing}\n" == capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_duplicate_run_names(self, metrics_csv, tmp_path):
@@ -1065,6 +1190,19 @@ class TestReplay:
         assert main(["replay", "--ledger", str(out)]) == 1
         assert f"changed since the run (sha256 {changed} != {recorded})" in capsys.readouterr().err
 
+    def test_missing_absolute_input_names_the_config(self, run_dir, tmp_path, capsys):
+        # an absolute recorded path replaces the ledger's, so the path alone names no ledger
+        ledger, missing = tmp_path / "ledger", tmp_path / "absent.json"
+        shutil.copytree(run_dir, ledger)
+        config = ledger / "config.json"
+        text, count = re.subn(r'"index_path":"[^"]*"', f'"index_path":"{missing}"',
+                              config.read_text())
+        assert count == 1
+        config.write_text(text)
+        assert main(["replay", "--ledger", str(ledger)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config} records index {str(missing)!r}, which no longer exists\n")
+
     def test_changed_stop_words_rejected(self, data_dir, tmp_path, capsys):
         # other stop words make another index, whose sha256 replay refuses
         stops = write_top_keywords(data_dir, tmp_path / "stops.txt")
@@ -1084,7 +1222,8 @@ class TestReplay:
         capsys.readouterr()
         assert main(["replay", "--ledger", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "error: recorded index " in err and " changed since the run (sha256 " in err
+        assert f"error: {out / 'config.json'} records index " in err
+        assert ", which changed since the run (sha256 " in err
 
     @pytest.mark.parametrize("edit, problem", [
         (lambda c: c.update(g2="x"), " holds an invalid config: g2 must be an integer, got 'x'"),

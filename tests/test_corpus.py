@@ -361,6 +361,13 @@ class TestLoadCorpus:
         docs = load_corpus(path)
         assert docs[0].host == "example.org"
 
+    @pytest.mark.parametrize("text", ["", "\n \t\n\r\n"], ids=["empty", "blank-lines"])
+    def test_no_document_rejected(self, tmp_path, text):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: holds no document$"):
+            load_corpus(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = self.write_lines(tmp_path, [self.record("d1"), "", self.record("d2")])
         assert len(load_corpus(path)) == 2
@@ -450,8 +457,10 @@ class TestDataLines:
         path.write_bytes(b"a\r\nb\rc\n")
         assert list(data_lines(path)) == [(1, "a"), (2, "b"), (3, "c")]
 
-    def test_not_utf8_names_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_not_utf8_names_file_and_line(self, tmp_path, end):
         path = tmp_path / "lines.txt"
-        path.write_bytes(b"a\n\xff\n")
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: "):
+        path.write_bytes(end.join([b"a", b"b", b"\xe9c", b""]))
+        message = f"{path}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             list(data_lines(path))

@@ -25,7 +25,9 @@ from evoquery.corpus import (
 import evoquery.ledger
 import evoquery.provider
 from evoquery.config import COUNT_LIMITS, ProviderSpec, RunConfig
-from evoquery.errors import ConfigInvalid, DivergenceDetected, EvoqueryError, LedgerCorrupt
+from evoquery.errors import (
+    ConfigInvalid, DivergenceDetected, EvoqueryError, LedgerCorrupt, ParseError
+)
 from evoquery.evolution import (
     GenerationRecord,
     QueryOutcome,
@@ -721,9 +723,11 @@ class TestRunEvolution:
             for outcome in record.queries:
                 assert outcome.query_string.count('"') == config.g3 * 2
 
-    def test_empty_seed_material_rejected(self, provider):
-        with pytest.raises(ConfigInvalid):
-            run_evolution(small_config(), provider, [])
+    def test_empty_seed_material_rejected(self, provider, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: holds no document$"):
+            run_evolution(small_config(), provider, load_corpus(path))
 
     def test_result_payload_round_trip(self, provider):
         (record,) = run_evolution(small_config(e1=1), provider, SEED_DOCS)
@@ -819,23 +823,51 @@ class TestSelectSurvivors:
         assert result[1] == genomes[2]
         assert len(result) == 3
 
+    # A population of one hill-climbs in run_evolution's loop, which sends the
+    # challenger; these runs answer a chosen set of its sends with HILL_HITS.
+    HILL_HITS = [SearchHit(f"https://karst.example/{i}", "karst.example", "karst cave",
+                           "limestone conduit") for i in range(3)]
+
+    class AnswersCalls:
+        """A provider that answers its calls numbered in ``answered`` with
+        ``hits``, and every other call with nothing; it records each query."""
+
+        def __init__(self, answered, hits):
+            self.answered, self.hits, self.sent = answered, hits, []
+
+        def execute(self, query_string, limit):
+            self.sent.append(query_string)
+            return self.hits if len(self.sent) - 1 in self.answered else []
+
+    def hill_climb(self, answered, **overrides):
+        """The queries a two-generation g2 = 1 run sends (incumbent, challenger,
+        then generation 1's genome unless a frozen run reuses its outcome) and
+        its records; m1 = 1 always mutates."""
+        provider = self.AnswersCalls(answered, self.HILL_HITS)
+        config = small_config(g2=1, g3=2, e1=2, m1=1.0, **overrides)
+        records = list(run_evolution(config, provider, SEED_DOCS))
+        assert provider.sent[1] != provider.sent[0]
+        return provider.sent, records
+
     def test_single_genome_keeps_incumbent_on_worse_challenger(self):
-        population = [lemma_genome("alpha", "bravo")]
-        result = select_survivors(
-            population, [0.5], SELECTION_POOL, small_config(g2=1, g3=2),
-            derive_rng(5, "test-selection"), evaluate_single=lambda g: 0.1,
-        )
-        assert result == population
+        sent, records = self.hill_climb({0})
+        assert records[0].queries[0].query_fitness > 0.0
+        assert len(sent) == 3
+        assert sent[2] == sent[0] == records[1].queries[0].query_string
 
     def test_single_genome_adopts_better_challenger(self):
-        incumbent = lemma_genome("alpha", "bravo")
-        population = [incumbent]
-        result = select_survivors(
-            population, [0.5], SELECTION_POOL, small_config(g2=1, g3=2),
-            derive_rng(6, "test-selection"), evaluate_single=lambda g: 0.9,
-        )
-        assert result[0] != incumbent
-        assert len(result) == 1
+        sent, records = self.hill_climb({1, 2})
+        assert records[0].queries[0].query_fitness == 0.0
+        assert len(sent) == 3
+        assert sent[2] == sent[1] == records[1].queries[0].query_string
+        assert records[1].queries[0].query_fitness > 0.0
+
+    def test_single_genome_keeps_incumbent_on_equal_challenger(self):
+        # a frozen reference scores the same hits the same for either query
+        sent, records = self.hill_climb({0, 1}, freeze_reference=True)
+        assert records[1].queries[0].query_fitness == records[0].queries[0].query_fitness > 0.0
+        assert len(sent) == 2  # generation 1 reuses the incumbent's first outcome
+        assert records[1].queries[0].query_string == sent[0]
 
 
 class TestBuildProvider:

@@ -71,10 +71,6 @@ class TestBuildIndex:
         index = build_index([doc("d1", "aa bb"), doc("d2", "aa bb")])
         assert (index.postings["aa"], index.term_counts["aa"]) == ([0, 1], [1, 1])
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ParseError, match="^cannot index an empty corpus$"):
-            build_index([])
-
     def test_stored_text_whitespace_collapsed(self):
         index = build_index([doc("d1", "word  \n word\tword")])
         assert index.docs["text"] == ["word word word"]

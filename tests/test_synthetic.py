@@ -34,6 +34,20 @@ def dataset():
     return build_dataset(0)
 
 
+@pytest.fixture(scope="module")
+def terms():
+    """(topic terms, distractor terms) of ``build_dataset(0)``: the first words of
+    its vocabulary stream, which ``distinct_words`` draws one after another."""
+    words = distinct_words(
+        derive_rng(0, "synthetic/vocabulary"), TOPIC_TERMS + DISTRACTOR_TERMS
+    )
+    return words[:TOPIC_TERMS], words[TOPIC_TERMS:]
+
+
+def cluster_vocabulary(dataset):
+    return {word for doc in dataset.corpus[:CLUSTER_SIZE] for word in doc.body.split()}
+
+
 class TestVocabulary:
     def test_words_are_stemmer_invariant(self):
         rng = derive_rng(0, "test-words")
@@ -53,25 +67,29 @@ class TestVocabulary:
 
 
 class TestDatasetShape:
-    def test_counts(self, dataset):
+    def test_counts(self, dataset, terms):
         assert len(dataset.corpus) == CLUSTER_SIZE + SHARDS * DOCS_PER_SHARD == 500
         assert len(dataset.cluster_urls) == CLUSTER_SIZE
-        assert len(dataset.topic_terms) == TOPIC_TERMS
-        assert len(dataset.distractor_terms) == DISTRACTOR_TERMS
+        topic, distractors = terms
+        assert cluster_vocabulary(dataset) == set(topic)
+        assert len(set(topic)) == TOPIC_TERMS
+        seed_words = {word for doc in dataset.seed_material for word in doc.body.split()}
+        assert seed_words - set(topic) == set(distractors)
+        assert len(set(distractors)) == DISTRACTOR_TERMS
         assert len({doc.id for doc in dataset.corpus}) == 500
 
     def test_cluster_docs_lead_the_corpus(self, dataset):
         assert [d.url for d in dataset.corpus[:CLUSTER_SIZE]] == dataset.cluster_urls
 
-    def test_topic_vocabulary_is_isolated(self, dataset):
-        topic = set(dataset.topic_terms)
+    def test_topic_vocabulary_is_isolated(self, dataset, terms):
+        topic = set(terms[0])
         for doc in dataset.corpus[:CLUSTER_SIZE]:
             assert set(doc.body.split()) <= topic
         for doc in dataset.corpus[CLUSTER_SIZE:]:
             assert not (set(doc.body.split()) & topic)
 
-    def test_distractors_reach_the_shards(self, dataset):
-        distractors = set(dataset.distractor_terms)
+    def test_distractors_reach_the_shards(self, dataset, terms):
+        distractors = set(terms[1])
         hits = sum(
             1
             for doc in dataset.corpus[CLUSTER_SIZE:]
@@ -92,20 +110,20 @@ class TestDatasetShape:
 
     def test_seed_changes_vocabulary(self, dataset):
         other = build_dataset(1)
-        assert other.topic_terms != dataset.topic_terms
+        assert cluster_vocabulary(other) != cluster_vocabulary(dataset)
 
 
 class TestSeedMaterial:
-    def test_pool_is_topic_plus_distractors(self, dataset):
+    def test_pool_is_topic_plus_distractors(self, dataset, terms):
         pool = build_keyword_pool(dataset.seed_material, 50)
         assert len(pool) == 50
         lemmas = {t for t, _ in pool}
-        assert lemmas == set(dataset.topic_terms) | set(dataset.distractor_terms)
+        assert lemmas == set(terms[0]) | set(terms[1])
 
-    def test_topic_terms_outweigh_distractors(self, dataset):
+    def test_topic_terms_outweigh_distractors(self, dataset, terms):
         pool = build_keyword_pool(dataset.seed_material, 50)
         heaviest = [lemma for lemma, _ in pool[:TOPIC_TERMS]]
-        assert set(heaviest) == set(dataset.topic_terms)
+        assert set(heaviest) == set(terms[0])
 
     def test_seed_docs_not_in_corpus(self, dataset):
         corpus_urls = {doc.url for doc in dataset.corpus}
