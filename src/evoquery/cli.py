@@ -92,7 +92,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_keywords(args: argparse.Namespace) -> int:
     corpus_path = require_file(args.corpus, "corpus")
     docs = load_corpus(corpus_path)
-    pool = build_keyword_pool(docs, args.k, normalizer_for(args.stop_words))
+    pool = build_keyword_pool(docs, args.k, normalizer_for(args.stop_words), corpus_path)
     for lemma, weight in pool:
         print(f"{lemma}\t{weight:.6f}")
     return EXIT_OK
@@ -146,7 +146,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config, provider=spec)
 
     provider = build_provider(spec, index_path)
-    last = write_run_ledger(args.out, config, run_evolution(config, provider, seed_docs), inputs)
+    records = run_evolution(config, provider, seed_docs, seed_path)
+    last = write_run_ledger(args.out, config, records, inputs)
     print(f"ledger written to {args.out}")
     print(f"final population fitness: {last.population_fitness:.6f}")
     print(f"top {len(last.top_results)} results:")

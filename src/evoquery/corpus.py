@@ -180,9 +180,12 @@ def extract_keywords(vec: TermVector, k: int) -> list[tuple[str, float]]:
 
 
 def seed_vector(
-    docs: Sequence[Document], normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
+    docs: Sequence[Document],
+    normalizer: SuffixNormalizer = DEFAULT_NORMALIZER,
+    path: str | Path | None = None,
 ) -> TermVector:
-    """Term vector of the concatenated bodies of all seed documents.
+    """Term vector of the concatenated bodies of all seed documents; an error names
+    ``path``, the file they were read from.
 
     Multi-document seed material is treated as one text: the per-document
     lemma streams are chained before weighting.
@@ -191,7 +194,7 @@ def seed_vector(
     for doc in docs:
         lemmas.extend(normalizer.normalize(doc.body))
     if not lemmas:
-        raise ParseError("seed material normalizes to zero lemmas")
+        raise ParseError("seed material normalizes to zero lemmas", path=path)
     return TermVector.from_lemmas(lemmas)
 
 
@@ -199,9 +202,10 @@ def build_keyword_pool(
     docs: Sequence[Document],
     k: int,
     normalizer: SuffixNormalizer = DEFAULT_NORMALIZER,
+    path: str | Path | None = None,
 ) -> list[tuple[str, float]]:
     """Keyword pool over the seed material's ``seed_vector``."""
-    return extract_keywords(seed_vector(docs, normalizer), k)
+    return extract_keywords(seed_vector(docs, normalizer, path), k)
 
 
 def _parse_document(record: object, line_no: int, path: str | Path) -> Document:

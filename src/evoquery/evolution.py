@@ -133,8 +133,10 @@ def run_evolution(
     config: RunConfig,
     provider: SearchProvider,
     seed_material: Sequence[Document],
+    seed_path: str | Path | None = None,
 ) -> Iterator[GenerationRecord]:
-    """Check the run's inputs, then return the loop as a stream of records.
+    """Check the run's inputs, then return the loop as a stream of records; an
+    error in the seed material names ``seed_path``, the file it was read from.
 
     An offline run normalizes with its index's stop words, so that its
     keywords are lemmas the index holds; only another provider reads
@@ -147,12 +149,12 @@ def run_evolution(
         normalizer = SuffixNormalizer(frozenset(provider.index.stop_words))
     else:
         normalizer = normalizer_for(config.stop_words_path)
-    seed = seed_vector(seed_material, normalizer)
+    seed = seed_vector(seed_material, normalizer, seed_path)
     pool = extract_keywords(seed, config.keyword_pool_size)
     if len(pool) < config.min_pool_size:
-        raise ConfigInvalid(
-            f"seed material yields {len(pool)} keywords, the run needs {config.min_pool_size}"
-        )
+        where = "" if seed_path is None else f"{seed_path}: "
+        raise ConfigInvalid(f"{where}with g3={config.g3} and e1={config.e1}, seed material "
+                            f"yields {len(pool)} keywords, the run needs {config.min_pool_size}")
     reference = ReferenceText.from_seed_vector(seed, normalizer)
     # Freeze mode scores each query string once: a later genome sending it
     # reuses its first outcome's hits, results and fitness, so a survivor
@@ -344,7 +346,8 @@ def replay(ledger_dir: str | Path) -> GenerationRecord:
         _verify_input_file(paths[name], inputs[f"{name}_sha256"], name.replace("_", " "), where)
 
     provider = build_provider(config.provider, paths["index"])
-    records = run_evolution(config, provider, load_corpus(paths["seed_material"]))
+    seed_path = paths["seed_material"]
+    records = run_evolution(config, provider, load_corpus(seed_path), seed_path)
     stored, fragments = stored_generation_lines(ledger_dir), LineFragments()
     compare = partial(_compare_line, count=config.e1, path=Path(ledger_dir, GENERATIONS_FILE))
     for line_no, record in enumerate(records, start=1):

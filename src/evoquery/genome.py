@@ -44,7 +44,10 @@ def _weighted_sample(
 
     Weights are positive, as a pool's term frequencies are, and ``count``
     is at most ``len(items)``. The pick is the first item whose running
-    weight total exceeds the draw, or the last if rounding leaves none.
+    weight total exceeds the draw, and one always does: ``random()`` is at most
+    1 - 2**-53, and a total T above 2**-1022 times that rounds below T (T * 2**-53
+    is over half an ulp of T, or, for a power of two, the gap to the float below).
+    A pool's total, of term frequencies, is far above 2**-1022.
     """
     remaining = list(items)
     picked: list[str] = []
@@ -52,7 +55,7 @@ def _weighted_sample(
         # plain left-to-right addition: sum() compensates from Python 3.12 on
         totals = list(accumulate(map(itemgetter(1), remaining)))
         r = rng.random() * totals[-1]
-        picked.append(remaining.pop(min(bisect_right(totals, r), len(remaining) - 1))[0])
+        picked.append(remaining.pop(bisect_right(totals, r))[0])
     return picked
 
 

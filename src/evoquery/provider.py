@@ -32,12 +32,12 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 SNIPPET_CHARS = 240
 INDEX_FORMAT = "evoquery-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 HTTP_RETRIES = 2
 HTTP_BACKOFF_S = 0.5
 HTTP_TIMEOUT_S = 10.0
 # An index's per-document columns, in this order in InvertedIndex.docs
-DOC_COLUMNS = ("id", "url", "host", "title", "text", "length")
+DOC_COLUMNS = ("url", "host", "title", "text", "length")
 # Most entries of a list (a docs column, a posting list) that save_index encodes at once
 INDEX_SLICE = 256
 # Most hits an OfflineProvider keeps in its answer memo; past this, new
@@ -70,25 +70,24 @@ class InvertedIndex:
     """An index as its file holds it, so loading uses what ``json.loads`` returns.
 
     ``docs`` maps each of ``DOC_COLUMNS`` to a list with one entry per
-    document, in doc id order: the doc's ``id``, ``url``, ``host``,
-    ``title``, ``text`` (the whitespace-collapsed body that snippets are
-    sliced from) and ``length`` (its lemma count). A doc's index in these
+    document, in doc id order (the ids are not kept): the doc's ``url``,
+    ``host``, ``title``, ``text`` (the whitespace-collapsed body that snippets
+    are sliced from) and ``length`` (its lemma count). A doc's index in these
     lists is its position. ``postings`` maps each lemma to the strictly
     ascending positions of the docs holding it, and ``term_counts`` to how
     often each of those docs holds it, in the same order. ``stop_words`` are
     the sorted stop words of the normalizer that built it, which an offline
-    run normalizes with.
+    run normalizes with. No average is stored: the provider computes it from ``length``.
     """
 
     docs: dict[str, list]
     postings: dict[str, list[int]]
     term_counts: dict[str, list[int]]
-    avg_doc_len: float
     stop_words: list[str]
 
     @property
     def doc_count(self) -> int:
-        return len(self.docs["id"])
+        return len(self.docs["url"])
 
     @property
     def vocabulary_size(self) -> int:
@@ -116,7 +115,7 @@ def build_index(
         length = len(tokens) - counts.pop(None, 0)
         text = " ".join(tokens)
         text = doc.body if text == doc.body else text  # a collapsed body is kept, not copied
-        values = (doc.id, doc.url, doc.host, doc.title, text, length)
+        values = (doc.url, doc.host, doc.title, text, length)
         for name, value in zip(DOC_COLUMNS, values):
             columns[name].append(value)
         for lemma, tf in counts.items():
@@ -126,8 +125,7 @@ def build_index(
             else:
                 plist.append(position)
                 term_counts[lemma].append(tf)
-    avg_doc_len = sum(columns["length"]) / len(docs)
-    return InvertedIndex(columns, postings, term_counts, avg_doc_len, sorted(normalizer.stop_words))
+    return InvertedIndex(columns, postings, term_counts, sorted(normalizer.stop_words))
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
@@ -137,7 +135,6 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "stop_words": index.stop_words,
-        "avg_doc_len": index.avg_doc_len,
         "docs": index.docs,
         "postings": index.postings,
         "term_counts": index.term_counts,
@@ -206,9 +203,6 @@ def load_index(path: str | Path) -> InvertedIndex:
     stop_words = payload.get("stop_words")
     if not _list_of(stop_words, str) or not _ascending(stop_words):
         raise bad("stop_words must be a sorted list of distinct strings")
-    avg = payload.get("avg_doc_len")
-    if type(avg) not in (int, float) or not 0 <= avg < math.inf:
-        raise bad(f"avg_doc_len must be a finite number >= 0, got {avg!r}")
     docs, postings, term_counts = (payload.get(k) for k in ("docs", "postings", "term_counts"))
     for part, value in (("docs", docs), ("postings", postings), ("term_counts", term_counts)):
         if not isinstance(value, dict):
@@ -218,23 +212,23 @@ def load_index(path: str | Path) -> InvertedIndex:
             (int, 0, "integers >= 0") if name == "length" else (str, None, "strings"))
         if not _list_of(docs.get(name), kind, least):
             raise bad(f"docs column {name!r} must be a list of {what}")
-        if len(docs[name]) != len(docs["id"]):
-            raise bad(f"docs column {name!r} has {len(docs[name])} entries, not {len(docs['id'])}")
-    if not _ascending(docs["id"]):
-        raise bad("docs column 'id' must hold unique ids in sorted order")
+        if len(docs[name]) != len(docs["url"]):
+            raise bad(f"docs column {name!r} has {len(docs[name])} entries, not {len(docs['url'])}")
+    if not (count := len(docs["url"])):  # BM25 divides by the document count
+        raise bad("holds no document")
     if postings.keys() != term_counts.keys():
         lemma = min(postings.keys() ^ term_counts.keys())
         raise bad(f"lemma {lemma!r} must be in both postings and term_counts")
     for lemma, plist in postings.items():
         if not _list_of(plist, int) or not _ascending(plist):
             raise bad(f"postings of {lemma!r} must be a strictly ascending list of doc positions")
-        if plist and (plist[0] < 0 or plist[-1] >= len(docs["id"])):
-            raise bad(f"postings of {lemma!r} hold a doc position outside 0..{len(docs['id']) - 1}")
+        if plist and (plist[0] < 0 or plist[-1] >= count):
+            raise bad(f"postings of {lemma!r} hold a doc position outside 0..{count - 1}")
         if not _list_of(term_counts[lemma], int, 1):
             raise bad(f"term_counts of {lemma!r} must be a list of integers >= 1")
         if len(term_counts[lemma]) != len(plist):
             raise bad(f"postings and term_counts of {lemma!r} differ in length")
-    return InvertedIndex(docs, postings, term_counts, avg, stop_words)
+    return InvertedIndex(docs, postings, term_counts, stop_words)
 
 
 def parse_query(query_string: str) -> tuple[list[str], bool]:
@@ -285,7 +279,7 @@ class OfflineProvider:
     _answer_hits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        avg = self.index.avg_doc_len
+        avg = sum(self.index.docs["length"]) / self.index.doc_count  # load_index refuses 0 docs
         # BM25's tf saturation term K1 * (1 - b + b * |d| / avgdl) per document
         self._norm = [
             BM25_K1 * (1.0 - BM25_B + BM25_B * (length / avg if avg > 0 else 0.0))

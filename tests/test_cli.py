@@ -52,8 +52,8 @@ MALFORMED_INDEXES = [
         id="unequal-columns",
     ),
     pytest.param(
-        lambda p: p["docs"]["id"].reverse(),
-        "index docs column 'id' must hold unique ids in sorted order", id="unsorted-ids",
+        lambda p: p.update(docs={name: [] for name in p["docs"]}, postings={}, term_counts={}),
+        "index holds no document", id="no-documents",
     ),
     pytest.param(
         lambda p: p.pop("postings"), "index postings must be an object", id="no-postings"
@@ -85,11 +85,6 @@ MALFORMED_INDEXES = [
         id="lemma-only-in-term-counts",
     ),
     pytest.param(
-        lambda p: p.update(avg_doc_len="39.5"),
-        "index avg_doc_len must be a finite number >= 0, got '39.5'",
-        id="string-avg-doc-len",
-    ),
-    pytest.param(
         lambda p: p.update(docs=list(p["docs"].values())), "index docs must be an object",
         id="docs-as-list",
     ),
@@ -112,8 +107,14 @@ MALFORMED_INDEXES = [
         id="unordered-positions",
     ),
     pytest.param(
+        lambda p: (p["docs"].update(id=[f"d{i:03}" for i in range(500)]),
+                   p.update(version=4, avg_doc_len=39.5)),
+        "unsupported index version 4 (version 5 is read); rebuild it with `evoquery index`",
+        id="format-4",
+    ),
+    pytest.param(
         lambda p: p.update(version=2),
-        "unsupported index version 2 (version 4 is read); rebuild it with `evoquery index`",
+        "unsupported index version 2 (version 5 is read); rebuild it with `evoquery index`",
         id="format-2",
     ),
     pytest.param(
@@ -121,7 +122,7 @@ MALFORMED_INDEXES = [
             "class": "SuffixNormalizer",
             "stop_words_sha256": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         })),
-        "unsupported index version 3 (version 4 is read); rebuild it with `evoquery index`",
+        "unsupported index version 3 (version 5 is read); rebuild it with `evoquery index`",
         id="format-3",
     ),
     pytest.param(
@@ -296,15 +297,25 @@ SMALL_CORPUS = "".join(
 ).encode("utf-8")
 
 
+# A JSON token that is not punctuation: a string, a number or a literal
+JSON_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|true|false|null')
+
+
 @st.composite
 def mutated(draw, data: bytes):
-    """``data`` with one byte flipped, the tail cut off, or one byte put in."""
+    """``data`` with one byte flipped, the tail cut off, one byte put in, or one
+    JSON token swapped for another of its tokens (a number for a string, a key
+    for a value, ...), which leaves a JSON file parsing more often than a byte does."""
     at = draw(st.integers(0, len(data) - 1))
-    kind = draw(st.sampled_from(["flip", "cut", "insert"]))
+    kind = draw(st.sampled_from(["flip", "cut", "insert", "swap"]))
     if kind == "flip":
         return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
     if kind == "cut":
         return data[:at]
+    if kind == "swap":
+        tokens = list(JSON_TOKEN.finditer(data))
+        old, new = draw(st.sampled_from(tokens)), draw(st.sampled_from(tokens))
+        return data[:old.start()] + new.group() + data[old.end():]
     return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at:]
 
 
@@ -454,7 +465,20 @@ def _keys(config_bytes):
     return keys + [repr(key) for key in keys]
 
 
+def _seed_file(tmp_path, body):
+    """A one-document seed file whose body is ``body``."""
+    path = tmp_path / "seed.jsonl"
+    dump_corpus([Document("s1", "https://s.example/1", "s.example", "t", body)], path)
+    return path
+
+
 class TestKeywords:
+    def test_zero_lemmas_names_the_file(self, tmp_path, capsys):
+        seed = _seed_file(tmp_path, "! 1 2 ?")
+        code = main(["keywords", "--corpus", str(seed)])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {seed}: seed material normalizes to zero lemmas\n")
+
     def test_pool_listing(self, data_dir, capsys):
         code = main(["keywords", "--corpus", str(data_dir / "seed.jsonl"), "--k", "10"])
         assert code == 0
@@ -619,6 +643,22 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert f"error: {index}: {named}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("karst cave", "with g3=6 and e1=10, seed material yields 2 keywords, the run needs 7"),
+        ("! 1 2 ?", "seed material normalizes to zero lemmas"),
+    ], ids=["too-few-keywords", "zero-lemmas"])
+    def test_seed_material_error_names_the_file(
+        self, data_dir, tmp_path, capsys, body, message
+    ):
+        seed = _seed_file(tmp_path, body)
+        out = tmp_path / "ledger"
+        code = main([
+            "evolve", "--config", str(data_dir / "defaults.json"), "--seed-material", str(seed),
+            "--index", str(data_dir / "index.json"), "--out", str(out),
+        ])
+        assert (code, capsys.readouterr().err) == (1, f"error: {seed}: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("provider, key", [

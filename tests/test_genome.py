@@ -49,6 +49,23 @@ def test_weighted_sample_picks_as_the_loop_it_replaced(weights, seed):
     assert _weighted_sample(items, len(items), random.Random(seed)) == expected
 
 
+class _TopDraw(random.Random):
+    """A stream whose every ``random()`` is the largest it can give, 1 - 2**-53."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+@settings(max_examples=300)
+@given(counts=st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
+def test_weighted_sample_top_draw_picks_the_last_item(counts):
+    """The largest draw still falls below the running total of term frequencies,
+    as a pool holds, so it picks the last item, with no clamp to the last index."""
+    items = [(f"t{i}", count / sum(counts)) for i, count in enumerate(counts)]
+    picked = _weighted_sample(items, len(items), _TopDraw())
+    assert picked == [name for name, _ in reversed(items)]
+
+
 class TestSeedPopulation:
     def test_paper_shape(self):
         pop = seed_population(make_pool(50), g2=8, g3=6, rng_seed=1)

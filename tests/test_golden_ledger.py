@@ -140,7 +140,7 @@ EXECUTE_CALLS = {
     "no-damping": 80,
 }
 
-INDEX_SHA256 = "55cc53972276bba8a509f83a6caa08be6051c4a50478d1ca066737389ba6c587"
+INDEX_SHA256 = "87e2e5b9f5e0899cbcd7141e11378b7f40ecb429826639e43faf699fccb15e19"
 
 
 @pytest.fixture(scope="module")

@@ -45,17 +45,18 @@ def ranked_ids(hits):
     return [h.doc_url.rsplit("/", 1)[1] for h in hits]
 
 
-def format_2(index):
-    """``index`` in ``reference_index``'s shape: postings of {doc id: term count}, docs by id."""
-    ids = index.docs["id"]
-    rows = zip(*(index.docs[name] for name in DOC_COLUMNS[1:]))
+def format_2(index, docs):
+    """``index`` of ``docs`` in ``reference_index``'s shape: postings of {doc id: term count},
+    docs by id; positions run in id order, so the sorted ids name them."""
+    ids = sorted(d.id for d in docs)
+    rows = zip(*(index.docs[name] for name in DOC_COLUMNS))
     return SimpleNamespace(
         postings={
             lemma: dict(zip([ids[d] for d in plist], index.term_counts[lemma]))
             for lemma, plist in index.postings.items()
         },
-        docs={i: dict(zip(DOC_COLUMNS[1:], row)) for i, row in zip(ids, rows)},
-        avg_doc_len=index.avg_doc_len,
+        docs={i: dict(zip(DOC_COLUMNS, row)) for i, row in zip(ids, rows, strict=True)},
+        avg_doc_len=sum(index.docs["length"]) / index.doc_count,
         doc_count=index.doc_count,
     )
 
@@ -65,7 +66,7 @@ class TestBuildIndex:
         index = build_index([doc("d1", "aa aa bb")])
         assert (index.postings["aa"], index.term_counts["aa"]) == ([0], [2])
         assert (index.postings["bb"], index.term_counts["bb"]) == ([0], [1])
-        assert index.avg_doc_len == 3.0
+        assert index.docs["length"] == [3]
 
     def test_identical_documents_get_identical_postings(self):
         index = build_index([doc("d1", "aa bb"), doc("d2", "aa bb")])
@@ -92,7 +93,7 @@ class TestBuildIndex:
         # keys with a space: body.split() never yields such a token
         normalizer._lemmas.update((f" {i}", None) for i in range(LEMMA_MEMO_LIMIT))
         index = build_index(docs, normalizer)
-        assert format_2(index) == reference_index(docs, SuffixNormalizer(stop_words))
+        assert format_2(index, docs) == reference_index(docs, SuffixNormalizer(stop_words))
         assert len(normalizer._lemmas) == LEMMA_MEMO_LIMIT
 
     def test_snippet_truncated_at_query_time(self):
@@ -117,7 +118,6 @@ class TestBuildIndex:
         assert loaded.docs == index.docs
         assert loaded.postings == index.postings
         assert loaded.term_counts == index.term_counts
-        assert loaded.avg_doc_len == index.avg_doc_len
         assert loaded.stop_words == index.stop_words
 
     def test_load_rejects_non_index_file(self, tmp_path):
@@ -157,13 +157,13 @@ class TestIndexFile:
         normalizer = SuffixNormalizer(frozenset(stop_words))
         expected = reference_index(docs, normalizer)
         index = build_index(docs, normalizer)
-        assert index.docs["id"] == sorted(expected.docs)
+        assert index.docs["url"] == [expected.docs[i]["url"] for i in sorted(expected.docs)]
         assert index.term_counts.keys() == index.postings.keys()
         assert all(p == sorted(set(p)) for p in index.postings.values())
-        assert format_2(index) == expected
+        assert format_2(index, docs) == expected
         assert index.stop_words == sorted(stop_words)
 
-    def test_compact_sorted_format_4(self, tmp_path):
+    def test_compact_sorted_format_5(self, tmp_path):
         normalizer = SuffixNormalizer(frozenset({"dd", "cc"}))
         path = tmp_path / "index.json"
         save_index(build_index([doc("d1", "bb aa cc"), doc("d2", "aa")], normalizer), path)
@@ -172,9 +172,12 @@ class TestIndexFile:
         assert text == json.dumps(
             payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")
         )
-        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 4)
+        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 5)
+        assert sorted(payload) == ["docs", "format", "postings", "stop_words", "term_counts",
+                                   "version"]
+        assert sorted(payload["docs"]) == ["host", "length", "text", "title", "url"]
         assert payload["stop_words"] == ["cc", "dd"]
-        assert payload["docs"]["id"] == ["d1", "d2"]
+        assert payload["docs"]["url"] == ["https://example.org/d1", "https://example.org/d2"]
         assert payload["docs"]["length"] == [2, 1]
         assert payload["postings"] == {"aa": [0, 1], "bb": [0]}
         assert payload["term_counts"] == {"aa": [1, 1], "bb": [1]}
@@ -202,9 +205,8 @@ INDEX_TEXT = st.text(st.sampled_from('ab é中😀"\\\x00\x1f\x7f\u2028\u2029\t\
 def whole_file_text(index):
     """The index file as one json.dumps string, the oracle for save_index's pieces."""
     payload = {
-        "format": INDEX_FORMAT, "version": 4, "stop_words": index.stop_words,
-        "avg_doc_len": index.avg_doc_len, "docs": index.docs,
-        "postings": index.postings, "term_counts": index.term_counts,
+        "format": INDEX_FORMAT, "version": 5, "stop_words": index.stop_words,
+        "docs": index.docs, "postings": index.postings, "term_counts": index.term_counts,
     }
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
