@@ -208,6 +208,15 @@ def build_keyword_pool(
     return extract_keywords(seed_vector(docs, normalizer, path), k)
 
 
+def url_authority(url: str) -> str:
+    """The authority of ``url``, ``urlsplit(url).netloc``: a document's or a hit's host.
+
+    Only the url up to its third "/" is split, since no netloc reaches past it: the
+    netloc, and any ValueError (e.g. an unclosed "["), are the whole url's, and
+    urlsplit's lru cache then parses each host once."""
+    return urlsplit("/".join(url.split("/", 3)[:3])).netloc
+
+
 def _parse_document(record: object, line_no: int, path: str | Path) -> Document:
     if not isinstance(record, dict):
         raise ParseError("record is not an object", line_no, path)
@@ -225,20 +234,13 @@ def _parse_document(record: object, line_no: int, path: str | Path) -> Document:
     if not doc_id:
         raise ParseError("empty document id", line_no, path)
     url, host = record["url"], record["host"]
-    if url:
-        try:
-            # cut at the third "/", past which no netloc reaches: same netloc,
-            # same ValueError, and urlsplit's lru cache then parses each host once
-            derived = urlsplit("/".join(url.split("/", 3)[:3])).netloc
-        except ValueError as exc:  # e.g. an unclosed "[" in the host
-            raise ParseError(f"url {url!r} is not a valid URL ({exc})", line_no, path) from None
-        if not host:
-            host = derived
-        elif host != derived:
-            raise ParseError(
-                f"host {host!r} does not match url authority {derived!r}", line_no, path
-            )
-    return Document(id=doc_id, url=url, host=host, title=record["title"], body=record["body"])
+    try:
+        derived = url_authority(url)
+    except ValueError as exc:
+        raise ParseError(f"url {url!r} is not a valid URL ({exc})", line_no, path) from None
+    if host and host != derived:
+        raise ParseError(f"host {host!r} does not match url authority {derived!r}", line_no, path)
+    return Document(id=doc_id, url=url, host=derived, title=record["title"], body=record["body"])
 
 
 def load_corpus(path: str | Path) -> list[Document]:

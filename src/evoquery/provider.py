@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Protocol
 from urllib.parse import quote, urlencode, urlsplit, urlunsplit
 
-from .corpus import Document, SuffixNormalizer, DEFAULT_NORMALIZER
+from .corpus import Document, SuffixNormalizer, DEFAULT_NORMALIZER, url_authority
 from .errors import ParseError, ProviderError
 from .ledger import staged_sibling
 
@@ -32,12 +32,12 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 SNIPPET_CHARS = 240
 INDEX_FORMAT = "evoquery-index"
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 HTTP_RETRIES = 2
 HTTP_BACKOFF_S = 0.5
 HTTP_TIMEOUT_S = 10.0
 # An index's per-document columns, in this order in InvertedIndex.docs
-DOC_COLUMNS = ("url", "host", "title", "text", "length")
+DOC_COLUMNS = ("url", "title", "text")
 # Most entries of a list (a docs column, a posting list) that save_index encodes at once
 INDEX_SLICE = 256
 # Most hits an OfflineProvider keeps in its answer memo; past this, new
@@ -71,13 +71,13 @@ class InvertedIndex:
 
     ``docs`` maps each of ``DOC_COLUMNS`` to a list with one entry per
     document, in doc id order (the ids are not kept): the doc's ``url``,
-    ``host``, ``title``, ``text`` (the whitespace-collapsed body that snippets
-    are sliced from) and ``length`` (its lemma count). A doc's index in these
-    lists is its position. ``postings`` maps each lemma to the strictly
-    ascending positions of the docs holding it, and ``term_counts`` to how
-    often each of those docs holds it, in the same order. ``stop_words`` are
-    the sorted stop words of the normalizer that built it, which an offline
-    run normalizes with. No average is stored: the provider computes it from ``length``.
+    ``title`` and ``text`` (the whitespace-collapsed body that snippets are
+    sliced from). A doc's index in these lists is its position. ``postings``
+    maps each lemma to the strictly ascending positions of the docs holding
+    it, and ``term_counts`` to how often each of those docs holds it, in the
+    same order. ``stop_words`` are the sorted stop words of the normalizer that
+    built it, which an offline run normalizes with. Nothing derivable is stored:
+    the provider sums each doc's length over ``term_counts``, and a host is its url's.
     """
 
     docs: dict[str, list]
@@ -112,11 +112,10 @@ def build_index(
     for position, doc in enumerate(sorted(docs, key=lambda d: d.id)):
         tokens = doc.body.split()
         counts = Counter(map(lemma_of, tokens))
-        length = len(tokens) - counts.pop(None, 0)
+        counts.pop(None, None)
         text = " ".join(tokens)
         text = doc.body if text == doc.body else text  # a collapsed body is kept, not copied
-        values = (doc.url, doc.host, doc.title, text, length)
-        for name, value in zip(DOC_COLUMNS, values):
+        for name, value in zip(DOC_COLUMNS, (doc.url, doc.title, text)):
             columns[name].append(value)
         for lemma, tf in counts.items():
             plist = postings.get(lemma)
@@ -208,14 +207,17 @@ def load_index(path: str | Path) -> InvertedIndex:
         if not isinstance(value, dict):
             raise bad(f"{part} must be an object")
     for name in DOC_COLUMNS:
-        kind, least, what = (
-            (int, 0, "integers >= 0") if name == "length" else (str, None, "strings"))
-        if not _list_of(docs.get(name), kind, least):
-            raise bad(f"docs column {name!r} must be a list of {what}")
+        if not _list_of(docs.get(name), str):
+            raise bad(f"docs column {name!r} must be a list of strings")
         if len(docs[name]) != len(docs["url"]):
             raise bad(f"docs column {name!r} has {len(docs[name])} entries, not {len(docs['url'])}")
     if not (count := len(docs["url"])):  # BM25 divides by the document count
         raise bad("holds no document")
+    try:  # a hit's host is its url's authority
+        for url in docs["url"]:
+            url_authority(url)
+    except ValueError as exc:
+        raise bad(f"url {url!r} is not a valid URL ({exc})") from None
     if postings.keys() != term_counts.keys():
         lemma = min(postings.keys() ^ term_counts.keys())
         raise bad(f"lemma {lemma!r} must be in both postings and term_counts")
@@ -279,11 +281,15 @@ class OfflineProvider:
     _answer_hits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        avg = sum(self.index.docs["length"]) / self.index.doc_count  # load_index refuses 0 docs
+        lengths = [0] * self.index.doc_count  # each doc's lemma count, summed over its postings
+        for lemma, plist in self.index.postings.items():
+            for d, tf in zip(plist, self.index.term_counts[lemma]):
+                lengths[d] += tf
+        avg = sum(lengths) / self.index.doc_count  # load_index refuses 0 docs
         # BM25's tf saturation term K1 * (1 - b + b * |d| / avgdl) per document
         self._norm = [
             BM25_K1 * (1.0 - BM25_B + BM25_B * (length / avg if avg > 0 else 0.0))
-            for length in self.index.docs["length"]
+            for length in lengths
         ]
         self._contributions, self._hits = {}, [None] * self.index.doc_count
         self._answers, self._answer_hits = {}, 0
@@ -342,9 +348,9 @@ class OfflineProvider:
 
     def _hit(self, d: int) -> SearchHit:
         """The hit of the document at position ``d``, made once."""
-        docs, text = self.index.docs, self.index.docs["text"][d]
+        url, title, text = (self.index.docs[name][d] for name in DOC_COLUMNS)
         snippet = text if self.full_body_snippets else text[:SNIPPET_CHARS]
-        hit = self._hits[d] = SearchHit(docs["url"][d], docs["host"][d], docs["title"][d], snippet)
+        hit = self._hits[d] = SearchHit(url, url_authority(url), title, snippet)
         return hit
 
 
@@ -437,7 +443,7 @@ class HttpProvider:
             if not all(isinstance(v, str) for v in (url, title, snippet)):
                 raise ProviderError(f"result {pos} has non-string fields")
             try:
-                host = urlsplit(url).netloc
+                host = url_authority(url)
             except ValueError as exc:  # e.g. an unclosed "[" in the host
                 raise ProviderError(f"result {pos} has an invalid url {url!r} ({exc})") from None
             hits.append(SearchHit(url, host, title, snippet))

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import evoquery
 import evoquery.provider
 from evoquery.cli import main
-from evoquery.corpus import Document, build_keyword_pool, load_corpus
+from evoquery.corpus import Document, build_keyword_pool, load_corpus, url_authority
 from evoquery.errors import ProviderError
 from evoquery.ledger import (
     CONFIG_FILE,
@@ -41,11 +41,26 @@ def _set(column, at, value):
     column[at] = value
 
 
+def _format_5(payload):
+    """Make ``payload`` the format-5 index of its corpus: version 5, with each doc's
+    host and length (the sum of its term counts) stored beside its other columns."""
+    lengths = [0] * len(payload["docs"]["url"])
+    for lemma, plist in payload["postings"].items():
+        for d, tf in zip(plist, payload["term_counts"][lemma]):
+            lengths[d] += tf
+    payload["docs"].update(host=list(map(url_authority, payload["docs"]["url"])), length=lengths)
+    payload["version"] = 5
+
+
 # (corrupt an index payload of build_dataset(0), 500 docs, in place; the part it must name)
 MALFORMED_INDEXES = [
     pytest.param(
         lambda p: _set(p["docs"]["url"], 0, None),
         "index docs column 'url' must be a list of strings", id="doc-without-url",
+    ),
+    pytest.param(
+        lambda p: _set(p["docs"]["url"], 0, "http://[::1/x"),
+        "index url 'http://[::1/x' is not a valid URL (Invalid IPv6 URL)", id="url-not-valid",
     ),
     pytest.param(
         lambda p: p["docs"]["title"].pop(), "index docs column 'title' has 499 entries, not 500",
@@ -109,12 +124,17 @@ MALFORMED_INDEXES = [
     pytest.param(
         lambda p: (p["docs"].update(id=[f"d{i:03}" for i in range(500)]),
                    p.update(version=4, avg_doc_len=39.5)),
-        "unsupported index version 4 (version 5 is read); rebuild it with `evoquery index`",
+        "unsupported index version 4 (version 6 is read); rebuild it with `evoquery index`",
         id="format-4",
     ),
     pytest.param(
+        _format_5,
+        "unsupported index version 5 (version 6 is read); rebuild it with `evoquery index`",
+        id="format-5",
+    ),
+    pytest.param(
         lambda p: p.update(version=2),
-        "unsupported index version 2 (version 5 is read); rebuild it with `evoquery index`",
+        "unsupported index version 2 (version 6 is read); rebuild it with `evoquery index`",
         id="format-2",
     ),
     pytest.param(
@@ -122,7 +142,7 @@ MALFORMED_INDEXES = [
             "class": "SuffixNormalizer",
             "stop_words_sha256": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         })),
-        "unsupported index version 3 (version 5 is read); rebuild it with `evoquery index`",
+        "unsupported index version 3 (version 6 is read); rebuild it with `evoquery index`",
         id="format-3",
     ),
     pytest.param(

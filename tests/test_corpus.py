@@ -20,6 +20,7 @@ from evoquery.corpus import (
     load_stop_words,
     normalizer_for,
     seed_vector,
+    url_authority,
 )
 from evoquery.errors import ConfigInvalid, ParseError
 from generate_data import dump_corpus
@@ -356,6 +357,16 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_corpus(path)
 
+    def test_empty_url_with_a_host_rejected(self, tmp_path):
+        path = self.write_lines(tmp_path, [self.record("d1", url="", host="x")])
+        message = f"{path}: line 1: host 'x' does not match url authority ''"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_corpus(path)
+
+    def test_empty_url_with_an_empty_host_loads(self, tmp_path):
+        path = self.write_lines(tmp_path, [self.record("d1", url="", host="")])
+        assert [(d.url, d.host) for d in load_corpus(path)] == [("", "")]
+
     def test_empty_host_filled_from_url(self, tmp_path):
         path = self.write_lines(tmp_path, [self.record("d1", host="")])
         docs = load_corpus(path)
@@ -399,8 +410,31 @@ URLS = st.one_of(URL_TEXT, AUTHORITY_URLS, AUTHORITY_URLS, AUTHORITY_URLS)
 
 
 class TestUrlAuthority:
-    """_parse_document splits a url cut at its third "/", which must give the
-    whole url's netloc, or fail with the whole url's ValueError."""
+    """url_authority splits a url cut at its third "/", which must give the
+    whole url's netloc, or fail with the whole url's ValueError: hosts of
+    documents and of HTTP hits are what urlsplit makes of the whole url."""
+
+    @pytest.mark.parametrize("url", [
+        "https://example.org/a/b?q=1#f",
+        "http://example.org?q=/x/y",  # a "?" before the third "/"
+        "http://example.org#/x/y",  # a "#" before the third "/"
+        "https://user:pw@example.org:8080/p",  # userinfo and a port
+        "http://[::1]:80/x",
+        "http://[::1/x",  # an unclosed "["
+        "http://::1]/x",  # a stray "]"
+        "http://a]b[c/x",
+        "example.org/a/b",  # no scheme
+        "//example.org/a",  # no scheme, an authority
+        "",
+    ])
+    def test_matches_urlsplit(self, url):
+        try:
+            netloc = urlsplit(url).netloc
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                url_authority(url)
+        else:
+            assert url_authority(url) == netloc
 
     @settings(max_examples=2000, deadline=None)
     @given(URLS)

@@ -140,7 +140,7 @@ EXECUTE_CALLS = {
     "no-damping": 80,
 }
 
-INDEX_SHA256 = "87e2e5b9f5e0899cbcd7141e11378b7f40ecb429826639e43faf699fccb15e19"
+INDEX_SHA256 = "2bfe520141e659b04bb904cdf6e75da76d1875245abf8a95767d0bd24142b260"
 
 
 @pytest.fixture(scope="module")

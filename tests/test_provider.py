@@ -6,6 +6,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evoquery.provider
-from evoquery.corpus import LEMMA_MEMO_LIMIT, Document, SuffixNormalizer, load_corpus
+from evoquery.corpus import LEMMA_MEMO_LIMIT, Document, SuffixNormalizer, load_corpus, url_authority
 from evoquery.errors import ParseError, ProviderError
 from evoquery.provider import (
+    BM25_B,
+    BM25_K1,
     DOC_COLUMNS,
     INDEX_FORMAT,
     HttpProvider,
@@ -47,16 +50,24 @@ def ranked_ids(hits):
 
 def format_2(index, docs):
     """``index`` of ``docs`` in ``reference_index``'s shape: postings of {doc id: term count},
-    docs by id; positions run in id order, so the sorted ids name them."""
+    docs by id, each with its url's host and the length its term counts sum to;
+    positions run in id order, so the sorted ids name them."""
     ids = sorted(d.id for d in docs)
+    postings = {
+        lemma: dict(zip([ids[d] for d in plist], index.term_counts[lemma]))
+        for lemma, plist in index.postings.items()
+    }
+    lengths = Counter()
+    for counts in postings.values():
+        lengths.update(counts)
     rows = zip(*(index.docs[name] for name in DOC_COLUMNS))
     return SimpleNamespace(
-        postings={
-            lemma: dict(zip([ids[d] for d in plist], index.term_counts[lemma]))
-            for lemma, plist in index.postings.items()
+        postings=postings,
+        docs={
+            i: {**dict(zip(DOC_COLUMNS, row)), "host": url_authority(row[0]), "length": lengths[i]}
+            for i, row in zip(ids, rows, strict=True)
         },
-        docs={i: dict(zip(DOC_COLUMNS, row)) for i, row in zip(ids, rows, strict=True)},
-        avg_doc_len=sum(index.docs["length"]) / index.doc_count,
+        avg_doc_len=sum(lengths.values()) / index.doc_count,
         doc_count=index.doc_count,
     )
 
@@ -66,7 +77,8 @@ class TestBuildIndex:
         index = build_index([doc("d1", "aa aa bb")])
         assert (index.postings["aa"], index.term_counts["aa"]) == ([0], [2])
         assert (index.postings["bb"], index.term_counts["bb"]) == ([0], [1])
-        assert index.docs["length"] == [3]
+        assert index.docs == {"url": ["https://example.org/d1"], "title": ["t"],
+                              "text": ["aa aa bb"]}
 
     def test_identical_documents_get_identical_postings(self):
         index = build_index([doc("d1", "aa bb"), doc("d2", "aa bb")])
@@ -135,7 +147,9 @@ class TestBuildIndex:
     def test_integer_over_digit_limit_names_file(self, tmp_path):
         path = tmp_path / "index.json"
         save_index(build_index([doc("d1", "aa bb")]), path)
-        path.write_text(path.read_text().replace('"length":[2]', '"length":[' + "9" * 5000 + "]"))
+        text, counts = path.read_text(), '"term_counts":{"aa":[1]'
+        path.write_text(text.replace(counts, counts[:-1] + "9" * 5000))
+        assert path.read_text() != text
         with pytest.raises(ParseError, match=f"^index {path} is not valid JSON"):
             load_index(path)
 
@@ -149,11 +163,14 @@ class TestIndexFile:
             max_size=8,
         ),
         stop_words=st.sets(st.sampled_from(["aa", "bb", "cc"]), max_size=2),
+        hosts=st.lists(st.sampled_from(["a.org", "b.org:8080", "u@c.org", "[::1]"]),
+                       min_size=8, max_size=8),
     )
     @settings(max_examples=200, deadline=None)
-    def test_build_matches_reference(self, bodies, stop_words):
+    def test_build_matches_reference(self, bodies, stop_words, hosts):
         # ids run against insertion order, so corpus order is not id order
-        docs = [doc(f"d{len(bodies) - i}", " ".join(b)) for i, b in enumerate(bodies)]
+        docs = [doc(f"d{len(bodies) - i}", " ".join(b), host=hosts[i])
+                for i, b in enumerate(bodies)]
         normalizer = SuffixNormalizer(frozenset(stop_words))
         expected = reference_index(docs, normalizer)
         index = build_index(docs, normalizer)
@@ -162,8 +179,22 @@ class TestIndexFile:
         assert all(p == sorted(set(p)) for p in index.postings.values())
         assert format_2(index, docs) == expected
         assert index.stop_words == sorted(stop_words)
+        # a loaded index derives each doc's length and host: BM25 norms from the
+        # docs' own lemma counts, and each hit's host the document's
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, Path(tmp) / "index.json")
+            provider = OfflineProvider(index=load_index(Path(tmp) / "index.json"))
+        by_id = sorted(docs, key=lambda d: d.id)
+        lengths = [len(normalizer.normalize(d.body)) for d in by_id]
+        avg = sum(lengths) / len(lengths)
+        assert provider._norm == [
+            BM25_K1 * (1.0 - BM25_B + BM25_B * (length / avg if avg > 0 else 0.0))
+            for length in lengths
+        ]
+        hits = [provider._hit(d) for d in range(len(by_id))]
+        assert [hit.doc_host for hit in hits] == [d.host for d in by_id]
 
-    def test_compact_sorted_format_5(self, tmp_path):
+    def test_compact_sorted_format_6(self, tmp_path):
         normalizer = SuffixNormalizer(frozenset({"dd", "cc"}))
         path = tmp_path / "index.json"
         save_index(build_index([doc("d1", "bb aa cc"), doc("d2", "aa")], normalizer), path)
@@ -172,13 +203,12 @@ class TestIndexFile:
         assert text == json.dumps(
             payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")
         )
-        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 5)
+        assert (payload["format"], payload["version"]) == (INDEX_FORMAT, 6)
         assert sorted(payload) == ["docs", "format", "postings", "stop_words", "term_counts",
                                    "version"]
-        assert sorted(payload["docs"]) == ["host", "length", "text", "title", "url"]
+        assert sorted(payload["docs"]) == ["text", "title", "url"]
         assert payload["stop_words"] == ["cc", "dd"]
         assert payload["docs"]["url"] == ["https://example.org/d1", "https://example.org/d2"]
-        assert payload["docs"]["length"] == [2, 1]
         assert payload["postings"] == {"aa": [0, 1], "bb": [0]}
         assert payload["term_counts"] == {"aa": [1, 1], "bb": [1]}
         assert load_index(path).stop_words == ["cc", "dd"]
@@ -205,7 +235,7 @@ INDEX_TEXT = st.text(st.sampled_from('ab é中😀"\\\x00\x1f\x7f\u2028\u2029\t\
 def whole_file_text(index):
     """The index file as one json.dumps string, the oracle for save_index's pieces."""
     payload = {
-        "format": INDEX_FORMAT, "version": 5, "stop_words": index.stop_words,
+        "format": INDEX_FORMAT, "version": 6, "stop_words": index.stop_words,
         "docs": index.docs, "postings": index.postings, "term_counts": index.term_counts,
     }
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
