@@ -13,13 +13,12 @@ a temp dir (the checkout itself is never written). The mutations are
 - +1 on an int or float constant
 - a ``raise`` guarded by an ``if`` turned into ``pass``
 
-A mutant runs the targeted tests (``--tests``, by default ``tests/test_NAME.py``)
-with ``-x``; one that passes them runs the whole tier-1 command. Hypothesis
-runs with a fixed seed and no example database, so a verdict does not depend
-on an earlier mutant. Each mutant prints one JSON record: its site, its
-mutation and its verdict, ``killed`` (by the targeted tests), ``killed-full``,
-``timeout`` (counted as killed) or ``survived``. A score per module goes to
-stderr. The method is DeMillo, Lipton & Sayward 1978, "Hints on test data
+A mutant runs its module's tests, ``tests/test_NAME.py``, with ``-x``; one
+that passes them runs the whole tier-1 command. Hypothesis runs with a fixed
+seed and no example database, so a verdict does not depend on an earlier
+mutant. Each mutant prints one JSON record: its site, its mutation and its
+verdict, ``killed`` (by the targeted tests), ``killed-full``, ``timeout``
+(counted as killed) or ``survived``. A score per module goes to stderr. The method is DeMillo, Lipton & Sayward 1978, "Hints on test data
 selection".
 
     python3 scripts/mutants.py src/evoquery/corpus.py src/evoquery/provider.py --seed 0
@@ -42,6 +41,7 @@ from typing import Iterator
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TIER_1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+RUN_TIMEOUT_S = 600.0  # per pytest run; a mutant that hangs counts as killed
 _SKIPPED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__",
                                   ".benchmarks", ".bench_*")
 
@@ -112,13 +112,13 @@ def draw_mutants(source: str, seed: int, count: int, lines: set[int] | None = No
     return sorted(drawn, key=lambda m: (m["line"], m["col"]))
 
 
-def _passes(copy: Path, args: list[str], seed: int, timeout: float) -> bool | None:
+def _passes(copy: Path, args: list[str], seed: int) -> bool | None:
     """Whether pytest ``args`` pass in ``copy``; None on a timeout."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, *args, "-x", "-p", "no:cacheprovider", f"--hypothesis-seed={seed}"]
     try:
-        done = subprocess.run(command, cwd=copy, env=env, timeout=timeout,
+        done = subprocess.run(command, cwd=copy, env=env, timeout=RUN_TIMEOUT_S,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return None
@@ -130,21 +130,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("modules", nargs="+", help="module paths relative to the checkout")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=20, help="mutants drawn per module")
-    parser.add_argument("--tests", nargs="+", help="targeted tests (default tests/test_NAME.py)")
     parser.add_argument("--lines", type=int, nargs="+", help="draw only sites on these lines")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per pytest run")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(REPO_ROOT, copy, ignore=_SKIPPED)
-        if not _passes(copy, TIER_1, args.seed, args.timeout):
+        if not _passes(copy, TIER_1, args.seed):
             sys.exit("the unmutated copy fails its tier-1 tests")
         for module in args.modules:
             target = copy / module
             original = target.read_text(encoding="utf-8")
-            targeted = ["-m", "pytest", "-q", *(args.tests or [f"tests/test_{target.stem}.py"])]
+            targeted = ["-m", "pytest", "-q", f"tests/test_{target.stem}.py"]
             target.write_text(ast.unparse(ast.parse(original)) + "\n", encoding="utf-8")
-            if not _passes(copy, targeted, args.seed, args.timeout):
+            if not _passes(copy, targeted, args.seed):
                 sys.exit(f"{module} fails its targeted tests once unparsed, unmutated")
             mutants = draw_mutants(original, args.seed, args.count,
                                    set(args.lines) if args.lines else None)
@@ -153,10 +151,10 @@ def main(argv: list[str] | None = None) -> int:
                 target.write_text(mutant["source"], encoding="utf-8")
                 try:
                     verdict = {True: "survived", False: "killed", None: "timeout"}[
-                        _passes(copy, targeted, args.seed, args.timeout)]
+                        _passes(copy, targeted, args.seed)]
                     if verdict == "survived":
                         verdict = {True: "survived", False: "killed-full", None: "timeout"}[
-                            _passes(copy, TIER_1, args.seed, args.timeout)]
+                            _passes(copy, TIER_1, args.seed)]
                 finally:
                     target.write_text(original, encoding="utf-8")
                 killed += verdict != "survived"

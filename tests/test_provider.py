@@ -148,9 +148,9 @@ class TestBuildIndex:
         path = tmp_path / "index.json"
         save_index(build_index([doc("d1", "aa bb")]), path)
         text, counts = path.read_text(), '"term_counts":{"aa":[1]'
-        path.write_text(text.replace(counts, counts[:-1] + "9" * 5000))
+        path.write_text(text.replace(counts, counts[:-1] + "9" * 5000 + "]"))
         assert path.read_text() != text
-        with pytest.raises(ParseError, match=f"^index {path} is not valid JSON"):
+        with pytest.raises(ParseError, match=f"^index {path} is not valid JSON: Exceeds the limit"):
             load_index(path)
 
 
