@@ -14,7 +14,6 @@ a failure: the command exits 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from .config import RunConfig
+from .config import ProviderSpec, RunConfig
 from .corpus import build_keyword_pool, data_lines, load_corpus, normalizer_for, require_file
 from .errors import ConfigInvalid, DivergenceDetected, EvoqueryError, ParseError, ProviderError
 from .evaluation import (
@@ -140,10 +139,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         inputs = make_run_inputs(args.out, index_path, seed_path)
     else:
         index_path = inputs = None
-    spec = dataclasses.replace(
-        config.provider, kind="offline" if args.index else "http", endpoint=args.endpoint
-    )
-    config = dataclasses.replace(config, provider=spec)
+    kind = "offline" if args.index else "http"
+    spec = ProviderSpec(**{**config.provider._asdict(), "kind": kind, "endpoint": args.endpoint})
+    config = RunConfig(**{**config._asdict(), "provider": spec})
 
     provider = build_provider(spec, index_path)
     records = run_evolution(config, provider, seed_docs, seed_path)
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     keywords_p = sub.add_parser("keywords", help="extract a weighted keyword pool")
     keywords_p.add_argument("--corpus", required=True, help="seed material JSONL file")
     keywords_p.add_argument(
-        "--k", type=_positive_int, default=RunConfig.keyword_pool_size, help="pool size"
+        "--k", type=_positive_int, default=RunConfig().keyword_pool_size, help="pool size"
     )
     keywords_p.add_argument("--stop-words", help="stop word list, one per line")
     keywords_p.set_defaults(func=cmd_keywords)

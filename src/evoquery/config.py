@@ -9,7 +9,7 @@ config.json records, and ``from_payload`` reads it back equal.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import ConfigInvalid
@@ -67,14 +67,15 @@ def _parse_variant(name: str, value: object) -> Variant:
 
 
 def _from_payload(cls, payload: object, what: str):
-    """Build the dataclass ``cls`` from a JSON object; absent keys take defaults.
+    """Build ``cls`` from a JSON object; absent keys take defaults.
 
-    Each value is parsed by its field's annotation (see ``_FIELD_PARSERS``);
-    range checks are left to ``cls.__post_init__``.
+    Each value is parsed by its field's annotation in ``cls``'s NamedTuple base
+    (see ``_FIELD_PARSERS``); range checks are left to ``cls.__new__``.
     """
     if not isinstance(payload, dict):
         raise ConfigInvalid(f"{what} must be a JSON object")
-    parsers = {f.name: _FIELD_PARSERS[f.type] for f in fields(cls)}
+    annotations = cls.__bases__[0].__annotations__
+    parsers = {name: _FIELD_PARSERS[annotations[name].__forward_arg__] for name in cls._fields}
     unknown = set(payload) - set(parsers)
     if unknown:
         raise ConfigInvalid(f"unknown {what} keys: {sorted(unknown)}")
@@ -89,18 +90,28 @@ def _is_http_url(text: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-@dataclass(frozen=True)
-class ProviderSpec:
-    """Which engine a run talks to and how."""
+def _floats_made_float(fields: tuple) -> list:
+    """The values of ``fields``, a NamedTuple, with each ``float`` field's value
+    made a float, so that a payload writes 1 as 1.0."""
+    kinds = type(fields).__annotations__.values()
+    return [float(v) if k.__forward_arg__ == "float" else v for v, k in zip(fields, kinds)]
 
+
+class _ProviderFields(NamedTuple):
     kind: str = "offline"  # "offline" | "http"
     endpoint: str | None = None
     api_key_header: str | None = None
     rate_limit_rps: float = 1.0
     full_body_snippets: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate_limit_rps", float(self.rate_limit_rps))  # see RunConfig
+
+class ProviderSpec(_ProviderFields):
+    """Which engine a run talks to and how; every instance has passed its checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ProviderSpec:
+        self = super().__new__(cls, *_floats_made_float(_ProviderFields(*args, **kwargs)))
         if self.kind not in ("offline", "http"):
             raise ConfigInvalid(f"provider kind must be offline or http, got {self.kind!r}")
         if self.kind == "http" and not self.endpoint:
@@ -111,23 +122,17 @@ class ProviderSpec:
             )
         if not self.rate_limit_rps > 0:
             raise ConfigInvalid("rate_limit_rps must be positive")
+        return self
+
+    def to_payload(self) -> dict:
+        return self._asdict()
 
     @classmethod
     def from_payload(cls, payload: object) -> ProviderSpec:
         return _from_payload(cls, payload, "provider")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run parameters; the zero-argument form is the reference setup.
-
-    g2: population size; g3: terms per query; f1/f2/f3: per-query,
-    per-population and run-wide result caps; f4: same-host damping;
-    f5/f6/f7: rank/crossquery/semantic component weights; m1: mutation
-    probability; e1: generation count. These short names are the config
-    file's vocabulary; each count is bounded by ``COUNT_LIMITS``.
-    """
-
+class _RunConfigFields(NamedTuple):
     g2: int = 8
     g3: int = 6
     f1: int = 20
@@ -145,11 +150,24 @@ class RunConfig:
     keyword_pool_size: int = 50
     freeze_reference: bool = False
     stop_words_path: str | None = None
-    provider: ProviderSpec = dc_field(default_factory=ProviderSpec)
+    provider: ProviderSpec = ProviderSpec()
 
-    def __post_init__(self) -> None:
-        for name in ("f4", "f5", "f6", "f7", "m1", "a_factor"):  # so that asdict writes 1 as 1.0
-            object.__setattr__(self, name, float(getattr(self, name)))
+
+class RunConfig(_RunConfigFields):
+    """Run parameters; the zero-argument form is the reference setup.
+
+    g2: population size; g3: terms per query; f1/f2/f3: per-query,
+    per-population and run-wide result caps; f4: same-host damping;
+    f5/f6/f7: rank/crossquery/semantic component weights; m1: mutation
+    probability; e1: generation count. These short names are the config
+    file's vocabulary; each count is bounded by ``COUNT_LIMITS``. Every
+    instance has passed its checks, which ``_replace`` skips.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *_floats_made_float(_RunConfigFields(*args, **kwargs)))
         for name, limit in COUNT_LIMITS.items():
             value = getattr(self, name)
             if not 1 <= value <= limit:
@@ -173,6 +191,7 @@ class RunConfig:
         total = self.f5 + self.f6 + self.f7
         if not abs(total - 1.0) <= 1e-9:
             raise ConfigInvalid(f"f5 + f6 + f7 must sum to 1 within 1e-9, got {total!r}")
+        return self
 
     @property
     def min_pool_size(self) -> int:
@@ -181,7 +200,7 @@ class RunConfig:
         return self.g3 + (1 if self.e1 > 1 else 0)
 
     def to_payload(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "provider": self.provider.to_payload()}
 
     @classmethod
     def from_payload(cls, payload: object) -> RunConfig:
@@ -190,9 +209,9 @@ class RunConfig:
 
 
 # Field annotation -> parser of a JSON value, naming its key in any ConfigInvalid.
-# Keys are annotations as written: ``from __future__ import annotations``
-# leaves every dataclass field's type a string. ``to_payload`` is ``asdict``,
-# which reads back equal: each float field holds a float, and Variant is a str.
+# Keys are annotations as written: under ``from __future__ import annotations``
+# NamedTuple keeps each field's type as a ForwardRef of that text.
+# ``to_payload`` reads back equal: each float field holds a float, and Variant is a str.
 _FIELD_PARSERS = {
     "int": _parse_int,
     "float": _parse_float,

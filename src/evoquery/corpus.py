@@ -10,19 +10,14 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from .errors import ConfigInvalid, ParseError, not_utf8
 
-_DOC_FIELDS = ("id", "url", "host", "title", "body")
-
-
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One corpus item: the search target and the seed-material carrier."""
 
     id: str
@@ -65,7 +60,6 @@ class _LemmaMemo(dict):
         return lemma
 
 
-@dataclass(frozen=True)
 class SuffixNormalizer:
     """Default normalizer: lowercase, strip punctuation/digits, suffix-stem.
 
@@ -79,13 +73,23 @@ class SuffixNormalizer:
     instance memoizes it per raw token, up to ``LEMMA_MEMO_LIMIT`` tokens.
     ``lemma_of`` looks a token up in that memo (``None`` for a dropped
     token), so ``map`` can lemmatize a token list with no Python loop.
+    Equality, hash and repr leave the memo out.
     """
 
-    stop_words: frozenset[str] = frozenset()
-    _lemmas: _LemmaMemo = field(init=False, repr=False, compare=False)
+    __slots__ = ("stop_words", "_lemmas")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_lemmas", _LemmaMemo(self.stop_words))
+    def __init__(self, stop_words: frozenset[str] = frozenset()) -> None:
+        self.stop_words = stop_words
+        self._lemmas = _LemmaMemo(stop_words)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SuffixNormalizer) and self.stop_words == other.stop_words
+
+    def __hash__(self) -> int:
+        return hash(self.stop_words)
+
+    def __repr__(self) -> str:
+        return f"SuffixNormalizer(stop_words={self.stop_words!r})"
 
     @property
     def lemma_of(self) -> Callable[[str], str | None]:
@@ -138,8 +142,7 @@ def normalizer_for(stop_words_path: str | Path | None) -> SuffixNormalizer:
     return SuffixNormalizer(stop_words=load_stop_words(require_file(stop_words_path, "stop words")))
 
 
-@dataclass
-class TermVector:
+class TermVector(NamedTuple):
     """A sparse lemma-to-weight map with its Euclidean norm."""
 
     entries: dict[str, float]
@@ -220,7 +223,7 @@ def url_authority(url: str) -> str:
 def _parse_document(record: object, line_no: int, path: str | Path) -> Document:
     if not isinstance(record, dict):
         raise ParseError("record is not an object", line_no, path)
-    for name in _DOC_FIELDS:
+    for name in Document._fields:
         if name not in record:
             raise ParseError(f"missing field {name!r}", line_no, path)
         if not isinstance(record[name], str):

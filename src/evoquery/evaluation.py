@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import data_lines
 from .errors import ParseError
@@ -36,15 +35,13 @@ class Persona(str, Enum):
     NOVICE = "N"
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     doc_url: str
     persona: Persona
     grade: int
 
 
-@dataclass
-class MetricRow:
+class MetricRow(NamedTuple):
     metric: str
     ordering: str
     persona: str

@@ -15,10 +15,9 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .config import ProviderSpec, RunConfig
 from .corpus import (
@@ -62,7 +61,6 @@ from .rng import derive_rng
 API_KEY_ENV_VAR = "EVOQUERY_API_KEY"
 
 
-@dataclass
 class QueryOutcome:
     """One genome's query from provider to ledger.
 
@@ -73,17 +71,21 @@ class QueryOutcome:
     (``position_score(position, len(results))``) and ``environment`` (``a_factor``).
     """
 
-    terms: tuple[str, ...]
-    variant: Variant
-    query_string: str
-    issued_at: float | None
-    hits: list[SearchHit]
-    query_fitness: float = 0.0
-    results: list[ScoredResult] = dc_field(default_factory=list)
+    __slots__ = ("terms", "variant", "query_string", "issued_at", "hits", "query_fitness", "results")
+
+    def __init__(self, terms: tuple[str, ...], variant: Variant, query_string: str,
+                 issued_at: float | None, hits: list[SearchHit], query_fitness: float = 0.0,
+                 results: list[ScoredResult] | None = None) -> None:
+        self.terms = terms
+        self.variant = variant
+        self.query_string = query_string
+        self.issued_at = issued_at
+        self.hits = hits
+        self.query_fitness = query_fitness
+        self.results = [] if results is None else results
 
 
-@dataclass
-class GenerationRecord:
+class GenerationRecord(NamedTuple):
     """A line of generations.jsonl, and the run-wide ``top_results`` after it
     (not in the line): the last record's are the run's final results."""
 

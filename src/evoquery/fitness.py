@@ -21,9 +21,7 @@ once, in ``crossquery_scores``, and each ``ScoredResult`` is built once.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain
 from operator import add, attrgetter
@@ -39,17 +37,22 @@ REFERENCE_CONTRIBUTORS = 3
 _URL_OF_HIT, _URL, _FITNESS = attrgetter("doc_url"), attrgetter("hit.doc_url"), attrgetter("fitness")
 
 
-@dataclass(slots=True)
 class ScoredResult:
-    hit: SearchHit
-    position: int  # 1-based place of the hit in its provider's list
-    rank_component: float
-    crossquery_component: float
-    semantic_component: float
-    fitness: float
+    """A hit with its components and fitness, which host damping lowers in place."""
+
+    __slots__ = ("hit", "position", "rank_component", "crossquery_component",
+                 "semantic_component", "fitness")
+
+    def __init__(self, hit: SearchHit, position: int, rank_component: float,
+                 crossquery_component: float, semantic_component: float, fitness: float) -> None:
+        self.hit = hit
+        self.position = position  # 1-based place of the hit in its provider's list
+        self.rank_component = rank_component
+        self.crossquery_component = crossquery_component
+        self.semantic_component = semantic_component
+        self.fitness = fitness
 
 
-@dataclass
 class ReferenceText:
     """Adaptive lemma vector standing for the target topic.
 
@@ -63,11 +66,16 @@ class ReferenceText:
     hit: each new reference starts it empty. Callers must not mutate either.
     """
 
-    vector: TermVector
-    rounds: int = 0
-    normalizer: SuffixNormalizer = DEFAULT_NORMALIZER
-    hit_vectors: dict[tuple[str, str], TermVector] = field(default_factory=dict, compare=False)
-    semantic_scores: dict[SearchHit, float] = field(default_factory=dict, compare=False)
+    __slots__ = ("vector", "rounds", "normalizer", "hit_vectors", "semantic_scores")
+
+    def __init__(self, vector: TermVector, rounds: int = 0,
+                 normalizer: SuffixNormalizer = DEFAULT_NORMALIZER,
+                 hit_vectors: dict[tuple[str, str], TermVector] | None = None) -> None:
+        self.vector = vector
+        self.rounds = rounds
+        self.normalizer = normalizer
+        self.hit_vectors = {} if hit_vectors is None else hit_vectors
+        self.semantic_scores: dict[SearchHit, float] = {}
 
     @classmethod
     def from_seed_vector(
@@ -87,6 +95,7 @@ class ReferenceText:
 
     def digest(self) -> str:
         """Stable sha256 of the vector state, for ledger records."""
+        import hashlib  # here, not at module load: index, evaluate and report never hash
         parts = [f"{lemma}:{weight!r}" for lemma, weight in sorted(self.vector.entries.items())]
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
@@ -239,4 +248,4 @@ def update_reference_text(
         for lemma, weight in contribution.entries.items():
             merged[lemma] = merged.get(lemma, 0.0) + multiplier * weight
     vector = _evict_to_capacity(TermVector.from_weights(merged))
-    return replace(ref, vector=vector, rounds=round_number, semantic_scores={})
+    return ReferenceText(vector, round_number, ref.normalizer, ref.hit_vectors)

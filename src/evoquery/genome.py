@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple
 
 from .rng import derive_rng
 
@@ -27,14 +27,21 @@ class Variant(str, Enum):
     LEMMA = "lemma"
 
 
-@dataclass(frozen=True)
-class QueryGenome:
+class _GenomeFields(NamedTuple):
     terms: tuple[str, ...]
     variant: Variant
 
-    def __post_init__(self) -> None:
+
+class QueryGenome(_GenomeFields):
+    """A genome whose terms are distinct; ``_replace`` skips that check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> QueryGenome:
+        self = super().__new__(cls, *args, **kwargs)
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("genome terms must be distinct")
+        return self
 
 
 def _weighted_sample(

@@ -19,7 +19,6 @@ float by being a tuple, not by its class.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -54,6 +53,7 @@ def canonical_json(value: Any) -> str:
 
 
 def file_digest(path: str | Path) -> str:
+    import hashlib  # here, not at module load: index, evaluate and report never hash
     digest = hashlib.sha256()
     with open(path, "rb", buffering=0) as fh:
         while chunk := fh.read(DIGEST_CHUNK):

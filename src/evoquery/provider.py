@@ -15,10 +15,8 @@ import heapq
 import json
 import math
 import re
-import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import lt
 from pathlib import Path
 from typing import Iterator, NamedTuple, Protocol
@@ -65,8 +63,7 @@ class SearchProvider(Protocol):
     def execute(self, query_string: str, limit: int) -> list[SearchHit]: ...
 
 
-@dataclass
-class InvertedIndex:
+class InvertedIndex(NamedTuple):
     """An index as its file holds it, so loading uses what ``json.loads`` returns.
 
     ``docs`` maps each of ``DOC_COLUMNS`` to a list with one entry per
@@ -249,7 +246,6 @@ def parse_query(query_string: str) -> tuple[list[str], bool]:
     return terms, False
 
 
-@dataclass
 class OfflineProvider:
     """BM25 (k1=1.2, b=0.75) over an in-process inverted index; ties break by doc id.
 
@@ -272,26 +268,20 @@ class OfflineProvider:
     kept hits.
     """
 
-    index: InvertedIndex
-    full_body_snippets: bool = False
-    _norm: list[float] = field(init=False, repr=False, compare=False)  # by doc position
-    _contributions: dict[str, list[float]] = field(init=False, repr=False, compare=False)
-    _hits: list[SearchHit | None] = field(init=False, repr=False, compare=False)  # by position
-    _answers: dict[tuple[str, int], list[SearchHit]] = field(init=False, repr=False, compare=False)
-    _answer_hits: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        lengths = [0] * self.index.doc_count  # each doc's lemma count, summed over its postings
-        for lemma, plist in self.index.postings.items():
-            for d, tf in zip(plist, self.index.term_counts[lemma]):
+    def __init__(self, index: InvertedIndex, full_body_snippets: bool = False) -> None:
+        self.index = index
+        self.full_body_snippets = full_body_snippets
+        lengths = [0] * index.doc_count  # each doc's lemma count, summed over its postings
+        for lemma, plist in index.postings.items():
+            for d, tf in zip(plist, index.term_counts[lemma]):
                 lengths[d] += tf
-        avg = sum(lengths) / self.index.doc_count  # load_index refuses 0 docs
+        avg = sum(lengths) / index.doc_count  # load_index refuses 0 docs
         # BM25's tf saturation term K1 * (1 - b + b * |d| / avgdl) per document
         self._norm = [
             BM25_K1 * (1.0 - BM25_B + BM25_B * (length / avg if avg > 0 else 0.0))
             for length in lengths
         ]
-        self._contributions, self._hits = {}, [None] * self.index.doc_count
+        self._contributions, self._hits = {}, [None] * index.doc_count  # hits by position
         self._answers, self._answer_hits = {}, 0
 
     def execute(self, query_string: str, limit: int) -> list[SearchHit]:
@@ -354,7 +344,6 @@ class OfflineProvider:
         return hit
 
 
-@dataclass
 class HttpProvider:
     """Generic JSON search API client.
 
@@ -364,27 +353,25 @@ class HttpProvider:
     the engine needs one, travels in the configured header; its value comes
     from the EVOQUERY_API_KEY environment variable at construction time.
 
-    Requests are serialized through a rate limiter, ``rate_limit_rps`` per
-    second. A transport failure or 5xx status is retried ``HTTP_RETRIES``
-    times, after ``HTTP_BACKOFF_S`` seconds doubled per retry; each request
-    times out after ``HTTP_TIMEOUT_S`` seconds.
+    Requests are spaced by a rate limiter, ``rate_limit_rps`` per second, with
+    no lock: the package sends them from one thread. A transport failure or
+    5xx status is retried ``HTTP_RETRIES`` times, after ``HTTP_BACKOFF_S``
+    seconds doubled per retry; each request times out after ``HTTP_TIMEOUT_S`` seconds.
     """
 
-    endpoint: str
-    api_key_header: str | None
-    api_key: str | None
-    rate_limit_rps: float
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _last_request: float = field(default=0.0, repr=False)
+    def __init__(self, endpoint: str, api_key_header: str | None, api_key: str | None,
+                 rate_limit_rps: float) -> None:
+        self.endpoint = endpoint
+        self.api_key_header = api_key_header
+        self.api_key = api_key
+        self.rate_limit_rps = rate_limit_rps
+        self._last_request = 0.0
 
     def _throttle(self) -> None:
-        min_interval = 1.0 / self.rate_limit_rps
-        with self._lock:
-            now = time.monotonic()
-            wait = self._last_request + min_interval - now
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
+        wait = self._last_request + 1.0 / self.rate_limit_rps - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        self._last_request = time.monotonic()
 
     def _request(self, query_string: str, limit: int) -> bytes:
         # Imported here, not at module load: urllib.request pulls in

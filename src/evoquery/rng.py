@@ -8,10 +8,10 @@ Python's built-in hash() is salted per process.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 
 def derive_rng(seed: int, tag: str) -> random.Random:
+    import hashlib  # here, not at module load: index, evaluate and report never hash
     digest = hashlib.sha256(f"{seed}/{tag}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest, "big"))

@@ -12,7 +12,7 @@ pool built from it contains both signal and noise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Sequence
 
 from .corpus import Document
@@ -52,15 +52,21 @@ def distinct_words(rng: random.Random, count: int) -> list[str]:
     return words
 
 
+# corpus.Document's fields in a dataclass, so that dataclasses.replace can respell a copy
+SyntheticDocument = make_dataclass(
+    "SyntheticDocument", Document._fields, frozen=True, namespace={"__module__": __name__}
+)
+
+
 @dataclass(frozen=True)
 class SyntheticDataset:
-    corpus: list[Document]
-    seed_material: list[Document]
+    corpus: list[SyntheticDocument]
+    seed_material: list[SyntheticDocument]
     cluster_urls: list[str]
 
 
-def _doc(doc_id: str, host: str, title: str, body: str) -> Document:
-    return Document(
+def _doc(doc_id: str, host: str, title: str, body: str) -> SyntheticDocument:
+    return SyntheticDocument(
         id=doc_id,
         url=f"https://{host}/{doc_id}",
         host=host,
@@ -69,7 +75,7 @@ def _doc(doc_id: str, host: str, title: str, body: str) -> Document:
     )
 
 
-def _cluster_doc(index: int, topic: Sequence[str], rng: random.Random) -> Document:
+def _cluster_doc(index: int, topic: Sequence[str], rng: random.Random) -> SyntheticDocument:
     # rotating window: every topic term lands in the same number of
     # cluster documents; no distractors, so noise terms never hit these
     window = [topic[(index + k) % len(topic)] for k in range(TOPIC_TERMS_PER_DOC)]
@@ -87,7 +93,7 @@ def _shard_doc(
     vocabulary: Sequence[str],
     distractors: Sequence[str],
     rng: random.Random,
-) -> Document:
+) -> SyntheticDocument:
     tokens = [rng.choice(list(vocabulary)) for _ in range(31)]
     # tripled distractors give noise queries strong matches to rank
     for word in rng.sample(list(distractors), 3):
@@ -98,7 +104,7 @@ def _shard_doc(
     return _doc(f"d{shard:02d}{index:02d}", host, title, " ".join(tokens))
 
 
-def _seed_docs(topic: Sequence[str], distractors: Sequence[str]) -> list[Document]:
+def _seed_docs(topic: Sequence[str], distractors: Sequence[str]) -> list[SyntheticDocument]:
     docs = []
     share = (len(distractors) + SEED_DOC_COUNT - 1) // SEED_DOC_COUNT
     for i in range(SEED_DOC_COUNT):
@@ -131,7 +137,7 @@ def build_dataset(seed: int = 0) -> SyntheticDataset:
         for shard in range(SHARDS)
     ]
 
-    corpus: list[Document] = []
+    corpus: list[SyntheticDocument] = []
     for index in range(CLUSTER_SIZE):
         rng = derive_rng(seed, f"synthetic/cluster/{index}")
         corpus.append(_cluster_doc(index, topic, rng))

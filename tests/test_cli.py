@@ -1026,6 +1026,17 @@ class TestEvaluate:
         assert code == 1
         assert f"{listing}: line 2: repeated url 'https://a.example/1'" in capsys.readouterr().err
 
+    def test_lists_of_one_name_in_two_directories_rejected(self, data_dir, tmp_path, capsys):
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "x.txt").write_text("https://a.example/1\n")
+        code = main([
+            "evaluate", "--list", str(tmp_path / "a" / "x.txt"),
+            "--list", str(tmp_path / "b" / "x.txt"), "--qrels", str(data_dir / "qrels.tsv"),
+        ])
+        assert code == 1
+        assert "ordering names must be distinct, got ['x', 'x']" in capsys.readouterr().err
+
     def test_line_separator_inside_a_line_keeps_one_url(self, data_dir, tmp_path, capsys):
         # lines end only at line feeds and carriage returns, as in every data file
         listing = tmp_path / "sep.txt"

@@ -1,6 +1,5 @@
 """Generational loop, selection, run ledger persistence and replay."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -161,7 +160,7 @@ class TestProviderSpec:
             kind="http", endpoint="https://api.example/search",
             api_key_header="X-Key", rate_limit_rps=2.0,
         )
-        assert ProviderSpec.from_payload(dataclasses.asdict(spec)) == spec
+        assert ProviderSpec.from_payload(spec.to_payload()) == spec
 
     def test_unknown_payload_key_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -406,10 +405,10 @@ class TestPayloadBoundary:
         except ConfigInvalid as exc:
             assert names_a_set_key(str(exc), payload), f"{exc} names no key of {payload!r}"
             return
-        payload = dataclasses.asdict(parsed)  # RunConfig.to_payload
+        payload = parsed.to_payload()
         again = cls.from_payload(payload)
         assert again == parsed
-        assert canonical_json(dataclasses.asdict(again)) == canonical_json(payload)
+        assert canonical_json(again.to_payload()) == canonical_json(payload)
 
     @settings(max_examples=300, deadline=None)
     @given(payloads(CONFIG_FIELDS))

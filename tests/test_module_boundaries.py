@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +66,16 @@ def test_every_benchmark_target_resolves():
         except (ImportError, AttributeError):
             unresolved.append(target)
     assert unresolved == []
+
+
+def test_cli_import_loads_no_dataclasses_and_no_hashlib():
+    """Every stage imports the CLI: ``dataclasses`` would bring in ``inspect``,
+    ``ast``, ``dis`` and ``tokenize``, and a stage that hashes imports ``hashlib``
+    when it first hashes."""
+    code = "import sys, evoquery.cli; print(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "_hashlib"}
+    assert heavy & set(done.stdout.split()) == set()

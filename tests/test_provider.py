@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -264,7 +263,7 @@ class TestSaveIndex:
     def eightfold_index(self):
         """The bundled corpus eight times over under fresh ids: 4,000 docs."""
         bundled = load_corpus(Path(__file__).parents[1] / "data" / "corpus.jsonl")
-        docs = [dataclasses.replace(d, id=f"{d.id}-{k}") for k in range(8) for d in bundled]
+        docs = [d._replace(id=f"{d.id}-{k}") for k in range(8) for d in bundled]
         return build_index(docs)
 
     def test_holds_a_small_part_of_the_file(self, eightfold_index, tmp_path):
@@ -665,6 +664,13 @@ class TestHttpProvider:
         hits = fast_provider(endpoint).execute("q", 1)
         assert len(hits) == 1
         assert len(handler.requests_seen) == 3
+
+    def test_status_500_is_retried(self, stub_engine):
+        endpoint, handler = stub_engine
+        handler.responses = [({"results": []}, 500), ({"results": [result_item(0)]}, 200)]
+        hits = fast_provider(endpoint).execute("q", 1)
+        assert [h.doc_url for h in hits] == ["https://site0.org/page"]
+        assert len(handler.requests_seen) == 2  # initial + 1 retry
 
     def test_persistent_failure_is_provider_unavailable(self, stub_engine):
         endpoint, handler = stub_engine

@@ -1,5 +1,6 @@
 """Planted-cluster benchmark generator."""
 
+import dataclasses
 import filecmp
 import os
 import subprocess
@@ -107,6 +108,11 @@ class TestDatasetShape:
         again = build_dataset(0)
         assert again.corpus == dataset.corpus
         assert again.seed_material == dataset.seed_material
+
+    def test_documents_take_dataclasses_replace(self, dataset):
+        # perfbench's scaled workloads respell the seed material this way
+        doc = dataclasses.replace(dataset.seed_material[0], title="t")
+        assert doc.title == "t" and doc.body == dataset.seed_material[0].body
 
     def test_seed_changes_vocabulary(self, dataset):
         other = build_dataset(1)
