@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
@@ -77,6 +76,7 @@ def staged_sibling(target: Path, directory: bool = False) -> Iterator[Path]:
         yield staging
         os.replace(staging, target)
     except BaseException:
+        import shutil  # here, not at module load: with it come bz2, lzma and zlib
         shutil.rmtree(staging, ignore_errors=True) if directory else staging.unlink(missing_ok=True)
         raise
 

@@ -68,14 +68,14 @@ def test_every_benchmark_target_resolves():
     assert unresolved == []
 
 
-def test_cli_import_loads_no_dataclasses_and_no_hashlib():
+def test_cli_import_leaves_out_what_a_stage_may_never_use():
     """Every stage imports the CLI: ``dataclasses`` would bring in ``inspect``,
-    ``ast``, ``dis`` and ``tokenize``, and a stage that hashes imports ``hashlib``
-    when it first hashes."""
+    ``ast``, ``dis`` and ``tokenize``; a stage that hashes imports ``hashlib``
+    when it first hashes, and one that removes a directory imports ``shutil``."""
     code = "import sys, evoquery.cli; print(*sys.modules)"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "_hashlib"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "_hashlib", "shutil"}
     assert heavy & set(done.stdout.split()) == set()
